@@ -19,6 +19,7 @@ import csv
 import json
 from pathlib import Path
 
+from .corpus import write_csv
 from .stats import (
     ContingencyTable,
     LEVEL_ORDER,
@@ -46,13 +47,6 @@ def significance(p: float) -> str:
 def _read_csv(path: Path) -> list[dict]:
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def level_pairs() -> list[tuple[str, str]]:
@@ -160,7 +154,7 @@ def analyze_results(results_dir: str | Path, out_dir: str | Path, summary_json: 
         payload = json.loads(Path(summary_json).read_text(encoding="utf-8"))
         outcome = analyze_summary_counts(payload["levels"])
         produced["summary_counts"] = outcome
-        _write_csv(
+        write_csv(
             out / "proportions.csv",
             ["level", "population", "sample", "broken", "pct_broken"],
             [[r["level"], r["population"], r["sample"], r["broken"], r["pct_broken"]]
@@ -179,7 +173,7 @@ def analyze_results(results_dir: str | Path, out_dir: str | Path, summary_json: 
         ]
         ratio_table = breaking_ratio(rows, "level")
         produced["q1"] = ratio_table
-        _write_csv(
+        write_csv(
             out / "q1_ratios.csv",
             ["group", "count", "share_pct", "breaking", "breaking_pct"],
             [[r["group"], r["count"], r["share_pct"], r["breaking"], r["breaking_pct"]]
@@ -187,7 +181,7 @@ def analyze_results(results_dir: str | Path, out_dir: str | Path, summary_json: 
         )
         trend = breaking_ratio(rows, "year_level")
         produced["q2"] = trend
-        _write_csv(
+        write_csv(
             out / "q2_trend.csv",
             ["group", "count", "share_pct", "breaking", "breaking_pct"],
             [[r["group"], r["count"], r["share_pct"], r["breaking"], r["breaking_pct"]]
@@ -242,7 +236,7 @@ def _emit_proportion_reports(out: Path, battery: dict, narrative: list[str]) -> 
             f"odds ratio {pair['odds_ratio']:.2f}"
         )
     narrative.append("")
-    _write_csv(out / "q3_pairwise_fisher.csv", ["pair", "p", "p_adj", "odds_ratio", "significance"], rows)
+    write_csv(out / "q3_pairwise_fisher.csv", ["pair", "p", "p_adj", "odds_ratio", "significance"], rows)
 
 
 def _emit_detection_reports(out: Path, battery: dict, narrative: list[str]) -> None:
@@ -265,7 +259,7 @@ def _emit_detection_reports(out: Path, battery: dict, narrative: list[str]) -> N
             f"Cliff's delta {pair['cliffs_delta']:.2f} ({pair['interpretation']})"
         )
     narrative.append("")
-    _write_csv(
+    write_csv(
         out / "q3_pairwise_mannwhitney.csv",
         ["pair", "p", "p_adj", "cliffs_delta", "interpretation", "significance"],
         rows,

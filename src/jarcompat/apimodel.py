@@ -99,6 +99,21 @@ class StabilityLabel:
 STABLE = StabilityLabel("stable")
 
 
+def member_ref(owner: str, name: str, descriptor: str) -> str:
+    """Element reference of a member: ``owner.name`` for a field,
+    ``owner.name(descriptor)`` for a method or constructor."""
+    if descriptor.startswith("("):
+        return f"{owner}.{name}{descriptor}"
+    return f"{owner}.{name}"
+
+
+def member_owner(ref: str) -> str:
+    """Owner type of a member reference built by ``member_ref``."""
+    head = ref.split("(", 1)[0]
+    owner, _, _ = head.rpartition(".")
+    return owner
+
+
 @dataclass(frozen=True)
 class MemberDecl:
     owner: str
@@ -115,9 +130,7 @@ class MemberDecl:
 
     @property
     def ref(self) -> str:
-        if self.member_kind == "field":
-            return f"{self.owner}.{self.name}"
-        return f"{self.owner}.{self.name}{self.descriptor}"
+        return member_ref(self.owner, self.name, self.descriptor)
 
 
 @dataclass(frozen=True)
@@ -428,7 +441,7 @@ def build_model(
         model.types[cls.this_name] = _type_decl(cls)
         for raw in cls.fields:
             if raw.constant_value is not None:
-                model.constants[f"{cls.this_name}.{raw.name}"] = raw.constant_value
+                model.constants[member_ref(cls.this_name, raw.name, raw.descriptor)] = raw.constant_value
 
     # Outer types label before nested ones: sort by name length of the '$' chain.
     for name in sorted(model.types, key=lambda n: (n.count("$"), n)):
@@ -471,21 +484,3 @@ def api_surface(model: ApiModel) -> frozenset[str]:
             if member.visibility in ("public", "protected"):
                 surface.add(member.ref)
     return frozenset(surface)
-
-
-def owner_of(ref: str) -> str:
-    """Owner type of a member reference (identity for type references)."""
-    head = ref.split("(", 1)[0]
-    if "." not in head:
-        return head
-    owner, _, last = head.rpartition(".")
-    # A type ref has no member part; detect by capitalization convention is
-    # unreliable, so callers pass member refs here. '<init>' and descriptors
-    # only occur in member refs.
-    return owner if owner else last
-
-
-def member_ref(owner: str, name: str, descriptor: str) -> str:
-    if descriptor.startswith("("):
-        return f"{owner}.{name}{descriptor}"
-    return f"{owner}.{name}"

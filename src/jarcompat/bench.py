@@ -18,9 +18,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .apimodel import StabilityConfig, build_model
+from .apimodel import StabilityConfig, build_model, member_owner
 from .delta import compute_delta
-from .detect import Detection, compute_detections, member_owner, rule_note
+from .detect import Detection, compute_detections, rule_note
 from .usage import extract_usage
 from .classfile import open_jar
 

@@ -9,7 +9,6 @@ machine-parsable.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -19,7 +18,15 @@ from pathlib import Path
 from .apimodel import StabilityConfig, build_model
 from .bench import run_benchmark
 from .classfile import ClassFormatError, NotAZip, open_jar
-from .corpus import PipelineOptions, SchemaError, derive_upgrades, load_graph, run_pipeline
+from .corpus import (
+    PipelineOptions,
+    SchemaError,
+    derive_upgrades,
+    load_graph,
+    run_pipeline,
+    write_csv,
+    write_exclusions,
+)
 from .delta import compute_delta, is_breaking
 from .detect import classify_impact, compute_detections
 from .semver import NotAnUpgrade, Unparseable, classify_upgrade, complies_with_semver, parse_version
@@ -74,14 +81,13 @@ def cmd_delta(args: argparse.Namespace) -> int:
     breaking = is_breaking(delta, args.scope)
 
     if args.csv is not None:
-        rows = [["kind", "element", "stability", "detail"]]
-        for change in delta.changes:
-            rows.append(
-                [change.kind.value, change.element, change.stability.status,
-                 ";".join(f"{k}={v}" for k, v in sorted(change.detail))]
-            )
-        text = "\n".join(",".join(str(cell) for cell in row) for row in rows) + "\n"
-        _emit(text, args.csv)
+        write_csv(
+            args.csv,
+            ["kind", "element", "stability", "detail"],
+            [[change.kind.value, change.element, change.stability.status,
+              ";".join(f"{k}={v}" for k, v in sorted(change.detail))]
+             for change in delta.changes],
+        )
     else:
         _emit(delta.to_json(), args.json)
 
@@ -166,21 +172,14 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         derivation = derive_upgrades(graph, args.jars)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "upgrades.csv", "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["group", "artifact", "v1", "v2", "level"])
-            for upgrade in derivation.upgrades:
-                writer.writerow(
-                    [upgrade.group_id, upgrade.artifact_id, upgrade.v1.raw, upgrade.v2.raw,
-                     upgrade.level.value if upgrade.level else ""]
-                )
-        with open(out / "exclusions.csv", "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["stage", "subject", "v2", "reason"])
-            for coord, reason in sorted(derivation.skipped_versions):
-                writer.writerow(["version", coord, "", reason])
-            for upgrade in derivation.excluded:
-                writer.writerow(["pair", upgrade.v1_coord, upgrade.v2_coord, upgrade.exclusion_reason])
+        write_csv(
+            out / "upgrades.csv",
+            ["group", "artifact", "v1", "v2", "level"],
+            [[upgrade.group_id, upgrade.artifact_id, upgrade.v1.raw, upgrade.v2.raw,
+              upgrade.level.value if upgrade.level else ""]
+             for upgrade in derivation.upgrades],
+        )
+        write_exclusions(out, derivation)
         log.info(
             "derived %d upgrades (%d candidates, %d excluded)",
             len(derivation.upgrades), derivation.candidate_count, len(derivation.excluded),
@@ -255,18 +254,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_corpus = sub.add_parser("corpus", help="derive datasets / run the pipeline")
     corpus_sub = p_corpus.add_subparsers(dest="corpus_command", required=True)
-    for name in ("derive", "run"):
-        p = corpus_sub.add_parser(name)
+    p_derive = corpus_sub.add_parser("derive")
+    p_run = corpus_sub.add_parser("run")
+    for p in (p_derive, p_run):
         p.add_argument("--artifacts", required=True)
         p.add_argument("--edges", required=True)
         p.add_argument("--jars", default=None)
         p.add_argument("--out", required=True)
-        p.add_argument("--scope", choices=("stable", "all"), default="stable")
-        p.add_argument("--jobs", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--sample", action="append", metavar="LEVEL:CONF:MARGIN")
-        p.add_argument("--stability-config", default=None)
         p.set_defaults(func=cmd_corpus)
+    p_run.add_argument("--scope", choices=("stable", "all"), default="stable")
+    p_run.add_argument("--jobs", type=int, default=None)
+    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--sample", action="append", metavar="LEVEL:CONF:MARGIN")
+    p_run.add_argument("--stability-config", default=None)
 
     p_analyze = sub.add_parser("analyze", help="statistical reports over results")
     p_analyze.add_argument("results_dir", nargs="?", default=None)

@@ -19,10 +19,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
+from typing import Iterable
 
 from .apimodel import StabilityConfig, build_model
 from .classfile import NotAZip, open_jar
@@ -580,11 +583,27 @@ def _stability_of(delta: Delta, element: str, kind: str) -> str:
     return ""
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
+    """Write a header and rows as RFC 4180 CSV with LF line ends; path "-" means stdout."""
+    with (
+        nullcontext(sys.stdout) if str(path) == "-"
+        else open(path, "w", newline="", encoding="utf-8")
+    ) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_exclusions(out: Path, derivation: CorpusDerivation) -> None:
+    """exclusions.csv: skipped versions, then excluded pairs sorted by coordinates."""
+    rows = [["version", coord, "", reason] for coord, reason in sorted(derivation.skipped_versions)]
+    rows += [
+        ["pair", upgrade.v1_coord, upgrade.v2_coord, upgrade.exclusion_reason or ""]
+        for upgrade in sorted(
+            derivation.excluded, key=lambda u: (u.group_id, u.artifact_id, u.v1.raw, u.v2.raw)
+        )
+    ]
+    write_csv(out / "exclusions.csv", ["stage", "subject", "v2", "reason"], rows)
 
 
 def _write_outputs(
@@ -615,7 +634,7 @@ def _write_outputs(
                 f"deltas/{_delta_filename(upgrade)}",
             ]
         )
-    _write_csv(
+    write_csv(
         out / "upgrades.csv",
         [
             "group", "artifact", "v1", "v2", "level", "year",
@@ -623,27 +642,16 @@ def _write_outputs(
         ],
         upgrade_rows,
     )
+    write_exclusions(out, derivation)
 
-    exclusion_rows = [
-        ["version", coord, "", reason]
-        for coord, reason in sorted(derivation.skipped_versions)
-    ]
-    exclusion_rows += [
-        ["pair", upgrade.v1_coord, upgrade.v2_coord, upgrade.exclusion_reason or ""]
-        for upgrade in sorted(
-            derivation.excluded, key=lambda u: (u.group_id, u.artifact_id, u.v1.raw, u.v2.raw)
-        )
-    ]
-    _write_csv(out / "exclusions.csv", ["stage", "subject", "v2", "reason"], exclusion_rows)
-
-    _write_csv(
+    write_csv(
         out / "clients.csv",
         ["client", "scope", "library", "v1", "v2", "level", "broken", "detections"],
         [[r[k] for k in ("client", "scope", "library", "v1", "v2", "level", "broken", "detections")]
          for r in sorted(client_rows, key=lambda r: (r["library"], r["v1"], r["client"]))],
     )
 
-    _write_csv(
+    write_csv(
         out / "detections.csv",
         ["library", "v1", "v2", "client", "clientElement", "libraryElement",
          "useKind", "bcKind", "confidence", "stability"],
@@ -707,9 +715,9 @@ def _write_samples(out: Path, client_rows: list[dict], options: PipelineOptions)
         for index in sorted(chosen):
             row = population[index]
             sample_rows.append([level, row["client"], row["library"], row["v1"], row["v2"]])
-    _write_csv(
+    write_csv(
         out / "sample_sizes.csv",
         ["level", "confidence", "margin", "population", "sample_size"],
         size_rows,
     )
-    _write_csv(out / "samples.csv", ["level", "client", "library", "v1", "v2"], sample_rows)
+    write_csv(out / "samples.csv", ["level", "client", "library", "v1", "v2"], sample_rows)

@@ -24,6 +24,7 @@ from .apimodel import (
     MemberDecl,
     StabilityLabel,
     api_surface,
+    member_ref,
 )
 from .classfile import parameter_part
 
@@ -330,7 +331,7 @@ class _DeltaBuilder:
             m_name, m_desc = key
             eff_old = old_methods[key]
             label = _label_of(eff_old, self.old)
-            host_ref = _host_ref(name, eff_old.decl)
+            host_ref = member_ref(name, m_name, m_desc)
             inherited = eff_old.inherited_from if eff_old.inherited_from != name else None
             eff_new = new_methods.get(key)
             if eff_new is None:
@@ -366,7 +367,7 @@ class _DeltaBuilder:
             if (decl.name, parameter_part(decl.descriptor)) in old_param_keys:
                 continue  # counted as a return-type change above
             label = _label_of(eff_new, self.new)
-            host_ref = _host_ref(name, decl)
+            host_ref = member_ref(name, decl.name, decl.descriptor)
             inherited = eff_new.inherited_from if eff_new.inherited_from != name else None
             if is_interface:
                 if decl.is_abstract:
@@ -394,7 +395,7 @@ class _DeltaBuilder:
         for f_name in sorted(old_fields):
             eff_old = old_fields[f_name]
             label = _label_of(eff_old, self.old)
-            host_ref = f"{name}.{f_name}"
+            host_ref = member_ref(name, f_name, eff_old.decl.descriptor)
             inherited = eff_old.inherited_from if eff_old.inherited_from != name else None
             eff_new = new_fields.get(f_name)
             if eff_new is None:
@@ -489,12 +490,6 @@ class _DeltaBuilder:
                 old=repr(old_const),
                 new=repr(new_const),
             )
-
-
-def _host_ref(host: str, decl: MemberDecl) -> str:
-    if decl.member_kind == "field":
-        return f"{host}.{decl.name}"
-    return f"{host}.{decl.name}{decl.descriptor}"
 
 
 def _constant_of(model: ApiModel, decl: MemberDecl) -> int | float | str | None:

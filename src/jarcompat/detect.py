@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .apimodel import member_owner
 from .delta import BcKind, BreakingChange, Delta
 from .usage import Pair, UsageModel, UseKind
 
@@ -225,13 +226,6 @@ class ImpactSummary:
 
     def count(self, category: str) -> int:
         return sum(1 for value in self.per_change.values() if value == category)
-
-
-def member_owner(ref: str) -> str:
-    """Owner type of a member reference string."""
-    head = ref.split("(", 1)[0]
-    owner, _, _ = head.rpartition(".")
-    return owner
 
 
 def element_owner(change: BreakingChange) -> str:

@@ -292,41 +292,30 @@ def holm_bonferroni(p_values: Sequence[float]) -> list[float]:
 _MW_EXACT_LIMIT = 16
 
 
-def _u_statistic(xs: Sequence[float], ys: Sequence[float]) -> float:
-    u = 0.0
-    for x in xs:
-        for y in ys:
-            if x > y:
-                u += 1.0
-            elif x == y:
-                u += 0.5
-    return u
-
-
 def mann_whitney(xs: Sequence[float], ys: Sequence[float], two_tailed: bool = True) -> TestResult:
     """Mann-Whitney U test.
 
-    Small samples (n + m <= 16) use exact enumeration over all group
-    assignments, which handles ties correctly. Larger samples use the
-    tie-corrected normal approximation with continuity correction.
+    U is the rank sum of ``xs`` in the pooled sample minus n(n+1)/2. Small
+    samples (n + m <= 16) use exact enumeration over all group assignments,
+    which handles ties correctly. Larger samples use the tie-corrected
+    normal approximation with continuity correction.
     """
     n, m = len(xs), len(ys)
     if n == 0 or m == 0:
         raise EmptyInput("both samples must be non-empty")
-    u = _u_statistic(xs, ys)
+    # Midranks are multiples of 0.5, so these float sums are exact.
+    pooled = list(xs) + list(ys)
+    ranks = _midranks(pooled)
+    offset = n * (n + 1) / 2.0
+    u = sum(ranks[:n]) - offset
     center = n * m / 2.0
 
     if n + m <= _MW_EXACT_LIMIT:
-        pooled = list(xs) + list(ys)
-        indices = range(n + m)
         total = 0
         extreme = 0
         observed_dev = abs(u - center)
-        for chosen in combinations(indices, n):
-            chosen_set = set(chosen)
-            group_x = [pooled[i] for i in chosen]
-            group_y = [pooled[i] for i in indices if i not in chosen_set]
-            u_perm = _u_statistic(group_x, group_y)
+        for chosen in combinations(ranks, n):
+            u_perm = sum(chosen) - offset
             total += 1
             if two_tailed:
                 if abs(u_perm - center) >= observed_dev - 1e-12:
@@ -335,9 +324,8 @@ def mann_whitney(xs: Sequence[float], ys: Sequence[float], two_tailed: bool = Tr
                 extreme += 1
         return TestResult(statistic=u, p_value=min(1.0, extreme / total))
 
-    all_values = list(xs) + list(ys)
     size = n + m
-    tie_counts = _tie_counts(all_values)
+    tie_counts = _tie_counts(pooled)
     tie_term = sum(t**3 - t for t in tie_counts)
     sigma_sq = n * m / 12.0 * ((size + 1) - tie_term / (size * (size - 1)))
     if sigma_sq <= 0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .apimodel import ApiModel, member_ref
-from .classfile import JarContent, MemberRef, RawClass, RawMember, class_names_in
+from .classfile import JarContent, MemberRef, RawClass, class_names_in
 
 
 class UseKind(str, Enum):
@@ -49,25 +49,11 @@ class UsageModel:
     def pairs(self, kind: UseKind) -> set[Pair]:
         return self.relations[kind]
 
-    def all_pairs(self) -> list[tuple[UseKind, str, str]]:
-        out = []
-        for kind in UseKind:
-            for client, library in self.relations[kind]:
-                out.append((kind, client, library))
-        return sorted(out, key=lambda item: (item[0].value, item[1], item[2]))
-
     def to_dict(self) -> dict:
         return {
             kind.value: sorted([list(pair) for pair in self.relations[kind]])
             for kind in UseKind
         }
-
-    def targets_of(self) -> set[str]:
-        return {library for pairs in self.relations.values() for _, library in pairs}
-
-
-def _client_member_ref(owner: str, raw: RawMember) -> str:
-    return member_ref(owner, raw.name, raw.descriptor)
 
 
 class _Extractor:
@@ -128,7 +114,7 @@ class _Extractor:
         self.annotations(client_type, cls.annotations)
 
         for raw in (*cls.fields, *cls.methods):
-            element = _client_member_ref(client_type, raw)
+            element = member_ref(client_type, raw.name, raw.descriptor)
             self.model.client_elements.add(element)
             self.annotations(element, raw.annotations)
             self.descriptor_types(element, raw.descriptor)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import model_of
 from jarcompat.apimodel import (
@@ -10,6 +12,8 @@ from jarcompat.apimodel import (
     api_surface,
     build_model,
     classify_stability,
+    member_owner,
+    member_ref,
 )
 from jarcompat.classfile import ClassSpec, FieldSpec, MethodSpec
 
@@ -288,3 +292,33 @@ def test_hierarchy_cycle_does_not_hang():
         ]
     )
     assert model.superclass_chain("p.A") == ["p.B"]
+
+
+_identifier = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True)
+_owners = st.builds(
+    lambda package, names: ".".join([*package, "$".join(names)]),
+    st.lists(_identifier, max_size=3),
+    st.lists(st.from_regex(r"[A-Z][A-Za-z0-9_]{0,5}", fullmatch=True), min_size=1, max_size=3),
+)
+_field_types = st.sampled_from(["I", "J", "[B", "Ljava/lang/String;", "[[La/b/C$D;"])
+_method_descriptors = st.builds(
+    lambda params, ret: f"({''.join(params)}){ret}",
+    st.lists(_field_types, max_size=3),
+    st.one_of(st.just("V"), _field_types),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_owners, _identifier, _field_types, _identifier, _method_descriptors, _method_descriptors)
+def test_member_reference_round_trip(owner, field_name, field_desc, method_name, method_desc, init_desc):
+    spec = ClassSpec(
+        owner,
+        fields=(FieldSpec(field_name, field_desc),),
+        methods=(MethodSpec(method_name, method_desc), MethodSpec("<init>", init_desc)),
+    )
+    members = model_of([spec]).types[owner].members
+    assert {m.member_kind for m in members} == {"field", "method", "constructor"}
+    for decl in members:
+        ref = member_ref(owner, decl.name, decl.descriptor)
+        assert member_owner(ref) == owner
+        assert decl.ref == ref

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import pytest
@@ -64,6 +66,24 @@ def test_delta_csv_output(jars, capsys):
     assert code == 0
     assert out[0] == "kind,element,stability,detail"
     assert out[1].startswith("methodAddedToInterface,srv.Handler.b()V,stable")
+
+
+def test_delta_csv_quotes_multi_value_details(tmp_path, capsys):
+    v1 = write_jar(tmp_path / "q1.jar", [ClassSpec("lib.A", methods=(MethodSpec("m"),))])
+    v2 = write_jar(
+        tmp_path / "q2.jar",
+        [ClassSpec("lib.A", methods=(
+            MethodSpec("m", exceptions=("java.io.IOException", "java.sql.SQLException")),
+        ))],
+    )
+    assert main(["delta", str(v1), str(v2), "--csv", "-"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["kind", "element", "stability", "detail"]
+    assert all(len(row) == 4 for row in rows)
+    assert rows[1] == [
+        "methodNowThrowsCheckedException", "lib.A.m()V", "stable",
+        "added=java.io.IOException,java.sql.SQLException",
+    ]
 
 
 def test_delta_scope_all_flag(tmp_path, capsys):
@@ -166,6 +186,24 @@ def test_corpus_derive_and_run(tmp_path, capsys):
     assert code == 0
     assert (out_run / "detections.csv").exists()
     assert (out_run / "sample_sizes.csv").exists()
+
+
+def test_corpus_derive_exclusions_match_run(tmp_path):
+    artifacts, edges, jar_root = build_fixture(tmp_path / "fixture")
+    common = ["--artifacts", str(artifacts), "--edges", str(edges), "--jars", str(jar_root)]
+    assert main(["corpus", "derive", *common, "--out", str(tmp_path / "derived")]) == 0
+    assert main(["corpus", "run", *common, "--out", str(tmp_path / "ran"), "--jobs", "1"]) == 0
+    derived = (tmp_path / "derived" / "exclusions.csv").read_bytes()
+    assert derived.count(b"\n") > 1
+    assert derived == (tmp_path / "ran" / "exclusions.csv").read_bytes()
+
+
+def test_corpus_derive_rejects_run_only_flags(tmp_path):
+    artifacts, edges, _ = build_fixture(tmp_path / "fixture")
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", "derive", "--artifacts", str(artifacts), "--edges", str(edges),
+              "--out", str(tmp_path / "o"), "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_corpus_schema_error_exit_three(tmp_path):

@@ -244,18 +244,20 @@ def test_holm_properties(ps):
 # --- Mann-Whitney ------------------------------------------------------------------
 
 
+def u_of(group_x, group_y) -> float:
+    """U counted pair by pair: 1 per x > y, 0.5 per tie."""
+    u = 0.0
+    for x in group_x:
+        for y in group_y:
+            u += 1.0 if x > y else (0.5 if x == y else 0.0)
+    return u
+
+
 def mann_whitney_permutation_oracle(xs, ys) -> float:
     """Two-sided exact p by enumerating all group assignments of the pooled
     values and ranking U deviations (independent of the implementation)."""
     pooled = list(xs) + list(ys)
     n = len(xs)
-
-    def u_of(group_x, group_y):
-        u = 0.0
-        for x in group_x:
-            for y in group_y:
-                u += 1.0 if x > y else (0.5 if x == y else 0.0)
-        return u
 
     center = n * (len(pooled) - n) / 2.0
     observed = abs(u_of(xs, ys) - center)
@@ -289,7 +291,9 @@ def test_mann_whitney_exact_matches_permutation_oracle():
         xs = [rng.randrange(0, 6) for _ in range(n)]
         ys = [rng.randrange(0, 6) for _ in range(m)]
         expected = mann_whitney_permutation_oracle(xs, ys)
-        assert mann_whitney(xs, ys).p_value == pytest.approx(expected, abs=1e-12), (xs, ys)
+        result = mann_whitney(xs, ys)
+        assert result.statistic == u_of(xs, ys), (xs, ys)
+        assert result.p_value == pytest.approx(expected, abs=1e-12), (xs, ys)
 
 
 def test_mann_whitney_large_shifted_samples_significant():
@@ -305,13 +309,12 @@ def test_mann_whitney_normal_approximation_close_to_permutation():
     rng = random.Random(5)
     xs = [rng.randrange(0, 30) for _ in range(10)]
     ys = [rng.randrange(4, 34) for _ in range(10)]
-    approx = mann_whitney(xs, ys).p_value
+    result = mann_whitney(xs, ys)
+    assert result.statistic == u_of(xs, ys)
+    approx = result.p_value
     resamples = 20000
     pooled = xs + ys
     center = len(xs) * len(ys) / 2.0
-
-    def u_of(gx, gy):
-        return sum(1.0 if x > y else (0.5 if x == y else 0.0) for x in gx for y in gy)
 
     observed = abs(u_of(xs, ys) - center)
     hits = 0
@@ -320,6 +323,19 @@ def test_mann_whitney_normal_approximation_close_to_permutation():
         if abs(u_of(pooled[: len(xs)], pooled[len(xs) :]) - center) >= observed - 1e-12:
             hits += 1
     assert approx == pytest.approx(hits / resamples, abs=0.03)
+
+
+def test_mann_whitney_tied_large_samples_match_scipy():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    rng = random.Random(17)
+    xs = [float(rng.randrange(0, 5)) for _ in range(300)]
+    ys = [float(rng.randrange(0, 6)) for _ in range(300)]
+    result = mann_whitney(xs, ys)
+    reference = scipy_stats.mannwhitneyu(
+        xs, ys, alternative="two-sided", method="asymptotic", use_continuity=True
+    )
+    assert result.statistic == u_of(xs, ys) == reference.statistic
+    assert result.p_value == pytest.approx(reference.pvalue, rel=1e-9)
 
 
 def test_mann_whitney_empty_raises():
