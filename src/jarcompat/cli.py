@@ -22,6 +22,7 @@ from .corpus import (
     PipelineOptions,
     SchemaError,
     derive_upgrades,
+    index_graph,
     load_graph,
     run_pipeline,
     write_csv,
@@ -169,7 +170,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         log.warning("%s", diagnostic)
 
     if args.corpus_command == "derive":
-        derivation = derive_upgrades(graph, args.jars)
+        derivation = derive_upgrades(index_graph(graph), args.jars)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_csv(
@@ -219,6 +220,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _jobs(text: str) -> int:
+    """argparse type of ``--jobs``: a whole number of worker processes, at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jarcompat",
@@ -263,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True)
         p.set_defaults(func=cmd_corpus)
     p_run.add_argument("--scope", choices=("stable", "all"), default="stable")
-    p_run.add_argument("--jobs", type=int, default=None)
+    p_run.add_argument("--jobs", type=_jobs, default=None)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--sample", action="append", metavar="LEVEL:CONF:MARGIN")
     p_run.add_argument("--stability-config", default=None)
@@ -277,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="accuracy benchmark against oracle records")
     p_bench.add_argument("manifest")
     p_bench.add_argument("--json", default=None)
-    p_bench.add_argument("--jobs", type=int, default=None)
+    p_bench.add_argument("--jobs", type=_jobs, default=None)
     p_bench.add_argument("--stability-config", default=None)
     p_bench.set_defaults(func=cmd_bench)
 

@@ -27,8 +27,8 @@ from datetime import datetime
 from pathlib import Path
 from typing import Iterable
 
-from .apimodel import StabilityConfig, build_model
-from .classfile import NotAZip, open_jar
+from .apimodel import ApiModel, StabilityConfig, build_model
+from .classfile import JarContent, NotAZip, open_jar
 from .delta import Delta, compute_delta, is_breaking
 from .detect import classify_impact, compute_detections
 from .semver import NotAnUpgrade, SemverLevel, Unparseable, Version, classify_upgrade, parse_version
@@ -87,9 +87,6 @@ class DependencyGraph:
     next_out: dict[str, list[str]] = field(default_factory=dict)
     dependents: dict[str, list[GraphEdge]] = field(default_factory=dict)
     diagnostics: list[str] = field(default_factory=list)
-
-    def versions_of(self, library: tuple[str, str]) -> list[ArtifactRecord]:
-        return [a for a in self.artifacts.values() if a.library == library]
 
 
 @dataclass
@@ -215,11 +212,19 @@ class _JarFacts:
 
 
 class _JarProbe:
-    """Caches per-artifact JAR facts needed by the selection filters."""
+    """Opens each artifact's JAR at most once and caches what it read.
 
-    def __init__(self, jar_root: Path | None) -> None:
+    The selection filters read the facts. A probe given a stability config
+    also keeps the parsed content, so that the pipeline builds each model
+    from the parse the filters already made.
+    """
+
+    def __init__(self, jar_root: Path | None, config: StabilityConfig | None = None) -> None:
         self.jar_root = jar_root
+        self.config = config
         self.cache: dict[str, _JarFacts] = {}
+        self.contents: dict[str, JarContent] = {}
+        self.models: dict[str, ApiModel] = {}
 
     def resolve(self, record: ArtifactRecord) -> Path | None:
         if record.jar_path is None:
@@ -247,15 +252,75 @@ class _JarProbe:
                     languages=frozenset(content.detected_languages),
                     max_release=content.max_java_release(),
                 )
+                if self.config is not None:
+                    self.contents[record.coord] = content
         self.cache[record.coord] = facts
         return facts
 
+    def model(self, record: ArtifactRecord) -> ApiModel:
+        """The API model of an artifact whose facts were ok, built once."""
+        model = self.models.get(record.coord)
+        if model is None:
+            content = self.contents.pop(record.coord)
+            model = build_model(content, self.config, model_id=record.coord)
+            self.models[record.coord] = model
+        return model
 
-def _chains(graph: DependencyGraph, library: tuple[str, str]) -> list[list[ArtifactRecord]]:
+
+@dataclass(frozen=True)
+class GraphIndex:
+    """What derivation reads from a graph, computed once per run.
+
+    ``versions`` holds each library's artifacts by coordinate, ``chains``
+    its maximal NEXT paths, and ``positions`` each coordinate's index along
+    the chains of its library.
+    """
+
+    graph: DependencyGraph
+    versions: dict[tuple[str, str], dict[str, ArtifactRecord]]
+    chains: dict[tuple[str, str], list[list[ArtifactRecord]]]
+    positions: dict[str, int]
+
+    def library_slice(self, library: tuple[str, str]) -> "GraphIndex":
+        """The part of the index one library reads: its versions and chains,
+        the edges of their dependents, and those dependents' records."""
+        versions = self.versions[library]
+        artifacts = dict(versions)
+        dependents: dict[str, list[GraphEdge]] = {}
+        for coord in versions:
+            edges = self.graph.dependents.get(coord)
+            if edges:
+                dependents[coord] = edges
+                for edge in edges:
+                    artifacts[edge.src] = self.graph.artifacts[edge.src]
+        return GraphIndex(
+            graph=DependencyGraph(artifacts=artifacts, dependents=dependents),
+            versions={library: versions},
+            chains={library: self.chains[library]},
+            positions={c: self.positions[c] for c in artifacts if c in self.positions},
+        )
+
+
+def index_graph(graph: DependencyGraph) -> GraphIndex:
+    """Group the artifacts by library and walk each library's chains once."""
+    versions: dict[tuple[str, str], dict[str, ArtifactRecord]] = {}
+    for record in graph.artifacts.values():
+        versions.setdefault(record.library, {})[record.coord] = record
+    chains = {library: _chains(versions[library], graph.next_out) for library in sorted(versions)}
+    positions: dict[str, int] = {}
+    for library_chains in chains.values():
+        for chain in library_chains:
+            for index, record in enumerate(chain):
+                positions[record.coord] = index
+    return GraphIndex(graph, versions, chains, positions)
+
+
+def _chains(
+    versions: dict[str, ArtifactRecord], next_out: dict[str, list[str]]
+) -> list[list[ArtifactRecord]]:
     """Maximal NEXT paths for one library, one per root (plus one per branch)."""
-    versions = {a.coord: a for a in graph.versions_of(library)}
     successors = {
-        coord: sorted(d for d in graph.next_out.get(coord, []) if d in versions)
+        coord: sorted(d for d in next_out.get(coord, []) if d in versions)
         for coord in versions
     }
     has_predecessor = {d for dsts in successors.values() for d in dsts}
@@ -299,21 +364,25 @@ def _external_clients(graph: DependencyGraph, record: ArtifactRecord) -> list[Gr
     return clients
 
 
-def derive_upgrades(graph: DependencyGraph, jar_root: str | Path | None = None) -> CorpusDerivation:
+def derive_upgrades(
+    index: GraphIndex,
+    jar_root: str | Path | None = None,
+    probe: _JarProbe | None = None,
+) -> CorpusDerivation:
     """Apply the selection filters and return emitted plus excluded candidates.
 
     Versions that are qualified, date-like, or unparseable never become
     candidate endpoints; they are recorded in ``skipped_versions`` and
-    skipped when pairing neighbours.
+    skipped when pairing neighbours. A caller that passes its own ``probe``
+    (which then supplies the JAR root) keeps the JARs the filters opened.
     """
-    probe = _JarProbe(Path(jar_root) if jar_root is not None else None)
+    probe = probe or _JarProbe(Path(jar_root) if jar_root is not None else None)
     derivation = CorpusDerivation()
-    libraries = sorted({a.library for a in graph.artifacts.values()})
     seen_pairs: set[tuple[str, str]] = set()
     seen_skips: set[str] = set()
 
-    for library in libraries:
-        for chain in _chains(graph, library):
+    for library in sorted(index.chains):
+        for chain in index.chains[library]:
             compliant: list[tuple[ArtifactRecord, Version]] = []
             for record in chain:
                 try:
@@ -339,7 +408,7 @@ def derive_upgrades(graph: DependencyGraph, jar_root: str | Path | None = None) 
                 upgrade = Upgrade(
                     group_id=rec1.group_id, artifact_id=rec1.artifact_id, v1=v1, v2=v2
                 )
-                reason = _first_exclusion(graph, probe, rec1, rec2, v1, v2, upgrade)
+                reason = _first_exclusion(index.graph, probe, rec1, rec2, v1, v2, upgrade)
                 if reason is None:
                     derivation.upgrades.append(upgrade)
                 else:
@@ -381,12 +450,12 @@ def _first_exclusion(
     return None
 
 
-def derive_clients(upgrade: Upgrade, graph: DependencyGraph) -> list[ClientRef]:
+def derive_clients(upgrade: Upgrade, index: GraphIndex) -> list[ClientRef]:
     """External compile/test clients of v1, one (latest) version per client."""
+    graph = index.graph
     rec1 = graph.artifacts.get(upgrade.v1_coord)
     if rec1 is None:
         return []
-    chain_pos = _chain_positions(graph)
     best: dict[tuple[str, str], tuple[tuple, ClientRef]] = {}
     for edge in _external_clients(graph, rec1):
         client = graph.artifacts[edge.src]
@@ -398,7 +467,7 @@ def derive_clients(upgrade: Upgrade, graph: DependencyGraph) -> list[ClientRef]:
             scope=edge.scope or "compile",
         )
         rank = (
-            chain_pos.get(client.coord, -1),
+            index.positions.get(client.coord, -1),
             client.release_date,
             client.version,
         )
@@ -406,15 +475,6 @@ def derive_clients(upgrade: Upgrade, graph: DependencyGraph) -> list[ClientRef]:
         if key not in best or rank > best[key][0]:
             best[key] = (rank, ref)
     return [ref for _, ref in sorted(best.values(), key=lambda item: item[1].coord)]
-
-
-def _chain_positions(graph: DependencyGraph) -> dict[str, int]:
-    positions: dict[str, int] = {}
-    for library in {a.library for a in graph.artifacts.values()}:
-        for chain in _chains(graph, library):
-            for index, record in enumerate(chain):
-                positions[record.coord] = index
-    return positions
 
 
 # --- pipeline ---------------------------------------------------------------
@@ -442,12 +502,19 @@ def _delta_filename(upgrade: Upgrade) -> str:
     ).replace("/", "_")
 
 
-def _compute_delta_job(
-    v1_path: str, v2_path: str, v1_coord: str, v2_coord: str, config: StabilityConfig
-) -> dict:
-    old_model = build_model(open_jar(v1_path), config, model_id=v1_coord)
-    new_model = build_model(open_jar(v2_path), config, model_id=v2_coord)
-    return compute_delta(old_model, new_model).to_dict()
+@dataclass
+class _LibraryTask:
+    index: GraphIndex  # the library's slice
+    jar_root: Path | None
+    deltas: Path
+    config: StabilityConfig
+
+
+@dataclass
+class _LibraryResult:
+    derivation: CorpusDerivation
+    client_rows: list[dict] = field(default_factory=list)
+    detection_rows: list[dict] = field(default_factory=list)
 
 
 def run_pipeline(
@@ -458,115 +525,38 @@ def run_pipeline(
 ) -> dict:
     """Derive upgrades, compute deltas and detections, and write the datasets.
 
-    Outputs are deterministic for fixed inputs; per-upgrade delta files are
-    keyed by a content hash of the two JARs and reused when already present.
-    Returns a summary dict (also written to summary.json).
+    Each library is one task (see ``_run_library``), run inline at one job
+    and on a process pool otherwise. Outputs are deterministic for fixed
+    inputs; per-upgrade delta files are keyed by a content hash of the two
+    JARs and reused when already present. Returns a summary dict (also
+    written to summary.json).
     """
     options = options or PipelineOptions()
-    config = options.stability_config or StabilityConfig()
     out = Path(out_dir)
-    (out / "deltas").mkdir(parents=True, exist_ok=True)
-    probe = _JarProbe(Path(jar_root) if jar_root is not None else None)
-
-    derivation = derive_upgrades(graph, jar_root)
-
-    # Delta computation (parallel across upgrades, resumable via input hash).
-    jobs: list[tuple[Upgrade, Path, Path, Path, str]] = []
-    for upgrade in derivation.upgrades:
-        rec1 = graph.artifacts[upgrade.v1_coord]
-        rec2 = graph.artifacts[upgrade.v2_coord]
-        v1_path = probe.resolve(rec1)
-        v2_path = probe.resolve(rec2)
-        assert v1_path is not None and v2_path is not None  # filtered earlier
-        delta_path = out / "deltas" / _delta_filename(upgrade)
-        jobs.append((upgrade, v1_path, v2_path, delta_path, _hash_jars(v1_path, v2_path)))
-
-    pending = []
-    for upgrade, v1_path, v2_path, delta_path, input_hash in jobs:
-        if delta_path.exists():
-            payload = json.loads(delta_path.read_text(encoding="utf-8"))
-            if payload.get("inputHash") == input_hash:
-                upgrade.delta = Delta.from_dict(payload)
-                continue
-        pending.append((upgrade, v1_path, v2_path, delta_path, input_hash))
-
-    def _finish(upgrade: Upgrade, payload: dict, delta_path: Path, input_hash: str) -> None:
-        payload = dict(payload)
-        payload["inputHash"] = input_hash
-        delta_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        upgrade.delta = Delta.from_dict(payload)
-
-    if options.jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=options.jobs) as pool:
-            payloads = list(
-                pool.map(
-                    _compute_delta_job,
-                    [str(j[1]) for j in pending],
-                    [str(j[2]) for j in pending],
-                    [j[0].v1_coord for j in pending],
-                    [j[0].v2_coord for j in pending],
-                    [config] * len(pending),
-                )
-            )
-        for (upgrade, _, _, delta_path, input_hash), payload in zip(pending, payloads):
-            _finish(upgrade, payload, delta_path, input_hash)
+    deltas = out / "deltas"
+    deltas.mkdir(parents=True, exist_ok=True)
+    root = Path(jar_root) if jar_root is not None else None
+    config = options.stability_config or StabilityConfig()
+    index = index_graph(graph)
+    tasks = [
+        _LibraryTask(index.library_slice(library), root, deltas, config) for library in index.chains
+    ]
+    if options.jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(options.jobs, len(tasks))) as pool:
+            results = list(pool.map(_run_library, tasks))
     else:
-        for upgrade, v1_path, v2_path, delta_path, input_hash in pending:
-            payload = _compute_delta_job(
-                str(v1_path), str(v2_path), upgrade.v1_coord, upgrade.v2_coord, config
-            )
-            _finish(upgrade, payload, delta_path, input_hash)
+        results = [_run_library(task) for task in tasks]
 
-    # Clients and detections.
+    # Libraries in sorted order, so rows keep the order of a serial run.
+    derivation = CorpusDerivation()
     client_rows: list[dict] = []
     detection_rows: list[dict] = []
-    for upgrade in derivation.upgrades:
-        assert upgrade.delta is not None
-        rec1 = graph.artifacts[upgrade.v1_coord]
-        old_model = None
-        for client in derive_clients(upgrade, graph):
-            client_record = graph.artifacts[client.coord]
-            client_jar = probe.resolve(client_record)
-            broken = None
-            detections_count = 0
-            if client_jar is not None and client_jar.exists():
-                if old_model is None:
-                    old_model = build_model(
-                        open_jar(probe.resolve(rec1)), config, model_id=upgrade.v1_coord
-                    )
-                usage = extract_usage(open_jar(client_jar), old_model)
-                detections = compute_detections(upgrade.delta, usage)
-                summary = classify_impact(upgrade.delta, usage, detections)
-                broken = summary.broken
-                detections_count = summary.detection_count
-                for detection in detections:
-                    stability = _stability_of(upgrade.delta, detection.library_element, detection.bc_kind.value)
-                    detection_rows.append(
-                        {
-                            "library": f"{upgrade.group_id}:{upgrade.artifact_id}",
-                            "v1": upgrade.v1.raw,
-                            "v2": upgrade.v2.raw,
-                            "client": client.coord,
-                            "clientElement": detection.client_element,
-                            "libraryElement": detection.library_element,
-                            "useKind": detection.use_kind.value,
-                            "bcKind": detection.bc_kind.value,
-                            "confidence": detection.confidence,
-                            "stability": stability,
-                        }
-                    )
-            client_rows.append(
-                {
-                    "client": client.coord,
-                    "scope": client.scope,
-                    "library": f"{upgrade.group_id}:{upgrade.artifact_id}",
-                    "v1": upgrade.v1.raw,
-                    "v2": upgrade.v2.raw,
-                    "level": upgrade.level.value if upgrade.level else "",
-                    "broken": "" if broken is None else str(broken).lower(),
-                    "detections": detections_count,
-                }
-            )
+    for result in results:
+        derivation.upgrades += result.derivation.upgrades
+        derivation.excluded += result.derivation.excluded
+        derivation.skipped_versions += result.derivation.skipped_versions
+        client_rows += result.client_rows
+        detection_rows += result.detection_rows
 
     _write_outputs(out, graph, derivation, client_rows, detection_rows)
     summary = _summarize(derivation, client_rows, detection_rows, options)
@@ -576,11 +566,82 @@ def run_pipeline(
     return summary
 
 
-def _stability_of(delta: Delta, element: str, kind: str) -> str:
-    for change in delta.changes:
-        if change.element == element and change.kind.value == kind:
-            return change.stability.status
-    return ""
+def _run_library(task: _LibraryTask) -> _LibraryResult:
+    """Select one library's upgrades, then diff each and detect its clients' impact.
+
+    The library's JARs are each opened once, by the selection filters, and
+    each needed model is built once from that parse.
+    """
+    probe = _JarProbe(task.jar_root, task.config)
+    result = _LibraryResult(derive_upgrades(task.index, probe=probe))
+    artifacts = task.index.graph.artifacts
+    for upgrade in result.derivation.upgrades:
+        rec1 = artifacts[upgrade.v1_coord]
+        delta = _upgrade_delta(upgrade, rec1, artifacts[upgrade.v2_coord], probe, task.deltas)
+        upgrade.delta = delta
+        stability: dict[tuple[str, str], str] = {}
+        for change in delta.changes:
+            stability.setdefault((change.element, change.kind.value), change.stability.status)
+        library = f"{upgrade.group_id}:{upgrade.artifact_id}"
+        for client in derive_clients(upgrade, task.index):
+            client_jar = probe.resolve(artifacts[client.coord])
+            broken = None
+            detections_count = 0
+            if client_jar is not None and client_jar.exists():
+                usage = extract_usage(open_jar(client_jar), probe.model(rec1))
+                detections = compute_detections(delta, usage)
+                summary = classify_impact(delta, usage, detections)
+                broken = summary.broken
+                detections_count = summary.detection_count
+                for detection in detections:
+                    result.detection_rows.append(
+                        {
+                            "library": library,
+                            "v1": upgrade.v1.raw,
+                            "v2": upgrade.v2.raw,
+                            "client": client.coord,
+                            "clientElement": detection.client_element,
+                            "libraryElement": detection.library_element,
+                            "useKind": detection.use_kind.value,
+                            "bcKind": detection.bc_kind.value,
+                            "confidence": detection.confidence,
+                            "stability": stability.get(
+                                (detection.library_element, detection.bc_kind.value), ""
+                            ),
+                        }
+                    )
+            result.client_rows.append(
+                {
+                    "client": client.coord,
+                    "scope": client.scope,
+                    "library": library,
+                    "v1": upgrade.v1.raw,
+                    "v2": upgrade.v2.raw,
+                    "level": upgrade.level.value if upgrade.level else "",
+                    "broken": "" if broken is None else str(broken).lower(),
+                    "detections": detections_count,
+                }
+            )
+    return result
+
+
+def _upgrade_delta(
+    upgrade: Upgrade, rec1: ArtifactRecord, rec2: ArtifactRecord, probe: _JarProbe, deltas: Path
+) -> Delta:
+    """The delta file's content when its input hash still matches, else a new delta, written."""
+    v1_path = probe.resolve(rec1)
+    v2_path = probe.resolve(rec2)
+    assert v1_path is not None and v2_path is not None  # filtered earlier
+    delta_path = deltas / _delta_filename(upgrade)
+    input_hash = _hash_jars(v1_path, v2_path)
+    if delta_path.exists():
+        payload = json.loads(delta_path.read_text(encoding="utf-8"))
+        if payload.get("inputHash") == input_hash:
+            return Delta.from_dict(payload)
+    payload = compute_delta(probe.model(rec1), probe.model(rec2)).to_dict()
+    payload["inputHash"] = input_hash
+    delta_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    return Delta.from_dict(payload)
 
 
 def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:

@@ -13,6 +13,7 @@ descriptors only.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -481,7 +482,7 @@ class _DeltaBuilder:
             self.emit(BcKind.FIELD_NOW_FINAL, host_ref, label, inherited)
         old_const = _constant_of(self.old, old)
         new_const = _constant_of(self.new, new)
-        if old_const is not None and old_const != new_const:
+        if old_const is not None and not _same_constant(old_const, new_const):
             self.emit(
                 BcKind.FIELD_CONSTANT_VALUE_CHANGED,
                 host_ref,
@@ -494,6 +495,15 @@ class _DeltaBuilder:
 
 def _constant_of(model: ApiModel, decl: MemberDecl) -> int | float | str | None:
     return model.constants.get(decl.ref)
+
+
+def _same_constant(old: int | float | str, new: int | float | str | None) -> bool:
+    """Equality as Java's ``Double.equals`` has it: NaN equals NaN, 0.0 differs from -0.0."""
+    if isinstance(old, float) and isinstance(new, float):
+        if math.isnan(old) or math.isnan(new):
+            return math.isnan(old) and math.isnan(new)
+        return old == new and math.copysign(1.0, old) == math.copysign(1.0, new)
+    return old == new
 
 
 def compute_delta(old: ApiModel, new: ApiModel) -> Delta:

@@ -206,6 +206,22 @@ def test_corpus_derive_rejects_run_only_flags(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+def test_jobs_must_be_a_positive_whole_number(tmp_path, jobs, capsys):
+    artifacts, edges, _ = build_fixture(tmp_path / "fixture")
+    commands = [
+        ["corpus", "run", "--artifacts", str(artifacts), "--edges", str(edges),
+         "--out", str(tmp_path / "o"), "--jobs", jobs],
+        ["bench", str(tmp_path / "manifest.json"), "--jobs", jobs],
+    ]
+    for command in commands:
+        with pytest.raises(SystemExit) as exc:
+            main(command)
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_corpus_schema_error_exit_three(tmp_path):
     artifacts = tmp_path / "artifacts.csv"
     artifacts.write_text("wrong,header\n", encoding="utf-8")

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from corpus_fixture import build_fixture, write_graph_csvs
+from jarcompat import corpus
 from jarcompat.corpus import (
     PipelineOptions,
     SchemaError,
     derive_clients,
     derive_upgrades,
+    index_graph,
     load_graph,
     run_pipeline,
 )
@@ -39,7 +42,7 @@ def test_load_graph_empty(tmp_path):
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=[], edge_rows=[])
     graph = load_graph(artifacts, edges)
     assert graph.artifacts == {}
-    assert derive_upgrades(graph).candidate_count == 0
+    assert derive_upgrades(index_graph(graph)).candidate_count == 0
 
 
 def test_load_graph_duplicate_coordinates(tmp_path):
@@ -71,7 +74,7 @@ def test_load_graph_dangling_edge_is_diagnostic(tmp_path):
 
 def test_derive_upgrades_fig_fixture(fig_graph):
     graph, jar_root = fig_graph
-    derivation = derive_upgrades(graph, jar_root)
+    derivation = derive_upgrades(index_graph(graph), jar_root)
     emitted = {
         (u.v1.raw, u.v2.raw, u.level)
         for u in derivation.upgrades
@@ -108,7 +111,7 @@ def test_derive_upgrades_no_external_client(tmp_path):
         ("DEPENDS", "compile", "g:consumer:1.0.0", "g:lib:1.0.0"),  # same groupId
     ]
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows)
-    derivation = derive_upgrades(load_graph(artifacts, edges))
+    derivation = derive_upgrades(index_graph(load_graph(artifacts, edges)))
     assert derivation.upgrades == []
     assert [u.exclusion_reason for u in derivation.excluded] == ["no_external_client"]
 
@@ -124,7 +127,7 @@ def test_derive_upgrades_date_like_versions_skipped(tmp_path):
         ("DEPENDS", "compile", "x:client:1.0.0", "g:lib:2.5.20110712"),
     ]
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows)
-    derivation = derive_upgrades(load_graph(artifacts, edges))
+    derivation = derive_upgrades(index_graph(load_graph(artifacts, edges)))
     assert derivation.upgrades == []
     assert dict(derivation.skipped_versions) == {"g:lib:2.5.20110712": "date_like"}
 
@@ -143,7 +146,7 @@ def test_derive_upgrades_release_date_inversion(tmp_path, make_jar):
         ("DEPENDS", "compile", "x:client:1.0.0", "g:lib:3.0.0"),
     ]
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows)
-    derivation = derive_upgrades(load_graph(artifacts, edges))
+    derivation = derive_upgrades(index_graph(load_graph(artifacts, edges)))
     assert [u.exclusion_reason for u in derivation.excluded] == ["release_date_inversion"]
 
 
@@ -162,7 +165,7 @@ def test_derive_upgrades_non_java_jar(tmp_path, make_jar):
         ("DEPENDS", "compile", "x:client:1.0.0", "g:lib:1.0.0"),
     ]
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows)
-    derivation = derive_upgrades(load_graph(artifacts, edges))
+    derivation = derive_upgrades(index_graph(load_graph(artifacts, edges)))
     assert [u.exclusion_reason for u in derivation.excluded] == ["non_java_language"]
 
 
@@ -181,7 +184,7 @@ def test_derive_upgrades_java_version_filter(tmp_path, make_jar):
         ("DEPENDS", "compile", "x:client:1.0.0", "g:lib:1.0.0"),
     ]
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows)
-    derivation = derive_upgrades(load_graph(artifacts, edges))
+    derivation = derive_upgrades(index_graph(load_graph(artifacts, edges)))
     assert [u.exclusion_reason for u in derivation.excluded] == ["invalid_java_version"]
 
 
@@ -196,7 +199,7 @@ def test_derive_upgrades_jar_unavailable(tmp_path):
         ("DEPENDS", "compile", "x:client:1.0.0", "g:lib:1.0.0"),
     ]
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows)
-    derivation = derive_upgrades(load_graph(artifacts, edges), tmp_path)
+    derivation = derive_upgrades(index_graph(load_graph(artifacts, edges)), tmp_path)
     assert [u.exclusion_reason for u in derivation.excluded] == ["jar_unavailable"]
 
 
@@ -211,15 +214,16 @@ def test_derive_upgrades_packaging_filter(tmp_path):
         ("DEPENDS", "compile", "x:client:1.0.0", "g:lib:1.0.0"),
     ]
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows)
-    derivation = derive_upgrades(load_graph(artifacts, edges))
+    derivation = derive_upgrades(index_graph(load_graph(artifacts, edges)))
     assert [u.exclusion_reason for u in derivation.excluded] == ["packaging_not_jar"]
 
 
 def test_derive_clients_dedup_and_scope(fig_graph):
     graph, jar_root = fig_graph
-    derivation = derive_upgrades(graph, jar_root)
+    index = index_graph(graph)
+    derivation = derive_upgrades(index, jar_root)
     minor = next(u for u in derivation.upgrades if u.level is SemverLevel.MINOR)
-    clients = derive_clients(minor, graph)
+    clients = derive_clients(minor, index)
     by_artifact = {(c.group_id, c.artifact_id): c for c in clients}
     assert set(by_artifact) == {("org.fw", "mock"), ("org.fw", "multi")}
     assert by_artifact[("org.fw", "multi")].version == "1.2.0"  # latest along NEXT
@@ -228,9 +232,10 @@ def test_derive_clients_dedup_and_scope(fig_graph):
 
 def test_derive_clients_none(fig_graph):
     graph, jar_root = fig_graph
-    derivation = derive_upgrades(graph, jar_root)
+    index = index_graph(graph)
+    derivation = derive_upgrades(index, jar_root)
     patch = next(u for u in derivation.upgrades if u.level is SemverLevel.PATCH)
-    clients = derive_clients(patch, graph)
+    clients = derive_clients(patch, index)
     assert [(c.group_id, c.artifact_id, c.version) for c in clients] == [
         ("org.fw", "mock", "2.0.0")
     ]
@@ -264,17 +269,16 @@ def test_run_pipeline_fig_fixture(tmp_path, fig_graph):
     assert len(fig2_like) == 1
 
 
+def snapshot(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def test_run_pipeline_deterministic_and_resumable(tmp_path, fig_graph):
     graph, jar_root = fig_graph
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
     run_pipeline(graph, jar_root, out1, PipelineOptions())
     run_pipeline(graph, jar_root, out2, PipelineOptions())
-
-    def snapshot(root: Path) -> dict[str, bytes]:
-        return {
-            str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()
-        }
 
     first = snapshot(out1)
     assert first == snapshot(out2)
@@ -287,10 +291,43 @@ def test_run_pipeline_parallel_matches_serial(tmp_path, fig_graph):
     graph, jar_root = fig_graph
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
-    run_pipeline(graph, jar_root, serial, PipelineOptions(jobs=1))
-    run_pipeline(graph, jar_root, parallel, PipelineOptions(jobs=2))
-    for name in ("upgrades.csv", "clients.csv", "detections.csv", "summary.json"):
-        assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+    samples = (("all", 0.95, 0.05),)
+    run_pipeline(graph, jar_root, serial, PipelineOptions(jobs=1, samples=samples))
+    run_pipeline(graph, jar_root, parallel, PipelineOptions(jobs=2, samples=samples))
+    files = snapshot(serial)
+    assert {"exclusions.csv", "samples.csv", "deltas"} <= {Path(name).parts[0] for name in files}
+    assert snapshot(parallel) == files
+
+
+def test_run_pipeline_reads_and_models_each_jar_once(tmp_path, fig_graph, monkeypatch):
+    graph, jar_root = fig_graph
+
+    def count_calls(name, key):
+        original, calls = getattr(corpus, name), Counter()
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls[key(args, kwargs, result)] += 1
+            return result
+
+        monkeypatch.setattr(corpus, name, wrapper)
+        return calls
+
+    opened = count_calls("open_jar", lambda args, kwargs, result: Path(args[0]).name)
+    built = count_calls("build_model", lambda args, kwargs, result: kwargs["model_id"])
+    computed = count_calls("compute_delta", lambda args, kwargs, result: result.new_id)
+
+    out = tmp_path / "out"
+    run_pipeline(graph, jar_root, out, PipelineOptions(jobs=1))
+    assert sum(name.startswith("servlet-api") for name in opened) == 4
+    # No client in this fixture depends on two libraries, so client JARs are read once too.
+    assert set(opened.values()) == {1}
+    assert len(built) == 4 and set(built.values()) == {1}
+    assert sum(computed.values()) == 3
+
+    computed.clear()
+    run_pipeline(graph, jar_root, out, PipelineOptions(jobs=1))
+    assert not computed
 
 
 def test_run_pipeline_empty_graph(tmp_path):

@@ -56,6 +56,25 @@ def test_identity_delta_is_empty():
     assert compute_delta(old, new).changes == []
 
 
+def _double_constant(value: float) -> list[ClassSpec]:
+    return [ClassSpec("p.A", fields=(FieldSpec("X", "D", is_static=True, is_final=True, constant=value),))]
+
+
+def test_nan_constant_compared_with_itself_is_unchanged():
+    # NaN != NaN in IEEE arithmetic, but Double.NaN is one constant.
+    old = model_of(_double_constant(float("nan")), model_id="a")
+    new = model_of(_double_constant(float("nan")), model_id="b")
+    assert compute_delta(old, new).changes == []
+
+
+def test_signed_zero_constant_change_is_reported():
+    old = model_of(_double_constant(0.0), model_id="a")
+    new = model_of(_double_constant(-0.0), model_id="b")
+    changes = compute_delta(old, new).changes
+    assert [(c.kind, c.element) for c in changes] == [(BcKind.FIELD_CONSTANT_VALUE_CHANGED, "p.A.X")]
+    assert changes[0].detail_map() == {"old": "0.0", "new": "-0.0"}
+
+
 def test_multi_edit_fixture():
     old = model_of(
         [
