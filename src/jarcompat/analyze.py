@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+from operator import itemgetter
 from pathlib import Path
 
 from .corpus import write_csv
@@ -44,9 +45,29 @@ def significance(p: float) -> str:
     return ""
 
 
-def _read_csv(path: Path) -> list[dict]:
+def _read_csv(path: Path, columns: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """The cells of ``columns`` (two or more), in that order, from each row of ``path``.
+
+    Columns are found by header name, so others may be absent or in any
+    order; blank lines are skipped, as ``csv.DictReader`` skips them. A
+    missing file or a file without rows gives no rows.
+    """
+    if not path.exists():
+        return []
     with open(path, newline="", encoding="utf-8") as handle:
-        return list(csv.DictReader(handle))
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            return []
+        position = {name: i for i, name in enumerate(header)}
+        missing = [name for name in columns if name not in position]
+        if missing:
+            raise ValueError(f"{path}: no column {', '.join(missing)}")
+        pick = itemgetter(*(position[name] for name in columns))
+        try:
+            return [pick(row) for row in reader if row]
+        except IndexError:
+            raise ValueError(f"{path}:{reader.line_num}: too few cells") from None
 
 
 def level_pairs() -> list[tuple[str, str]]:
@@ -163,13 +184,13 @@ def analyze_results(results_dir: str | Path, out_dir: str | Path, summary_json: 
         _emit_proportion_reports(out, outcome["tests"], narrative)
 
     results = Path(results_dir) if results_dir is not None else None
-    upgrades = _read_csv(results / "upgrades.csv") if results and (results / "upgrades.csv").exists() else []
-    clients = _read_csv(results / "clients.csv") if results and (results / "clients.csv").exists() else []
+    upgrades = _read_csv(results / "upgrades.csv", ("level", "breaking", "year")) if results else []
+    clients = _read_csv(results / "clients.csv", ("level", "broken", "detections")) if results else []
 
     if upgrades:
         rows = [
-            {"level": r["level"], "breaking": r["breaking"] == "true", "year": int(r["year"])}
-            for r in upgrades
+            {"level": level, "breaking": breaking == "true", "year": int(year)}
+            for level, breaking, year in upgrades
         ]
         ratio_table = breaking_ratio(rows, "level")
         produced["q1"] = ratio_table
@@ -197,15 +218,14 @@ def analyze_results(results_dir: str | Path, out_dir: str | Path, summary_json: 
     if clients:
         counts: dict[str, tuple[int, int]] = {}
         values: dict[str, list[float]] = {}
-        for row in clients:
-            level = row["level"]
-            if row["broken"] not in ("true", "false"):
+        for level, broken_cell, detections in clients:
+            if broken_cell not in ("true", "false"):
                 continue
             broken, total = counts.get(level, (0, 0))
-            is_broken = row["broken"] == "true"
+            is_broken = broken_cell == "true"
             counts[level] = (broken + (1 if is_broken else 0), total + 1)
             if is_broken:
-                values.setdefault(level, []).append(float(row["detections"]))
+                values.setdefault(level, []).append(float(detections))
         produced["q3_proportions"] = proportion_tests(counts)
         _emit_proportion_reports(out, produced["q3_proportions"], narrative)
         produced["q3_detections"] = detection_tests(values)

@@ -148,10 +148,14 @@ class _Pool:
             if not isinstance(value, int):
                 raise UnsupportedConstruct(f"constant {value!r} for long field")
             return self._add(("l", value), struct.pack(">Bq", 5, value), wide=True)
+        # Floats and doubles are keyed by their encoding: 0.0 == -0.0 and
+        # NaN != NaN, so keying by value would merge or split entries.
         if descriptor == "F":
-            return self._add(("f", float(value)), struct.pack(">Bf", 4, float(value)))
+            blob = struct.pack(">Bf", 4, float(value))
+            return self._add(("f", blob), blob)
         if descriptor == "D":
-            return self._add(("d", float(value)), struct.pack(">Bd", 6, float(value)), wide=True)
+            blob = struct.pack(">Bd", 6, float(value))
+            return self._add(("d", blob), blob, wide=True)
         if descriptor == "Ljava/lang/String;":
             if not isinstance(value, str):
                 raise UnsupportedConstruct(f"constant {value!r} for String field")

@@ -14,6 +14,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -442,34 +443,39 @@ def breaking_ratio(rows: Iterable[dict], group_by: str = "level") -> list[dict]:
 
     ``rows`` need "level" and "breaking" entries, plus "year" for the
     year-by-level grouping. Ratios over empty groups come out as None.
+    One pass tallies ``[count, breaking]`` per key; the groups are sums of
+    those tallies, so the cost is linear in the rows whatever the groups.
     """
-    materialized = list(rows)
     if group_by == "level":
-        groups = [(label, [r for r in materialized if r["level"] == label]) for label in LEVEL_ORDER]
-        groups.append(("non-major", [r for r in materialized if r["level"] in ("minor", "patch")]))
-        groups.append(("total", materialized))
+        key_of = itemgetter("level")
     elif group_by == "year_level":
-        keys = sorted({(r["year"], r["level"]) for r in materialized})
-        groups = [
-            (f"{year}/{level}", [r for r in materialized if r["year"] == year and r["level"] == level])
-            for year, level in keys
-        ]
-        years = sorted({r["year"] for r in materialized})
-        for year in years:
-            groups.append(
-                (
-                    f"{year}/non-major",
-                    [r for r in materialized if r["year"] == year and r["level"] in ("minor", "patch")],
-                )
-            )
+        key_of = itemgetter("year", "level")
     else:
         raise ValueError(f"unknown grouping {group_by!r}")
 
-    total = len(materialized)
+    tallies: dict = {}
+    for r in rows:
+        tally = tallies.setdefault(key_of(r), [0, 0])
+        tally[0] += 1
+        if r["breaking"]:
+            tally[1] += 1
+
+    def summed(keys) -> tuple[int, int]:
+        found = [tallies[k] for k in keys if k in tallies]
+        return sum(t[0] for t in found), sum(t[1] for t in found)
+
+    total = summed(tallies)[0]
+    if group_by == "level":
+        groups = [(label, summed([label])) for label in LEVEL_ORDER]
+        groups.append(("non-major", summed(["minor", "patch"])))
+        groups.append(("total", summed(tallies)))
+    else:
+        groups = [(f"{year}/{level}", summed([(year, level)])) for year, level in sorted(tallies)]
+        for year in sorted({year for year, _ in tallies}):
+            groups.append((f"{year}/non-major", summed([(year, "minor"), (year, "patch")])))
+
     table = []
-    for label, members in groups:
-        count = len(members)
-        breaking = sum(1 for r in members if r["breaking"])
+    for label, (count, breaking) in groups:
         table.append(
             {
                 "group": label,

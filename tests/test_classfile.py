@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 import zipfile
 
 import pytest
@@ -110,6 +111,24 @@ def test_constant_value_round_trip():
     cls = parse_class(write_class(spec))
     values = {f.name: f.constant_value for f in cls.fields}
     assert values == {"i": 42, "j": 1 << 40, "s": "hi", "d": 2.5}
+
+
+def test_signed_zero_constants_keep_their_sign_through_a_jar():
+    def constant(name: str, descriptor: str, value: float) -> FieldSpec:
+        return FieldSpec(name, descriptor, is_static=True, is_final=True, constant=value)
+
+    spec = ClassSpec(
+        "p.Zeros",
+        fields=(
+            constant("d", "D", 0.0),
+            constant("nd", "D", -0.0),
+            constant("f", "F", 0.0),
+            constant("nf", "F", -0.0),
+        ),
+    )
+    [(_, cls)] = jar_content([spec]).entries
+    signs = {f.name: (f.constant_value, math.copysign(1.0, f.constant_value)) for f in cls.fields}
+    assert signs == {"d": (0.0, 1.0), "nd": (0.0, -1.0), "f": (0.0, 1.0), "nf": (0.0, -1.0)}
 
 
 def test_body_reference_extraction():

@@ -13,6 +13,8 @@ from conftest import write_jar
 from corpus_fixture import build_fixture
 from jarcompat.classfile import ClassSpec, MethodSpec
 from jarcompat.cli import main
+from jarcompat.corpus import write_csv
+from jarcompat.stats import LEVEL_ORDER
 
 HANDLER_V1 = ClassSpec(
     "srv.Handler", kind="interface", methods=(MethodSpec("a", "()V", is_abstract=True),)
@@ -285,6 +287,92 @@ def test_analyze_empty_results(tmp_path):
     out = tmp_path / "analysis"
     assert main(["analyze", str(results), "--out", str(out)]) == 0
     assert (out / "report.md").exists()
+
+
+UPGRADE_HEADER = ["group", "artifact", "v1", "v2", "level", "year", "breaking", "breaking_any",
+                  "bc_count", "bc_count_stable", "delta_file"]
+CLIENT_HEADER = ["client", "scope", "library", "v1", "v2", "level", "broken", "detections"]
+
+
+def results_tables() -> tuple[list[list], list[list]]:
+    """Small upgrades and clients tables covering every level, laid out as ``corpus run`` writes them."""
+    upgrades, clients = [], []
+    for i in range(24):
+        level = LEVEL_ORDER[i % 4]
+        breaking = "true" if i % 3 == 0 else "false"
+        upgrades.append(["g", f"a{i}", "1.0", "2.0", level, 2010 + i % 5, breaking, breaking, i % 3, 0, ""])
+    for i in range(40):
+        level = LEVEL_ORDER[i % 4]
+        broken = i % 5 < 2
+        clients.append([f"c{i}:app:1", "compile", f"g:a{i}", "1.0", "2.0", level,
+                        "true" if broken else "false", 1 + i % 7 if broken else 0])
+    return upgrades, clients
+
+
+def write_table(path, header: list[str], rows: list[list], order: list[str] | None = None) -> None:
+    """Write ``rows`` under ``header``, with the columns rearranged into ``order`` if given."""
+    order = order or header
+    picks = [header.index(name) if name in header else None for name in order]
+    write_csv(path, order, [["x" if i is None else row[i] for i in picks] for row in rows])
+
+
+def report_files(out) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_analyze_reads_columns_by_name(tmp_path):
+    upgrades, clients = results_tables()
+    canonical = tmp_path / "canonical"
+    canonical.mkdir()
+    write_table(canonical / "upgrades.csv", UPGRADE_HEADER, upgrades)
+    write_table(canonical / "clients.csv", CLIENT_HEADER, clients)
+    shuffled = tmp_path / "shuffled"
+    shuffled.mkdir()
+    write_table(shuffled / "upgrades.csv", UPGRADE_HEADER, upgrades,
+                ["extra"] + list(reversed(UPGRADE_HEADER)))
+    write_table(shuffled / "clients.csv", CLIENT_HEADER, clients,
+                CLIENT_HEADER[5:] + ["extra"] + CLIENT_HEADER[:5])
+    assert main(["analyze", str(canonical), "--out", str(tmp_path / "a")]) == 0
+    assert main(["analyze", str(shuffled), "--out", str(tmp_path / "b")]) == 0
+    expected = report_files(tmp_path / "a")
+    assert set(expected) == {"q1_ratios.csv", "q2_trend.csv", "q3_pairwise_fisher.csv",
+                             "q3_pairwise_mannwhitney.csv", "report.md"}
+    assert report_files(tmp_path / "b") == expected
+
+
+@pytest.mark.parametrize("defect", ["no detections column", "short row"])
+def test_analyze_malformed_clients_is_a_data_error(tmp_path, capsys, defect):
+    upgrades, clients = results_tables()
+    results = tmp_path / "results"
+    results.mkdir()
+    write_table(results / "upgrades.csv", UPGRADE_HEADER, upgrades)
+    if defect == "short row":
+        write_table(results / "clients.csv", CLIENT_HEADER, clients)
+        with open(results / "clients.csv", "a", encoding="utf-8") as handle:
+            handle.write("c:app:1,compile,g:a,1.0,2.0\n")
+    else:
+        write_table(results / "clients.csv", CLIENT_HEADER, clients, CLIENT_HEADER[:-1])
+    assert main(["analyze", str(results), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert str(results / "clients.csv") in err
+    assert ("detections" in err) == (defect == "no detections column")
+    assert "Traceback" not in err
+
+
+def test_analyze_header_only_upgrades_is_like_none(tmp_path):
+    _, clients = results_tables()
+    without = tmp_path / "without"
+    without.mkdir()
+    write_table(without / "clients.csv", CLIENT_HEADER, clients)
+    header_only = tmp_path / "header_only"
+    header_only.mkdir()
+    write_table(header_only / "clients.csv", CLIENT_HEADER, clients)
+    write_table(header_only / "upgrades.csv", UPGRADE_HEADER, [])
+    assert main(["analyze", str(without), "--out", str(tmp_path / "a")]) == 0
+    assert main(["analyze", str(header_only), "--out", str(tmp_path / "b")]) == 0
+    expected = report_files(tmp_path / "a")
+    assert "q1_ratios.csv" not in expected
+    assert report_files(tmp_path / "b") == expected
 
 
 def test_bench_command(tmp_path, capsys):

@@ -15,6 +15,7 @@ from jarcompat.stats import (
     ContingencyTable,
     DegenerateTable,
     EmptyInput,
+    LEVEL_ORDER,
     breaking_ratio,
     chi2_sf,
     chi_squared,
@@ -495,3 +496,77 @@ def test_breaking_ratio_year_level():
     assert table["2011/minor"]["breaking_pct"] == 100.0
     assert table["2012/minor"]["breaking_pct"] == 0.0
     assert table["2012/non-major"]["count"] == 2
+
+
+def naive_breaking_ratio(rows: list[dict], group_by: str) -> list[dict]:
+    """Reference for ``breaking_ratio``: one comprehension over all rows per group."""
+    if group_by == "level":
+        groups = [(label, [r for r in rows if r["level"] == label]) for label in LEVEL_ORDER]
+        groups.append(("non-major", [r for r in rows if r["level"] in ("minor", "patch")]))
+        groups.append(("total", rows))
+    else:
+        keys = sorted({(r["year"], r["level"]) for r in rows})
+        groups = [
+            (f"{year}/{level}", [r for r in rows if r["year"] == year and r["level"] == level])
+            for year, level in keys
+        ]
+        for year in sorted({r["year"] for r in rows}):
+            groups.append(
+                (f"{year}/non-major",
+                 [r for r in rows if r["year"] == year and r["level"] in ("minor", "patch")])
+            )
+    total = len(rows)
+    table = []
+    for label, members in groups:
+        count = len(members)
+        breaking = sum(1 for r in members if r["breaking"])
+        table.append(
+            {
+                "group": label,
+                "count": count,
+                "share_pct": round(100.0 * count / total, 1) if total else None,
+                "breaking": breaking,
+                "breaking_pct": round(100.0 * breaking / count, 1) if count else None,
+            }
+        )
+    return table
+
+
+_ratio_rows = st.lists(
+    st.fixed_dictionaries(
+        {
+            "level": st.sampled_from(LEVEL_ORDER + ("unknown",)),
+            "year": st.integers(2010, 2013),
+            "breaking": st.booleans(),
+        }
+    ),
+    max_size=60,
+)
+
+
+@given(_ratio_rows, st.lists(st.booleans(), max_size=4))
+def test_breaking_ratio_matches_naive_reference(rows, major_only_flags):
+    # A year of its own holding only major rows: its non-major row is empty.
+    rows = rows + [{"level": "major", "year": 2020, "breaking": flag} for flag in major_only_flags]
+    for group_by in ("level", "year_level"):
+        assert breaking_ratio(rows, group_by) == naive_breaking_ratio(rows, group_by)
+    assert breaking_ratio(iter(rows)) == naive_breaking_ratio(rows, "level")
+
+
+def test_breaking_ratio_reads_each_row_a_bounded_number_of_times():
+    reads = [0]
+
+    class CountingRow(dict):
+        def __getitem__(self, key):
+            reads[0] += 1
+            return super().__getitem__(key)
+
+    rows = [
+        CountingRow(level=level, year=2010 + i % 10, breaking=i % 3 == 0)
+        for i in range(200)
+        for level in LEVEL_ORDER
+    ]
+    for group_by in ("level", "year_level"):
+        reads[0] = 0
+        breaking_ratio(rows, group_by)
+        assert reads[0] <= 3 * len(rows), (group_by, reads[0] / len(rows))
