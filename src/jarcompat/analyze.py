@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from operator import itemgetter
 from pathlib import Path
 
@@ -45,27 +46,29 @@ def significance(p: float) -> str:
     return ""
 
 
-def _read_csv(path: Path, columns: tuple[str, ...]) -> list[tuple[str, ...]]:
-    """The cells of ``columns`` (two or more), in that order, from each row of ``path``.
+def _read_csv(path: Path, columns: tuple[str, ...]) -> Counter[tuple[str, ...]]:
+    """How often each tuple of ``columns`` cells (two or more, in that order) occurs in ``path``.
 
-    Columns are found by header name, so others may be absent or in any
-    order; blank lines are skipped, as ``csv.DictReader`` skips them. A
-    missing file or a file without rows gives no rows.
+    The rows are streamed and counted, never held, so memory depends on the
+    number of distinct cell tuples, not rows. Columns are found by header
+    name, so others may be absent or in any order; blank lines are skipped,
+    as ``csv.DictReader`` skips them. A missing file or a file without rows
+    gives no counts.
     """
     if not path.exists():
-        return []
+        return Counter()
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
-            return []
+            return Counter()
         position = {name: i for i, name in enumerate(header)}
         missing = [name for name in columns if name not in position]
         if missing:
             raise ValueError(f"{path}: no column {', '.join(missing)}")
         pick = itemgetter(*(position[name] for name in columns))
         try:
-            return [pick(row) for row in reader if row]
+            return Counter(map(pick, filter(None, reader)))
         except IndexError:
             raise ValueError(f"{path}:{reader.line_num}: too few cells") from None
 
@@ -184,15 +187,14 @@ def analyze_results(results_dir: str | Path, out_dir: str | Path, summary_json: 
         _emit_proportion_reports(out, outcome["tests"], narrative)
 
     results = Path(results_dir) if results_dir is not None else None
-    upgrades = _read_csv(results / "upgrades.csv", ("level", "breaking", "year")) if results else []
-    clients = _read_csv(results / "clients.csv", ("level", "broken", "detections")) if results else []
+    upgrades = _read_csv(results / "upgrades.csv", ("level", "breaking", "year")) if results else Counter()
+    clients = _read_csv(results / "clients.csv", ("level", "broken", "detections")) if results else Counter()
 
     if upgrades:
-        rows = [
-            {"level": level, "breaking": breaking == "true", "year": int(year)}
-            for level, breaking, year in upgrades
-        ]
-        ratio_table = breaking_ratio(rows, "level")
+        cells: Counter[tuple[str, bool, int]] = Counter()
+        for (level, breaking, year), n in upgrades.items():
+            cells[level, breaking == "true", int(year)] += n
+        ratio_table = breaking_ratio(cells, "level")
         produced["q1"] = ratio_table
         write_csv(
             out / "q1_ratios.csv",
@@ -200,7 +202,7 @@ def analyze_results(results_dir: str | Path, out_dir: str | Path, summary_json: 
             [[r["group"], r["count"], r["share_pct"], r["breaking"], r["breaking_pct"]]
              for r in ratio_table],
         )
-        trend = breaking_ratio(rows, "year_level")
+        trend = breaking_ratio(cells, "year_level")
         produced["q2"] = trend
         write_csv(
             out / "q2_trend.csv",
@@ -218,14 +220,15 @@ def analyze_results(results_dir: str | Path, out_dir: str | Path, summary_json: 
     if clients:
         counts: dict[str, tuple[int, int]] = {}
         values: dict[str, list[float]] = {}
-        for level, broken_cell, detections in clients:
+        for (level, broken_cell, detections), n in clients.items():
             if broken_cell not in ("true", "false"):
                 continue
             broken, total = counts.get(level, (0, 0))
             is_broken = broken_cell == "true"
-            counts[level] = (broken + (1 if is_broken else 0), total + 1)
+            counts[level] = (broken + (n if is_broken else 0), total + n)
             if is_broken:
-                values.setdefault(level, []).append(float(detections))
+                # The rank tests depend only on the multiset of values.
+                values.setdefault(level, []).extend([float(detections)] * n)
         produced["q3_proportions"] = proportion_tests(counts)
         _emit_proportion_reports(out, produced["q3_proportions"], narrative)
         produced["q3_detections"] = detection_tests(values)

@@ -49,29 +49,25 @@ _INVOKE_DYNAMIC = 18
 _MODULE = 19
 _PACKAGE = 20
 
-# Fixed payload size (bytes after the tag) for the simple tags.
-_FIXED_SIZE = {
-    _INTEGER: 4,
-    _FLOAT: 4,
-    _LONG: 8,
-    _DOUBLE: 8,
-    _CLASS: 2,
-    _STRING: 2,
-    _FIELDREF: 4,
-    _METHODREF: 4,
-    _IFACE_METHODREF: 4,
-    _NAME_AND_TYPE: 4,
-    _METHOD_HANDLE: 3,
-    _METHOD_TYPE: 2,
-    _DYNAMIC: 4,
-    _INVOKE_DYNAMIC: 4,
-    _MODULE: 2,
-    _PACKAGE: 2,
-}
+# Big-endian layouts read from class files.
+_U2 = struct.Struct(">H")
+_U4 = struct.Struct(">I")
+_U2_PAIR = struct.Struct(">HH")
+_U1_U2 = struct.Struct(">BH")
+_I4 = struct.Struct(">i")
+_I4_PAIR = struct.Struct(">ii")
+_F4 = struct.Struct(">f")
+_I8 = struct.Struct(">q")
+_F8 = struct.Struct(">d")
+_MEMBER_HEAD = struct.Struct(">HHH")  # access flags, name index, descriptor index
 
 
 class _Reader:
-    """Cursor over a byte buffer with checked reads."""
+    """Cursor over a byte buffer with checked reads.
+
+    Fixed-size values are unpacked in place after one bounds check, so only
+    ``take`` copies bytes.
+    """
 
     __slots__ = ("data", "pos")
 
@@ -79,25 +75,33 @@ class _Reader:
         self.data = data
         self.pos = 0
 
-    def take(self, count: int) -> bytes:
-        end = self.pos + count
+    def _advance(self, count: int) -> int:
+        """Move past ``count`` bytes and return where they start."""
+        pos = self.pos
+        end = pos + count
         if end > len(self.data):
-            raise TruncatedClass(f"needed {count} bytes at offset {self.pos}")
-        chunk = self.data[self.pos : end]
+            raise TruncatedClass(f"needed {count} bytes at offset {pos}")
         self.pos = end
-        return chunk
+        return pos
+
+    def take(self, count: int) -> bytes:
+        pos = self._advance(count)
+        return self.data[pos : pos + count]
+
+    def unpack(self, layout: struct.Struct) -> tuple:
+        return layout.unpack_from(self.data, self._advance(layout.size))
 
     def u1(self) -> int:
-        return self.take(1)[0]
+        return self.data[self._advance(1)]
 
     def u2(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
+        return _U2.unpack_from(self.data, self._advance(2))[0]
 
     def u4(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
+        return _U4.unpack_from(self.data, self._advance(4))[0]
 
     def skip(self, count: int) -> None:
-        self.take(count)
+        self._advance(count)
 
 
 class _ConstantPool:
@@ -156,22 +160,21 @@ def _parse_constant_pool(reader: _Reader) -> _ConstantPool:
                 text = raw.decode("utf-8", errors="replace")
             entries.append((tag, text))
         elif tag == _INTEGER:
-            entries.append((tag, struct.unpack(">i", reader.take(4))[0]))
+            entries.append((tag, reader.unpack(_I4)[0]))
         elif tag == _FLOAT:
-            entries.append((tag, struct.unpack(">f", reader.take(4))[0]))
+            entries.append((tag, reader.unpack(_F4)[0]))
         elif tag == _LONG:
-            entries.append((tag, struct.unpack(">q", reader.take(8))[0]))
+            entries.append((tag, reader.unpack(_I8)[0]))
             entries.append(None)  # longs and doubles take two slots
         elif tag == _DOUBLE:
-            entries.append((tag, struct.unpack(">d", reader.take(8))[0]))
+            entries.append((tag, reader.unpack(_F8)[0]))
             entries.append(None)
         elif tag in (_CLASS, _STRING, _METHOD_TYPE, _MODULE, _PACKAGE):
             entries.append((tag, reader.u2()))
         elif tag in (_FIELDREF, _METHODREF, _IFACE_METHODREF, _NAME_AND_TYPE, _DYNAMIC, _INVOKE_DYNAMIC):
-            entries.append((tag, (reader.u2(), reader.u2())))
+            entries.append((tag, reader.unpack(_U2_PAIR)))
         elif tag == _METHOD_HANDLE:
-            kind = reader.u1()
-            entries.append((tag, (kind, reader.u2())))
+            entries.append((tag, reader.unpack(_U1_U2)))
         else:
             raise MalformedConstantPool(f"unknown constant tag {tag}")
     return _ConstantPool(entries)
@@ -217,7 +220,7 @@ def _scan_code(
         if op in _METHOD_OPS or op in _FIELD_OPS or op in _TYPE_OPS:
             if pos + 3 > size:
                 raise TruncatedClass("method/field/type instruction cut short")
-            index = struct.unpack(">H", code[pos + 1 : pos + 3])[0]
+            index = _U2.unpack_from(code, pos + 1)[0]
             if op in _METHOD_OPS:
                 methods.append(pool.member_ref(index))
             elif op in _FIELD_OPS:
@@ -231,7 +234,7 @@ def _scan_code(
             end = pos + (3 if wide else 2)
             if end > size:
                 raise TruncatedClass("ldc instruction cut short")
-            index = struct.unpack(">H", code[pos + 1 : end])[0] if wide else code[pos + 1]
+            index = _U2.unpack_from(code, pos + 1)[0] if wide else code[pos + 1]
             entry = pool.entries[index] if 0 < index < len(pool.entries) else None
             if entry is not None and entry[0] == _CLASS:
                 name = element_class_name(pool.class_name(index))
@@ -241,7 +244,7 @@ def _scan_code(
             aligned = (pos + 4) & ~3
             if aligned + 12 > size:
                 raise TruncatedClass("tableswitch cut short")
-            low, high = struct.unpack(">ii", code[aligned + 4 : aligned + 12])
+            low, high = _I4_PAIR.unpack_from(code, aligned + 4)
             if high < low:
                 raise MalformedConstantPool("tableswitch with high < low")
             pos = aligned + 12 + 4 * (high - low + 1)
@@ -250,7 +253,7 @@ def _scan_code(
             aligned = (pos + 4) & ~3
             if aligned + 8 > size:
                 raise TruncatedClass("lookupswitch cut short")
-            npairs = struct.unpack(">i", code[aligned + 4 : aligned + 8])[0]
+            npairs = _I4.unpack_from(code, aligned + 4)[0]
             if npairs < 0:
                 raise MalformedConstantPool("lookupswitch with negative pair count")
             pos = aligned + 8 + 8 * npairs
@@ -323,9 +326,9 @@ def _member_annotations(attrs: dict[str, list[bytes]], pool: _ConstantPool) -> t
 
 
 def _parse_member(reader: _Reader, pool: _ConstantPool, *, owner_is_interface: bool) -> RawMember:
-    access = reader.u2()
-    name = pool.utf8(reader.u2())
-    descriptor = pool.utf8(reader.u2())
+    access, name_index, descriptor_index = reader.unpack(_MEMBER_HEAD)
+    name = pool.utf8(name_index)
+    descriptor = pool.utf8(descriptor_index)
     try:
         validate_descriptor(descriptor)
     except DescriptorError as exc:
@@ -334,7 +337,7 @@ def _parse_member(reader: _Reader, pool: _ConstantPool, *, owner_is_interface: b
 
     constant = None
     for blob in attrs.get("ConstantValue", ()):
-        constant = pool.constant_value(struct.unpack(">H", blob[:2])[0])
+        constant = pool.constant_value(_Reader(blob).u2())
 
     exceptions: list[str] = []
     for blob in attrs.get("Exceptions", ()):
@@ -410,7 +413,7 @@ def parse_class(data: bytes) -> RawClass:
 
     source_file = None
     for blob in attrs.get("SourceFile", ()):
-        source_file = pool.utf8(struct.unpack(">H", blob[:2])[0])
+        source_file = pool.utf8(_Reader(blob).u2())
 
     inner_records: list[InnerClassRecord] = []
     for blob in attrs.get("InnerClasses", ()):

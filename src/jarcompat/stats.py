@@ -13,9 +13,10 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class DegenerateTable(ValueError):
@@ -232,23 +233,24 @@ def fisher_exact(table: Sequence[Sequence[int]]) -> TestResult:
         included = sum(w for w in weights if w <= observed)
         p = included / math.comb(n, c1)
     else:
-        log_obs = _log_hyper(a, r1, r2, c1)
+        # _log_comb(r1, k) + _log_comb(r2, c1 - k) - _log_comb(n, c1) per k, with the
+        # terms that do not depend on k computed once and the sum order kept.
+        lg_r1, lg_r2 = math.lgamma(r1 + 1), math.lgamma(r2 + 1)
+        log_total = _log_comb(n, c1)
+        log_weights = [
+            (lg_r1 - math.lgamma(k + 1) - math.lgamma(r1 - k + 1))
+            + (lg_r2 - math.lgamma(c1 - k + 1) - math.lgamma(r2 - c1 + k + 1))
+            - log_total
+            for k in range(lo, hi + 1)
+        ]
+        threshold = log_weights[a - lo] + math.log1p(_FISHER_REL_EPS)
         acc = 0.0
-        for k in range(lo, hi + 1):
-            log_w = _log_hyper(k, r1, r2, c1)
-            if log_w <= log_obs + math.log1p(_FISHER_REL_EPS):
+        for log_w in log_weights:
+            if log_w <= threshold:
                 acc += math.exp(log_w)
         p = min(1.0, acc)
     odds = float("inf") if b * c == 0 else (a * d) / (b * c)
     return TestResult(statistic=odds, p_value=min(1.0, p))
-
-
-def _log_hyper(k: int, r1: int, r2: int, c1: int) -> float:
-    return (
-        _log_comb(r1, k)
-        + _log_comb(r2, c1 - k)
-        - _log_comb(r1 + r2, c1)
-    )
 
 
 def _log_comb(n: int, k: int) -> float:
@@ -305,16 +307,16 @@ def mann_whitney(xs: Sequence[float], ys: Sequence[float], two_tailed: bool = Tr
     if n == 0 or m == 0:
         raise EmptyInput("both samples must be non-empty")
     # Midranks are multiples of 0.5, so these float sums are exact.
-    pooled = list(xs) + list(ys)
-    ranks = _midranks(pooled)
+    rank_of, tie_counts = _rank_table(chain(xs, ys))
     offset = n * (n + 1) / 2.0
-    u = sum(ranks[:n]) - offset
+    u = sum(rank_of[x] for x in xs) - offset
     center = n * m / 2.0
 
     if n + m <= _MW_EXACT_LIMIT:
         total = 0
         extreme = 0
         observed_dev = abs(u - center)
+        ranks = [rank_of[v] for v in chain(xs, ys)]
         for chosen in combinations(ranks, n):
             u_perm = sum(chosen) - offset
             total += 1
@@ -326,7 +328,6 @@ def mann_whitney(xs: Sequence[float], ys: Sequence[float], two_tailed: bool = Tr
         return TestResult(statistic=u, p_value=min(1.0, extreme / total))
 
     size = n + m
-    tie_counts = _tie_counts(pooled)
     tie_term = sum(t**3 - t for t in tie_counts)
     sigma_sq = n * m / 12.0 * ((size + 1) - tie_term / (size * (size - 1)))
     if sigma_sq <= 0:
@@ -337,43 +338,34 @@ def mann_whitney(xs: Sequence[float], ys: Sequence[float], two_tailed: bool = Tr
     return TestResult(statistic=u, p_value=min(1.0, p))
 
 
-def _tie_counts(values: Iterable[float]) -> list[int]:
-    counts: dict[float, int] = {}
-    for value in values:
-        counts[value] = counts.get(value, 0) + 1
-    return [c for c in counts.values() if c > 1]
+def _rank_table(values: Iterable[float]) -> tuple[dict[float, float], list[int]]:
+    """The midrank of each distinct value among ``values``, and the size of each tie of two or more.
 
-
-def _midranks(values: Sequence[float]) -> list[float]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        rank = (i + j + 2) / 2.0  # average of 1-based positions i+1 .. j+1
-        for k in range(i, j + 1):
-            ranks[order[k]] = rank
-        i = j + 1
-    return ranks
+    Ranks are 1-based positions in sorted order; tied values share the mean
+    of their positions. Memory depends on the distinct values only.
+    """
+    counts = Counter(values)
+    rank_of: dict[float, float] = {}
+    below = 0
+    for value in sorted(counts):
+        tied = counts[value]
+        rank_of[value] = (2 * below + tied + 1) / 2.0  # mean of positions below+1 .. below+tied
+        below += tied
+    return rank_of, [c for c in counts.values() if c > 1]
 
 
 def kruskal_wallis(groups: Sequence[Sequence[float]]) -> TestResult:
     """Kruskal-Wallis rank-sum test with tie correction."""
     if len(groups) < 2 or any(len(g) == 0 for g in groups):
         raise EmptyInput("need at least two non-empty groups")
-    pooled: list[float] = [v for g in groups for v in g]
-    size = len(pooled)
-    ranks = _midranks(pooled)
+    size = sum(len(g) for g in groups)
+    rank_of, tie_counts = _rank_table(chain.from_iterable(groups))
     h = 0.0
-    offset = 0
     for group in groups:
-        r = sum(ranks[offset : offset + len(group)])
+        r = sum(rank_of[v] for v in group)
         h += r * r / len(group)
-        offset += len(group)
     h = 12.0 / (size * (size + 1)) * h - 3.0 * (size + 1)
-    tie_term = sum(t**3 - t for t in _tie_counts(pooled))
+    tie_term = sum(t**3 - t for t in tie_counts)
     correction = 1.0 - tie_term / (size**3 - size) if size > 1 else 0.0
     if correction <= 0.0:
         return TestResult(statistic=0.0, p_value=1.0)  # all values tied
@@ -438,27 +430,28 @@ def distribution_summary(values: Sequence[float]) -> tuple[float, float, float, 
 LEVEL_ORDER = ("major", "minor", "patch", "dev")
 
 
-def breaking_ratio(rows: Iterable[dict], group_by: str = "level") -> list[dict]:
+def breaking_ratio(counts: Mapping[tuple[str, bool, int], int], group_by: str = "level") -> list[dict]:
     """Count / share / breaking tallies per semver level (optionally per year).
 
-    ``rows`` need "level" and "breaking" entries, plus "year" for the
-    year-by-level grouping. Ratios over empty groups come out as None.
-    One pass tallies ``[count, breaking]`` per key; the groups are sums of
-    those tallies, so the cost is linear in the rows whatever the groups.
+    ``counts`` maps each (level, breaking, year) cell to how many upgrades
+    have it; every count is positive. Ratios over empty groups come out as
+    None. One pass tallies ``[count, breaking]`` per key (``level``, or
+    ``(year, level)``); the groups are sums of those tallies, so the cost is
+    linear in the distinct cells whatever the groups.
     """
     if group_by == "level":
-        key_of = itemgetter("level")
+        key_of = itemgetter(0)
     elif group_by == "year_level":
-        key_of = itemgetter("year", "level")
+        key_of = itemgetter(2, 0)
     else:
         raise ValueError(f"unknown grouping {group_by!r}")
 
     tallies: dict = {}
-    for r in rows:
-        tally = tallies.setdefault(key_of(r), [0, 0])
-        tally[0] += 1
-        if r["breaking"]:
-            tally[1] += 1
+    for cell, n in counts.items():
+        tally = tallies.setdefault(key_of(cell), [0, 0])
+        tally[0] += n
+        if cell[1]:
+            tally[1] += n
 
     def summed(keys) -> tuple[int, int]:
         found = [tallies[k] for k in keys if k in tallies]

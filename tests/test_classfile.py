@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import struct
 import zipfile
 
 import pytest
@@ -33,6 +34,7 @@ from jarcompat.classfile import (
     parse_class,
     write_class,
 )
+from jarcompat.classfile.parser import _parse_constant_pool, _Reader
 
 
 def test_bad_magic():
@@ -280,6 +282,68 @@ def test_parse_class_fuzz_with_valid_prefix(suffix):
         parse_class(base[: len(base) // 2] + suffix)
     except ClassFormatError:
         pass
+
+
+def _rich_class() -> bytes:
+    """A class with constants of every type, annotations, exceptions, a method body and an inner-class record."""
+    def constant(name: str, descriptor: str, value) -> FieldSpec:
+        return FieldSpec(name, descriptor, is_static=True, is_final=True, constant=value)
+
+    return write_class(
+        ClassSpec(
+            "p.Outer$Rich",
+            super_name="p.Base",
+            interfaces=("p.I",),
+            annotations=("p.Marker",),
+            inner_classes=(("p.Outer$Rich", "p.Outer", "Rich", ACC_STATIC),),
+            fields=(
+                constant("i", "I", 42),
+                constant("j", "J", 1 << 40),
+                constant("f", "F", 1.5),
+                constant("d", "D", -2.5),
+                constant("s", "Ljava/lang/String;", "hi"),
+                FieldSpec("g", "Ljava/util/List;", annotations=("p.Marker",)),
+            ),
+            methods=(
+                MethodSpec(
+                    "run",
+                    "(I)V",
+                    exceptions=("java.io.IOException",),
+                    annotations=("p.Marker",),
+                    calls=(("p.A", "m", "()V"),),
+                    interface_calls=(("p.I", "x", "()V"),),
+                    field_reads=(("p.A", "f", "I"),),
+                    field_writes=(("p.A", "g", "I"),),
+                    type_refs=("p.Q",),
+                ),
+            ),
+        )
+    )
+
+
+def test_every_proper_prefix_is_a_class_format_error():
+    data = _rich_class()
+    assert parse_class(data).this_name == "p.Outer$Rich"
+    for end in range(len(data)):
+        # pytest.raises lets struct.error or IndexError through, failing the test.
+        with pytest.raises(ClassFormatError):
+            parse_class(data[:end])
+
+
+def test_short_constant_value_attribute_is_a_class_format_error():
+    data = write_class(
+        ClassSpec("p.A", fields=(FieldSpec("i", "I", is_static=True, is_final=True, constant=42),))
+    )
+    pool = _parse_constant_pool(_Reader(data[8:]))  # after magic and version
+    name_index = pool.entries.index((1, "ConstantValue"))
+    attribute = data.index(struct.pack(">HI", name_index, 2))
+    # Declare the attribute one byte long and drop its last byte, so the rest still lines up.
+    short = (
+        data[:attribute] + struct.pack(">HI", name_index, 1)
+        + data[attribute + 6 : attribute + 7] + data[attribute + 8 :]
+    )
+    with pytest.raises(TruncatedClass):
+        parse_class(short)
 
 
 def test_inner_class_records_round_trip():

@@ -5,12 +5,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import random
+import tracemalloc
 
 import pytest
 
 from bench_cases import write_benchmark
 from conftest import write_jar
 from corpus_fixture import build_fixture
+from jarcompat.analyze import analyze_results
 from jarcompat.classfile import ClassSpec, MethodSpec
 from jarcompat.cli import main
 from jarcompat.corpus import write_csv
@@ -373,6 +376,52 @@ def test_analyze_header_only_upgrades_is_like_none(tmp_path):
     expected = report_files(tmp_path / "a")
     assert "q1_ratios.csv" not in expected
     assert report_files(tmp_path / "b") == expected
+
+
+@pytest.mark.parametrize("copies", [1, 3])
+def test_analyze_reports_do_not_depend_on_row_order(tmp_path, copies):
+    upgrades, clients = results_tables()
+    upgrades, clients = upgrades * copies, clients * copies
+    rng = random.Random(copies)
+    for name, rows in (("canonical", (upgrades, clients)),
+                       ("shuffled", (rng.sample(upgrades, len(upgrades)), rng.sample(clients, len(clients))))):
+        (tmp_path / name).mkdir()
+        write_table(tmp_path / name / "upgrades.csv", UPGRADE_HEADER, rows[0])
+        write_table(tmp_path / name / "clients.csv", CLIENT_HEADER, rows[1])
+        assert main(["analyze", str(tmp_path / name), "--out", str(tmp_path / f"{name}-out")]) == 0
+    expected = report_files(tmp_path / "canonical-out")
+    assert len(expected) == 5
+    assert report_files(tmp_path / "shuffled-out") == expected
+
+
+def test_analyze_memory_does_not_grow_with_rows(tmp_path):
+    # A growth rate, not a size, so the gate holds on any machine. Both sizes
+    # have the same distinct cells, so counting keeps the traced peak nearly
+    # flat; holding the rows makes it grow about as fast as the rows.
+    peaks = []
+    for rows in (20_000, 80_000):
+        upgrades = [
+            ["g", f"a{i}", "1.0", "2.0", LEVEL_ORDER[i % 4], 2010 + i % 10,
+             "true" if i % 9 < 2 else "false", "false", 0, 0, f"deltas/{i}.json"]
+            for i in range(rows)
+        ]
+        clients = [
+            [f"c{i}:app:1", "compile", f"g:a{i}", "1.0", "2.0", LEVEL_ORDER[i % 4],
+             "true" if i % 13 == 0 else "false", 1 + i % 7 if i % 13 == 0 else 0]
+            for i in range(rows)
+        ]
+        results = tmp_path / f"results{rows}"
+        results.mkdir()
+        write_table(results / "upgrades.csv", UPGRADE_HEADER, upgrades)
+        write_table(results / "clients.csv", CLIENT_HEADER, clients)
+        del upgrades, clients
+        tracemalloc.start()
+        try:
+            analyze_results(results, tmp_path / f"out{rows}")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_bench_command(tmp_path, capsys):

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from jarcompat.stats import (
@@ -192,6 +194,32 @@ def test_fisher_large_table_log_space_path():
     # Forces the log-space branch (total > 1000) and checks significance.
     result = fisher_exact([[1250, 9413], [1130, 13315]])
     assert result.p_value < 1e-20
+
+
+def per_k_log_space_fisher_p(a: int, b: int, c: int, d: int) -> float:
+    """Reference for the log-space branch: every term of every weight evaluated per ``k``."""
+    def log_comb(n: int, k: int) -> float:
+        return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+    def log_hyper(k: int, r1: int, r2: int, c1: int) -> float:
+        return log_comb(r1, k) + log_comb(r2, c1 - k) - log_comb(r1 + r2, c1)
+
+    r1, r2, c1 = a + b, c + d, a + c
+    log_obs = log_hyper(a, r1, r2, c1)
+    acc = 0.0
+    for k in range(max(0, c1 - r2), min(r1, c1) + 1):
+        log_w = log_hyper(k, r1, r2, c1)
+        if log_w <= log_obs + math.log1p(1e-7):
+            acc += math.exp(log_w)
+    return min(1.0, acc)
+
+
+@given(st.lists(st.integers(0, 4000), min_size=4, max_size=4))
+def test_fisher_log_space_matches_per_k_reference_exactly(cells):
+    a, b, c, d = cells
+    r1, r2, c1 = a + b, c + d, a + c
+    assume(r1 + r2 > 1000 and r1 and r2 and 0 < c1 < r1 + r2)
+    assert fisher_exact([[a, b], [c, d]]).p_value == per_k_log_space_fisher_p(a, b, c, d)
 
 
 def test_fisher_rejects_negative():
@@ -463,13 +491,18 @@ def test_distribution_summary_against_sort_oracle():
 # --- ratios --------------------------------------------------------------------------
 
 
+def counted(rows: list[dict]) -> Counter:
+    """The (level, breaking, year) cell counts of ``rows``, as ``analyze`` tallies them."""
+    return Counter((r["level"], r["breaking"], r["year"]) for r in rows)
+
+
 def test_breaking_ratio_hand_count():
     rows = (
         [{"level": "minor", "breaking": i < 2, "year": 2011} for i in range(4)]
         + [{"level": "patch", "breaking": False, "year": 2011} for _ in range(4)]
         + [{"level": "major", "breaking": True, "year": 2012} for _ in range(2)]
     )
-    table = {r["group"]: r for r in breaking_ratio(rows)}
+    table = {r["group"]: r for r in breaking_ratio(counted(rows))}
     assert table["minor"]["count"] == 4
     assert table["minor"]["breaking_pct"] == 50.0
     assert table["non-major"]["count"] == 8
@@ -479,10 +512,8 @@ def test_breaking_ratio_hand_count():
 
 
 def test_breaking_ratio_published_total():
-    rows = [{"level": "minor", "breaking": True, "year": 2018}] * 26407 + [
-        {"level": "minor", "breaking": False, "year": 2018}
-    ] * (119879 - 26407)
-    table = {r["group"]: r for r in breaking_ratio(rows)}
+    counts = {("minor", True, 2018): 26407, ("minor", False, 2018): 119879 - 26407}
+    table = {r["group"]: r for r in breaking_ratio(counts)}
     assert table["total"]["breaking_pct"] == 22.0
 
 
@@ -492,7 +523,7 @@ def test_breaking_ratio_year_level():
         {"level": "minor", "breaking": False, "year": 2012},
         {"level": "patch", "breaking": False, "year": 2012},
     ]
-    table = {r["group"]: r for r in breaking_ratio(rows, "year_level")}
+    table = {r["group"]: r for r in breaking_ratio(counted(rows), "year_level")}
     assert table["2011/minor"]["breaking_pct"] == 100.0
     assert table["2012/minor"]["breaking_pct"] == 0.0
     assert table["2012/non-major"]["count"] == 2
@@ -548,25 +579,43 @@ _ratio_rows = st.lists(
 def test_breaking_ratio_matches_naive_reference(rows, major_only_flags):
     # A year of its own holding only major rows: its non-major row is empty.
     rows = rows + [{"level": "major", "year": 2020, "breaking": flag} for flag in major_only_flags]
+    counts = counted(rows)
     for group_by in ("level", "year_level"):
-        assert breaking_ratio(rows, group_by) == naive_breaking_ratio(rows, group_by)
-    assert breaking_ratio(iter(rows)) == naive_breaking_ratio(rows, "level")
+        expected = naive_breaking_ratio(rows, group_by)
+        assert breaking_ratio(counts, group_by) == expected
+        # The cells may come in any order.
+        assert breaking_ratio(dict(reversed(counts.items())), group_by) == expected
 
 
 def test_breaking_ratio_reads_each_row_a_bounded_number_of_times():
     reads = [0]
 
-    class CountingRow(dict):
-        def __getitem__(self, key):
+    class CountingCells(Mapping):
+        """Cell counts that record every key they hand out and every count read."""
+
+        def __init__(self, counts):
+            self.counts = counts
+
+        def __getitem__(self, cell):
             reads[0] += 1
-            return super().__getitem__(key)
+            return self.counts[cell]
+
+        def __iter__(self):
+            for cell in self.counts:
+                reads[0] += 1
+                yield cell
+
+        def __len__(self):
+            return len(self.counts)
 
     rows = [
-        CountingRow(level=level, year=2010 + i % 10, breaking=i % 3 == 0)
+        {"level": level, "year": 2010 + i % 10, "breaking": i % 3 == 0}
         for i in range(200)
         for level in LEVEL_ORDER
     ]
+    cells = CountingCells(counted(rows))
     for group_by in ("level", "year_level"):
         reads[0] = 0
-        breaking_ratio(rows, group_by)
-        assert reads[0] <= 3 * len(rows), (group_by, reads[0] / len(rows))
+        assert breaking_ratio(cells, group_by) == naive_breaking_ratio(rows, group_by)
+        # One key and one count per distinct cell, however many rows share it.
+        assert reads[0] <= 2 * len(cells), (group_by, reads[0] / len(cells))
