@@ -73,6 +73,14 @@ def _read_csv(path: Path, columns: tuple[str, ...]) -> Counter[tuple[str, ...]]:
             raise ValueError(f"{path}:{reader.line_num}: too few cells") from None
 
 
+def _cell(convert, text: str, path: Path, column: str):
+    """``convert(text)``, or a ValueError that names the file, the column and the cell."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValueError(f"{path}: bad {column} cell {text!r}") from None
+
+
 def level_pairs() -> list[tuple[str, str]]:
     return [
         (LEVEL_ORDER[i], LEVEL_ORDER[j])
@@ -193,7 +201,7 @@ def analyze_results(results_dir: str | Path, out_dir: str | Path, summary_json: 
     if upgrades:
         cells: Counter[tuple[str, bool, int]] = Counter()
         for (level, breaking, year), n in upgrades.items():
-            cells[level, breaking == "true", int(year)] += n
+            cells[level, breaking == "true", _cell(int, year, results / "upgrades.csv", "year")] += n
         ratio_table = breaking_ratio(cells, "level")
         produced["q1"] = ratio_table
         write_csv(
@@ -228,7 +236,8 @@ def analyze_results(results_dir: str | Path, out_dir: str | Path, summary_json: 
             counts[level] = (broken + (n if is_broken else 0), total + n)
             if is_broken:
                 # The rank tests depend only on the multiset of values.
-                values.setdefault(level, []).extend([float(detections)] * n)
+                value = _cell(float, detections, results / "clients.csv", "detections")
+                values.setdefault(level, []).extend([value] * n)
         produced["q3_proportions"] = proportion_tests(counts)
         _emit_proportion_reports(out, produced["q3_proportions"], narrative)
         produced["q3_detections"] = detection_tests(values)

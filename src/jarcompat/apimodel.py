@@ -114,6 +114,11 @@ def member_owner(ref: str) -> str:
     return owner
 
 
+def rehost_member(ref: str, owner: str) -> str:
+    """The member reference ``ref`` with its owner type replaced by ``owner``."""
+    return owner + ref[len(member_owner(ref)) :]
+
+
 @dataclass(frozen=True)
 class MemberDecl:
     owner: str

@@ -85,9 +85,6 @@ class AccuracyReport:
     def recall(self) -> float:
         return score(self.tp, self.fp, self.fn)[1]
 
-    def gap_fns(self) -> list[CaseVerdict]:
-        return [v for v in self.verdicts if v.valid and v.fn and v.known_gap]
-
     def unexplained_fps(self) -> list[tuple[str, Detection]]:
         """FP detections not produced by a pessimistic rule (always a bug)."""
         return [

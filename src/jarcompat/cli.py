@@ -19,6 +19,7 @@ from .apimodel import StabilityConfig, build_model
 from .bench import run_benchmark
 from .classfile import ClassFormatError, NotAZip, open_jar
 from .corpus import (
+    UPGRADE_COLUMNS,
     PipelineOptions,
     SchemaError,
     derive_upgrades,
@@ -175,7 +176,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         out.mkdir(parents=True, exist_ok=True)
         write_csv(
             out / "upgrades.csv",
-            ["group", "artifact", "v1", "v2", "level"],
+            UPGRADE_COLUMNS[: UPGRADE_COLUMNS.index("level") + 1],
             [[upgrade.group_id, upgrade.artifact_id, upgrade.v1.raw, upgrade.v2.raw,
               upgrade.level.value if upgrade.level else ""]
              for upgrade in derivation.upgrades],
@@ -188,7 +189,6 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     options = PipelineOptions(
-        scope=args.scope,
         jobs=args.jobs if args.jobs is not None else os.cpu_count() or 1,
         seed=args.seed,
         samples=tuple(_parse_sample_spec(spec) for spec in args.sample or ()),
@@ -274,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jars", default=None)
         p.add_argument("--out", required=True)
         p.set_defaults(func=cmd_corpus)
-    p_run.add_argument("--scope", choices=("stable", "all"), default="stable")
     p_run.add_argument("--jobs", type=_jobs, default=None)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--sample", action="append", metavar="LEVEL:CONF:MARGIN")

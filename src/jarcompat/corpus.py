@@ -19,13 +19,16 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import random
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .apimodel import ApiModel, StabilityConfig, build_model
 from .classfile import JarContent, NotAZip, open_jar
@@ -96,7 +99,6 @@ class Upgrade:
     v1: Version
     v2: Version
     level: SemverLevel | None = None
-    delta: Delta | None = None
     exclusion_reason: str | None = None
 
     @property
@@ -387,19 +389,14 @@ def derive_upgrades(
             for record in chain:
                 try:
                     version = parse_version(record.version)
+                    skip = None if version.compliant else version.noncompliance_reason or "non_compliant"
                 except Unparseable:
-                    if record.coord not in seen_skips:
-                        seen_skips.add(record.coord)
-                        derivation.skipped_versions.append((record.coord, "unparseable"))
-                    continue
-                if not version.compliant:
-                    if record.coord not in seen_skips:
-                        seen_skips.add(record.coord)
-                        derivation.skipped_versions.append(
-                            (record.coord, version.noncompliance_reason or "non_compliant")
-                        )
-                    continue
-                compliant.append((record, version))
+                    skip = "unparseable"
+                if skip is None:
+                    compliant.append((record, version))
+                elif record.coord not in seen_skips:
+                    seen_skips.add(record.coord)
+                    derivation.skipped_versions.append((record.coord, skip))
 
             for (rec1, v1), (rec2, v2) in zip(compliant, compliant[1:]):
                 if (rec1.coord, rec2.coord) in seen_pairs:
@@ -479,10 +476,35 @@ def derive_clients(upgrade: Upgrade, index: GraphIndex) -> list[ClientRef]:
 
 # --- pipeline ---------------------------------------------------------------
 
+# The columns of each table ``corpus run`` writes, which are also its header.
+# A task builds every row once, in this order.
+UPGRADE_COLUMNS = (
+    "group", "artifact", "v1", "v2", "level", "year",
+    "breaking", "breaking_any", "bc_count", "bc_count_stable", "delta_file",
+)
+CLIENT_COLUMNS = ("client", "scope", "library", "v1", "v2", "level", "broken", "detections")
+DETECTION_COLUMNS = (
+    "library", "v1", "v2", "client", "clientElement", "libraryElement",
+    "useKind", "bcKind", "confidence", "stability",
+)
+
+
+def _columns(table: tuple[str, ...], *names: str) -> itemgetter:
+    """Picks the cells of ``names`` out of a row of ``table``."""
+    return itemgetter(*(table.index(name) for name in names))
+
+
+# Client and detection rows sort by the "group:artifact" string, which orders
+# libraries differently from the (group, artifact) tuples tasks run in.
+_CLIENT_ORDER = _columns(CLIENT_COLUMNS, "library", "v1", "client")
+_DETECTION_ORDER = _columns(
+    DETECTION_COLUMNS,
+    "library", "v1", "client", "clientElement", "libraryElement", "bcKind", "useKind",
+)
+
 
 @dataclass
 class PipelineOptions:
-    scope: str = "stable"
     jobs: int = 1
     seed: int = 0
     samples: tuple[tuple[str, float, float], ...] = ()  # (level|"all", confidence, margin)
@@ -512,9 +534,12 @@ class _LibraryTask:
 
 @dataclass
 class _LibraryResult:
+    """One library's selection accounting and its rows of each output table."""
+
     derivation: CorpusDerivation
-    client_rows: list[dict] = field(default_factory=list)
-    detection_rows: list[dict] = field(default_factory=list)
+    upgrade_rows: list[list] = field(default_factory=list)
+    client_rows: list[list] = field(default_factory=list)
+    detection_rows: list[list] = field(default_factory=list)
 
 
 def run_pipeline(
@@ -547,19 +572,36 @@ def run_pipeline(
     else:
         results = [_run_library(task) for task in tasks]
 
-    # Libraries in sorted order, so rows keep the order of a serial run.
+    # Results arrive in (group, artifact) order, the order of upgrades.csv.
     derivation = CorpusDerivation()
-    client_rows: list[dict] = []
-    detection_rows: list[dict] = []
+    upgrade_rows: list[list] = []
+    client_rows: list[list] = []
+    detection_rows: list[list] = []
     for result in results:
         derivation.upgrades += result.derivation.upgrades
         derivation.excluded += result.derivation.excluded
         derivation.skipped_versions += result.derivation.skipped_versions
+        upgrade_rows += result.upgrade_rows
         client_rows += result.client_rows
         detection_rows += result.detection_rows
 
-    _write_outputs(out, graph, derivation, client_rows, detection_rows)
-    summary = _summarize(derivation, client_rows, detection_rows, options)
+    write_csv(out / "upgrades.csv", UPGRADE_COLUMNS, upgrade_rows)
+    write_exclusions(out, derivation)
+    write_csv(out / "clients.csv", CLIENT_COLUMNS, sorted(client_rows, key=_CLIENT_ORDER))
+    write_csv(
+        out / "detections.csv", DETECTION_COLUMNS, sorted(detection_rows, key=_DETECTION_ORDER)
+    )
+    summary = {
+        "schemaVersion": 1,
+        "candidates": derivation.candidate_count,
+        "emitted": len(derivation.upgrades),
+        "excluded": len(derivation.excluded),
+        "exclusionReasons": Counter(u.exclusion_reason for u in derivation.excluded),
+        "skippedVersions": Counter(reason for _, reason in derivation.skipped_versions),
+        "upgradesByLevel": Counter(u.level.value for u in derivation.upgrades),
+        "clients": len(client_rows),
+        "detections": len(detection_rows),
+    }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     if options.samples:
         _write_samples(out, client_rows, options)
@@ -570,58 +612,56 @@ def _run_library(task: _LibraryTask) -> _LibraryResult:
     """Select one library's upgrades, then diff each and detect its clients' impact.
 
     The library's JARs are each opened once, by the selection filters, and
-    each needed model is built once from that parse.
+    each needed model is built once from that parse. The upgrade rows come
+    back sorted by version; client and detection rows keep the order in
+    which the upgrades were derived.
     """
     probe = _JarProbe(task.jar_root, task.config)
     result = _LibraryResult(derive_upgrades(task.index, probe=probe))
     artifacts = task.index.graph.artifacts
+    by_version: list[tuple[tuple, list]] = []
     for upgrade in result.derivation.upgrades:
-        rec1 = artifacts[upgrade.v1_coord]
-        delta = _upgrade_delta(upgrade, rec1, artifacts[upgrade.v2_coord], probe, task.deltas)
-        upgrade.delta = delta
+        rec1, rec2 = artifacts[upgrade.v1_coord], artifacts[upgrade.v2_coord]
+        delta = _upgrade_delta(upgrade, rec1, rec2, probe, task.deltas)
+        library = f"{upgrade.group_id}:{upgrade.artifact_id}"
+        v1, v2, level = upgrade.v1.raw, upgrade.v2.raw, upgrade.level.value
+        by_version.append((
+            (upgrade.v1.key(), upgrade.v2.key()),
+            [
+                upgrade.group_id, upgrade.artifact_id, v1, v2, level, rec2.release_date.year,
+                str(is_breaking(delta, "stable")).lower(),
+                str(is_breaking(delta, "all")).lower(),
+                len(delta.changes),
+                sum(1 for c in delta.changes if c.stability.is_stable),
+                f"deltas/{_delta_filename(upgrade)}",
+            ],
+        ))
         stability: dict[tuple[str, str], str] = {}
         for change in delta.changes:
             stability.setdefault((change.element, change.kind.value), change.stability.status)
-        library = f"{upgrade.group_id}:{upgrade.artifact_id}"
         for client in derive_clients(upgrade, task.index):
             client_jar = probe.resolve(artifacts[client.coord])
-            broken = None
-            detections_count = 0
+            broken = ""
+            detection_count = 0
             if client_jar is not None and client_jar.exists():
                 usage = extract_usage(open_jar(client_jar), probe.model(rec1))
                 detections = compute_detections(delta, usage)
-                summary = classify_impact(delta, usage, detections)
-                broken = summary.broken
-                detections_count = summary.detection_count
-                for detection in detections:
-                    result.detection_rows.append(
-                        {
-                            "library": library,
-                            "v1": upgrade.v1.raw,
-                            "v2": upgrade.v2.raw,
-                            "client": client.coord,
-                            "clientElement": detection.client_element,
-                            "libraryElement": detection.library_element,
-                            "useKind": detection.use_kind.value,
-                            "bcKind": detection.bc_kind.value,
-                            "confidence": detection.confidence,
-                            "stability": stability.get(
-                                (detection.library_element, detection.bc_kind.value), ""
-                            ),
-                        }
-                    )
+                impact = classify_impact(delta, usage, detections)
+                broken = str(impact.broken).lower()
+                detection_count = impact.detection_count
+                result.detection_rows += (
+                    [
+                        library, v1, v2, client.coord, d.client_element, d.library_element,
+                        d.use_kind.value, d.bc_kind.value, d.confidence,
+                        stability.get((d.library_element, d.bc_kind.value), ""),
+                    ]
+                    for d in detections
+                )
             result.client_rows.append(
-                {
-                    "client": client.coord,
-                    "scope": client.scope,
-                    "library": library,
-                    "v1": upgrade.v1.raw,
-                    "v2": upgrade.v2.raw,
-                    "level": upgrade.level.value if upgrade.level else "",
-                    "broken": "" if broken is None else str(broken).lower(),
-                    "detections": detections_count,
-                }
+                [client.coord, client.scope, library, v1, v2, level, broken, detection_count]
             )
+    by_version.sort(key=itemgetter(0))
+    result.upgrade_rows = [row for _, row in by_version]
     return result
 
 
@@ -638,13 +678,14 @@ def _upgrade_delta(
         payload = json.loads(delta_path.read_text(encoding="utf-8"))
         if payload.get("inputHash") == input_hash:
             return Delta.from_dict(payload)
-    payload = compute_delta(probe.model(rec1), probe.model(rec2)).to_dict()
+    delta = compute_delta(probe.model(rec1), probe.model(rec2))
+    payload = delta.to_dict()
     payload["inputHash"] = input_hash
     delta_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return Delta.from_dict(payload)
+    return delta
 
 
-def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a header and rows as RFC 4180 CSV with LF line ends; path "-" means stdout."""
     with (
         nullcontext(sys.stdout) if str(path) == "-"
@@ -667,105 +708,14 @@ def write_exclusions(out: Path, derivation: CorpusDerivation) -> None:
     write_csv(out / "exclusions.csv", ["stage", "subject", "v2", "reason"], rows)
 
 
-def _write_outputs(
-    out: Path,
-    graph: DependencyGraph,
-    derivation: CorpusDerivation,
-    client_rows: list[dict],
-    detection_rows: list[dict],
-) -> None:
-    upgrade_rows = []
-    for upgrade in sorted(
-        derivation.upgrades, key=lambda u: (u.group_id, u.artifact_id, u.v1.key(), u.v2.key())
-    ):
-        assert upgrade.delta is not None and upgrade.level is not None
-        rec2 = graph.artifacts[upgrade.v2_coord]
-        upgrade_rows.append(
-            [
-                upgrade.group_id,
-                upgrade.artifact_id,
-                upgrade.v1.raw,
-                upgrade.v2.raw,
-                upgrade.level.value,
-                rec2.release_date.year,
-                str(is_breaking(upgrade.delta, "stable")).lower(),
-                str(is_breaking(upgrade.delta, "all")).lower(),
-                len(upgrade.delta.changes),
-                sum(1 for c in upgrade.delta.changes if c.stability.is_stable),
-                f"deltas/{_delta_filename(upgrade)}",
-            ]
-        )
-    write_csv(
-        out / "upgrades.csv",
-        [
-            "group", "artifact", "v1", "v2", "level", "year",
-            "breaking", "breaking_any", "bc_count", "bc_count_stable", "delta_file",
-        ],
-        upgrade_rows,
-    )
-    write_exclusions(out, derivation)
-
-    write_csv(
-        out / "clients.csv",
-        ["client", "scope", "library", "v1", "v2", "level", "broken", "detections"],
-        [[r[k] for k in ("client", "scope", "library", "v1", "v2", "level", "broken", "detections")]
-         for r in sorted(client_rows, key=lambda r: (r["library"], r["v1"], r["client"]))],
-    )
-
-    write_csv(
-        out / "detections.csv",
-        ["library", "v1", "v2", "client", "clientElement", "libraryElement",
-         "useKind", "bcKind", "confidence", "stability"],
-        [[r[k] for k in ("library", "v1", "v2", "client", "clientElement", "libraryElement",
-                         "useKind", "bcKind", "confidence", "stability")]
-         for r in sorted(
-             detection_rows,
-             key=lambda r: (r["library"], r["v1"], r["client"], r["clientElement"], r["libraryElement"], r["bcKind"], r["useKind"]),
-         )],
-    )
-
-
-def _summarize(
-    derivation: CorpusDerivation,
-    client_rows: list[dict],
-    detection_rows: list[dict],
-    options: PipelineOptions,
-) -> dict:
-    reasons: dict[str, int] = {}
-    for upgrade in derivation.excluded:
-        reasons[upgrade.exclusion_reason or "unknown"] = (
-            reasons.get(upgrade.exclusion_reason or "unknown", 0) + 1
-        )
-    skipped: dict[str, int] = {}
-    for _, reason in derivation.skipped_versions:
-        skipped[reason] = skipped.get(reason, 0) + 1
-    by_level: dict[str, int] = {}
-    for upgrade in derivation.upgrades:
-        assert upgrade.level is not None
-        by_level[upgrade.level.value] = by_level.get(upgrade.level.value, 0) + 1
-    return {
-        "schemaVersion": 1,
-        "candidates": derivation.candidate_count,
-        "emitted": len(derivation.upgrades),
-        "excluded": len(derivation.excluded),
-        "exclusionReasons": reasons,
-        "skippedVersions": skipped,
-        "upgradesByLevel": by_level,
-        "clients": len(client_rows),
-        "detections": len(detection_rows),
-        "scope": options.scope,
-    }
-
-
-def _write_samples(out: Path, client_rows: list[dict], options: PipelineOptions) -> None:
-    import random
-
+def _write_samples(out: Path, client_rows: list[list], options: PipelineOptions) -> None:
+    """Draw each sample from the client rows in the order the tasks returned them."""
+    level_of = _columns(CLIENT_COLUMNS, "level")
+    sampled = _columns(CLIENT_COLUMNS, "client", "library", "v1", "v2")
     size_rows = []
     sample_rows = []
     for level, confidence, margin in options.samples:
-        population = [
-            r for r in client_rows if level == "all" or r["level"] == level
-        ]
+        population = [r for r in client_rows if level == "all" or level_of(r) == level]
         if not population:
             size_rows.append([level, confidence, margin, 0, 0])
             continue
@@ -774,8 +724,7 @@ def _write_samples(out: Path, client_rows: list[dict], options: PipelineOptions)
         rng = random.Random(options.seed)
         chosen = rng.sample(range(len(population)), size)
         for index in sorted(chosen):
-            row = population[index]
-            sample_rows.append([level, row["client"], row["library"], row["v1"], row["v2"]])
+            sample_rows.append([level, *sampled(population[index])])
     write_csv(
         out / "sample_sizes.csv",
         ["level", "confidence", "margin", "population", "sample_size"],

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .apimodel import member_owner
+from .apimodel import member_owner, rehost_member
 from .delta import BcKind, BreakingChange, Delta
 from .usage import Pair, UsageModel, UseKind
 
@@ -283,8 +283,7 @@ def _visibility_breaks(
 
 
 def _lacks_declaration(change: BreakingChange, client_type: str, usage: UsageModel) -> bool:
-    name_desc = change.element[len(member_owner(change.element)) + 1 :]
-    return f"{client_type}.{name_desc}" not in usage.client_elements
+    return rehost_member(change.element, client_type) not in usage.client_elements
 
 
 def rule_note(bc_kind: BcKind, use_kind: UseKind) -> str:

@@ -3,12 +3,10 @@
 Every relation pair corresponds to a concrete constant-pool reference,
 hierarchy declaration, descriptor, or annotation in the client bytes;
 nothing is fabricated. References that do not resolve against the supplied
-library model land in an ``external`` bucket rather than being dropped.
+library model are dropped.
 
 Method overriding is not represented: binaries carry no override facts, so
-analyses that need them must over-approximate. The ``thrownOrCaught``
-relation exists as a named placeholder but is never populated, because
-handled-exception types are absent from bytecode.
+analyses that need them must over-approximate.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ class UseKind(str, Enum):
     ANNOTATION = "annotation"
     TYPE_DEPENDENCY = "typeDependency"
     CONSTRUCTOR_INVOCATION = "constructorInvocation"
-    THROWN_OR_CAUGHT = "thrownOrCaught"
 
 
 Pair = tuple[str, str]
@@ -44,7 +41,6 @@ class UsageModel:
     )
     client_elements: set[str] = field(default_factory=set)
     client_types: set[str] = field(default_factory=set)
-    external: set[Pair] = field(default_factory=set)
 
     def pairs(self, kind: UseKind) -> set[Pair]:
         return self.relations[kind]
@@ -64,14 +60,9 @@ class _Extractor:
     def add(self, kind: UseKind, client: str, library_element: str) -> None:
         self.model.relations[kind].add((client, library_element))
 
-    def add_type_use(self, kind: UseKind, client: str, type_name: str) -> bool:
+    def add_type_use(self, kind: UseKind, client: str, type_name: str) -> None:
         if type_name in self.library.types:
             self.add(kind, client, type_name)
-            return True
-        return False
-
-    def note_external(self, client: str, target: str) -> None:
-        self.model.external.add((client, target))
 
     def member_use(self, client: str, ref: MemberRef, *, is_field: bool) -> None:
         if is_field:
@@ -79,7 +70,6 @@ class _Extractor:
         else:
             resolved = self.library.resolve_method(ref.owner, ref.name, ref.descriptor)
         if resolved is None:
-            self.note_external(client, member_ref(ref.owner, ref.name, ref.descriptor))
             return
         target = member_ref(ref.owner, ref.name, ref.descriptor)
         if is_field:
@@ -92,25 +82,21 @@ class _Extractor:
 
     def descriptor_types(self, client: str, descriptor: str) -> None:
         for name in class_names_in(descriptor):
-            if not self.add_type_use(UseKind.TYPE_DEPENDENCY, client, name):
-                self.note_external(client, name)
+            self.add_type_use(UseKind.TYPE_DEPENDENCY, client, name)
 
     def annotations(self, client: str, names: tuple[str, ...]) -> None:
         for name in names:
-            if not self.add_type_use(UseKind.ANNOTATION, client, name):
-                self.note_external(client, name)
+            self.add_type_use(UseKind.ANNOTATION, client, name)
 
     def extract_class(self, cls: RawClass) -> None:
         client_type = cls.this_name
         self.model.client_elements.add(client_type)
         self.model.client_types.add(client_type)
 
-        if cls.super_name and not self.add_type_use(UseKind.EXTENDS, client_type, cls.super_name):
-            if cls.super_name != "java.lang.Object":
-                self.note_external(client_type, cls.super_name)
+        if cls.super_name:
+            self.add_type_use(UseKind.EXTENDS, client_type, cls.super_name)
         for iface in cls.interfaces:
-            if not self.add_type_use(UseKind.IMPLEMENTS, client_type, iface):
-                self.note_external(client_type, iface)
+            self.add_type_use(UseKind.IMPLEMENTS, client_type, iface)
         self.annotations(client_type, cls.annotations)
 
         for raw in (*cls.fields, *cls.methods):
@@ -119,15 +105,13 @@ class _Extractor:
             self.annotations(element, raw.annotations)
             self.descriptor_types(element, raw.descriptor)
             for exc in raw.declared_exceptions:
-                if not self.add_type_use(UseKind.TYPE_DEPENDENCY, element, exc):
-                    self.note_external(element, exc)
+                self.add_type_use(UseKind.TYPE_DEPENDENCY, element, exc)
             for ref in raw.invoked_methods:
                 self.member_use(element, ref, is_field=False)
             for ref in raw.accessed_fields:
                 self.member_use(element, ref, is_field=True)
             for type_name in raw.referenced_types:
-                if not self.add_type_use(UseKind.TYPE_DEPENDENCY, element, type_name):
-                    self.note_external(element, type_name)
+                self.add_type_use(UseKind.TYPE_DEPENDENCY, element, type_name)
 
 
 def extract_usage(client: JarContent, library: ApiModel) -> UsageModel:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from conftest import write_jar
-from jarcompat.classfile import ClassSpec, MethodSpec
+from jarcompat.classfile import ClassSpec, FieldSpec, MethodSpec
 
 LIB_GROUP = "javax.servlet"
 LIB_ARTIFACT = "servlet-api"
@@ -136,4 +136,107 @@ def build_fixture(root: Path) -> tuple[Path, Path, Path]:
     artifacts, edges = write_graph_csvs(root)
     jar_root = root / "jars"
     write_fixture_jars(jar_root)
+    return artifacts, edges, jar_root
+
+
+# Two libraries whose coordinates sort differently as (group, artifact)
+# tuples, as "group:artifact" strings and as versions: ("org.lib1", "lib1")
+# comes first as a tuple, "org.lib10:lib10" first as a string, and 1.9.0
+# precedes 1.10.0 only as a version. lib10 has two NEXT chains; the chain
+# rooted at 1.10.5 is walked first, although its upgrade sorts last.
+TWO_LIBRARY_ROWS = [
+    ("org.lib1", "lib1", "1.9.0", "2015-01-01", "jar", "lib1-1.9.0.jar"),
+    ("org.lib1", "lib1", "1.10.0", "2015-06-01", "jar", "lib1-1.10.0.jar"),
+    ("org.lib1", "lib1", "2.0.0", "2016-02-01", "jar", "lib1-2.0.0.jar"),
+    ("org.lib10", "lib10", "1.9.0", "2015-03-01", "jar", "lib10-1.9.0.jar"),
+    ("org.lib10", "lib10", "1.10.0", "2016-03-01", "jar", "lib10-1.10.0.jar"),
+    ("org.lib10", "lib10", "1.10.5", "2017-01-01", "jar", "lib10-1.10.5.jar"),
+    ("org.lib10", "lib10", "1.11.0", "2018-01-01", "jar", "lib10-1.11.0.jar"),
+    ("org.app", "app", "1.0.0", "2015-07-01", "jar", "app-1.0.0.jar"),
+    ("org.app", "app", "1.1.0", "2017-02-01", "jar", "app-1.1.0.jar"),
+    ("com.use", "tool", "1.0.0", "2015-08-01", "jar", ""),
+]
+
+TWO_LIBRARY_EDGES = [
+    ("NEXT", "", "org.lib1:lib1:1.9.0", "org.lib1:lib1:1.10.0"),
+    ("NEXT", "", "org.lib1:lib1:1.10.0", "org.lib1:lib1:2.0.0"),
+    ("NEXT", "", "org.lib10:lib10:1.9.0", "org.lib10:lib10:1.10.0"),
+    ("NEXT", "", "org.lib10:lib10:1.10.5", "org.lib10:lib10:1.11.0"),
+    ("NEXT", "", "org.app:app:1.0.0", "org.app:app:1.1.0"),
+    ("DEPENDS", "compile", "org.app:app:1.0.0", "org.lib1:lib1:1.9.0"),
+    ("DEPENDS", "compile", "org.app:app:1.0.0", "org.lib10:lib10:1.9.0"),
+    ("DEPENDS", "compile", "org.app:app:1.1.0", "org.lib1:lib1:1.10.0"),
+    ("DEPENDS", "test", "org.app:app:1.1.0", "org.lib10:lib10:1.10.5"),
+    ("DEPENDS", "test", "com.use:tool:1.0.0", "org.lib1:lib1:1.9.0"),
+    ("DEPENDS", "compile", "com.use:tool:1.0.0", "org.lib10:lib10:1.9.0"),
+]
+
+
+def _lib1(*methods: str, with_a: bool = True) -> list[ClassSpec]:
+    specs = [ClassSpec("l1.B", methods=(MethodSpec("<init>"),))]
+    if with_a:
+        specs.append(ClassSpec("l1.A", methods=tuple(MethodSpec(m) for m in ("<init>", *methods))))
+    return specs
+
+
+def _lib10(with_field: bool, with_internal_run: bool) -> list[ClassSpec]:
+    return [
+        ClassSpec(
+            "l10.S",
+            fields=(FieldSpec("f"),) if with_field else (),
+            methods=(MethodSpec("<init>"), MethodSpec("m")),
+        ),
+        ClassSpec(
+            "l10.internal.Impl",
+            methods=(MethodSpec("<init>"),) + ((MethodSpec("run"),) if with_internal_run else ()),
+        ),
+    ]
+
+
+def write_two_library_jars(jar_root: Path) -> None:
+    jar_root.mkdir(parents=True, exist_ok=True)
+    write_jar(jar_root / "lib1-1.9.0.jar", _lib1("gone", "kept"))
+    write_jar(jar_root / "lib1-1.10.0.jar", _lib1("kept"))
+    write_jar(jar_root / "lib1-2.0.0.jar", _lib1(with_a=False))
+    write_jar(jar_root / "lib10-1.9.0.jar", _lib10(with_field=True, with_internal_run=True))
+    write_jar(jar_root / "lib10-1.10.0.jar", _lib10(with_field=False, with_internal_run=True))
+    write_jar(jar_root / "lib10-1.10.5.jar", _lib10(with_field=False, with_internal_run=True))
+    write_jar(jar_root / "lib10-1.11.0.jar", _lib10(with_field=False, with_internal_run=False))
+    write_jar(
+        jar_root / "app-1.0.0.jar",
+        [
+            ClassSpec(
+                "app.Main",
+                methods=(
+                    MethodSpec(
+                        "run",
+                        calls=(("l1.A", "gone", "()V"), ("l1.A", "kept", "()V")),
+                        field_reads=(("l10.S", "f", "I"),),
+                    ),
+                ),
+            )
+        ],
+    )
+    write_jar(
+        jar_root / "app-1.1.0.jar",
+        [
+            ClassSpec(
+                "app.Main",
+                methods=(
+                    MethodSpec(
+                        "run",
+                        calls=(("l1.A", "kept", "()V"), ("l10.internal.Impl", "run", "()V")),
+                        type_refs=("l1.A",),
+                    ),
+                ),
+            )
+        ],
+    )
+
+
+def build_two_library_fixture(root: Path) -> tuple[Path, Path, Path]:
+    """(artifacts.csv, edges.csv, jar_root) for the two-library graph."""
+    artifacts, edges = write_graph_csvs(root, TWO_LIBRARY_ROWS, TWO_LIBRARY_EDGES)
+    jar_root = root / "jars"
+    write_two_library_jars(jar_root)
     return artifacts, edges, jar_root

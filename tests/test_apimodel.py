@@ -14,6 +14,7 @@ from jarcompat.apimodel import (
     classify_stability,
     member_owner,
     member_ref,
+    rehost_member,
 )
 from jarcompat.classfile import ClassSpec, FieldSpec, MethodSpec
 
@@ -309,8 +310,8 @@ _method_descriptors = st.builds(
 
 
 @settings(max_examples=60, deadline=None)
-@given(_owners, _identifier, _field_types, _identifier, _method_descriptors, _method_descriptors)
-def test_member_reference_round_trip(owner, field_name, field_desc, method_name, method_desc, init_desc):
+@given(_owners, _owners, _identifier, _field_types, _identifier, _method_descriptors, _method_descriptors)
+def test_member_reference_round_trip(owner, client, field_name, field_desc, method_name, method_desc, init_desc):
     spec = ClassSpec(
         owner,
         fields=(FieldSpec(field_name, field_desc),),
@@ -322,3 +323,6 @@ def test_member_reference_round_trip(owner, field_name, field_desc, method_name,
         ref = member_ref(owner, decl.name, decl.descriptor)
         assert member_owner(ref) == owner
         assert decl.ref == ref
+        rehosted = rehost_member(ref, client)
+        assert rehosted == member_ref(client, decl.name, decl.descriptor)
+        assert member_owner(rehosted) == client

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
+import itertools
 import json
 import random
+import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +19,7 @@ from conftest import write_jar
 from corpus_fixture import build_fixture
 from jarcompat.analyze import analyze_results
 from jarcompat.classfile import ClassSpec, MethodSpec
-from jarcompat.cli import main
+from jarcompat.cli import build_parser, main
 from jarcompat.corpus import write_csv
 from jarcompat.stats import LEVEL_ORDER
 
@@ -211,6 +215,15 @@ def test_corpus_derive_rejects_run_only_flags(tmp_path):
     assert exc.value.code == 2
 
 
+def test_corpus_run_rejects_scope(tmp_path):
+    artifacts, edges, jar_root = build_fixture(tmp_path / "fixture")
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", "run", "--artifacts", str(artifacts), "--edges", str(edges),
+              "--jars", str(jar_root), "--out", str(tmp_path / "o"), "--scope", "all"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
 def test_jobs_must_be_a_positive_whole_number(tmp_path, jobs, capsys):
     artifacts, edges, _ = build_fixture(tmp_path / "fixture")
@@ -362,6 +375,25 @@ def test_analyze_malformed_clients_is_a_data_error(tmp_path, capsys, defect):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("table, header, column, bad", [
+    ("upgrades.csv", UPGRADE_HEADER, "year", "20x1"),
+    ("clients.csv", CLIENT_HEADER, "detections", "x7"),
+])
+def test_analyze_bad_number_names_file_column_and_value(tmp_path, capsys, table, header, column, bad):
+    upgrades, clients = results_tables()
+    # The first client row is a broken one, so analyze reads its detections.
+    {"upgrades.csv": upgrades, "clients.csv": clients}[table][0][header.index(column)] = bad
+    results = tmp_path / "results"
+    results.mkdir()
+    write_table(results / "upgrades.csv", UPGRADE_HEADER, upgrades)
+    write_table(results / "clients.csv", CLIENT_HEADER, clients)
+    assert main(["analyze", str(results), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert str(results / table) in err
+    assert column in err and repr(bad) in err
+    assert "Traceback" not in err
+
+
 def test_analyze_header_only_upgrades_is_like_none(tmp_path):
     _, clients = results_tables()
     without = tmp_path / "without"
@@ -456,3 +488,31 @@ def test_stability_config_flag(tmp_path, capsys):
         ["delta", str(v1), str(v2), "--fail-on-breaking", "--stability-config", str(config)]
     )
     assert code == 1
+
+
+def _parser_options(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()):
+    """(subcommand path, long options) for each subcommand ``parser`` accepts."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield path, {o for a in parser._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+        return
+    for name, sub in subparsers[0].choices.items():
+        yield from _parser_options(sub, path + (name,))
+
+
+def _readme_options() -> dict[tuple[str, ...], set[str]]:
+    """(subcommand path -> long options) from the synopsis in the README's CLI section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    options: dict[tuple[str, ...], set[str]] = {}
+    for line in block.splitlines():
+        if line.startswith("jarcompat "):
+            words = line.split()[1:]
+            command = tuple(itertools.takewhile(lambda w: w.isalpha() and w.islower(), words))
+            options[command] = set()
+        options[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    return options
+
+
+def test_readme_synopsis_lists_every_option():
+    assert _readme_options() == dict(_parser_options(build_parser()))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from corpus_fixture import build_fixture, write_graph_csvs
+from corpus_fixture import build_fixture, build_two_library_fixture, write_graph_csvs
 from jarcompat import corpus
 from jarcompat.corpus import (
     PipelineOptions,
@@ -363,3 +363,38 @@ def test_summary_accounting_reconciles(tmp_path, fig_graph):
     assert len(version_rows) == sum(summary["skippedVersions"].values())
     payload = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert payload == summary
+
+
+GOLDEN = Path(__file__).parent / "golden" / "corpus_run"
+PINNED_SAMPLES = (("all", 0.95, 0.05), ("minor", 0.9, 0.4))
+
+
+def pinned_text(root: Path) -> dict[str, str]:
+    """Every file under ``root`` as text, without what changes from one fixture
+    build to the next: a delta's ``inputHash`` hashes JARs that ``zipfile``
+    stamps with the current time. ``scope`` is dropped from older summaries."""
+    files = {}
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            name = path.relative_to(root).as_posix()
+            text = path.read_text(encoding="utf-8")
+            if name.endswith(".json"):
+                payload = json.loads(text)
+                payload.pop("inputHash", None)
+                payload.pop("scope", None)
+                text = json.dumps(payload, indent=2) + "\n"
+            files[name] = text
+    return files
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name, build", [
+    ("fixture", build_fixture),
+    ("two_libraries", build_two_library_fixture),
+])
+def test_run_pipeline_outputs_match_golden_files(tmp_path, name, build, jobs):
+    artifacts, edges, jar_root = build(tmp_path / "fixture")
+    out = tmp_path / "out"
+    options = PipelineOptions(jobs=jobs, samples=PINNED_SAMPLES)
+    run_pipeline(load_graph(artifacts, edges), jar_root, out, options)
+    assert pinned_text(out) == pinned_text(GOLDEN / name)

@@ -115,7 +115,7 @@ def test_descriptor_types_become_type_dependencies():
     assert ("cli.C.make(Llib/A;)Llib/Base;", "lib.Base") in usage.pairs(UseKind.TYPE_DEPENDENCY)
 
 
-def test_unresolved_references_go_to_external_bucket():
+def test_unresolved_references_are_dropped():
     usage = _usage(
         [
             ClassSpec(
@@ -133,8 +133,6 @@ def test_unresolved_references_go_to_external_bucket():
         ]
     )
     assert usage.pairs(UseKind.METHOD_INVOCATION) == set()
-    assert ("cli.C.body()V", "java.lang.String.length()I") in usage.external
-    assert ("cli.C.body()V", "lib.A.nosuch()V") in usage.external
 
 
 def test_inherited_member_resolves_against_host_type():
@@ -159,12 +157,9 @@ def test_extends_closure_mirrors_hierarchy_declarations():
     ]
     usage = _usage(client_specs)
     assert usage.pairs(UseKind.EXTENDS) == {("cli.Sub", "lib.Base")}
-    # The internal edge is not fabricated into the library relation but the
-    # unresolved super lands in the external bucket.
-    assert ("cli.Other", "cli.Sub") in usage.external
 
 
-def test_thrown_or_caught_never_populated():
+def test_declared_exceptions_are_type_dependencies():
     usage = _usage(
         [
             ClassSpec(
@@ -173,8 +168,6 @@ def test_thrown_or_caught_never_populated():
             )
         ]
     )
-    assert usage.pairs(UseKind.THROWN_OR_CAUGHT) == set()
-    # Declared exceptions surface as type dependencies instead.
     assert ("cli.C.m()V", "lib.Base") in usage.pairs(UseKind.TYPE_DEPENDENCY)
 
 
