@@ -137,7 +137,7 @@ def detection_tests(level_values: dict[str, list[float]]) -> dict:
         ys = level_values.get(b) or []
         if not xs or not ys:
             continue
-        mw = mann_whitney(xs, ys, two_tailed=True)
+        mw = mann_whitney(xs, ys)
         delta, label = cliffs_delta(xs, ys)
         pairs.append(
             {"pair": f"{a} vs {b}", "p": mw.p_value, "cliffs_delta": delta, "interpretation": label}

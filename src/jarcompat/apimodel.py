@@ -163,7 +163,6 @@ class EffectiveMember(NamedTuple):
     """A member visible on a host type, possibly inherited."""
 
     decl: MemberDecl
-    host: str
     inherited_from: str | None
 
 
@@ -302,25 +301,6 @@ def classify_member_stability(
     return STABLE
 
 
-def classify_stability(
-    element: TypeDecl | MemberDecl,
-    config: StabilityConfig | None = None,
-    *,
-    model: "ApiModel | None" = None,
-) -> StabilityLabel:
-    """Stability of a single declaration; uses ``model`` for enclosure lookups."""
-    config = config or StabilityConfig()
-    if isinstance(element, TypeDecl):
-        enclosing = None
-        if model is not None and element.enclosing_name:
-            enclosing = model.stability.get(element.enclosing_name)
-        return classify_type_stability(element, config, enclosing)
-    owner_label = STABLE
-    if model is not None:
-        owner_label = model.stability.get(element.owner, STABLE)
-    return classify_member_stability(element, config, owner_label)
-
-
 def _member_decl(owner: RawClass, raw: RawMember) -> MemberDecl:
     if raw.is_method:
         kind = "constructor" if raw.name == "<init>" else "method"
@@ -389,9 +369,9 @@ def _collect_effective(
 
     for member in decl.members:
         if member.member_kind == "field":
-            fields[member.name] = EffectiveMember(member, type_name, None)
+            fields[member.name] = EffectiveMember(member, None)
         else:
-            methods[(member.name, member.descriptor)] = EffectiveMember(member, type_name, None)
+            methods[(member.name, member.descriptor)] = EffectiveMember(member, None)
 
     supertypes: list[str] = []
     if decl.super_name:
@@ -411,11 +391,11 @@ def _collect_effective(
                 "annotation",
             ):
                 continue  # static interface methods are not inherited
-            methods.setdefault(key, EffectiveMember(inner, type_name, inner.owner))
+            methods.setdefault(key, EffectiveMember(inner, inner.owner))
         for key, eff in parent_fields.items():
             if eff.decl.visibility == "private":
                 continue
-            fields.setdefault(key, EffectiveMember(eff.decl, type_name, eff.decl.owner))
+            fields.setdefault(key, EffectiveMember(eff.decl, eff.decl.owner))
 
     in_progress.discard(type_name)
     methods_out[type_name] = methods

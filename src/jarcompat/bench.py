@@ -40,7 +40,6 @@ class BenchCase:
     client_jar: Path
     entry: str  # qualified name of the entry-point client type
     oracle: OracleRecord | None = None
-    expected_kind: str | None = None
     known_gap: str | None = None  # names a documented detection gap
 
 
@@ -166,7 +165,6 @@ def load_manifest(path: str | Path) -> list[BenchCase]:
                 client_jar=root / entry["client"],
                 entry=entry["entry"],
                 oracle=oracle,
-                expected_kind=entry.get("expectedKind"),
                 known_gap=entry.get("knownGap"),
             )
         )
@@ -177,17 +175,15 @@ def _belongs_to_entry(element: str, entry: str) -> bool:
     return element == entry or element.startswith(entry + ".")
 
 
-def _matches_oracle(detection: Detection, oracle_pairs: set[tuple[str, str]]) -> bool:
-    for client, library in oracle_pairs:
-        if detection.client_element != client:
-            continue
-        if detection.library_element == library:
-            return True
-        if member_owner(detection.library_element) == library:
-            return True
-        if member_owner(library) == detection.library_element:
-            return True
-    return False
+def _matches_oracle(detection: Detection, oracle: OracleRecord) -> bool:
+    if detection.client_element != oracle.client_element:
+        return False
+    library = oracle.library_element
+    return (
+        detection.library_element == library
+        or member_owner(detection.library_element) == library
+        or member_owner(library) == detection.library_element
+    )
 
 
 def run_case(case: BenchCase, config: StabilityConfig | None = None) -> CaseVerdict:
@@ -214,25 +210,16 @@ def run_case(case: BenchCase, config: StabilityConfig | None = None) -> CaseVerd
         unique.setdefault((detection.client_element, detection.library_element), detection)
     verdict.detections = list(unique.values())
 
-    oracle_pairs: set[tuple[str, str]] = set()
-    if case.oracle is not None:
-        oracle_pairs.add((case.oracle.client_element, case.oracle.library_element))
-
-    matched_oracles: set[tuple[str, str]] = set()
+    # A case has at most one oracle: it is found (tp 1) or missed (fn 1).
     for detection in verdict.detections:
-        hit = None
-        for pair in oracle_pairs:
-            if _matches_oracle(detection, {pair}):
-                hit = pair
-                break
-        if hit is not None:
-            matched_oracles.add(hit)
+        if case.oracle is not None and _matches_oracle(detection, case.oracle):
+            verdict.tp = 1
         else:
             verdict.fp += 1
             verdict.fp_detections.append(detection)
             verdict.fp_rules.append(rule_note(detection.bc_kind, detection.use_kind))
-    verdict.tp = len(matched_oracles)
-    verdict.fn = len(oracle_pairs - matched_oracles)
+    if case.oracle is not None:
+        verdict.fn = 1 - verdict.tp
     return verdict
 
 

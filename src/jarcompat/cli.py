@@ -171,21 +171,17 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         log.warning("%s", diagnostic)
 
     if args.corpus_command == "derive":
-        derivation = derive_upgrades(index_graph(graph), args.jars)
+        upgrades, exclusion_rows = derive_upgrades(index_graph(graph), args.jars)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_csv(
             out / "upgrades.csv",
             UPGRADE_COLUMNS[: UPGRADE_COLUMNS.index("level") + 1],
-            [[upgrade.group_id, upgrade.artifact_id, upgrade.v1.raw, upgrade.v2.raw,
-              upgrade.level.value if upgrade.level else ""]
-             for upgrade in derivation.upgrades],
+            [[u.rec1.group_id, u.rec1.artifact_id, u.v1.raw, u.v2.raw, u.level.value]
+             for u in upgrades],
         )
-        write_exclusions(out, derivation)
-        log.info(
-            "derived %d upgrades (%d candidates, %d excluded)",
-            len(derivation.upgrades), derivation.candidate_count, len(derivation.excluded),
-        )
+        write_exclusions(out / "exclusions.csv", exclusion_rows)
+        log.info("derived %d upgrades, %d exclusion rows", len(upgrades), len(exclusion_rows))
         return EXIT_OK
 
     options = PipelineOptions(

@@ -10,8 +10,8 @@ Upgrade candidates are pairs of semver-compliant versions adjacent along
 NEXT edges after skipping non-compliant intermediates. NEXT order is
 trusted over release dates so maintenance releases stay on their branch;
 the release-date filter only rejects inverted dates inside an emitted pair.
-Every candidate is either emitted or carries exactly one exclusion reason,
-so the accounting reconciles.
+Every candidate is either emitted or excluded with exactly one reason, so
+the accounting reconciles.
 """
 
 from __future__ import annotations
@@ -40,18 +40,6 @@ from .usage import extract_usage
 
 DEPENDS_SCOPES = ("compile", "test", "provided", "runtime", "system")
 CLIENT_SCOPES = ("compile", "test")
-
-# Pair-level exclusion reasons, in the order filters run.
-EXCLUSION_REASONS = (
-    "not_an_upgrade",
-    "no_external_client",
-    "packaging_not_jar",
-    "jar_unavailable",
-    "unreadable_jar",
-    "non_java_language",
-    "invalid_java_version",
-    "release_date_inversion",
-)
 
 
 class SchemaError(ValueError):
@@ -92,50 +80,16 @@ class DependencyGraph:
     diagnostics: list[str] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Upgrade:
-    group_id: str
-    artifact_id: str
+    """An emitted upgrade, with the edges of v1's external compile/test clients."""
+
+    rec1: ArtifactRecord
+    rec2: ArtifactRecord
     v1: Version
     v2: Version
-    level: SemverLevel | None = None
-    exclusion_reason: str | None = None
-
-    @property
-    def library(self) -> tuple[str, str]:
-        return (self.group_id, self.artifact_id)
-
-    @property
-    def v1_coord(self) -> str:
-        return f"{self.group_id}:{self.artifact_id}:{self.v1.raw}"
-
-    @property
-    def v2_coord(self) -> str:
-        return f"{self.group_id}:{self.artifact_id}:{self.v2.raw}"
-
-
-@dataclass(frozen=True)
-class ClientRef:
-    group_id: str
-    artifact_id: str
-    version: str
-    depended_version: str  # coordinate of the library v1
-    scope: str
-
-    @property
-    def coord(self) -> str:
-        return f"{self.group_id}:{self.artifact_id}:{self.version}"
-
-
-@dataclass
-class CorpusDerivation:
-    upgrades: list[Upgrade] = field(default_factory=list)
-    excluded: list[Upgrade] = field(default_factory=list)
-    skipped_versions: list[tuple[str, str]] = field(default_factory=list)  # (coord, reason)
-
-    @property
-    def candidate_count(self) -> int:
-        return len(self.upgrades) + len(self.excluded)
+    level: SemverLevel
+    clients: tuple[GraphEdge, ...]
 
 
 def _parse_date(text: str, where: str) -> datetime:
@@ -370,18 +324,21 @@ def derive_upgrades(
     index: GraphIndex,
     jar_root: str | Path | None = None,
     probe: _JarProbe | None = None,
-) -> CorpusDerivation:
-    """Apply the selection filters and return emitted plus excluded candidates.
+) -> tuple[list[Upgrade], list[list]]:
+    """Apply the selection filters: the emitted upgrades and the exclusions.csv rows.
 
     Versions that are qualified, date-like, or unparseable never become
-    candidate endpoints; they are recorded in ``skipped_versions`` and
-    skipped when pairing neighbours. A caller that passes its own ``probe``
-    (which then supplies the JAR root) keeps the JARs the filters opened.
+    candidate endpoints; each gets one ``version`` row and is skipped when
+    pairing neighbours. Every other candidate pair is emitted or gets one
+    ``pair`` row. Version rows come first, by coordinate, then pair rows by
+    (group, artifact, v1, v2). A caller that passes its own ``probe`` (which
+    then supplies the JAR root) keeps the JARs the filters opened.
     """
     probe = probe or _JarProbe(Path(jar_root) if jar_root is not None else None)
-    derivation = CorpusDerivation()
+    upgrades: list[Upgrade] = []
+    skipped: dict[str, str] = {}
+    excluded: list[tuple[tuple[str, ...], list]] = []
     seen_pairs: set[tuple[str, str]] = set()
-    seen_skips: set[str] = set()
 
     for library in sorted(index.chains):
         for chain in index.chains[library]:
@@ -394,40 +351,39 @@ def derive_upgrades(
                     skip = "unparseable"
                 if skip is None:
                     compliant.append((record, version))
-                elif record.coord not in seen_skips:
-                    seen_skips.add(record.coord)
-                    derivation.skipped_versions.append((record.coord, skip))
+                else:
+                    skipped.setdefault(record.coord, skip)
 
             for (rec1, v1), (rec2, v2) in zip(compliant, compliant[1:]):
                 if (rec1.coord, rec2.coord) in seen_pairs:
                     continue
                 seen_pairs.add((rec1.coord, rec2.coord))
-                upgrade = Upgrade(
-                    group_id=rec1.group_id, artifact_id=rec1.artifact_id, v1=v1, v2=v2
-                )
-                reason = _first_exclusion(index.graph, probe, rec1, rec2, v1, v2, upgrade)
-                if reason is None:
-                    derivation.upgrades.append(upgrade)
+                selected = _select(index.graph, probe, rec1, rec2, v1, v2)
+                if isinstance(selected, Upgrade):
+                    upgrades.append(selected)
                 else:
-                    upgrade.exclusion_reason = reason
-                    derivation.excluded.append(upgrade)
-    return derivation
+                    row = ["pair", rec1.coord, rec2.coord, selected]
+                    excluded.append(((*library, v1.raw, v2.raw), row))
+    rows = [["version", coord, "", reason] for coord, reason in sorted(skipped.items())]
+    rows += [row for _, row in sorted(excluded, key=itemgetter(0))]
+    return upgrades, rows
 
 
-def _first_exclusion(
+def _select(
     graph: DependencyGraph,
     probe: _JarProbe,
     rec1: ArtifactRecord,
     rec2: ArtifactRecord,
     v1: Version,
     v2: Version,
-    upgrade: Upgrade,
-) -> str | None:
+) -> Upgrade | str:
+    """The pair as an upgrade, or the reason of the first filter that excludes it."""
     try:
-        upgrade.level = classify_upgrade(v1, v2)
+        level = classify_upgrade(v1, v2)
     except NotAnUpgrade:
         return "not_an_upgrade"
-    if not _external_clients(graph, rec1):
+    clients = _external_clients(graph, rec1)
+    if not clients:
         return "no_external_client"
     if rec1.packaging != "jar" or rec2.packaging != "jar":
         return "packaging_not_jar"
@@ -444,34 +400,19 @@ def _first_exclusion(
             return "invalid_java_version"
     if rec1.release_date > rec2.release_date:
         return "release_date_inversion"
-    return None
+    return Upgrade(rec1, rec2, v1, v2, level, tuple(clients))
 
 
-def derive_clients(upgrade: Upgrade, index: GraphIndex) -> list[ClientRef]:
-    """External compile/test clients of v1, one (latest) version per client."""
-    graph = index.graph
-    rec1 = graph.artifacts.get(upgrade.v1_coord)
-    if rec1 is None:
-        return []
-    best: dict[tuple[str, str], tuple[tuple, ClientRef]] = {}
-    for edge in _external_clients(graph, rec1):
-        client = graph.artifacts[edge.src]
-        ref = ClientRef(
-            group_id=client.group_id,
-            artifact_id=client.artifact_id,
-            version=client.version,
-            depended_version=rec1.coord,
-            scope=edge.scope or "compile",
-        )
-        rank = (
-            index.positions.get(client.coord, -1),
-            client.release_date,
-            client.version,
-        )
-        key = client.library
-        if key not in best or rank > best[key][0]:
-            best[key] = (rank, ref)
-    return [ref for _, ref in sorted(best.values(), key=lambda item: item[1].coord)]
+def derive_clients(upgrade: Upgrade, index: GraphIndex) -> list[GraphEdge]:
+    """The edge of each external client of v1, from its latest version, by client coordinate."""
+    artifacts = index.graph.artifacts
+    best: dict[tuple[str, str], tuple[tuple, GraphEdge]] = {}
+    for edge in upgrade.clients:
+        client = artifacts[edge.src]
+        rank = (index.positions.get(edge.src, -1), client.release_date, client.version)
+        if client.library not in best or rank > best[client.library][0]:
+            best[client.library] = (rank, edge)
+    return [edge for _, edge in sorted(best.values(), key=lambda item: item[1].src)]
 
 
 # --- pipeline ---------------------------------------------------------------
@@ -487,6 +428,9 @@ DETECTION_COLUMNS = (
     "library", "v1", "v2", "client", "clientElement", "libraryElement",
     "useKind", "bcKind", "confidence", "stability",
 )
+# A skipped version's row has stage "version" and an empty v2; an excluded
+# pair's has stage "pair".
+EXCLUSION_COLUMNS = ("stage", "subject", "v2", "reason")
 
 
 def _columns(table: tuple[str, ...], *names: str) -> itemgetter:
@@ -501,6 +445,8 @@ _DETECTION_ORDER = _columns(
     DETECTION_COLUMNS,
     "library", "v1", "client", "clientElement", "libraryElement", "bcKind", "useKind",
 )
+_UPGRADE_LEVEL = _columns(UPGRADE_COLUMNS, "level")
+_EXCLUSION_STAGE_REASON = _columns(EXCLUSION_COLUMNS, "stage", "reason")
 
 
 @dataclass
@@ -519,8 +465,9 @@ def _hash_jars(*paths: Path) -> str:
 
 
 def _delta_filename(upgrade: Upgrade) -> str:
+    rec1 = upgrade.rec1
     return (
-        f"{upgrade.group_id}__{upgrade.artifact_id}__{upgrade.v1.raw}__{upgrade.v2.raw}.json"
+        f"{rec1.group_id}__{rec1.artifact_id}__{upgrade.v1.raw}__{upgrade.v2.raw}.json"
     ).replace("/", "_")
 
 
@@ -534,10 +481,10 @@ class _LibraryTask:
 
 @dataclass
 class _LibraryResult:
-    """One library's selection accounting and its rows of each output table."""
+    """One library's rows of each output table."""
 
-    derivation: CorpusDerivation
     upgrade_rows: list[list] = field(default_factory=list)
+    exclusion_rows: list[list] = field(default_factory=list)
     client_rows: list[list] = field(default_factory=list)
     detection_rows: list[list] = field(default_factory=list)
 
@@ -572,33 +519,35 @@ def run_pipeline(
     else:
         results = [_run_library(task) for task in tasks]
 
-    # Results arrive in (group, artifact) order, the order of upgrades.csv.
-    derivation = CorpusDerivation()
+    # Results arrive in (group, artifact) order, the order of upgrades.csv
+    # and of the excluded pairs.
     upgrade_rows: list[list] = []
+    exclusion_rows: list[list] = []
     client_rows: list[list] = []
     detection_rows: list[list] = []
     for result in results:
-        derivation.upgrades += result.derivation.upgrades
-        derivation.excluded += result.derivation.excluded
-        derivation.skipped_versions += result.derivation.skipped_versions
         upgrade_rows += result.upgrade_rows
+        exclusion_rows += result.exclusion_rows
         client_rows += result.client_rows
         detection_rows += result.detection_rows
 
     write_csv(out / "upgrades.csv", UPGRADE_COLUMNS, upgrade_rows)
-    write_exclusions(out, derivation)
+    write_exclusions(out / "exclusions.csv", exclusion_rows)
     write_csv(out / "clients.csv", CLIENT_COLUMNS, sorted(client_rows, key=_CLIENT_ORDER))
     write_csv(
         out / "detections.csv", DETECTION_COLUMNS, sorted(detection_rows, key=_DETECTION_ORDER)
     )
+    reasons: dict[str, Counter] = {"pair": Counter(), "version": Counter()}
+    for stage, reason in map(_EXCLUSION_STAGE_REASON, exclusion_rows):
+        reasons[stage][reason] += 1
     summary = {
         "schemaVersion": 1,
-        "candidates": derivation.candidate_count,
-        "emitted": len(derivation.upgrades),
-        "excluded": len(derivation.excluded),
-        "exclusionReasons": Counter(u.exclusion_reason for u in derivation.excluded),
-        "skippedVersions": Counter(reason for _, reason in derivation.skipped_versions),
-        "upgradesByLevel": Counter(u.level.value for u in derivation.upgrades),
+        "candidates": len(upgrade_rows) + reasons["pair"].total(),
+        "emitted": len(upgrade_rows),
+        "excluded": reasons["pair"].total(),
+        "exclusionReasons": reasons["pair"],
+        "skippedVersions": reasons["version"],
+        "upgradesByLevel": Counter(map(_UPGRADE_LEVEL, upgrade_rows)),
         "clients": len(client_rows),
         "detections": len(detection_rows),
     }
@@ -617,18 +566,19 @@ def _run_library(task: _LibraryTask) -> _LibraryResult:
     which the upgrades were derived.
     """
     probe = _JarProbe(task.jar_root, task.config)
-    result = _LibraryResult(derive_upgrades(task.index, probe=probe))
+    upgrades, exclusion_rows = derive_upgrades(task.index, probe=probe)
+    result = _LibraryResult(exclusion_rows=exclusion_rows)
     artifacts = task.index.graph.artifacts
     by_version: list[tuple[tuple, list]] = []
-    for upgrade in result.derivation.upgrades:
-        rec1, rec2 = artifacts[upgrade.v1_coord], artifacts[upgrade.v2_coord]
-        delta = _upgrade_delta(upgrade, rec1, rec2, probe, task.deltas)
-        library = f"{upgrade.group_id}:{upgrade.artifact_id}"
+    for upgrade in upgrades:
+        rec1, rec2 = upgrade.rec1, upgrade.rec2
+        delta = _upgrade_delta(upgrade, probe, task.deltas)
+        library = f"{rec1.group_id}:{rec1.artifact_id}"
         v1, v2, level = upgrade.v1.raw, upgrade.v2.raw, upgrade.level.value
         by_version.append((
             (upgrade.v1.key(), upgrade.v2.key()),
             [
-                upgrade.group_id, upgrade.artifact_id, v1, v2, level, rec2.release_date.year,
+                rec1.group_id, rec1.artifact_id, v1, v2, level, rec2.release_date.year,
                 str(is_breaking(delta, "stable")).lower(),
                 str(is_breaking(delta, "all")).lower(),
                 len(delta.changes),
@@ -639,8 +589,8 @@ def _run_library(task: _LibraryTask) -> _LibraryResult:
         stability: dict[tuple[str, str], str] = {}
         for change in delta.changes:
             stability.setdefault((change.element, change.kind.value), change.stability.status)
-        for client in derive_clients(upgrade, task.index):
-            client_jar = probe.resolve(artifacts[client.coord])
+        for edge in derive_clients(upgrade, task.index):
+            client_jar = probe.resolve(artifacts[edge.src])
             broken = ""
             detection_count = 0
             if client_jar is not None and client_jar.exists():
@@ -651,26 +601,24 @@ def _run_library(task: _LibraryTask) -> _LibraryResult:
                 detection_count = impact.detection_count
                 result.detection_rows += (
                     [
-                        library, v1, v2, client.coord, d.client_element, d.library_element,
+                        library, v1, v2, edge.src, d.client_element, d.library_element,
                         d.use_kind.value, d.bc_kind.value, d.confidence,
                         stability.get((d.library_element, d.bc_kind.value), ""),
                     ]
                     for d in detections
                 )
             result.client_rows.append(
-                [client.coord, client.scope, library, v1, v2, level, broken, detection_count]
+                [edge.src, edge.scope, library, v1, v2, level, broken, detection_count]
             )
     by_version.sort(key=itemgetter(0))
     result.upgrade_rows = [row for _, row in by_version]
     return result
 
 
-def _upgrade_delta(
-    upgrade: Upgrade, rec1: ArtifactRecord, rec2: ArtifactRecord, probe: _JarProbe, deltas: Path
-) -> Delta:
+def _upgrade_delta(upgrade: Upgrade, probe: _JarProbe, deltas: Path) -> Delta:
     """The delta file's content when its input hash still matches, else a new delta, written."""
-    v1_path = probe.resolve(rec1)
-    v2_path = probe.resolve(rec2)
+    v1_path = probe.resolve(upgrade.rec1)
+    v2_path = probe.resolve(upgrade.rec2)
     assert v1_path is not None and v2_path is not None  # filtered earlier
     delta_path = deltas / _delta_filename(upgrade)
     input_hash = _hash_jars(v1_path, v2_path)
@@ -678,7 +626,7 @@ def _upgrade_delta(
         payload = json.loads(delta_path.read_text(encoding="utf-8"))
         if payload.get("inputHash") == input_hash:
             return Delta.from_dict(payload)
-    delta = compute_delta(probe.model(rec1), probe.model(rec2))
+    delta = compute_delta(probe.model(upgrade.rec1), probe.model(upgrade.rec2))
     payload = delta.to_dict()
     payload["inputHash"] = input_hash
     delta_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
@@ -696,16 +644,16 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
         writer.writerows(rows)
 
 
-def write_exclusions(out: Path, derivation: CorpusDerivation) -> None:
-    """exclusions.csv: skipped versions, then excluded pairs sorted by coordinates."""
-    rows = [["version", coord, "", reason] for coord, reason in sorted(derivation.skipped_versions)]
-    rows += [
-        ["pair", upgrade.v1_coord, upgrade.v2_coord, upgrade.exclusion_reason or ""]
-        for upgrade in sorted(
-            derivation.excluded, key=lambda u: (u.group_id, u.artifact_id, u.v1.raw, u.v2.raw)
-        )
-    ]
-    write_csv(out / "exclusions.csv", ["stage", "subject", "v2", "reason"], rows)
+def write_exclusions(path: Path, rows: list[list]) -> None:
+    """exclusions.csv from the rows of ``derive_upgrades`` calls made in
+    (group, artifact) order: skipped versions by coordinate string, then the
+    excluded pairs as given, which keeps them in (group, artifact, v1, v2)
+    order. The two orders differ: ("org.lib1", ...) comes before
+    ("org.lib10", ...), but "org.lib10:..." before "org.lib1:..."."""
+    stage = _columns(EXCLUSION_COLUMNS, "stage")
+    versions = [row for row in rows if stage(row) == "version"]
+    versions.sort(key=_columns(EXCLUSION_COLUMNS, "subject"))
+    write_csv(path, EXCLUSION_COLUMNS, versions + [row for row in rows if stage(row) == "pair"])
 
 
 def _write_samples(out: Path, client_rows: list[list], options: PipelineOptions) -> None:

@@ -515,12 +515,6 @@ def compute_delta(old: ApiModel, new: ApiModel) -> Delta:
     """
     builder = _DeltaBuilder(old, new)
     builder.compare_types()
-    delta = Delta(old_id=old.id, new_id=new.id)
-    seen: set[tuple[str, str]] = set()
-    for change in sorted(builder.changes, key=BreakingChange.sort_key):
-        key = (change.element, change.kind.value)
-        if key in seen:
-            continue
-        seen.add(key)
-        delta.changes.append(change)
-    return delta
+    # The builder emits each distinct change once; the stable sort keeps
+    # same-keyed records (one per interface) in the order they were found.
+    return Delta(old.id, new.id, sorted(builder.changes, key=BreakingChange.sort_key))

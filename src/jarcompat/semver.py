@@ -92,13 +92,6 @@ def parse_version(text: str) -> Version:
     )
 
 
-def print_version(version: Version) -> str:
-    """Canonical string for a compliant version; inverse of parse_version."""
-    if version.patch is None:
-        return f"{version.major}.{version.minor}"
-    return f"{version.major}.{version.minor}.{version.patch}"
-
-
 def classify_upgrade(v1: Version, v2: Version) -> SemverLevel:
     """Classify an upgrade between two compliant versions.
 

@@ -31,9 +31,6 @@ class EmptyInput(ValueError):
 class TestResult:
     statistic: float
     p_value: float
-    adjusted_p: float | None = None
-    effect_size: float | None = None
-    interpretation: str | None = None
 
 
 @dataclass
@@ -295,8 +292,8 @@ def holm_bonferroni(p_values: Sequence[float]) -> list[float]:
 _MW_EXACT_LIMIT = 16
 
 
-def mann_whitney(xs: Sequence[float], ys: Sequence[float], two_tailed: bool = True) -> TestResult:
-    """Mann-Whitney U test.
+def mann_whitney(xs: Sequence[float], ys: Sequence[float]) -> TestResult:
+    """Two-tailed Mann-Whitney U test.
 
     U is the rank sum of ``xs`` in the pooled sample minus n(n+1)/2. Small
     samples (n + m <= 16) use exact enumeration over all group assignments,
@@ -320,10 +317,7 @@ def mann_whitney(xs: Sequence[float], ys: Sequence[float], two_tailed: bool = Tr
         for chosen in combinations(ranks, n):
             u_perm = sum(chosen) - offset
             total += 1
-            if two_tailed:
-                if abs(u_perm - center) >= observed_dev - 1e-12:
-                    extreme += 1
-            elif u_perm >= u - 1e-12:
+            if abs(u_perm - center) >= observed_dev - 1e-12:
                 extreme += 1
         return TestResult(statistic=u, p_value=min(1.0, extreme / total))
 
@@ -334,8 +328,7 @@ def mann_whitney(xs: Sequence[float], ys: Sequence[float], two_tailed: bool = Tr
         return TestResult(statistic=u, p_value=1.0)
     deviation = abs(u - center)
     z = max(0.0, deviation - 0.5) / math.sqrt(sigma_sq)
-    p = 2.0 * normal_sf(z) if two_tailed else normal_sf(z)
-    return TestResult(statistic=u, p_value=min(1.0, p))
+    return TestResult(statistic=u, p_value=min(1.0, 2.0 * normal_sf(z)))
 
 
 def _rank_table(values: Iterable[float]) -> tuple[dict[float, float], list[int]]:

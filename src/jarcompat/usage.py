@@ -45,12 +45,6 @@ class UsageModel:
     def pairs(self, kind: UseKind) -> set[Pair]:
         return self.relations[kind]
 
-    def to_dict(self) -> dict:
-        return {
-            kind.value: sorted([list(pair) for pair in self.relations[kind]])
-            for kind in UseKind
-        }
-
 
 class _Extractor:
     def __init__(self, library: ApiModel) -> None:

@@ -520,7 +520,6 @@ def write_benchmark(root: Path) -> Path:
                 "client": f"{case.case_id}/client.jar",
                 "entry": case.entry,
                 "oracle": case.oracle,
-                "expectedKind": case.expected_kind,
                 "knownGap": case.known_gap,
             }
         )

@@ -189,19 +189,19 @@ def test_criterion_08_detection_oracle_suite(tmp_path):
 def test_criterion_09_semver_pipeline(tmp_path):
     artifacts, edges, jar_root = build_fixture(tmp_path / "fixture")
     graph = load_graph(artifacts, edges)
-    derivation = derive_upgrades(index_graph(graph), jar_root)
+    upgrades, exclusions = derive_upgrades(index_graph(graph), jar_root)
     emitted = {
         (u.v1.raw, u.v2.raw, u.level)
-        for u in derivation.upgrades
-        if u.artifact_id == "servlet-api"
+        for u in upgrades
+        if u.rec1.artifact_id == "servlet-api"
     }
     assert emitted == {
         ("3.0.1", "3.1.0", SemverLevel.MINOR),
         ("3.1.0", "4.0.0", SemverLevel.MAJOR),
         ("4.0.0", "4.0.1", SemverLevel.PATCH),
     }
-    assert len(derivation.upgrades) == 3
-    skipped = dict(derivation.skipped_versions)
+    assert len(upgrades) == 3
+    skipped = {subject: reason for stage, subject, _, reason in exclusions if stage == "version"}
     assert skipped["javax.servlet:servlet-api:3.1-b01"] == "qualified"
     assert skipped["javax.servlet:servlet-api:4.0.0-b01"] == "qualified"
 
@@ -215,8 +215,8 @@ def test_criterion_09_semver_pipeline(tmp_path):
         ("DEPENDS", "compile", "x:c:1.0.0", "g:lib:2.5.20110712"),
     ]
     a2, e2 = write_graph_csvs(tmp_path / "datelike", artifact_rows=rows, edge_rows=edge_rows)
-    date_derivation = derive_upgrades(index_graph(load_graph(a2, e2)))
-    assert dict(date_derivation.skipped_versions) == {"g:lib:2.5.20110712": "date_like"}
+    _, date_exclusions = derive_upgrades(index_graph(load_graph(a2, e2)))
+    assert date_exclusions == [["version", "g:lib:2.5.20110712", "", "date_like"]]
     _verdict(
         9,
         True,

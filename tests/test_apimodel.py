@@ -11,7 +11,6 @@ from jarcompat.apimodel import (
     StabilityConfig,
     api_surface,
     build_model,
-    classify_stability,
     member_owner,
     member_ref,
     rehost_member,
@@ -153,8 +152,8 @@ def test_stability_totality():
 def test_classify_stability_standalone():
     model = model_of([ClassSpec("p.A", methods=(MethodSpec("m"),))])
     decl = model.types["p.A"]
-    assert classify_stability(decl, model=model).status == "stable"
-    assert classify_stability(decl.members[0], model=model).status == "stable"
+    assert model.stability[decl.qualified_name].status == "stable"
+    assert model.stability[decl.members[0].ref].status == "stable"
 
 
 def test_config_file_round_trip(tmp_path):

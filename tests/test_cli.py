@@ -16,7 +16,7 @@ import pytest
 
 from bench_cases import write_benchmark
 from conftest import write_jar
-from corpus_fixture import build_fixture
+from corpus_fixture import build_fixture, write_graph_csvs
 from jarcompat.analyze import analyze_results
 from jarcompat.classfile import ClassSpec, MethodSpec
 from jarcompat.cli import build_parser, main
@@ -205,6 +205,54 @@ def test_corpus_derive_exclusions_match_run(tmp_path):
     derived = (tmp_path / "derived" / "exclusions.csv").read_bytes()
     assert derived.count(b"\n") > 1
     assert derived == (tmp_path / "ran" / "exclusions.csv").read_bytes()
+
+
+# "org.lib1" sorts before "org.lib10" as a (group, artifact) tuple, but
+# "org.lib10:..." sorts before "org.lib1:..." as a string, and version "1.10.0"
+# sorts before "1.9.0" as a string.
+ORDERING_ROWS = [
+    ("org.lib1", "lib1", "1.9.0", "2015-01-01", "jar", ""),
+    ("org.lib1", "lib1", "1.10.0-rc1", "2015-06-01", "jar", ""),
+    ("org.lib1", "lib1", "1.10.0", "2016-01-01", "jar", ""),
+    ("org.lib1", "lib1", "2.0.0", "2017-01-01", "jar", ""),
+    ("org.lib10", "lib10", "1.0.0", "2015-01-01", "jar", ""),
+    ("org.lib10", "lib10", "1.1.0-beta", "2015-06-01", "jar", ""),
+    ("org.lib10", "lib10", "1.1.0", "2016-01-01", "jar", ""),
+    ("x.c", "c", "1.0.0", "2015-02-01", "jar", ""),
+]
+ORDERING_EDGES = [
+    ("NEXT", "", "org.lib1:lib1:1.9.0", "org.lib1:lib1:1.10.0-rc1"),
+    ("NEXT", "", "org.lib1:lib1:1.10.0-rc1", "org.lib1:lib1:1.10.0"),
+    ("NEXT", "", "org.lib1:lib1:1.10.0", "org.lib1:lib1:2.0.0"),
+    ("NEXT", "", "org.lib10:lib10:1.0.0", "org.lib10:lib10:1.1.0-beta"),
+    ("NEXT", "", "org.lib10:lib10:1.1.0-beta", "org.lib10:lib10:1.1.0"),
+    ("DEPENDS", "compile", "x.c:c:1.0.0", "org.lib10:lib10:1.0.0"),
+]
+ORDERED_EXCLUSIONS = """\
+stage,subject,v2,reason
+version,org.lib10:lib10:1.1.0-beta,,qualified
+version,org.lib1:lib1:1.10.0-rc1,,qualified
+pair,org.lib1:lib1:1.10.0,org.lib1:lib1:2.0.0,no_external_client
+pair,org.lib1:lib1:1.9.0,org.lib1:lib1:1.10.0,no_external_client
+pair,org.lib10:lib10:1.0.0,org.lib10:lib10:1.1.0,jar_unavailable
+"""
+
+
+@pytest.mark.parametrize(
+    "command", [["derive"], ["run", "--jobs", "1"], ["run", "--jobs", "2"]],
+    ids=["derive", "run-jobs-1", "run-jobs-2"],
+)
+def test_exclusions_order_versions_by_string_then_pairs_by_tuple(tmp_path, command):
+    artifacts, edges = write_graph_csvs(tmp_path / "graph", ORDERING_ROWS, ORDERING_EDGES)
+    out = tmp_path / "out"
+    assert main(["corpus", command[0], "--artifacts", str(artifacts), "--edges", str(edges),
+                 "--out", str(out), *command[1:]]) == 0
+    assert (out / "exclusions.csv").read_text(encoding="utf-8") == ORDERED_EXCLUSIONS
+    if command[0] == "run":
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert (summary["candidates"], summary["emitted"], summary["excluded"]) == (3, 0, 3)
+        assert summary["exclusionReasons"] == {"no_external_client": 2, "jar_unavailable": 1}
+        assert summary["skippedVersions"] == {"qualified": 2}
 
 
 def test_corpus_derive_rejects_run_only_flags(tmp_path):

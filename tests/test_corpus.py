@@ -22,6 +22,14 @@ from jarcompat.corpus import (
 from jarcompat.semver import SemverLevel
 
 
+def pair_reasons(exclusions: list[list]) -> list[str]:
+    return [reason for stage, _, _, reason in exclusions if stage == "pair"]
+
+
+def skipped_versions(exclusions: list[list]) -> dict[str, str]:
+    return {subject: reason for stage, subject, _, reason in exclusions if stage == "version"}
+
+
 @pytest.fixture
 def fig_graph(tmp_path):
     artifacts, edges, jar_root = build_fixture(tmp_path / "fixture")
@@ -42,7 +50,7 @@ def test_load_graph_empty(tmp_path):
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=[], edge_rows=[])
     graph = load_graph(artifacts, edges)
     assert graph.artifacts == {}
-    assert derive_upgrades(index_graph(graph)).candidate_count == 0
+    assert derive_upgrades(index_graph(graph)) == ([], [])
 
 
 def test_load_graph_duplicate_coordinates(tmp_path):
@@ -74,30 +82,31 @@ def test_load_graph_dangling_edge_is_diagnostic(tmp_path):
 
 def test_derive_upgrades_fig_fixture(fig_graph):
     graph, jar_root = fig_graph
-    derivation = derive_upgrades(index_graph(graph), jar_root)
+    upgrades, exclusions = derive_upgrades(index_graph(graph), jar_root)
     emitted = {
         (u.v1.raw, u.v2.raw, u.level)
-        for u in derivation.upgrades
-        if u.artifact_id == "servlet-api"
+        for u in upgrades
+        if u.rec1.artifact_id == "servlet-api"
     }
     assert emitted == {
         ("3.0.1", "3.1.0", SemverLevel.MINOR),
         ("3.1.0", "4.0.0", SemverLevel.MAJOR),
         ("4.0.0", "4.0.1", SemverLevel.PATCH),
     }
-    assert len(derivation.upgrades) == 3  # client-side chains all excluded
-    skipped = dict(derivation.skipped_versions)
+    assert len(upgrades) == 3  # client-side chains all excluded
+    skipped = skipped_versions(exclusions)
     assert skipped == {
         "javax.servlet:servlet-api:3.1-b01": "qualified",
         "javax.servlet:servlet-api:4.0.0-b01": "qualified",
         "javax.servlet:servlet-api:4.0.0-b02": "qualified",
     }
-    reasons = {(u.v1_coord, u.exclusion_reason) for u in derivation.excluded}
+    reasons = {(subject, reason) for stage, subject, _, reason in exclusions if stage == "pair"}
     assert reasons == {
         ("org.fw:multi:1.0.0", "no_external_client"),
         ("org.fw:multi:1.1.0", "no_external_client"),
     }
-    assert derivation.candidate_count == len(derivation.upgrades) + len(derivation.excluded)
+    # Every row is a skipped version or an excluded pair.
+    assert len(exclusions) == len(skipped) + len(reasons)
 
 
 def test_derive_upgrades_no_external_client(tmp_path):
@@ -111,9 +120,9 @@ def test_derive_upgrades_no_external_client(tmp_path):
         ("DEPENDS", "compile", "g:consumer:1.0.0", "g:lib:1.0.0"),  # same groupId
     ]
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows)
-    derivation = derive_upgrades(index_graph(load_graph(artifacts, edges)))
-    assert derivation.upgrades == []
-    assert [u.exclusion_reason for u in derivation.excluded] == ["no_external_client"]
+    upgrades, exclusions = derive_upgrades(index_graph(load_graph(artifacts, edges)))
+    assert upgrades == []
+    assert pair_reasons(exclusions) == ["no_external_client"]
 
 
 def test_derive_upgrades_date_like_versions_skipped(tmp_path):
@@ -127,9 +136,9 @@ def test_derive_upgrades_date_like_versions_skipped(tmp_path):
         ("DEPENDS", "compile", "x:client:1.0.0", "g:lib:2.5.20110712"),
     ]
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows)
-    derivation = derive_upgrades(index_graph(load_graph(artifacts, edges)))
-    assert derivation.upgrades == []
-    assert dict(derivation.skipped_versions) == {"g:lib:2.5.20110712": "date_like"}
+    upgrades, exclusions = derive_upgrades(index_graph(load_graph(artifacts, edges)))
+    assert upgrades == []
+    assert skipped_versions(exclusions) == {"g:lib:2.5.20110712": "date_like"}
 
 
 def test_derive_upgrades_release_date_inversion(tmp_path, make_jar):
@@ -146,8 +155,8 @@ def test_derive_upgrades_release_date_inversion(tmp_path, make_jar):
         ("DEPENDS", "compile", "x:client:1.0.0", "g:lib:3.0.0"),
     ]
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows)
-    derivation = derive_upgrades(index_graph(load_graph(artifacts, edges)))
-    assert [u.exclusion_reason for u in derivation.excluded] == ["release_date_inversion"]
+    _, exclusions = derive_upgrades(index_graph(load_graph(artifacts, edges)))
+    assert pair_reasons(exclusions) == ["release_date_inversion"]
 
 
 def test_derive_upgrades_non_java_jar(tmp_path, make_jar):
@@ -165,8 +174,8 @@ def test_derive_upgrades_non_java_jar(tmp_path, make_jar):
         ("DEPENDS", "compile", "x:client:1.0.0", "g:lib:1.0.0"),
     ]
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows)
-    derivation = derive_upgrades(index_graph(load_graph(artifacts, edges)))
-    assert [u.exclusion_reason for u in derivation.excluded] == ["non_java_language"]
+    _, exclusions = derive_upgrades(index_graph(load_graph(artifacts, edges)))
+    assert pair_reasons(exclusions) == ["non_java_language"]
 
 
 def test_derive_upgrades_java_version_filter(tmp_path, make_jar):
@@ -184,8 +193,8 @@ def test_derive_upgrades_java_version_filter(tmp_path, make_jar):
         ("DEPENDS", "compile", "x:client:1.0.0", "g:lib:1.0.0"),
     ]
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows)
-    derivation = derive_upgrades(index_graph(load_graph(artifacts, edges)))
-    assert [u.exclusion_reason for u in derivation.excluded] == ["invalid_java_version"]
+    _, exclusions = derive_upgrades(index_graph(load_graph(artifacts, edges)))
+    assert pair_reasons(exclusions) == ["invalid_java_version"]
 
 
 def test_derive_upgrades_jar_unavailable(tmp_path):
@@ -199,8 +208,8 @@ def test_derive_upgrades_jar_unavailable(tmp_path):
         ("DEPENDS", "compile", "x:client:1.0.0", "g:lib:1.0.0"),
     ]
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows)
-    derivation = derive_upgrades(index_graph(load_graph(artifacts, edges)), tmp_path)
-    assert [u.exclusion_reason for u in derivation.excluded] == ["jar_unavailable"]
+    _, exclusions = derive_upgrades(index_graph(load_graph(artifacts, edges)), tmp_path)
+    assert pair_reasons(exclusions) == ["jar_unavailable"]
 
 
 def test_derive_upgrades_packaging_filter(tmp_path):
@@ -214,31 +223,29 @@ def test_derive_upgrades_packaging_filter(tmp_path):
         ("DEPENDS", "compile", "x:client:1.0.0", "g:lib:1.0.0"),
     ]
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows)
-    derivation = derive_upgrades(index_graph(load_graph(artifacts, edges)))
-    assert [u.exclusion_reason for u in derivation.excluded] == ["packaging_not_jar"]
+    _, exclusions = derive_upgrades(index_graph(load_graph(artifacts, edges)))
+    assert pair_reasons(exclusions) == ["packaging_not_jar"]
 
 
 def test_derive_clients_dedup_and_scope(fig_graph):
     graph, jar_root = fig_graph
     index = index_graph(graph)
-    derivation = derive_upgrades(index, jar_root)
-    minor = next(u for u in derivation.upgrades if u.level is SemverLevel.MINOR)
+    upgrades, _ = derive_upgrades(index, jar_root)
+    minor = next(u for u in upgrades if u.level is SemverLevel.MINOR)
     clients = derive_clients(minor, index)
-    by_artifact = {(c.group_id, c.artifact_id): c for c in clients}
+    by_artifact = {graph.artifacts[edge.src].library: graph.artifacts[edge.src] for edge in clients}
     assert set(by_artifact) == {("org.fw", "mock"), ("org.fw", "multi")}
     assert by_artifact[("org.fw", "multi")].version == "1.2.0"  # latest along NEXT
-    assert all(c.scope in ("compile", "test") for c in clients)
+    assert all(edge.scope in ("compile", "test") for edge in clients)
 
 
 def test_derive_clients_none(fig_graph):
     graph, jar_root = fig_graph
     index = index_graph(graph)
-    derivation = derive_upgrades(index, jar_root)
-    patch = next(u for u in derivation.upgrades if u.level is SemverLevel.PATCH)
+    upgrades, _ = derive_upgrades(index, jar_root)
+    patch = next(u for u in upgrades if u.level is SemverLevel.PATCH)
     clients = derive_clients(patch, index)
-    assert [(c.group_id, c.artifact_id, c.version) for c in clients] == [
-        ("org.fw", "mock", "2.0.0")
-    ]
+    assert [edge.src for edge in clients] == ["org.fw:mock:2.0.0"]
 
 
 def test_run_pipeline_fig_fixture(tmp_path, fig_graph):

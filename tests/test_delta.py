@@ -6,7 +6,6 @@ import pytest
 
 from catalog_cases import CATALOG_CASES
 from conftest import model_of
-from jarcompat.apimodel import classify_stability
 from jarcompat.classfile import ClassSpec, FieldSpec, MethodSpec
 from jarcompat.delta import (
     CATALOG,
@@ -149,7 +148,7 @@ def test_stability_tag_matches_old_model():
             for member in old.types["p.A"].members
             if member.ref == change.element
         )
-        assert change.stability == classify_stability(decl, model=old)
+        assert change.stability == old.stability[decl.ref]
 
 
 def test_additive_kind_uses_new_model_stability():
@@ -234,6 +233,21 @@ def test_changes_sorted_and_counts_consistent():
     assert keys == sorted(keys)
     assert sum(delta.by_kind().values()) == len(delta.changes)
     assert sum(delta.by_stability().values()) == len(delta.changes)
+
+
+def test_each_interface_change_is_its_own_record():
+    interfaces = [ClassSpec(f"p.{name}", kind="interface") for name in "IJKL"]
+    old = model_of([*interfaces, ClassSpec("p.A", interfaces=("p.I", "p.J"))])
+    new = model_of([*interfaces, ClassSpec("p.A", interfaces=("p.K", "p.L"))])
+    delta = compute_delta(old, new)
+    records = [(c.kind.value, dict(c.detail)["interface"]) for c in delta.changes]
+    assert records == [
+        ("interfaceAdded", "p.K"),
+        ("interfaceAdded", "p.L"),
+        ("interfaceRemoved", "p.I"),
+        ("interfaceRemoved", "p.J"),
+    ]
+    assert delta.by_kind() == {"interfaceAdded": 2, "interfaceRemoved": 2}
 
 
 def test_inherited_member_removal_reports_both_hosts():

@@ -203,10 +203,3 @@ def test_no_fabrication_every_pair_has_a_source():
         assert target in declared_sources
     for _, target in usage.pairs(UseKind.FIELD_ACCESS):
         assert target in declared_sources
-
-
-def test_json_dump_schema():
-    usage = _usage([ClassSpec("cli.Sub", super_name="lib.Base")])
-    payload = usage.to_dict()
-    assert payload["extends"] == [["cli.Sub", "lib.Base"]]
-    assert set(payload) == {kind.value for kind in UseKind}
