@@ -175,6 +175,10 @@ class ApiModel:
     stability: dict[str, StabilityLabel] = field(default_factory=dict)
     constants: dict[str, int | float | str] = field(default_factory=dict)
     diagnostics: list[str] = field(default_factory=list)
+    # The parsed class each type was built from. Models built from parses
+    # shared through ``open_jar``'s memo hold the same object for identical
+    # class bytes, which lets ``compute_delta`` skip unchanged types.
+    raw_classes: dict[str, RawClass] = field(default_factory=dict)
     _methods: dict[str, dict[tuple[str, str], EffectiveMember]] = field(default_factory=dict)
     _fields: dict[str, dict[str, EffectiveMember]] = field(default_factory=dict)
 
@@ -424,6 +428,7 @@ def build_model(
             model.diagnostics.append(f"duplicate type {cls.this_name} at {path}; keeping first")
             continue
         model.types[cls.this_name] = _type_decl(cls)
+        model.raw_classes[cls.this_name] = cls
         for raw in cls.fields:
             if raw.constant_value is not None:
                 model.constants[member_ref(cls.this_name, raw.name, raw.descriptor)] = raw.constant_value

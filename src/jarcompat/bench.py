@@ -22,7 +22,7 @@ from .apimodel import StabilityConfig, build_model, member_owner
 from .delta import compute_delta
 from .detect import Detection, compute_detections, rule_note
 from .usage import extract_usage
-from .classfile import open_jar
+from .classfile import RawClass, open_jar
 
 
 @dataclass(frozen=True)
@@ -188,9 +188,10 @@ def _matches_oracle(detection: Detection, oracle: OracleRecord) -> bool:
 
 def run_case(case: BenchCase, config: StabilityConfig | None = None) -> CaseVerdict:
     verdict = CaseVerdict(case_id=case.case_id, known_gap=case.known_gap)
+    parsed: dict[bytes, RawClass] = {}  # shared, so that compute_delta can skip unchanged types
     try:
-        old_model = build_model(open_jar(case.v1_jar), config, model_id=str(case.v1_jar))
-        new_model = build_model(open_jar(case.v2_jar), config, model_id=str(case.v2_jar))
+        old_model = build_model(open_jar(case.v1_jar, parsed), config, model_id=str(case.v1_jar))
+        new_model = build_model(open_jar(case.v2_jar, parsed), config, model_id=str(case.v2_jar))
         client = open_jar(case.client_jar)
     except Exception as exc:  # noqa: BLE001 - per-case load failures are data
         verdict.error = f"{type(exc).__name__}: {exc}"

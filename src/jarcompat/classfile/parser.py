@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 import zipfile
+import zlib
 from pathlib import Path
 from typing import BinaryIO
 
@@ -448,17 +449,24 @@ def parse_class(data: bytes) -> RawClass:
     )
 
 
-def open_jar(source: str | Path | BinaryIO) -> JarContent:
+def open_jar(
+    source: str | Path | BinaryIO, parsed: dict[bytes, RawClass] | None = None
+) -> JarContent:
     """Read a JAR, parsing every ``*.class`` entry.
 
-    Entry-level parse failures are recorded, not fatal. ``module-info.class``
-    entries are skipped (counted as non-class content).
+    Entry-level failures, a damaged ZIP entry or a malformed class, are
+    recorded, not fatal. ``module-info.class`` entries are skipped (counted
+    as non-class content). ``parsed`` maps class-file bytes to their parse:
+    an entry whose bytes it holds is not parsed again, and every new parse
+    is added to it, so JARs opened with one dict share the ``RawClass`` of
+    identical bytes.
     """
     try:
         archive = zipfile.ZipFile(source)
     except (zipfile.BadZipFile, OSError) as exc:
         raise NotAZip(f"{source}: {exc}") from exc
 
+    parsed = {} if parsed is None else parsed
     content = JarContent(source=str(source) if isinstance(source, (str, Path)) else "")
     with archive:
         for info in archive.infolist():
@@ -468,12 +476,20 @@ def open_jar(source: str | Path | BinaryIO) -> JarContent:
             if not name.endswith(".class") or name.endswith("module-info.class"):
                 content.non_class_entries += 1
                 continue
-            data = archive.read(info)
             try:
-                cls = parse_class(data)
-            except ClassFormatError as exc:
+                data = archive.read(info)
+            except (zipfile.BadZipFile, zlib.error) as exc:  # bad CRC, corrupt deflate stream
                 content.parse_failures.append((name, f"{type(exc).__name__}: {exc}"))
                 continue
+            # Matched on the whole bytes: the directory's CRC and size could collide.
+            cls = parsed.get(data)
+            if cls is None:
+                try:
+                    cls = parse_class(data)
+                except ClassFormatError as exc:
+                    content.parse_failures.append((name, f"{type(exc).__name__}: {exc}"))
+                    continue
+                parsed[data] = cls
             content.entries.append((name, cls))
             content.detected_languages.add(language_of_source(cls.source_file))
     return content

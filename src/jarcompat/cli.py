@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .apimodel import StabilityConfig, build_model
 from .bench import run_benchmark
-from .classfile import ClassFormatError, NotAZip, open_jar
+from .classfile import ClassFormatError, NotAZip, RawClass, open_jar
 from .corpus import (
     UPGRADE_COLUMNS,
     PipelineOptions,
@@ -61,9 +61,12 @@ def _load_config(path: str | None) -> StabilityConfig:
 
 
 def _build_models(old_jar: str, new_jar: str, config: StabilityConfig):
+    # One parse memo for both JARs: identical class bytes are parsed once,
+    # and compute_delta can skip the types built from them.
+    parsed: dict[bytes, RawClass] = {}
     try:
-        old_model = build_model(open_jar(old_jar), config, model_id=old_jar)
-        new_model = build_model(open_jar(new_jar), config, model_id=new_jar)
+        old_model = build_model(open_jar(old_jar, parsed), config, model_id=old_jar)
+        new_model = build_model(open_jar(new_jar, parsed), config, model_id=new_jar)
     except (NotAZip, ClassFormatError, OSError) as exc:
         raise DataError(str(exc)) from exc
     return old_model, new_model

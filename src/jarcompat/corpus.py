@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import logging
 import random
 import sys
 from collections import Counter
@@ -31,12 +32,14 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .apimodel import ApiModel, StabilityConfig, build_model
-from .classfile import JarContent, NotAZip, open_jar
+from .classfile import JarContent, NotAZip, RawClass, open_jar
 from .delta import Delta, compute_delta, is_breaking
 from .detect import classify_impact, compute_detections
 from .semver import NotAnUpgrade, SemverLevel, Unparseable, Version, classify_upgrade, parse_version
 from .stats import cochran_sample
 from .usage import extract_usage
+
+log = logging.getLogger(__name__)
 
 DEPENDS_SCOPES = ("compile", "test", "provided", "runtime", "system")
 CLIENT_SCOPES = ("compile", "test")
@@ -172,7 +175,9 @@ class _JarProbe:
 
     The selection filters read the facts. A probe given a stability config
     also keeps the parsed content, so that the pipeline builds each model
-    from the parse the filters already made.
+    from the parse the filters already made. Its JARs share one parse memo,
+    so a class whose bytes recur across versions is parsed once, and the
+    models of two versions hold the same ``RawClass`` for it.
     """
 
     def __init__(self, jar_root: Path | None, config: StabilityConfig | None = None) -> None:
@@ -181,6 +186,7 @@ class _JarProbe:
         self.cache: dict[str, _JarFacts] = {}
         self.contents: dict[str, JarContent] = {}
         self.models: dict[str, ApiModel] = {}
+        self.parsed: dict[bytes, RawClass] = {}
 
     def resolve(self, record: ArtifactRecord) -> Path | None:
         if record.jar_path is None:
@@ -199,7 +205,7 @@ class _JarProbe:
             facts = _JarFacts(ok=False, reason="jar_unavailable")
         else:
             try:
-                content = open_jar(path)
+                content = open_jar(path, self.parsed)
             except NotAZip:
                 facts = _JarFacts(ok=False, reason="unreadable_jar")
             else:
@@ -590,11 +596,11 @@ def _run_library(task: _LibraryTask) -> _LibraryResult:
         for change in delta.changes:
             stability.setdefault((change.element, change.kind.value), change.stability.status)
         for edge in derive_clients(upgrade, task.index):
-            client_jar = probe.resolve(artifacts[edge.src])
+            client = _open_client(probe.resolve(artifacts[edge.src]))
             broken = ""
             detection_count = 0
-            if client_jar is not None and client_jar.exists():
-                usage = extract_usage(open_jar(client_jar), probe.model(rec1))
+            if client is not None:
+                usage = extract_usage(client, probe.model(rec1))
                 detections = compute_detections(delta, usage)
                 impact = classify_impact(delta, usage, detections)
                 broken = str(impact.broken).lower()
@@ -613,6 +619,18 @@ def _run_library(task: _LibraryTask) -> _LibraryResult:
     by_version.sort(key=itemgetter(0))
     result.upgrade_rows = [row for _, row in by_version]
     return result
+
+
+def _open_client(path: Path | None) -> JarContent | None:
+    """A client's parsed JAR; None when it is missing or unreadable, which
+    leaves its row without a verdict."""
+    if path is None or not path.exists():
+        return None
+    try:
+        return open_jar(path)
+    except NotAZip as exc:
+        log.warning("client JAR not analysed: %s", exc)
+        return None
 
 
 def _upgrade_delta(upgrade: Upgrade, probe: _JarProbe, deltas: Path) -> Delta:

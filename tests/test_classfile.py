@@ -6,6 +6,7 @@ import io
 import math
 import struct
 import zipfile
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from jarcompat.classfile import (
     parse_class,
     write_class,
 )
+from jarcompat.classfile import parser
 from jarcompat.classfile.parser import _parse_constant_pool, _Reader
 
 
@@ -355,3 +357,109 @@ def test_inner_class_records_round_trip():
     assert cls.inner_class_records[0].inner_name == "p.Outer$Inner"
     assert cls.inner_class_records[0].outer_name == "p.Outer"
     assert cls.inner_class_records[0].access_flags == ACC_STATIC | 0x0002
+
+
+@pytest.mark.parametrize(
+    "compression, reason",
+    [(zipfile.ZIP_STORED, "BadZipFile: Bad CRC-32"), (zipfile.ZIP_DEFLATED, "error: Error -3")],
+)
+def test_open_jar_records_damaged_entry(compression, reason):
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", compression) as archive:
+        archive.writestr("p/A.class", write_class(ClassSpec("p.A")))
+        archive.writestr("p/B.class", write_class(ClassSpec("p.B")))
+    data = bytearray(buffer.getvalue())
+    info = zipfile.ZipFile(buffer).getinfo("p/A.class")
+    data[info.header_offset + 30 + len(info.filename)] ^= 0xFF  # first byte of the entry's data
+    content = open_jar(io.BytesIO(bytes(data)))
+    assert [name for name, _ in content.entries] == ["p/B.class"]
+    assert len(content.parse_failures) == 1
+    name, failure = content.parse_failures[0]
+    assert name == "p/A.class" and failure.startswith(reason)
+
+
+def test_open_jar_memo_parses_each_distinct_class_once(monkeypatch):
+    calls = []
+
+    def counting_parse(data):
+        calls.append(data)
+        return parse_class(data)
+
+    monkeypatch.setattr(parser, "parse_class", counting_parse)
+    shared = write_class(ClassSpec("p.A"))
+
+    def jar(b_methods):
+        buffer = io.BytesIO()
+        with zipfile.ZipFile(buffer, "w") as archive:
+            archive.writestr("p/A.class", shared)
+            archive.writestr("p/B.class", write_class(ClassSpec("p.B", methods=b_methods)))
+            archive.writestr("p/Bad.class", b"\x00\x01\x02\x03")
+        return io.BytesIO(buffer.getvalue())
+
+    parsed: dict = {}
+    v1 = open_jar(jar(()), parsed)
+    v2 = open_jar(jar((MethodSpec("m"),)), parsed)
+    assert v1.entries[0][1] is v2.entries[0][1]
+    assert v1.entries[1][1] != v2.entries[1][1]
+    # A failed parse is not remembered: it is tried and recorded again.
+    assert len(v1.parse_failures) == len(v2.parse_failures) == 1
+    assert len(calls) == 5 and calls.count(shared) == 1
+    assert len(parsed) == 3
+
+
+def _force_crc32(data: bytes, window: int, crc: int) -> bytes:
+    """``data`` with the 4 bytes at ``window`` rewritten so that its CRC-32 is ``crc``.
+
+    Over messages of one length, CRC-32 is affine in the message bits, so
+    the flips of the window's 32 bits are solved for over GF(2).
+    """
+    def flip(buffer: bytearray, bit: int) -> None:
+        buffer[window + bit // 8] ^= 0x80 >> (bit % 8)
+
+    basis: list[tuple[int, int]] = []  # (effect on the CRC, bits flipped), highest effect first
+    for bit in range(32):
+        flipped = bytearray(data)
+        flip(flipped, bit)
+        effect, bits = zlib.crc32(flipped) ^ zlib.crc32(data), 1 << bit
+        for row_effect, row_bits in basis:
+            if effect ^ row_effect < effect:
+                effect, bits = effect ^ row_effect, bits ^ row_bits
+        basis = sorted([*basis, (effect, bits)], reverse=True)
+    wanted, bits = crc ^ zlib.crc32(data), 0
+    for row_effect, row_bits in basis:
+        if wanted ^ row_effect < wanted:
+            wanted, bits = wanted ^ row_effect, bits ^ row_bits
+    assert wanted == 0
+    out = bytearray(data)
+    for bit in range(32):
+        if bits >> bit & 1:
+            flip(out, bit)
+    return bytes(out)
+
+
+def test_open_jar_memo_matches_whole_bytes_not_crc():
+    # Two class files of one size and one CRC-32 whose constants differ: the
+    # ZIP directory cannot tell them apart, the memo must.
+    def with_constants(a: int, b: int) -> bytes:
+        return write_class(ClassSpec("p.K", fields=(
+            FieldSpec("A", "I", is_static=True, is_final=True, constant=a),
+            FieldSpec("B", "I", is_static=True, is_final=True, constant=b),
+        )))
+
+    first = with_constants(0x11111111, 0x22222222)
+    second = with_constants(0x33333333, 0x22222222)
+    window = second.index(struct.pack(">BI", 3, 0x22222222)) + 1  # B's CONSTANT_Integer
+    second = _force_crc32(second, window, zlib.crc32(first))
+    assert len(first) == len(second) and zlib.crc32(first) == zlib.crc32(second)
+
+    parsed: dict = {}
+    constants = []
+    for data in (first, second):
+        buffer = io.BytesIO()
+        with zipfile.ZipFile(buffer, "w") as archive:
+            archive.writestr("p/K.class", data)
+        content = open_jar(io.BytesIO(buffer.getvalue()), parsed)
+        constants.append([f.constant_value for f in content.entries[0][1].fields])
+    assert constants[0] == [0x11111111, 0x22222222]
+    assert constants[1][0] == 0x33333333
+    assert len(parsed) == 2

@@ -207,6 +207,24 @@ def test_corpus_derive_exclusions_match_run(tmp_path):
     assert derived == (tmp_path / "ran" / "exclusions.csv").read_bytes()
 
 
+def test_corpus_run_counts_a_corrupt_client_jar_as_missing(tmp_path, caplog):
+    outputs = {}
+    for case in ("corrupt", "deleted"):
+        artifacts, edges, jar_root = build_fixture(tmp_path / case)
+        client_jar = jar_root / "mock-1.0.0.jar"
+        if case == "corrupt":
+            client_jar.write_text("not a zip archive\n", encoding="utf-8")
+        else:
+            client_jar.unlink()
+        out = tmp_path / case / "out"
+        assert main(["corpus", "run", "--artifacts", str(artifacts), "--edges", str(edges),
+                     "--jars", str(jar_root), "--out", str(out), "--jobs", "1"]) == 0
+        outputs[case] = [(out / name).read_bytes() for name in ("clients.csv", "detections.csv")]
+    assert outputs["corrupt"] == outputs["deleted"]
+    assert b"org.fw:mock:1.0.0,compile,javax.servlet:servlet-api,3.0.1,3.1.0,minor,,0\n" in outputs["corrupt"][0]
+    assert "mock-1.0.0.jar" in caplog.text
+
+
 # "org.lib1" sorts before "org.lib10" as a (group, artifact) tuple, but
 # "org.lib10:..." sorts before "org.lib1:..." as a string, and version "1.10.0"
 # sorts before "1.9.0" as a string.

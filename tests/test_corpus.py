@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import write_jar
 from corpus_fixture import build_fixture, build_two_library_fixture, write_graph_csvs
-from jarcompat import corpus
+from jarcompat import corpus, delta
+from jarcompat.classfile import ClassSpec, MethodSpec, parser, write_class
 from jarcompat.corpus import (
     PipelineOptions,
     SchemaError,
@@ -335,6 +337,90 @@ def test_run_pipeline_reads_and_models_each_jar_once(tmp_path, fig_graph, monkey
     computed.clear()
     run_pipeline(graph, jar_root, out, PipelineOptions(jobs=1))
     assert not computed
+
+
+def _reuse_graph(root: Path) -> tuple:
+    """Library g.lib:lib at 1.0.0, 1.1.0 and 1.2.0, and g.two:two at 1.0.0 and
+    2.0.0, which ships a class identical to one of lib's; one external client
+    per upgrade. Returns the graph, the JAR root and every JAR's class specs."""
+    base = ClassSpec("p.Base", methods=(MethodSpec("a"),))
+    base2 = ClassSpec("p.Base", methods=(MethodSpec("a"), MethodSpec("b")))
+    solo = ClassSpec("p.Solo")
+    solo2 = ClassSpec("p.Solo", methods=(MethodSpec("c"),))
+    fixed = [
+        ClassSpec("p.Mid", super_name="p.Base"),
+        ClassSpec("p.Leaf", super_name="p.Mid"),
+        ClassSpec("p.Iface", kind="interface", methods=(MethodSpec("x", is_abstract=True),)),
+        ClassSpec("p.Impl", interfaces=("p.Iface",), methods=(MethodSpec("x"),)),
+        ClassSpec("p.Solo$Inner", inner_classes=(("p.Solo$Inner", "p.Solo", "Inner", 0x0009),)),
+        ClassSpec("shared.Util", methods=(MethodSpec("u"),)),
+    ]
+    jars = {
+        "lib-1.0.0.jar": [base, solo, *fixed],
+        "lib-1.1.0.jar": [base2, solo, *fixed],
+        "lib-1.2.0.jar": [base2, solo2, *fixed],
+        "two-1.0.0.jar": [ClassSpec("t.T"), fixed[-1]],
+        "two-2.0.0.jar": [ClassSpec("t.T", methods=(MethodSpec("t"),)), fixed[-1]],
+    }
+    artifacts = [
+        ("g.lib", "lib", "1.0.0", "2011-01-01", "jar", "lib-1.0.0.jar"),
+        ("g.lib", "lib", "1.1.0", "2012-01-01", "jar", "lib-1.1.0.jar"),
+        ("g.lib", "lib", "1.2.0", "2013-01-01", "jar", "lib-1.2.0.jar"),
+        ("g.two", "two", "1.0.0", "2011-01-01", "jar", "two-1.0.0.jar"),
+        ("g.two", "two", "2.0.0", "2012-01-01", "jar", "two-2.0.0.jar"),
+    ]
+    edges = [
+        ("NEXT", "", "g.lib:lib:1.0.0", "g.lib:lib:1.1.0"),
+        ("NEXT", "", "g.lib:lib:1.1.0", "g.lib:lib:1.2.0"),
+        ("NEXT", "", "g.two:two:1.0.0", "g.two:two:2.0.0"),
+    ]
+    for n, target in enumerate(("g.lib:lib:1.0.0", "g.lib:lib:1.1.0", "g.two:two:1.0.0")):
+        jars[f"c{n}-1.0.0.jar"] = [ClassSpec(f"c{n}.App", methods=(MethodSpec("run"),))]
+        artifacts.append((f"c{n}", "app", "1.0.0", "2014-01-01", "jar", f"c{n}-1.0.0.jar"))
+        edges.append(("DEPENDS", "compile", f"c{n}:app:1.0.0", target))
+    jar_root = root / "jars"
+    for name, specs in jars.items():
+        write_jar(jar_root / name, specs)
+    return load_graph(*write_graph_csvs(root, artifacts, edges)), jar_root, jars
+
+
+def test_run_pipeline_parses_each_distinct_class_once_per_library(tmp_path, monkeypatch):
+    graph, jar_root, jars = _reuse_graph(tmp_path)
+    parses = Counter()
+    original = parser.parse_class
+
+    def counting_parse(data):
+        parses[data] += 1
+        return original(data)
+
+    monkeypatch.setattr(parser, "parse_class", counting_parse)
+    compared = []
+    original_compare = delta._DeltaBuilder.compare_members
+
+    def counting_compare(builder, name):
+        compared.append((builder.new.id, name))
+        return original_compare(builder, name)
+
+    monkeypatch.setattr(delta._DeltaBuilder, "compare_members", counting_compare)
+    summary = run_pipeline(graph, jar_root, tmp_path / "out", PipelineOptions(jobs=1))
+    assert summary["emitted"] == 3
+
+    expected = Counter()
+    for prefix in ("lib-", "two-", "c0-", "c1-", "c2-"):
+        expected.update({
+            write_class(spec) for name, specs in jars.items() if name.startswith(prefix) for spec in specs
+        })
+    assert parses == expected
+    assert parses[write_class(jars["two-1.0.0.jar"][1])] == 2  # shared.Util, once per library
+    # Only types whose own class or a supertype's changed are compared;
+    # p.Solo$Inner is not, though its outer class changed.
+    assert sorted(compared) == [
+        ("g.lib:lib:1.1.0", "p.Base"),
+        ("g.lib:lib:1.1.0", "p.Leaf"),
+        ("g.lib:lib:1.1.0", "p.Mid"),
+        ("g.lib:lib:1.2.0", "p.Solo"),
+        ("g.two:two:2.0.0", "t.T"),
+    ]
 
 
 def test_run_pipeline_empty_graph(tmp_path):

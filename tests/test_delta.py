@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import io
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catalog_cases import CATALOG_CASES
-from conftest import model_of
-from jarcompat.classfile import ClassSpec, FieldSpec, MethodSpec
+from conftest import jar_bytes, jar_content, model_of
+from jarcompat.apimodel import build_model
+from jarcompat.classfile import ClassSpec, FieldSpec, MethodSpec, open_jar
 from jarcompat.delta import (
     CATALOG,
     BcKind,
@@ -274,3 +280,126 @@ def test_unchecked_exception_additions_do_not_fire():
         ]
     )
     assert compute_delta(old, new).changes == []
+
+
+# --- unchanged types: the short cut of models that share parses ----------
+
+# (name, kind, superclass, interfaces) of every generated type. p.Ext is
+# absent from both versions; p.I1 and p.I2 both extend p.I0, so p.A reaches
+# p.I0 twice; p.B -> p.C -> p.D is a chain of depth 3 below p.A.
+_SKELETON = (
+    ("p.I0", "interface", None, ()),
+    ("p.I1", "interface", None, ("p.I0",)),
+    ("p.I2", "interface", None, ("p.I0",)),
+    ("p.A", "class", "p.Ext", ("p.I1", "p.I2")),
+    ("p.B", "class", "p.A", ()),
+    ("p.C", "class", "p.B", ()),
+    ("p.D", "class", "p.C", ()),
+    ("p.D$N", "class", "p.B", ("p.I2",)),
+    ("p.D$N$M", "class", "p.D", ()),
+)
+_CLASS_NAMES = [name for name, kind, _, _ in _SKELETON if kind == "class"]
+_INTERFACE_NAMES = [name for name, kind, _, _ in _SKELETON if kind == "interface"]
+_CONSTANTS = (0.0, -0.0, float("nan"), 1.5)
+_METHOD_SHAPES = (("m", "()V"), ("m", "()I"), ("n", "(I)V"), ("<init>", "()V"))
+_VISIBILITIES = ("public", "protected", "package", "private")
+
+
+@st.composite
+def _type_spec(draw, name, kind, super_name, interfaces):
+    """A spec of one skeleton type. One in four points its supertypes
+    elsewhere in the skeleton, which can close a hierarchy cycle."""
+    if draw(st.integers(0, 3)) == 0:
+        if kind == "class":
+            super_name = draw(st.sampled_from([None, "p.Ext", *_CLASS_NAMES]))
+        interfaces = tuple(draw(st.lists(st.sampled_from(_INTERFACE_NAMES), unique=True, max_size=2)))
+    is_abstract = kind == "class" and draw(st.booleans())
+    methods = []
+    for m_name, desc in _METHOD_SHAPES:
+        if not draw(st.booleans()) or (kind == "interface" and m_name == "<init>"):
+            continue
+        abstract = (kind == "interface" or is_abstract) and m_name != "<init>" and draw(st.booleans())
+        methods.append(MethodSpec(
+            m_name, desc,
+            visibility="public" if kind == "interface" else draw(st.sampled_from(_VISIBILITIES)),
+            is_abstract=abstract,
+            is_static=not abstract and m_name != "<init>" and draw(st.booleans()),
+            is_final=not abstract and kind == "class" and draw(st.booleans()),
+            exceptions=draw(st.sampled_from([(), ("java.io.IOException",)])),
+        ))
+    fields = [FieldSpec("f", "I", visibility=draw(st.sampled_from(_VISIBILITIES)),
+                        is_static=draw(st.booleans()), is_final=draw(st.booleans()))]
+    if draw(st.booleans()):
+        fields.append(FieldSpec("K", "D", is_static=True, is_final=True,
+                                constant=draw(st.sampled_from(_CONSTANTS))))
+    inner = ()
+    if "$" in name:
+        outer, _, simple = name.rpartition("$")
+        inner = ((name, outer, simple, draw(st.sampled_from([0x0001, 0x0009, 0x0004, 0]))),)
+    return ClassSpec(
+        name, kind=kind, is_abstract=is_abstract,
+        is_final=kind == "class" and not is_abstract and draw(st.booleans()),
+        super_name=super_name, interfaces=interfaces,
+        methods=tuple(methods), fields=tuple(fields),
+        annotations=draw(st.sampled_from([(), ("p.Beta",)])), inner_classes=inner,
+    )
+
+
+@st.composite
+def _version_pair(draw):
+    """Specs of two versions, each in its own shuffled entry order. Every
+    type is shared (same bytes), changed, changed in its constant alone,
+    only in v1, or only in v2."""
+    old, new = [], []
+    for name, kind, super_name, interfaces in _SKELETON:
+        spec = draw(_type_spec(name, kind, super_name, interfaces))
+        status = draw(st.sampled_from(["shared", "shared", "changed", "constant", "removed", "added"]))
+        if status != "added":
+            old.append(spec)
+        if status == "shared":
+            new.append(spec)
+        elif status == "constant":
+            constant = FieldSpec("K", "D", is_static=True, is_final=True,
+                                 constant=draw(st.sampled_from(_CONSTANTS)))
+            new.append(replace(spec, fields=(spec.fields[0], constant)))
+        elif status in ("changed", "added"):
+            new.append(draw(_type_spec(name, kind, super_name, interfaces)))
+    return draw(st.permutations(old)), draw(st.permutations(new))
+
+
+def _models(old_specs, new_specs, parsed_old, parsed_new):
+    old = build_model(open_jar(io.BytesIO(jar_bytes(old_specs)), parsed_old), model_id="old")
+    new = build_model(open_jar(io.BytesIO(jar_bytes(new_specs)), parsed_new), model_id="new")
+    return old, new
+
+
+@settings(max_examples=150, deadline=None)
+@given(_version_pair())
+def test_short_cut_delta_equals_full_delta(pair):
+    old_specs, new_specs = pair
+    shared: dict = {}
+    short_cut = compute_delta(*_models(old_specs, new_specs, shared, shared))
+    # Parsed apart, no class object is shared, so every type is compared.
+    full = compute_delta(*_models(old_specs, new_specs, {}, {}))
+    assert short_cut.to_dict() == full.to_dict()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_version_pair())
+def test_model_compared_with_itself_is_empty(pair):
+    for specs in pair:
+        model = build_model(jar_content(list(specs)))
+        assert compute_delta(model, model).changes == []
+
+
+def test_hierarchy_cycle_disables_the_short_cut():
+    # p.A and p.B extend each other with identical bytes in both versions;
+    # effective members then depend on entry order, which differs here.
+    a = ClassSpec("p.A", super_name="p.B", methods=(MethodSpec("a"),))
+    b = ClassSpec("p.B", super_name="p.A", methods=(MethodSpec("b"),))
+    parsed: dict = {}
+    old, new = _models([a, b], [b, a], parsed, parsed)
+    assert old.raw_classes["p.A"] is new.raw_classes["p.A"]
+    full = compute_delta(*_models([a, b], [b, a], {}, {}))
+    assert [(c.kind, c.element) for c in full.changes] == [(BcKind.METHOD_REMOVED, "p.A.b()V")]
+    assert compute_delta(old, new).to_dict() == full.to_dict()
