@@ -190,9 +190,11 @@ def run_case(case: BenchCase, config: StabilityConfig | None = None) -> CaseVerd
     verdict = CaseVerdict(case_id=case.case_id, known_gap=case.known_gap)
     parsed: dict[bytes, RawClass] = {}  # shared, so that compute_delta can skip unchanged types
     try:
-        old_model = build_model(open_jar(case.v1_jar, parsed), config, model_id=str(case.v1_jar))
-        new_model = build_model(open_jar(case.v2_jar, parsed), config, model_id=str(case.v2_jar))
-        client = open_jar(case.client_jar)
+        v1 = open_jar(case.v1_jar, parsed).require_intact()
+        v2 = open_jar(case.v2_jar, parsed).require_intact()
+        old_model = build_model(v1, config, model_id=str(case.v1_jar))
+        new_model = build_model(v2, config, model_id=str(case.v2_jar))
+        client = open_jar(case.client_jar).require_intact()
     except Exception as exc:  # noqa: BLE001 - per-case load failures are data
         verdict.error = f"{type(exc).__name__}: {exc}"
         return verdict

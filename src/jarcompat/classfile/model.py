@@ -165,10 +165,24 @@ class JarContent:
     non_class_entries: int = 0
     detected_languages: set[str] = field(default_factory=set)
     parse_failures: list[tuple[str, str]] = field(default_factory=list)
+    # The failures among ``parse_failures`` of entries the archive could not
+    # deliver, as opposed to class files that did not parse.
+    damaged_entries: list[tuple[str, str]] = field(default_factory=list)
     source: str = ""
 
     def classes(self) -> list[RawClass]:
         return [cls for _, cls in self.entries]
+
+    def require_intact(self) -> JarContent:
+        """This content, or ``NotAZip`` when an entry could not be read.
+
+        A model built without a damaged entry's class would report that
+        class removed, a breaking change the library never made.
+        """
+        if self.damaged_entries:
+            name, reason = self.damaged_entries[0]
+            raise NotAZip(f"{self.source}: damaged entry {name}: {reason}")
+        return self
 
     def max_java_release(self) -> int | None:
         majors = [cls.major_version for cls in self.classes()]

@@ -449,14 +449,23 @@ def parse_class(data: bytes) -> RawClass:
     )
 
 
+# What reading one entry of an opened archive raises: a bad CRC-32 or local
+# header (BadZipFile), a corrupt deflate stream (zlib.error), data that ends
+# before its declared size (EOFError), an unsupported compression method
+# (NotImplementedError), or encryption (RuntimeError).
+_DAMAGED_ENTRY = (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, RuntimeError)
+
+
 def open_jar(
     source: str | Path | BinaryIO, parsed: dict[bytes, RawClass] | None = None
 ) -> JarContent:
     """Read a JAR, parsing every ``*.class`` entry.
 
     Entry-level failures, a damaged ZIP entry or a malformed class, are
-    recorded, not fatal. ``module-info.class`` entries are skipped (counted
-    as non-class content). ``parsed`` maps class-file bytes to their parse:
+    recorded in ``parse_failures``, not fatal; a damaged entry also in
+    ``damaged_entries`` (see ``JarContent.require_intact``).
+    ``module-info.class`` entries are skipped (counted as non-class
+    content). ``parsed`` maps class-file bytes to their parse:
     an entry whose bytes it holds is not parsed again, and every new parse
     is added to it, so JARs opened with one dict share the ``RawClass`` of
     identical bytes.
@@ -478,8 +487,10 @@ def open_jar(
                 continue
             try:
                 data = archive.read(info)
-            except (zipfile.BadZipFile, zlib.error) as exc:  # bad CRC, corrupt deflate stream
-                content.parse_failures.append((name, f"{type(exc).__name__}: {exc}"))
+            except _DAMAGED_ENTRY as exc:
+                failure = (name, f"{type(exc).__name__}: {exc}")
+                content.parse_failures.append(failure)
+                content.damaged_entries.append(failure)
                 continue
             # Matched on the whole bytes: the directory's CRC and size could collide.
             cls = parsed.get(data)

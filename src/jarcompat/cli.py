@@ -65,8 +65,10 @@ def _build_models(old_jar: str, new_jar: str, config: StabilityConfig):
     # and compute_delta can skip the types built from them.
     parsed: dict[bytes, RawClass] = {}
     try:
-        old_model = build_model(open_jar(old_jar, parsed), config, model_id=old_jar)
-        new_model = build_model(open_jar(new_jar, parsed), config, model_id=new_jar)
+        old_content = open_jar(old_jar, parsed).require_intact()
+        new_content = open_jar(new_jar, parsed).require_intact()
+        old_model = build_model(old_content, config, model_id=old_jar)
+        new_model = build_model(new_content, config, model_id=new_jar)
     except (NotAZip, ClassFormatError, OSError) as exc:
         raise DataError(str(exc)) from exc
     return old_model, new_model
@@ -106,7 +108,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     config = _load_config(args.stability_config)
     old_model, new_model = _build_models(args.old_jar, args.new_jar, config)
     try:
-        client = open_jar(args.client_jar)
+        client = open_jar(args.client_jar).require_intact()
     except (NotAZip, OSError) as exc:
         raise DataError(str(exc)) from exc
 

@@ -175,9 +175,11 @@ class _JarProbe:
 
     The selection filters read the facts. A probe given a stability config
     also keeps the parsed content, so that the pipeline builds each model
-    from the parse the filters already made. Its JARs share one parse memo,
-    so a class whose bytes recur across versions is parsed once, and the
-    models of two versions hold the same ``RawClass`` for it.
+    from the parse the filters already made, and its JARs share one parse
+    memo, so a class whose bytes recur across versions is parsed once and
+    the models of two versions hold the same ``RawClass`` for it. A probe
+    that keeps only facts parses each JAR on its own, so that what it holds
+    does not grow with the classes it has read.
     """
 
     def __init__(self, jar_root: Path | None, config: StabilityConfig | None = None) -> None:
@@ -186,7 +188,7 @@ class _JarProbe:
         self.cache: dict[str, _JarFacts] = {}
         self.contents: dict[str, JarContent] = {}
         self.models: dict[str, ApiModel] = {}
-        self.parsed: dict[bytes, RawClass] = {}
+        self.parsed: dict[bytes, RawClass] | None = {} if config is not None else None
 
     def resolve(self, record: ArtifactRecord) -> Path | None:
         if record.jar_path is None:
@@ -205,7 +207,7 @@ class _JarProbe:
             facts = _JarFacts(ok=False, reason="jar_unavailable")
         else:
             try:
-                content = open_jar(path, self.parsed)
+                content = open_jar(path, self.parsed).require_intact()
             except NotAZip:
                 facts = _JarFacts(ok=False, reason="unreadable_jar")
             else:
@@ -573,6 +575,11 @@ def _run_library(task: _LibraryTask) -> _LibraryResult:
     """
     probe = _JarProbe(task.jar_root, task.config)
     upgrades, exclusion_rows = derive_upgrades(task.index, probe=probe)
+    # Selection has opened every JAR an upgrade reads, so the memo is spent.
+    # A JAR's content or model, with the parsed classes the model keeps for
+    # the delta's short cut, is dropped after the last upgrade that reads it.
+    probe.parsed = None
+    uses_left = Counter(rec.coord for upgrade in upgrades for rec in (upgrade.rec1, upgrade.rec2))
     result = _LibraryResult(exclusion_rows=exclusion_rows)
     artifacts = task.index.graph.artifacts
     by_version: list[tuple[tuple, list]] = []
@@ -616,6 +623,11 @@ def _run_library(task: _LibraryTask) -> _LibraryResult:
             result.client_rows.append(
                 [edge.src, edge.scope, library, v1, v2, level, broken, detection_count]
             )
+        for coord in (rec1.coord, rec2.coord):
+            uses_left[coord] -= 1
+            if not uses_left[coord]:
+                probe.contents.pop(coord, None)
+                probe.models.pop(coord, None)
     by_version.sort(key=itemgetter(0))
     result.upgrade_rows = [row for _, row in by_version]
     return result
@@ -627,7 +639,7 @@ def _open_client(path: Path | None) -> JarContent | None:
     if path is None or not path.exists():
         return None
     try:
-        return open_jar(path)
+        return open_jar(path).require_intact()
     except NotAZip as exc:
         log.warning("client JAR not analysed: %s", exc)
         return None

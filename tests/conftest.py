@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import struct
 import zipfile
 from pathlib import Path
 
@@ -24,6 +25,15 @@ def jar_bytes(specs: list[ClassSpec], extra: dict[str, bytes] | None = None) -> 
 
 def jar_content(specs: list[ClassSpec], extra: dict[str, bytes] | None = None) -> JarContent:
     return open_jar(io.BytesIO(jar_bytes(specs, extra)))
+
+
+def damage_entry(jar: bytes, name: str) -> bytes:
+    """``jar`` with the first data byte of entry ``name`` flipped, which its CRC-32 catches."""
+    offset = zipfile.ZipFile(io.BytesIO(jar)).getinfo(name).header_offset
+    name_length, extra_length = struct.unpack_from("<HH", jar, offset + 26)
+    damaged = bytearray(jar)
+    damaged[offset + 30 + name_length + extra_length] ^= 0xFF
+    return bytes(damaged)
 
 
 def write_jar(path: Path, specs: list[ClassSpec], extra: dict[str, bytes] | None = None) -> Path:

@@ -7,7 +7,17 @@ import json
 import pytest
 
 from bench_cases import BENCH_CASES, write_benchmark
-from jarcompat.bench import AccuracyReport, CaseVerdict, load_manifest, run_benchmark, score
+from conftest import damage_entry, jar_bytes, write_jar
+from jarcompat.bench import (
+    AccuracyReport,
+    BenchCase,
+    CaseVerdict,
+    load_manifest,
+    run_benchmark,
+    run_case,
+    score,
+)
+from jarcompat.classfile import ClassSpec
 from jarcompat.delta import BcKind
 
 
@@ -108,6 +118,16 @@ def test_invalid_case_listed_but_excluded(tmp_path):
     assert [v.case_id for v in report.invalid_cases()] == ["broken_case"]
     baseline = run_benchmark(write_benchmark(tmp_path / "clean"))
     assert (report.tp, report.fp, report.fn) == (baseline.tp, baseline.fp, baseline.fn)
+
+
+def test_case_with_a_damaged_library_entry_is_invalid(tmp_path):
+    v1 = write_jar(tmp_path / "v1.jar", [ClassSpec("p.A"), ClassSpec("p.B")])
+    v2 = tmp_path / "v2.jar"
+    v2.write_bytes(damage_entry(jar_bytes([ClassSpec("p.A"), ClassSpec("p.B")]), "p/A.class"))
+    client = write_jar(tmp_path / "client.jar", [ClassSpec("c.X")])
+    verdict = run_case(BenchCase("damaged", v1, v2, client, "c.X"))
+    assert verdict.error.startswith("NotAZip") and "damaged entry p/A.class" in verdict.error
+    assert verdict.detections == []
 
 
 def test_report_table_renders(bench_report):

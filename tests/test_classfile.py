@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import jar_content
+from conftest import damage_entry, jar_content
 from jarcompat.classfile import (
     ACC_ABSTRACT,
     ACC_FINAL,
@@ -359,23 +359,74 @@ def test_inner_class_records_round_trip():
     assert cls.inner_class_records[0].access_flags == ACC_STATIC | 0x0002
 
 
-@pytest.mark.parametrize(
-    "compression, reason",
-    [(zipfile.ZIP_STORED, "BadZipFile: Bad CRC-32"), (zipfile.ZIP_DEFLATED, "error: Error -3")],
-)
-def test_open_jar_records_damaged_entry(compression, reason):
+def _two_class_jar(compression: int) -> bytes:
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w", compression) as archive:
-        archive.writestr("p/A.class", write_class(ClassSpec("p.A")))
         archive.writestr("p/B.class", write_class(ClassSpec("p.B")))
-    data = bytearray(buffer.getvalue())
-    info = zipfile.ZipFile(buffer).getinfo("p/A.class")
-    data[info.header_offset + 30 + len(info.filename)] ^= 0xFF  # first byte of the entry's data
-    content = open_jar(io.BytesIO(bytes(data)))
+        archive.writestr("p/A.class", write_class(ClassSpec("p.A")))
+    return buffer.getvalue()
+
+
+def _patch_directory(jar: bytes, name: str, offset: int, value: int) -> bytes:
+    """``jar`` with the 16-bit field at ``offset`` of ``name``'s central directory record set."""
+    record = jar.index(b"PK\x01\x02")
+    while jar[record + 46 : record + 46 + len(name)] != name.encode():
+        record = jar.index(b"PK\x01\x02", record + 4)
+    return jar[: record + offset] + struct.pack("<H", value) + jar[record + offset + 2 :]
+
+
+def _cut_short(jar: bytes) -> bytes:
+    """``jar`` with p/A.class, its last entry, moved behind the end record and cut
+    to half its data, so that the file ends before the entry's declared size."""
+    archive = zipfile.ZipFile(io.BytesIO(jar))
+    info = archive.getinfo("p/A.class")
+    start = info.header_offset
+    directory = jar[archive.start_dir : jar.rindex(b"PK\x05\x06")]
+    record = directory.rindex(b"PK\x01\x02")
+    directory = (
+        directory[: record + 42]
+        + struct.pack("<I", start + len(directory) + 22)
+        + directory[record + 46 :]
+    )
+    end = struct.pack("<4s4H2LH", b"PK\x05\x06", 0, 0, 2, 2, len(directory), start, 0)
+    cut = start + 30 + len(info.filename) + info.compress_size // 2
+    return jar[:start] + directory + end + jar[start:cut]
+
+
+@pytest.mark.parametrize(
+    "damage, reasons",
+    [
+        (lambda: damage_entry(_two_class_jar(zipfile.ZIP_STORED), "p/A.class"),
+         ("BadZipFile: Bad CRC-32",)),
+        (lambda: damage_entry(_two_class_jar(zipfile.ZIP_DEFLATED), "p/A.class"),
+         ("error: Error -3",)),
+        # Compression method 99 (AES), which zipfile does not implement.
+        (lambda: _patch_directory(_two_class_jar(zipfile.ZIP_STORED), "p/A.class", 10, 99),
+         ("NotImplementedError",)),
+        # General-purpose flag bit 0: encrypted.
+        (lambda: _patch_directory(_two_class_jar(zipfile.ZIP_STORED), "p/A.class", 8, 1),
+         ("RuntimeError",)),
+        # Newer zipfile releases refuse an entry that reaches past the central
+        # directory as overlapped before reading it.
+        (lambda: _cut_short(_two_class_jar(zipfile.ZIP_DEFLATED)),
+         ("EOFError", "BadZipFile: Overlapped")),
+    ],
+    ids=["bad-crc", "corrupt-deflate", "unknown-method", "encrypted", "truncated-deflate"],
+)
+def test_open_jar_records_damaged_entry(damage, reasons):
+    content = open_jar(io.BytesIO(damage()))
     assert [name for name, _ in content.entries] == ["p/B.class"]
-    assert len(content.parse_failures) == 1
-    name, failure = content.parse_failures[0]
-    assert name == "p/A.class" and failure.startswith(reason)
+    assert content.parse_failures == content.damaged_entries
+    [(name, failure)] = content.damaged_entries
+    assert name == "p/A.class" and failure.startswith(reasons)
+    with pytest.raises(NotAZip, match="damaged entry p/A.class"):
+        content.require_intact()
+
+
+def test_require_intact_passes_a_class_that_does_not_parse():
+    content = jar_content([ClassSpec("p.B")], extra={"p/Bad.class": b"\x00\x01\x02\x03"})
+    assert len(content.parse_failures) == 1 and not content.damaged_entries
+    assert content.require_intact() is content
 
 
 def test_open_jar_memo_parses_each_distinct_class_once(monkeypatch):

@@ -10,12 +10,13 @@ import json
 import random
 import re
 import tracemalloc
+import zipfile
 from pathlib import Path
 
 import pytest
 
 from bench_cases import write_benchmark
-from conftest import write_jar
+from conftest import damage_entry, write_jar
 from corpus_fixture import build_fixture, write_graph_csvs
 from jarcompat.analyze import analyze_results
 from jarcompat.classfile import ClassSpec, MethodSpec
@@ -67,6 +68,15 @@ def test_delta_corrupt_jar_exit_three(tmp_path, jars, capsys):
     bad.write_bytes(b"not a zip")
     code = main(["delta", str(bad), str(jars["v2"])])
     assert code == 3
+
+
+def test_delta_jar_with_a_damaged_entry_exit_three(tmp_path, jars, capsys):
+    bad = tmp_path / "bad.jar"
+    data = jars["v1"].read_bytes()
+    bad.write_bytes(damage_entry(data, zipfile.ZipFile(jars["v1"]).namelist()[0]))
+    assert main(["delta", str(jars["v1"]), str(bad)]) == 3
+    assert main(["delta", str(bad), str(jars["v1"])]) == 3
+    assert capsys.readouterr().err.count("damaged entry") == 2
 
 
 def test_delta_csv_output(jars, capsys):
@@ -209,18 +219,21 @@ def test_corpus_derive_exclusions_match_run(tmp_path):
 
 def test_corpus_run_counts_a_corrupt_client_jar_as_missing(tmp_path, caplog):
     outputs = {}
-    for case in ("corrupt", "deleted"):
+    for case in ("corrupt", "damaged", "deleted"):
         artifacts, edges, jar_root = build_fixture(tmp_path / case)
         client_jar = jar_root / "mock-1.0.0.jar"
         if case == "corrupt":
             client_jar.write_text("not a zip archive\n", encoding="utf-8")
+        elif case == "damaged":
+            first = zipfile.ZipFile(client_jar).namelist()[0]
+            client_jar.write_bytes(damage_entry(client_jar.read_bytes(), first))
         else:
             client_jar.unlink()
         out = tmp_path / case / "out"
         assert main(["corpus", "run", "--artifacts", str(artifacts), "--edges", str(edges),
                      "--jars", str(jar_root), "--out", str(out), "--jobs", "1"]) == 0
         outputs[case] = [(out / name).read_bytes() for name in ("clients.csv", "detections.csv")]
-    assert outputs["corrupt"] == outputs["deleted"]
+    assert outputs["corrupt"] == outputs["damaged"] == outputs["deleted"]
     assert b"org.fw:mock:1.0.0,compile,javax.servlet:servlet-api,3.0.1,3.1.0,minor,,0\n" in outputs["corrupt"][0]
     assert "mock-1.0.0.jar" in caplog.text
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import write_jar
+from conftest import damage_entry, jar_bytes, write_jar
 from corpus_fixture import build_fixture, build_two_library_fixture, write_graph_csvs
 from jarcompat import corpus, delta
 from jarcompat.classfile import ClassSpec, MethodSpec, parser, write_class
@@ -212,6 +212,33 @@ def test_derive_upgrades_jar_unavailable(tmp_path):
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows)
     _, exclusions = derive_upgrades(index_graph(load_graph(artifacts, edges)), tmp_path)
     assert pair_reasons(exclusions) == ["jar_unavailable"]
+
+
+def test_run_pipeline_excludes_a_library_jar_with_a_damaged_entry(tmp_path):
+    # Read past, the damaged p/A.class would look removed in 1.1.0.
+    jar_root = tmp_path / "jars"
+    write_jar(jar_root / "lib-1.0.0.jar", [ClassSpec("p.A"), ClassSpec("p.B")])
+    v2 = jar_bytes([ClassSpec("p.A"), ClassSpec("p.B", methods=(MethodSpec("m"),))])
+    (jar_root / "lib-1.1.0.jar").write_bytes(damage_entry(v2, "p/A.class"))
+    write_jar(jar_root / "app-1.0.0.jar", [ClassSpec("c.App")])
+    rows = [
+        ("g", "lib", "1.0.0", "2011-01-01", "jar", "lib-1.0.0.jar"),
+        ("g", "lib", "1.1.0", "2011-06-01", "jar", "lib-1.1.0.jar"),
+        ("x", "app", "1.0.0", "2011-02-01", "jar", "app-1.0.0.jar"),
+    ]
+    edge_rows = [
+        ("NEXT", "", "g:lib:1.0.0", "g:lib:1.1.0"),
+        ("DEPENDS", "compile", "x:app:1.0.0", "g:lib:1.0.0"),
+    ]
+    graph = load_graph(*write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows))
+    out = tmp_path / "out"
+    summary = run_pipeline(graph, jar_root, out, PipelineOptions(jobs=1))
+    assert summary["emitted"] == 0 and summary["excluded"] == 1
+    assert (out / "exclusions.csv").read_text(encoding="utf-8").splitlines()[1:] == [
+        "pair,g:lib:1.0.0,g:lib:1.1.0,unreadable_jar"
+    ]
+    assert not list((out / "deltas").glob("*.json"))
+    assert "classRemoved" not in "".join(p.read_text(encoding="utf-8") for p in out.glob("*.csv"))
 
 
 def test_derive_upgrades_packaging_filter(tmp_path):
@@ -421,6 +448,42 @@ def test_run_pipeline_parses_each_distinct_class_once_per_library(tmp_path, monk
         ("g.lib:lib:1.2.0", "p.Solo"),
         ("g.two:two:2.0.0", "t.T"),
     ]
+
+
+def test_run_pipeline_drops_each_model_after_its_last_upgrade(tmp_path, monkeypatch):
+    graph, jar_root, _ = _reuse_graph(tmp_path)
+    seen = []
+
+    class RecordingProbe(corpus._JarProbe):
+        def model(self, record):
+            model = super().model(record)
+            seen.append((record.coord, len(self.models), self.parsed))
+            return model
+
+    monkeypatch.setattr(corpus, "_JarProbe", RecordingProbe)
+    run_pipeline(graph, jar_root, tmp_path / "out", PipelineOptions(jobs=1))
+    # lib's 1.0.0 model is gone by the time 1.2.0's is built, and the memo
+    # is released once selection is over.
+    assert ("g.lib:lib:1.2.0", 2, None) in seen
+    assert max(alive for _, alive, _ in seen) == 2
+    assert all(memo is None for _, _, memo in seen)
+
+
+def test_derive_upgrades_parses_each_jar_on_its_own(tmp_path, monkeypatch):
+    # Selection alone keeps no parse, so it shares none: what it holds stays
+    # one JAR's classes, not every class of the corpus.
+    graph, jar_root, jars = _reuse_graph(tmp_path)
+    parses = Counter()
+    original = parser.parse_class
+
+    def counting_parse(data):
+        parses[data] += 1
+        return original(data)
+
+    monkeypatch.setattr(parser, "parse_class", counting_parse)
+    upgrades, _ = derive_upgrades(index_graph(graph), jar_root)
+    assert len(upgrades) == 3
+    assert parses[write_class(jars["two-1.0.0.jar"][1])] == 5  # shared.Util, once per library JAR
 
 
 def test_run_pipeline_empty_graph(tmp_path):
