@@ -8,6 +8,7 @@ computes the exported API surface plus JVM-style member resolution tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -133,8 +134,10 @@ class MemberDecl:
     declared_exceptions: tuple[str, ...] = ()
     annotations: tuple[str, ...] = ()
 
-    @property
+    @cached_property
     def ref(self) -> str:
+        # Cached: the models of a library's versions share the declarations
+        # of unchanged classes, and each of them reads every member's ref.
         return member_ref(self.owner, self.name, self.descriptor)
 
 
@@ -171,13 +174,15 @@ class ApiModel:
     """Immutable view of one library version's declarations."""
 
     id: str = ""
+    config: StabilityConfig = field(default_factory=StabilityConfig)
     types: dict[str, TypeDecl] = field(default_factory=dict)
     stability: dict[str, StabilityLabel] = field(default_factory=dict)
     constants: dict[str, int | float | str] = field(default_factory=dict)
     diagnostics: list[str] = field(default_factory=list)
     # The parsed class each type was built from. Models built from parses
     # shared through ``open_jar``'s memo hold the same object for identical
-    # class bytes, which lets ``compute_delta`` skip unchanged types.
+    # class bytes, which lets ``build_model`` reuse a previous model's work
+    # and ``compute_delta`` skip unchanged types (see ``same_closure``).
     raw_classes: dict[str, RawClass] = field(default_factory=dict)
     _methods: dict[str, dict[tuple[str, str], EffectiveMember]] = field(default_factory=dict)
     _fields: dict[str, dict[str, EffectiveMember]] = field(default_factory=dict)
@@ -407,32 +412,78 @@ def _collect_effective(
     return methods, fields
 
 
+def same_closure(old: ApiModel, new: ApiModel, name: str, memo: dict[str, bool]) -> bool:
+    """True when both models built ``name`` and every supertype it reaches
+    from the same parsed class object, or both lack the type, and no
+    hierarchy cycle is among them.
+
+    Such a type has the same declaration, supertype chains and effective
+    members in both models. Outer classes are not part of the closure: they
+    only affect stability labels. A cycle is excluded because
+    ``_collect_effective`` resolves it in entry order. Identity, not
+    equality: equal records can still hold a ``0.0`` and a ``-0.0`` constant.
+    ``memo`` holds the answers for one pair of models.
+    """
+    known = memo.get(name)
+    if known is not None:
+        return known
+    raw = old.raw_classes.get(name)
+    if raw is not new.raw_classes.get(name):
+        result = False
+    elif raw is None:
+        result = True
+    else:
+        memo[name] = False  # reaching ``name`` again is a cycle
+        supertypes = (raw.super_name, *raw.interfaces) if raw.super_name else raw.interfaces
+        result = all(same_closure(old, new, parent, memo) for parent in supertypes)
+    memo[name] = result
+    return result
+
+
+def _labels_unique(model: ApiModel) -> bool:
+    """True when no two declarations of ``model`` share a stability key, so
+    that the label under each member's ref is that member's own."""
+    return len(model.stability) == len(model.types) + sum(
+        len(decl.members) for decl in model.types.values()
+    )
+
+
 def build_model(
     jar: JarContent,
     config: StabilityConfig | None = None,
     model_id: str | None = None,
+    previous: ApiModel | None = None,
 ) -> ApiModel:
     """Build an ApiModel from parsed JAR content.
 
     Duplicate type names keep the first occurrence and record a diagnostic.
     Synthetic classes are skipped. Stability is computed for every type and
     member, so the stability map is total.
+
+    ``previous``, typically the model of the library's preceding version,
+    lends its work on every type built from the same ``RawClass`` object:
+    the declaration itself; its member labels, when both models use one
+    config and the type's own label is unchanged; and its effective members,
+    when ``same_closure`` holds. The result equals a model built without it.
     """
     config = config or StabilityConfig()
-    model = ApiModel(id=model_id if model_id is not None else jar.source)
+    model = ApiModel(id=model_id if model_id is not None else jar.source, config=config)
+    reused = previous.raw_classes if previous is not None else {}
 
     for path, cls in jar.entries:
         if cls.access_flags & ACC_SYNTHETIC:
             continue
-        if cls.this_name in model.types:
-            model.diagnostics.append(f"duplicate type {cls.this_name} at {path}; keeping first")
+        name = cls.this_name
+        if name in model.types:
+            model.diagnostics.append(f"duplicate type {name} at {path}; keeping first")
             continue
-        model.types[cls.this_name] = _type_decl(cls)
-        model.raw_classes[cls.this_name] = cls
+        model.types[name] = previous.types[name] if reused.get(name) is cls else _type_decl(cls)
+        model.raw_classes[name] = cls
         for raw in cls.fields:
             if raw.constant_value is not None:
-                model.constants[member_ref(cls.this_name, raw.name, raw.descriptor)] = raw.constant_value
+                model.constants[member_ref(name, raw.name, raw.descriptor)] = raw.constant_value
 
+    reuse_labels = previous is not None and previous.config == config and _labels_unique(previous)
     # Outer types label before nested ones: sort by name length of the '$' chain.
     for name in sorted(model.types, key=lambda n: (n.count("$"), n)):
         decl = model.types[name]
@@ -441,9 +492,23 @@ def build_model(
             enclosing_label = model.stability.get(decl.enclosing_name)
         type_label = classify_type_stability(decl, config, enclosing_label)
         model.stability[name] = type_label
-        for member in decl.members:
-            model.stability[member.ref] = classify_member_stability(member, config, type_label)
+        if (
+            reuse_labels
+            and previous.types.get(name) is decl
+            and previous.stability[name] == type_label
+        ):
+            for member in decl.members:
+                model.stability[member.ref] = previous.stability[member.ref]
+        else:
+            for member in decl.members:
+                model.stability[member.ref] = classify_member_stability(member, config, type_label)
 
+    if previous is not None:
+        memo: dict[str, bool] = {}
+        for name in model.types:
+            if same_closure(previous, model, name, memo):
+                model._methods[name] = previous._methods[name]
+                model._fields[name] = previous._fields[name]
     in_progress: set[str] = set()
     for name in model.types:
         _collect_effective(model, name, model._methods, model._fields, in_progress)

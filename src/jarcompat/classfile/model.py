@@ -184,6 +184,19 @@ class JarContent:
             raise NotAZip(f"{self.source}: damaged entry {name}: {reason}")
         return self
 
+    def require_complete(self) -> JarContent:
+        """This content, or an error when any class entry failed: ``NotAZip``
+        for a damaged entry, ``ClassFormatError`` for a class that did not
+        parse. A library's model must hold every class its JAR ships; a
+        client's only loses the uses of the missing class, so clients need
+        no more than ``require_intact``.
+        """
+        self.require_intact()
+        if self.parse_failures:
+            name, reason = self.parse_failures[0]
+            raise ClassFormatError(f"{self.source}: class entry {name} does not parse: {reason}")
+        return self
+
     def max_java_release(self) -> int | None:
         majors = [cls.major_version for cls in self.classes()]
         if not majors:

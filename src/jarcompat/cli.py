@@ -62,13 +62,14 @@ def _load_config(path: str | None) -> StabilityConfig:
 
 def _build_models(old_jar: str, new_jar: str, config: StabilityConfig):
     # One parse memo for both JARs: identical class bytes are parsed once,
-    # and compute_delta can skip the types built from them.
+    # the new model reuses the old one's work on them, and compute_delta
+    # can skip the types built from them.
     parsed: dict[bytes, RawClass] = {}
     try:
-        old_content = open_jar(old_jar, parsed).require_intact()
-        new_content = open_jar(new_jar, parsed).require_intact()
+        old_content = open_jar(old_jar, parsed).require_complete()
+        new_content = open_jar(new_jar, parsed).require_complete()
         old_model = build_model(old_content, config, model_id=old_jar)
-        new_model = build_model(new_content, config, model_id=new_jar)
+        new_model = build_model(new_content, config, model_id=new_jar, previous=old_model)
     except (NotAZip, ClassFormatError, OSError) as exc:
         raise DataError(str(exc)) from exc
     return old_model, new_model

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .apimodel import ApiModel, StabilityConfig, build_model
-from .classfile import JarContent, NotAZip, RawClass, open_jar
+from .classfile import ClassFormatError, JarContent, NotAZip, RawClass, open_jar
 from .delta import Delta, compute_delta, is_breaking
 from .detect import classify_impact, compute_detections
 from .semver import NotAnUpgrade, SemverLevel, Unparseable, Version, classify_upgrade, parse_version
@@ -177,9 +177,11 @@ class _JarProbe:
     also keeps the parsed content, so that the pipeline builds each model
     from the parse the filters already made, and its JARs share one parse
     memo, so a class whose bytes recur across versions is parsed once and
-    the models of two versions hold the same ``RawClass`` for it. A probe
-    that keeps only facts parses each JAR on its own, so that what it holds
-    does not grow with the classes it has read.
+    the models of two versions hold the same ``RawClass`` for it. Each model
+    is built from the last one still held, so it reuses that model's work on
+    the classes they share (see ``build_model``). A probe that keeps only
+    facts parses each JAR on its own, so that what it holds does not grow
+    with the classes it has read.
     """
 
     def __init__(self, jar_root: Path | None, config: StabilityConfig | None = None) -> None:
@@ -207,8 +209,8 @@ class _JarProbe:
             facts = _JarFacts(ok=False, reason="jar_unavailable")
         else:
             try:
-                content = open_jar(path, self.parsed).require_intact()
-            except NotAZip:
+                content = open_jar(path, self.parsed).require_complete()
+            except (NotAZip, ClassFormatError):
                 facts = _JarFacts(ok=False, reason="unreadable_jar")
             else:
                 facts = _JarFacts(
@@ -226,7 +228,8 @@ class _JarProbe:
         model = self.models.get(record.coord)
         if model is None:
             content = self.contents.pop(record.coord)
-            model = build_model(content, self.config, model_id=record.coord)
+            previous = next(reversed(self.models.values()), None)
+            model = build_model(content, self.config, model_id=record.coord, previous=previous)
             self.models[record.coord] = model
         return model
 
@@ -505,11 +508,12 @@ def run_pipeline(
 ) -> dict:
     """Derive upgrades, compute deltas and detections, and write the datasets.
 
-    Each library is one task (see ``_run_library``), run inline at one job
-    and on a process pool otherwise. Outputs are deterministic for fixed
-    inputs; per-upgrade delta files are keyed by a content hash of the two
-    JARs and reused when already present. Returns a summary dict (also
-    written to summary.json).
+    Each library is one task (see ``_run_library``), run inline at one job.
+    At more jobs, the tasks of libraries with an external client go to a
+    process pool, and the rest, which open no JAR, run inline. Outputs are
+    deterministic for fixed inputs; per-upgrade delta files are keyed by a
+    content hash of the two JARs and reused when already present. Returns a
+    summary dict (also written to summary.json).
     """
     options = options or PipelineOptions()
     out = Path(out_dir)
@@ -521,9 +525,13 @@ def run_pipeline(
     tasks = [
         _LibraryTask(index.library_slice(library), root, deltas, config) for library in index.chains
     ]
-    if options.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(options.jobs, len(tasks))) as pool:
-            results = list(pool.map(_run_library, tasks))
+    # Only a task that reads a JAR is worth a worker's round trip; the parent
+    # runs the others while the pool works.
+    reads = [_reads_jars(task) for task in tasks]
+    if options.jobs > 1 and sum(reads) > 1:
+        with ProcessPoolExecutor(max_workers=min(options.jobs, sum(reads))) as pool:
+            done = pool.map(_run_library, [task for task, read in zip(tasks, reads) if read])
+            results = [next(done) if read else _run_library(task) for task, read in zip(tasks, reads)]
     else:
         results = [_run_library(task) for task in tasks]
 
@@ -563,6 +571,17 @@ def run_pipeline(
     if options.samples:
         _write_samples(out, client_rows, options)
     return summary
+
+
+def _reads_jars(task: _LibraryTask) -> bool:
+    """False when no version of the library has an external client: then
+    every pair is excluded before its JARs are opened."""
+    graph = task.index.graph
+    return any(
+        _external_clients(graph, record)
+        for versions in task.index.versions.values()
+        for record in versions.values()
+    )
 
 
 def _run_library(task: _LibraryTask) -> _LibraryResult:
@@ -656,7 +675,9 @@ def _upgrade_delta(upgrade: Upgrade, probe: _JarProbe, deltas: Path) -> Delta:
         payload = json.loads(delta_path.read_text(encoding="utf-8"))
         if payload.get("inputHash") == input_hash:
             return Delta.from_dict(payload)
-    delta = compute_delta(probe.model(upgrade.rec1), probe.model(upgrade.rec2))
+    # v1's model first, so that v2's is built from it.
+    old = probe.model(upgrade.rec1)
+    delta = compute_delta(old, probe.model(upgrade.rec2))
     payload = delta.to_dict()
     payload["inputHash"] = input_hash
     delta_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -26,6 +26,7 @@ from .apimodel import (
     StabilityLabel,
     api_surface,
     member_ref,
+    same_closure,
 )
 from .classfile import parameter_part
 
@@ -228,7 +229,7 @@ class _DeltaBuilder:
         self.new = new
         self.changes: list[BreakingChange] = []
         self.old_surface = api_surface(old)
-        self._unchanged_memo: dict[str, bool] = {}
+        self._closure_memo: dict[str, bool] = {}
 
     def emit(
         self,
@@ -261,7 +262,9 @@ class _DeltaBuilder:
             if t_new is None:
                 self.emit(BcKind.CLASS_REMOVED, name, label)
                 continue
-            if self.unchanged(name):
+            if same_closure(self.old, self.new, name, self._closure_memo):
+                # Same declaration and effective members in both models; its
+                # outer classes' labels would only decorate emitted changes.
                 continue
             if t_old.kind != t_new.kind:
                 # Finer-grained comparison is meaningless across kinds;
@@ -284,33 +287,6 @@ class _DeltaBuilder:
                 self.emit(BcKind.CLASS_NOW_ABSTRACT, name, label)
             self.compare_hierarchy(name, label)
             self.compare_members(name)
-
-    def unchanged(self, name: str) -> bool:
-        """True when both models built ``name`` and every supertype it reaches
-        from the same parsed class object, or both lack the type, and no
-        hierarchy cycle is among them.
-
-        Such a type has the same declaration, supertype chains and effective
-        members in both models, so comparing it emits nothing. Outer classes
-        only affect stability labels, which decorate emitted changes alone.
-        A cycle is excluded because ``_collect_effective`` resolves it in
-        entry order. Identity, not equality: equal records can still hold a
-        ``0.0`` and a ``-0.0`` constant.
-        """
-        known = self._unchanged_memo.get(name)
-        if known is not None:
-            return known
-        raw = self.old.raw_classes.get(name)
-        if raw is not self.new.raw_classes.get(name):
-            result = False
-        elif raw is None:
-            result = True
-        else:
-            self._unchanged_memo[name] = False  # reaching ``name`` again is a cycle
-            supertypes = (raw.super_name, *raw.interfaces) if raw.super_name else raw.interfaces
-            result = all(self.unchanged(parent) for parent in supertypes)
-        self._unchanged_memo[name] = result
-        return result
 
     def compare_hierarchy(self, name: str, label: StabilityLabel) -> None:
         old_chain = self.old.superclass_chain(name)

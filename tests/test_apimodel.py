@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import model_of
+from conftest import jar_bytes, model_of
 from jarcompat.apimodel import (
+    STABLE,
     StabilityConfig,
     api_surface,
     build_model,
@@ -15,7 +18,7 @@ from jarcompat.apimodel import (
     member_ref,
     rehost_member,
 )
-from jarcompat.classfile import ClassSpec, FieldSpec, MethodSpec
+from jarcompat.classfile import ClassSpec, FieldSpec, MethodSpec, open_jar
 
 
 def test_build_model_interface_evolution_shape():
@@ -154,6 +157,22 @@ def test_classify_stability_standalone():
     decl = model.types["p.A"]
     assert model.stability[decl.qualified_name].status == "stable"
     assert model.stability[decl.members[0].ref].status == "stable"
+
+
+def test_previous_model_whose_type_shares_a_field_ref_lends_no_label():
+    # In 1.0 the type p.A.f (package p.A) and the field f of p.A share the
+    # stability key "p.A.f", and the type, labelled last, holds it. 1.1
+    # drops that type, so the field's own label must be worked out afresh.
+    owner = ClassSpec("p.A", fields=(FieldSpec("f"),))
+    clash = ClassSpec("p.A.f", annotations=("p.Beta",))
+    parsed: dict = {}
+    v1 = open_jar(io.BytesIO(jar_bytes([owner, clash])), parsed)
+    v2 = open_jar(io.BytesIO(jar_bytes([owner])), parsed)
+    previous = build_model(v1)
+    assert previous.stability["p.A.f"].reason_kind == "annotation"
+    reused = build_model(v2, previous=previous)
+    assert reused.types["p.A"] is previous.types["p.A"]
+    assert reused.stability == build_model(v2).stability == {"p.A": STABLE, "p.A.f": STABLE}
 
 
 def test_config_file_round_trip(tmp_path):

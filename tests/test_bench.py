@@ -130,6 +130,15 @@ def test_case_with_a_damaged_library_entry_is_invalid(tmp_path):
     assert verdict.detections == []
 
 
+def test_case_with_a_library_class_that_does_not_parse_is_invalid(tmp_path):
+    v1 = write_jar(tmp_path / "v1.jar", [ClassSpec("p.A"), ClassSpec("p.B")])
+    v2 = write_jar(tmp_path / "v2.jar", [ClassSpec("p.B")], extra={"p/A.class": b"\xca\xfe\xba\xbe\x00"})
+    client = write_jar(tmp_path / "client.jar", [ClassSpec("c.X")])
+    verdict = run_case(BenchCase("unparsed", v1, v2, client, "c.X"))
+    assert verdict.error.startswith("ClassFormatError") and "p/A.class does not parse" in verdict.error
+    assert verdict.detections == []
+
+
 def test_report_table_renders(bench_report):
     text = bench_report.table()
     assert "precision=" in text

@@ -429,6 +429,13 @@ def test_require_intact_passes_a_class_that_does_not_parse():
     assert content.require_intact() is content
 
 
+def test_require_complete_rejects_a_class_that_does_not_parse():
+    content = jar_content([ClassSpec("p.B")], extra={"p/Bad.class": b"\x00\x01\x02\x03"})
+    with pytest.raises(ClassFormatError, match="p/Bad.class does not parse: BadMagic"):
+        content.require_complete()
+    assert jar_content([ClassSpec("p.B")]).require_complete().classes()[0].this_name == "p.B"
+
+
 def test_open_jar_memo_parses_each_distinct_class_once(monkeypatch):
     calls = []
 

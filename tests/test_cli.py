@@ -79,6 +79,19 @@ def test_delta_jar_with_a_damaged_entry_exit_three(tmp_path, jars, capsys):
     assert capsys.readouterr().err.count("damaged entry") == 2
 
 
+def test_library_class_that_does_not_parse_exit_three(tmp_path, jars, capsys):
+    # Left out of the model, the class would look removed.
+    bad_class = {"srv/Extra.class": b"\xca\xfe\xba\xbe\x00"}
+    bad = write_jar(tmp_path / "bad.jar", [HANDLER_V2], extra=bad_class)
+    assert main(["delta", str(jars["v1"]), str(bad)]) == 3
+    assert main(["detect", str(bad), str(jars["v2"]), str(jars["client"])]) == 3
+    assert capsys.readouterr().err.count("class entry srv/Extra.class does not parse") == 2
+    # A client's class that does not parse is only left out of its usage.
+    client = write_jar(tmp_path / "client.jar", [MOCK], extra=bad_class)
+    assert main(["detect", str(jars["v1"]), str(jars["v2"]), str(client), "--json", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["impact"]["broken"] is True
+
+
 def test_delta_csv_output(jars, capsys):
     code = main(["delta", str(jars["v1"]), str(jars["v2"]), "--csv", "-"])
     out = capsys.readouterr().out.splitlines()

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from conftest import damage_entry, jar_bytes, write_jar
 from corpus_fixture import build_fixture, build_two_library_fixture, write_graph_csvs
-from jarcompat import corpus, delta
-from jarcompat.classfile import ClassSpec, MethodSpec, parser, write_class
+from jarcompat import apimodel, corpus, delta
+from jarcompat.classfile import ClassSpec, MethodSpec, parse_class, parser, write_class
 from jarcompat.corpus import (
     PipelineOptions,
     SchemaError,
@@ -241,6 +242,46 @@ def test_run_pipeline_excludes_a_library_jar_with_a_damaged_entry(tmp_path):
     assert "classRemoved" not in "".join(p.read_text(encoding="utf-8") for p in out.glob("*.csv"))
 
 
+def test_a_library_class_that_does_not_parse_excludes_its_pairs(tmp_path):
+    # Left out of 1.1.0's model, p.A would look removed; in a client JAR the
+    # same entry only costs the uses it would have held.
+    bad_class = {"p/A.class": b"\xca\xfe\xba\xbe\x00"}
+    jar_root = tmp_path / "jars"
+    write_jar(jar_root / "lib-1.0.0.jar", [ClassSpec("p.A"), ClassSpec("p.B")])
+    write_jar(jar_root / "lib-1.1.0.jar", [ClassSpec("p.B")], extra=bad_class)
+    write_jar(jar_root / "other-1.0.0.jar", [ClassSpec("o.X", methods=(MethodSpec("x"),))])
+    write_jar(jar_root / "other-1.1.0.jar", [ClassSpec("o.X")])
+    write_jar(jar_root / "app-1.0.0.jar", [ClassSpec("c.App")], extra={"c/Bad.class": b"\x00"})
+    rows = [
+        ("g", "lib", "1.0.0", "2011-01-01", "jar", "lib-1.0.0.jar"),
+        ("g", "lib", "1.1.0", "2011-06-01", "jar", "lib-1.1.0.jar"),
+        ("g", "other", "1.0.0", "2011-01-01", "jar", "other-1.0.0.jar"),
+        ("g", "other", "1.1.0", "2011-06-01", "jar", "other-1.1.0.jar"),
+        ("x", "app", "1.0.0", "2011-02-01", "jar", "app-1.0.0.jar"),
+    ]
+    edge_rows = [
+        ("NEXT", "", "g:lib:1.0.0", "g:lib:1.1.0"),
+        ("NEXT", "", "g:other:1.0.0", "g:other:1.1.0"),
+        ("DEPENDS", "compile", "x:app:1.0.0", "g:lib:1.0.0"),
+        ("DEPENDS", "compile", "x:app:1.0.0", "g:other:1.0.0"),
+    ]
+    graph = load_graph(*write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows))
+    expected = ["pair", "g:lib:1.0.0", "g:lib:1.1.0", "unreadable_jar"]
+    _, exclusions = derive_upgrades(index_graph(graph), jar_root)
+    assert exclusions == [expected]
+
+    out = tmp_path / "out"
+    summary = run_pipeline(graph, jar_root, out, PipelineOptions(jobs=1))
+    assert summary["emitted"] == 1 and summary["excluded"] == 1
+    assert (out / "exclusions.csv").read_text(encoding="utf-8").splitlines()[1:] == [
+        ",".join(expected)
+    ]
+    assert "classRemoved" not in "".join(p.read_text(encoding="utf-8") for p in out.rglob("*.*"))
+    # The client JAR with a class that does not parse still gets a verdict.
+    clients = (out / "clients.csv").read_text(encoding="utf-8").splitlines()
+    assert clients[1:] == ["x:app:1.0.0,compile,g:other,1.0.0,1.1.0,minor,false,0"]
+
+
 def test_derive_upgrades_packaging_filter(tmp_path):
     rows = [
         ("g", "lib", "1.0.0", "2011-01-01", "war", ""),
@@ -448,6 +489,61 @@ def test_run_pipeline_parses_each_distinct_class_once_per_library(tmp_path, monk
         ("g.lib:lib:1.2.0", "p.Solo"),
         ("g.two:two:2.0.0", "t.T"),
     ]
+
+
+def test_run_pipeline_builds_each_distinct_type_once_per_library(tmp_path, monkeypatch):
+    # Each version's model is built from its predecessor's, so a class that
+    # recurs across a library's versions gets its declaration built once.
+    graph, jar_root, jars = _reuse_graph(tmp_path)
+    built = Counter()
+    original = apimodel._type_decl
+
+    def counting_type_decl(cls):
+        built[cls] += 1
+        return original(cls)
+
+    monkeypatch.setattr(apimodel, "_type_decl", counting_type_decl)
+    summary = run_pipeline(graph, jar_root, tmp_path / "out", PipelineOptions(jobs=1))
+    assert summary["emitted"] == 3
+
+    expected = Counter()
+    for prefix in ("lib-", "two-"):
+        expected.update({
+            parse_class(write_class(spec))
+            for name, specs in jars.items() if name.startswith(prefix) for spec in specs
+        })
+    assert built == expected
+    assert built[parse_class(write_class(jars["two-1.0.0.jar"][1]))] == 2  # shared.Util
+
+
+def test_run_pipeline_pools_only_the_libraries_that_read_a_jar(tmp_path, monkeypatch):
+    _, jar_root, _ = _reuse_graph(tmp_path)
+    # g.mid has a version pair but no client, so it opens no JAR, and the
+    # client libraries c0-c2 have one version each.
+    artifacts, edges = tmp_path / "artifacts.csv", tmp_path / "edges.csv"
+    with artifacts.open("a", encoding="utf-8") as handle:
+        handle.write("g.mid,mid,1.0.0,2011-01-01,jar,\ng.mid,mid,1.1.0,2012-01-01,jar,\n")
+    with edges.open("a", encoding="utf-8") as handle:
+        handle.write("NEXT,,g.mid:mid:1.0.0,g.mid:mid:1.1.0\n")
+    graph = load_graph(artifacts, edges)
+    pooled = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            pooled.extend(library for task in tasks for library in task.index.versions)
+            return super().map(fn, tasks)
+
+    monkeypatch.setattr(corpus, "ProcessPoolExecutor", RecordingPool)
+    samples = (("all", 0.95, 0.05),)
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    run_pipeline(graph, jar_root, serial, PipelineOptions(jobs=1, samples=samples))
+    assert not pooled
+    run_pipeline(graph, jar_root, parallel, PipelineOptions(jobs=2, samples=samples))
+    assert pooled == [("g.lib", "lib"), ("g.two", "two")]
+    files = snapshot(serial)
+    assert b"g.mid:mid:1.0.0,g.mid:mid:1.1.0,no_external_client" in files["exclusions.csv"]
+    assert snapshot(parallel) == files
 
 
 def test_run_pipeline_drops_each_model_after_its_last_upgrade(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from catalog_cases import CATALOG_CASES
 from conftest import jar_bytes, jar_content, model_of
-from jarcompat.apimodel import build_model
+from jarcompat.apimodel import StabilityConfig, build_model
 from jarcompat.classfile import ClassSpec, FieldSpec, MethodSpec, open_jar
 from jarcompat.delta import (
     CATALOG,
@@ -326,6 +326,7 @@ def _type_spec(draw, name, kind, super_name, interfaces):
             is_static=not abstract and m_name != "<init>" and draw(st.booleans()),
             is_final=not abstract and kind == "class" and draw(st.booleans()),
             exceptions=draw(st.sampled_from([(), ("java.io.IOException",)])),
+            annotations=draw(st.sampled_from([(), ("p.Beta",)])),
         ))
     fields = [FieldSpec("f", "I", visibility=draw(st.sampled_from(_VISIBILITIES)),
                         is_static=draw(st.booleans()), is_final=draw(st.booleans()))]
@@ -403,3 +404,38 @@ def test_hierarchy_cycle_disables_the_short_cut():
     full = compute_delta(*_models([a, b], [b, a], {}, {}))
     assert [(c.kind, c.element) for c in full.changes] == [(BcKind.METHOD_REMOVED, "p.A.b()V")]
     assert compute_delta(old, new).to_dict() == full.to_dict()
+
+
+# --- models built from a previous version's model ----------------------------
+
+# The generator's types and methods carry ``p.Beta`` or nothing, so the two
+# configs label them apart: the default one reads Beta as unstable, the
+# other does not. A method's label can then differ while its type's does not.
+_CONFIGS = (StabilityConfig(), StabilityConfig(keywords=("internal",), annotations=()))
+
+
+def _model_facts(model):
+    return (
+        model.types,
+        model.stability,
+        # repr tells 0.0 from -0.0, and NaN from any other value.
+        {ref: repr(value) for ref, value in model.constants.items()},
+        model.diagnostics,
+        {name: (model.effective_methods(name), model.effective_fields(name)) for name in model.types},
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_version_pair(), st.sampled_from(_CONFIGS), st.sampled_from(_CONFIGS))
+def test_model_built_from_a_previous_model_equals_a_fresh_one(pair, old_config, new_config):
+    old_specs, new_specs = pair
+    shared: dict = {}
+    v1 = open_jar(io.BytesIO(jar_bytes(old_specs)), shared)
+    v2 = open_jar(io.BytesIO(jar_bytes(new_specs)), shared)
+    previous = build_model(v1, old_config, model_id="old")
+    reused = build_model(v2, new_config, model_id="new", previous=previous)
+    fresh = build_model(v2, new_config, model_id="new")
+    assert _model_facts(reused) == _model_facts(fresh)
+    # Not vacuous: a type built from a shared parse is the previous model's.
+    for name, raw in reused.raw_classes.items():
+        assert (reused.types[name] is previous.types.get(name)) == (previous.raw_classes.get(name) is raw)
