@@ -1,13 +1,25 @@
 """Class-file and JAR parsing.
 
-The parser resolves the constant pool eagerly and returns records holding
-only symbolic names and descriptors. Method bodies are scanned just enough
-to collect the member and type references they contain; instructions are
-never interpreted.
+``open_jar`` reads an archive from disk once. ``zipfile`` parses its central
+directory; each class entry is then read straight from the archive's bytes,
+with the checks ``zipfile`` makes when it reads a member (local header
+signature and name, flags, compression method, size and CRC-32), raising
+the same exceptions. A local name that does not decode counts as a name
+mismatch. Only stored and deflated entries are read, as the JVM reads JARs.
+
+``parse_class`` decodes a class file in one pass of offsets over its bytes:
+one bounds check per structure, then precompiled ``struct`` layouts read in
+place, so no attribute body is copied. The constant pool is decoded up
+front and each class name and member reference is resolved once per pool
+index. The result holds only symbolic names and descriptors. Method bodies
+are scanned just enough to collect the member and type references they
+contain; instructions are never interpreted. Malformed input raises
+``ClassFormatError``, never ``IndexError`` or ``struct.error``.
 """
 
 from __future__ import annotations
 
+import io
 import struct
 import zipfile
 import zlib
@@ -50,139 +62,38 @@ _INVOKE_DYNAMIC = 18
 _MODULE = 19
 _PACKAGE = 20
 
+_MAGIC_BYTES = MAGIC.to_bytes(4, "big")
+
 # Big-endian layouts read from class files.
 _U2 = struct.Struct(">H")
-_U4 = struct.Struct(">I")
-_U2_PAIR = struct.Struct(">HH")
-_U1_U2 = struct.Struct(">BH")
 _I4 = struct.Struct(">i")
 _I4_PAIR = struct.Struct(">ii")
-_F4 = struct.Struct(">f")
-_I8 = struct.Struct(">q")
-_F8 = struct.Struct(">d")
-_MEMBER_HEAD = struct.Struct(">HHH")  # access flags, name index, descriptor index
+_U2_PAIR = struct.Struct(">HH")
+_HEADER = struct.Struct(">4xHHH")  # after the magic: minor, major, constant count
+_U2_QUAD = struct.Struct(">HHHH")  # class head, member head, InnerClasses row
+_ATTRIBUTE_HEAD = struct.Struct(">HI")  # name index, length
+_CODE_LENGTH = struct.Struct(">4xI")  # after max_stack and max_locals
+
+# The layout of each constant's body after its tag byte, by tag; Utf8 has a
+# variable length and unknown tags have none.
+_CONSTANT_LAYOUTS: list[struct.Struct | None] = [None] * 256
+for _tags, _layout in (
+    ((_INTEGER,), _I4),
+    ((_FLOAT,), struct.Struct(">f")),
+    ((_LONG,), struct.Struct(">q")),
+    ((_DOUBLE,), struct.Struct(">d")),
+    ((_CLASS, _STRING, _METHOD_TYPE, _MODULE, _PACKAGE), _U2),
+    ((_FIELDREF, _METHODREF, _IFACE_METHODREF, _NAME_AND_TYPE, _DYNAMIC, _INVOKE_DYNAMIC), _U2_PAIR),
+    ((_METHOD_HANDLE,), struct.Struct(">BH")),
+):
+    for _tag in _tags:
+        _CONSTANT_LAYOUTS[_tag] = _layout
+_MEMBER_REF_TAGS = frozenset((_FIELDREF, _METHODREF, _IFACE_METHODREF))
+_CONSTANT_VALUE_TAGS = frozenset((_INTEGER, _LONG, _FLOAT, _DOUBLE, _STRING))
 
 
-class _Reader:
-    """Cursor over a byte buffer with checked reads.
-
-    Fixed-size values are unpacked in place after one bounds check, so only
-    ``take`` copies bytes.
-    """
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def _advance(self, count: int) -> int:
-        """Move past ``count`` bytes and return where they start."""
-        pos = self.pos
-        end = pos + count
-        if end > len(self.data):
-            raise TruncatedClass(f"needed {count} bytes at offset {pos}")
-        self.pos = end
-        return pos
-
-    def take(self, count: int) -> bytes:
-        pos = self._advance(count)
-        return self.data[pos : pos + count]
-
-    def unpack(self, layout: struct.Struct) -> tuple:
-        return layout.unpack_from(self.data, self._advance(layout.size))
-
-    def u1(self) -> int:
-        return self.data[self._advance(1)]
-
-    def u2(self) -> int:
-        return _U2.unpack_from(self.data, self._advance(2))[0]
-
-    def u4(self) -> int:
-        return _U4.unpack_from(self.data, self._advance(4))[0]
-
-    def skip(self, count: int) -> None:
-        self._advance(count)
-
-
-class _ConstantPool:
-    """Tagged entries indexed from 1, with typed resolution helpers."""
-
-    def __init__(self, entries: list[tuple[int, object] | None]) -> None:
-        self.entries = entries
-
-    def _entry(self, index: int, expected: tuple[int, ...]) -> object:
-        if index <= 0 or index >= len(self.entries):
-            raise MalformedConstantPool(f"constant index {index} out of range")
-        entry = self.entries[index]
-        if entry is None or entry[0] not in expected:
-            raise MalformedConstantPool(
-                f"constant {index} has tag {None if entry is None else entry[0]}, "
-                f"wanted one of {expected}"
-            )
-        return entry[1]
-
-    def utf8(self, index: int) -> str:
-        return self._entry(index, (_UTF8,))  # type: ignore[return-value]
-
-    def class_name(self, index: int) -> str:
-        name_index = self._entry(index, (_CLASS,))
-        return self.utf8(name_index).replace("/", ".")  # type: ignore[arg-type]
-
-    def member_ref(self, index: int) -> MemberRef:
-        class_index, nat_index = self._entry(
-            index, (_FIELDREF, _METHODREF, _IFACE_METHODREF)
-        )  # type: ignore[misc]
-        name_index, desc_index = self._entry(nat_index, (_NAME_AND_TYPE,))  # type: ignore[misc]
-        owner = self.class_name(class_index)
-        return MemberRef(owner, self.utf8(name_index), self.utf8(desc_index))
-
-    def constant_value(self, index: int) -> int | float | str:
-        value = self._entry(index, (_INTEGER, _LONG, _FLOAT, _DOUBLE, _STRING))
-        entry = self.entries[index]
-        if entry[0] == _STRING:  # type: ignore[index]
-            return self.utf8(value)  # type: ignore[arg-type]
-        return value  # type: ignore[return-value]
-
-
-def _parse_constant_pool(reader: _Reader) -> _ConstantPool:
-    count = reader.u2()
-    entries: list[tuple[int, object] | None] = [None]
-    while len(entries) < count:
-        tag = reader.u1()
-        if tag == _UTF8:
-            length = reader.u2()
-            raw = reader.take(length)
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                # Modified UTF-8 (embedded NULs, surrogate pairs); close enough
-                # for name resolution.
-                text = raw.decode("utf-8", errors="replace")
-            entries.append((tag, text))
-        elif tag == _INTEGER:
-            entries.append((tag, reader.unpack(_I4)[0]))
-        elif tag == _FLOAT:
-            entries.append((tag, reader.unpack(_F4)[0]))
-        elif tag == _LONG:
-            entries.append((tag, reader.unpack(_I8)[0]))
-            entries.append(None)  # longs and doubles take two slots
-        elif tag == _DOUBLE:
-            entries.append((tag, reader.unpack(_F8)[0]))
-            entries.append(None)
-        elif tag in (_CLASS, _STRING, _METHOD_TYPE, _MODULE, _PACKAGE):
-            entries.append((tag, reader.u2()))
-        elif tag in (_FIELDREF, _METHODREF, _IFACE_METHODREF, _NAME_AND_TYPE, _DYNAMIC, _INVOKE_DYNAMIC):
-            entries.append((tag, reader.unpack(_U2_PAIR)))
-        elif tag == _METHOD_HANDLE:
-            entries.append((tag, reader.unpack(_U1_U2)))
-        else:
-            raise MalformedConstantPool(f"unknown constant tag {tag}")
-    return _ConstantPool(entries)
-
-
-# Instruction lengths (opcode byte included); 0 marks variable-length or
-# reserved opcodes that get special handling.
+# Instruction lengths, opcode byte included. The scanner measures tableswitch,
+# lookupswitch and wide itself.
 def _build_opcode_lengths() -> list[int]:
     lengths = [1] * 256
     for op in (0x10, 0x12, 0x15, 0x16, 0x17, 0x18, 0x19, 0x36, 0x37, 0x38, 0x39, 0x3A, 0xA9, 0xBC):
@@ -195,190 +106,78 @@ def _build_opcode_lengths() -> list[int]:
     lengths[0xC5] = 4  # multianewarray
     lengths[0xB9] = lengths[0xBA] = 5  # invokeinterface / invokedynamic
     lengths[0xC8] = lengths[0xC9] = 5  # goto_w / jsr_w
-    for op in (0xAA, 0xAB, 0xC4):  # tableswitch, lookupswitch, wide
-        lengths[op] = 0
     return lengths
 
 
 _OPCODE_LENGTHS = _build_opcode_lengths()
 
-_FIELD_OPS = frozenset((0xB2, 0xB3, 0xB4, 0xB5))
-_METHOD_OPS = frozenset((0xB6, 0xB7, 0xB8, 0xB9))
-_TYPE_OPS = frozenset((0xBB, 0xBD, 0xC0, 0xC1, 0xC5))
+# What the scanner does with each opcode; 0 is "step over it".
+_OP_METHOD, _OP_FIELD, _OP_TYPE, _OP_LDC, _OP_LDC_W, _OP_TABLESWITCH, _OP_LOOKUPSWITCH, _OP_WIDE = range(1, 9)
+_OP_KINDS = bytearray(256)
+for _ops, _kind in (
+    ((0xB6, 0xB7, 0xB8, 0xB9), _OP_METHOD),
+    ((0xB2, 0xB3, 0xB4, 0xB5), _OP_FIELD),
+    ((0xBB, 0xBD, 0xC0, 0xC1, 0xC5), _OP_TYPE),
+    ((0x12,), _OP_LDC),
+    ((0x13,), _OP_LDC_W),
+    ((0xAA,), _OP_TABLESWITCH),
+    ((0xAB,), _OP_LOOKUPSWITCH),
+    ((0xC4,), _OP_WIDE),
+):
+    for _op in _ops:
+        _OP_KINDS[_op] = _kind
+
+# Annotation element-value tags (JVMS 4.7.16.1) followed by one u2.
+_CONST_ELEMENT_TAGS = frozenset(b"BCDFIJSZsc")
 
 
-def _scan_code(
-    code: bytes, pool: _ConstantPool
-) -> tuple[list[MemberRef], list[MemberRef], list[str]]:
-    """Collect member and class references from a Code attribute body."""
-    methods: list[MemberRef] = []
-    fields: list[MemberRef] = []
-    types: list[str] = []
-    pos = 0
-    size = len(code)
-    while pos < size:
-        op = code[pos]
-        if op in _METHOD_OPS or op in _FIELD_OPS or op in _TYPE_OPS:
-            if pos + 3 > size:
-                raise TruncatedClass("method/field/type instruction cut short")
-            index = _U2.unpack_from(code, pos + 1)[0]
-            if op in _METHOD_OPS:
-                methods.append(pool.member_ref(index))
-            elif op in _FIELD_OPS:
-                fields.append(pool.member_ref(index))
-            else:
-                name = element_class_name(pool.class_name(index))
-                if name is not None:
-                    types.append(name)
-        elif op in (0x12, 0x13):  # ldc / ldc_w: class literals are type refs
-            wide = op == 0x13
-            end = pos + (3 if wide else 2)
-            if end > size:
-                raise TruncatedClass("ldc instruction cut short")
-            index = _U2.unpack_from(code, pos + 1)[0] if wide else code[pos + 1]
-            entry = pool.entries[index] if 0 < index < len(pool.entries) else None
-            if entry is not None and entry[0] == _CLASS:
-                name = element_class_name(pool.class_name(index))
-                if name is not None:
-                    types.append(name)
-        elif op == 0xAA:  # tableswitch
-            aligned = (pos + 4) & ~3
-            if aligned + 12 > size:
-                raise TruncatedClass("tableswitch cut short")
-            low, high = _I4_PAIR.unpack_from(code, aligned + 4)
-            if high < low:
-                raise MalformedConstantPool("tableswitch with high < low")
-            pos = aligned + 12 + 4 * (high - low + 1)
+def _u2_array(data: bytes, pos: int, count: int) -> tuple[int, ...]:
+    """``count`` big-endian u2 values at ``pos``, whose bounds the caller checked."""
+    return struct.unpack_from(f">{count}H", data, pos)
+
+
+def _truncated(what: str, pos: int) -> TruncatedClass:
+    return TruncatedClass(f"{what} cut short at offset {pos}")
+
+
+def _skip_element_values(data: bytes, pos: int, limit: int, count: int, named: bool) -> int:
+    """The offset just past ``count`` annotation element values starting at
+    ``pos``, each behind a 2-byte element name when ``named``.
+
+    Nested annotations and arrays are walked with a stack, not recursion, so
+    deep nesting cannot exhaust the interpreter's stack.
+    """
+    pending = [(count, named)]
+    while pending:
+        count, named = pending.pop()
+        if not count:
             continue
-        elif op == 0xAB:  # lookupswitch
-            aligned = (pos + 4) & ~3
-            if aligned + 8 > size:
-                raise TruncatedClass("lookupswitch cut short")
-            npairs = _I4.unpack_from(code, aligned + 4)[0]
-            if npairs < 0:
-                raise MalformedConstantPool("lookupswitch with negative pair count")
-            pos = aligned + 8 + 8 * npairs
-            continue
-        elif op == 0xC4:  # wide
-            if pos + 2 > size:
-                raise TruncatedClass("wide instruction cut short")
-            pos += 6 if code[pos + 1] == 0x84 else 4
-            continue
-        length = _OPCODE_LENGTHS[op]
-        if length == 0:
-            length = 1
-        pos += length
-    return methods, fields, types
-
-
-def _skip_element_value(reader: _Reader) -> None:
-    tag = chr(reader.u1())
-    if tag in "BCDFIJSZsc":
-        reader.skip(2)
-    elif tag == "e":
-        reader.skip(4)
-    elif tag == "@":
-        _read_annotation(reader, None)
-    elif tag == "[":
-        count = reader.u2()
-        for _ in range(count):
-            _skip_element_value(reader)
-    else:
-        raise MalformedConstantPool(f"bad annotation element tag {tag!r}")
-
-
-def _read_annotation(reader: _Reader, pool: _ConstantPool | None) -> str | None:
-    type_index = reader.u2()
-    pair_count = reader.u2()
-    for _ in range(pair_count):
-        reader.skip(2)  # element name
-        _skip_element_value(reader)
-    if pool is None:
-        return None
-    desc = pool.utf8(type_index)
-    name = element_class_name(desc)
-    if name is None:
-        raise MalformedConstantPool(f"annotation type {desc!r} is not a class type")
-    return name
-
-
-def _read_annotations_attr(data: bytes, pool: _ConstantPool) -> list[str]:
-    reader = _Reader(data)
-    count = reader.u2()
-    return [_read_annotation(reader, pool) for _ in range(count)]  # type: ignore[list-item]
-
-
-def _read_attributes(reader: _Reader, pool: _ConstantPool) -> dict[str, list[bytes]]:
-    count = reader.u2()
-    attrs: dict[str, list[bytes]] = {}
-    for _ in range(count):
-        name = pool.utf8(reader.u2())
-        length = reader.u4()
-        attrs.setdefault(name, []).append(reader.take(length))
-    return attrs
-
-
-def _member_annotations(attrs: dict[str, list[bytes]], pool: _ConstantPool) -> tuple[str, ...]:
-    names: list[str] = []
-    for key in ("RuntimeVisibleAnnotations", "RuntimeInvisibleAnnotations"):
-        for blob in attrs.get(key, ()):
-            names.extend(_read_annotations_attr(blob, pool))
-    return tuple(names)
-
-
-def _parse_member(reader: _Reader, pool: _ConstantPool, *, owner_is_interface: bool) -> RawMember:
-    access, name_index, descriptor_index = reader.unpack(_MEMBER_HEAD)
-    name = pool.utf8(name_index)
-    descriptor = pool.utf8(descriptor_index)
-    try:
-        validate_descriptor(descriptor)
-    except DescriptorError as exc:
-        raise MalformedConstantPool(str(exc)) from exc
-    attrs = _read_attributes(reader, pool)
-
-    constant = None
-    for blob in attrs.get("ConstantValue", ()):
-        constant = pool.constant_value(_Reader(blob).u2())
-
-    exceptions: list[str] = []
-    for blob in attrs.get("Exceptions", ()):
-        sub = _Reader(blob)
-        for _ in range(sub.u2()):
-            exceptions.append(pool.class_name(sub.u2()))
-
-    invoked: list[MemberRef] = []
-    accessed: list[MemberRef] = []
-    types: list[str] = []
-    for blob in attrs.get("Code", ()):
-        sub = _Reader(blob)
-        sub.skip(4)  # max_stack, max_locals
-        code_len = sub.u4()
-        body = sub.take(code_len)
-        ms, fs, ts = _scan_code(body, pool)
-        invoked.extend(ms)
-        accessed.extend(fs)
-        types.extend(ts)
-
-    is_method = descriptor.startswith("(")
-    is_default = (
-        is_method
-        and owner_is_interface
-        and not access & 0x0400  # ACC_ABSTRACT
-        and not access & 0x0008  # ACC_STATIC
-        and name not in ("<init>", "<clinit>")
-    )
-    return RawMember(
-        name=name,
-        descriptor=descriptor,
-        access_flags=access,
-        annotations=_member_annotations(attrs, pool),
-        is_default_method=is_default,
-        constant_value=constant,
-        declared_exceptions=tuple(exceptions),
-        invoked_methods=tuple(invoked),
-        accessed_fields=tuple(accessed),
-        referenced_types=tuple(types),
-    )
+        pending.append((count - 1, named))
+        if named:
+            pos += 2
+        if pos >= limit:
+            raise _truncated("annotation element", pos)
+        tag = data[pos]
+        pos += 1
+        if tag in _CONST_ELEMENT_TAGS:
+            pos += 2
+        elif tag == 0x65:  # 'e': enum type and constant name
+            pos += 4
+        elif tag == 0x40:  # '@': a nested annotation's type, then its pairs
+            if pos + 4 > limit:
+                raise _truncated("nested annotation", pos)
+            pending.append((_U2.unpack_from(data, pos + 2)[0], True))
+            pos += 4
+        elif tag == 0x5B:  # '[': an array of values
+            if pos + 2 > limit:
+                raise _truncated("annotation array", pos)
+            pending.append((_U2.unpack_from(data, pos)[0], False))
+            pos += 2
+        else:
+            raise MalformedConstantPool(f"bad annotation element tag {chr(tag)!r}")
+    if pos > limit:
+        raise _truncated("annotation element", pos)
+    return pos
 
 
 def parse_class(data: bytes) -> RawClass:
@@ -387,54 +186,315 @@ def parse_class(data: bytes) -> RawClass:
     Raises BadMagic, TruncatedClass, or MalformedConstantPool (all
     ClassFormatError) for bytes that are not a well-formed class file.
     """
-    reader = _Reader(data)
-    magic = reader.u4()
-    if magic != MAGIC:
-        raise BadMagic(f"magic 0x{magic:08X} != 0xCAFEBABE")
-    minor = reader.u2()
-    major = reader.u2()
+    end = len(data)
+    if data[:4] != _MAGIC_BYTES:
+        if end < 4:
+            raise _truncated("magic", 0)
+        raise BadMagic(f"magic 0x{int.from_bytes(data[:4], 'big'):08X} != 0xCAFEBABE")
+    if end < 10:
+        raise _truncated("class header", 4)
+    minor, major, count = _HEADER.unpack_from(data)
     if major < MIN_MAJOR_VERSION:
         raise ClassFormatError(f"major version {major} predates the JVM")
-    pool = _parse_constant_pool(reader)
 
-    access = reader.u2()
-    this_name = pool.class_name(reader.u2())
-    super_index = reader.u2()
-    super_name = pool.class_name(super_index) if super_index else None
-    interfaces = tuple(pool.class_name(reader.u2()) for _ in range(reader.u2()))
+    # The constant pool: a tag and a decoded value per index. A long or
+    # double takes two slots, so one in the last slot spills one past count.
+    tags = bytearray(count + 1)
+    values: list = [None] * (count + 1)
+    layouts = _CONSTANT_LAYOUTS
+    pos = 10
+    index = 1
+    while index < count:
+        if pos >= end:
+            raise _truncated("constant pool", pos)
+        tag = data[pos]
+        if tag == _UTF8:
+            start = pos + 3
+            if start > end:
+                raise _truncated("Utf8 constant", pos)
+            pos = start + _U2.unpack_from(data, start - 2)[0]
+            if pos > end:
+                raise _truncated("Utf8 constant", start - 3)
+            raw = data[start:pos]
+            try:
+                values[index] = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                # Modified UTF-8 (embedded NULs, surrogate pairs); close enough
+                # for name resolution.
+                values[index] = raw.decode("utf-8", errors="replace")
+        else:
+            layout = layouts[tag]
+            if layout is None:
+                raise MalformedConstantPool(f"unknown constant tag {tag}")
+            start = pos + 1
+            pos = start + layout.size
+            if pos > end:
+                raise _truncated("constant", start - 1)
+            values[index] = layout.unpack_from(data, start)
+        tags[index] = tag
+        index += 2 if tag == _LONG or tag == _DOUBLE else 1
 
-    is_interface = bool(access & 0x0200)
-    fields = tuple(
-        _parse_member(reader, pool, owner_is_interface=is_interface) for _ in range(reader.u2())
-    )
-    methods = tuple(
-        _parse_member(reader, pool, owner_is_interface=is_interface) for _ in range(reader.u2())
-    )
-    attrs = _read_attributes(reader, pool)
+    def entry(index: int, tag: int) -> object:
+        if index < count and tags[index] == tag:
+            return values[index]
+        raise MalformedConstantPool(f"constant {index} is not of tag {tag}")
 
-    source_file = None
-    for blob in attrs.get("SourceFile", ()):
-        source_file = pool.utf8(_Reader(blob).u2())
+    def utf8(index: int) -> str:
+        if index < count and tags[index] == _UTF8:
+            return values[index]
+        raise MalformedConstantPool(f"constant {index} is not a Utf8 entry")
 
-    inner_records: list[InnerClassRecord] = []
-    for blob in attrs.get("InnerClasses", ()):
-        sub = _Reader(blob)
-        for _ in range(sub.u2()):
-            inner_index = sub.u2()
-            outer_index = sub.u2()
-            name_index = sub.u2()
-            inner_access = sub.u2()
-            inner_records.append(
-                InnerClassRecord(
-                    inner_name=pool.class_name(inner_index),
-                    outer_name=pool.class_name(outer_index) if outer_index else None,
-                    simple_name=pool.utf8(name_index) if name_index else None,
-                    access_flags=inner_access,
+    class_names: dict[int, str] = {}
+
+    def class_name(index: int) -> str:
+        name = class_names.get(index)
+        if name is None:
+            name = class_names[index] = utf8(entry(index, _CLASS)[0]).replace("/", ".")
+        return name
+
+    member_refs: dict[int, MemberRef] = {}
+
+    def member_ref(index: int) -> MemberRef:
+        ref = member_refs.get(index)
+        if ref is None:
+            if not (index < count and tags[index] in _MEMBER_REF_TAGS):
+                raise MalformedConstantPool(f"constant {index} is not a member reference")
+            class_index, nat_index = values[index]
+            name_index, descriptor_index = entry(nat_index, _NAME_AND_TYPE)
+            ref = member_refs[index] = MemberRef(
+                class_name(class_index), utf8(name_index), utf8(descriptor_index)
+            )
+        return ref
+
+    type_names: dict[int, str | None] = {}
+
+    def type_name(index: int) -> str | None:
+        if index in type_names:
+            return type_names[index]
+        name = type_names[index] = element_class_name(class_name(index))
+        return name
+
+    def annotations(pos: int, limit: int) -> tuple[str, ...]:
+        if pos + 2 > limit:
+            raise _truncated("annotations", pos)
+        number = _U2.unpack_from(data, pos)[0]
+        pos += 2
+        names = []
+        for _ in range(number):
+            if pos + 4 > limit:
+                raise _truncated("annotation", pos)
+            type_index, pairs = _U2_PAIR.unpack_from(data, pos)
+            pos = _skip_element_values(data, pos + 4, limit, pairs, True)
+            descriptor = utf8(type_index)
+            name = element_class_name(descriptor)
+            if name is None:
+                raise MalformedConstantPool(f"annotation type {descriptor!r} is not a class type")
+            names.append(name)
+        return tuple(names)
+
+    def scan_code(pos: int, limit: int) -> tuple[tuple, tuple, tuple]:
+        """The methods, fields and types referenced by the code array at ``pos``."""
+        methods: list[MemberRef] = []
+        fields: list[MemberRef] = []
+        types: list[str] = []
+        kinds, lengths = _OP_KINDS, _OPCODE_LENGTHS
+        code_start = pos
+        while pos < limit:
+            op = data[pos]
+            kind = kinds[op]
+            if not kind:
+                pos += lengths[op]
+            elif kind <= _OP_TYPE:
+                if pos + 3 > limit:
+                    raise _truncated("method/field/type instruction", pos)
+                index = _U2.unpack_from(data, pos + 1)[0]
+                if kind == _OP_METHOD:
+                    methods.append(member_ref(index))
+                elif kind == _OP_FIELD:
+                    fields.append(member_ref(index))
+                else:
+                    name = type_name(index)
+                    if name is not None:
+                        types.append(name)
+                pos += lengths[op]
+            elif kind <= _OP_LDC_W:  # class literals are type refs
+                if kind == _OP_LDC:
+                    if pos + 2 > limit:
+                        raise _truncated("ldc instruction", pos)
+                    index = data[pos + 1]
+                    pos += 2
+                else:
+                    if pos + 3 > limit:
+                        raise _truncated("ldc_w instruction", pos)
+                    index = _U2.unpack_from(data, pos + 1)[0]
+                    pos += 3
+                if index < count and tags[index] == _CLASS:
+                    name = type_name(index)
+                    if name is not None:
+                        types.append(name)
+            elif kind == _OP_WIDE:
+                if pos + 2 > limit:
+                    raise _truncated("wide instruction", pos)
+                pos += 6 if data[pos + 1] == 0x84 else 4
+            else:
+                # Switch operands start at the next multiple of four from the
+                # start of the code array.
+                aligned = code_start + ((pos - code_start + 4) & ~3)
+                if kind == _OP_TABLESWITCH:
+                    if aligned + 12 > limit:
+                        raise _truncated("tableswitch", pos)
+                    low, high = _I4_PAIR.unpack_from(data, aligned + 4)
+                    if high < low:
+                        raise MalformedConstantPool("tableswitch with high < low")
+                    pos = aligned + 12 + 4 * (high - low + 1)
+                else:
+                    if aligned + 8 > limit:
+                        raise _truncated("lookupswitch", pos)
+                    pairs = _I4.unpack_from(data, aligned + 4)[0]
+                    if pairs < 0:
+                        raise MalformedConstantPool("lookupswitch with negative pair count")
+                    pos = aligned + 8 + 8 * pairs
+        return tuple(methods), tuple(fields), tuple(types)
+
+    def attribute(pos: int) -> tuple[str, int, int]:
+        """The name, body offset and end offset of the attribute at ``pos``."""
+        if pos + 6 > end:
+            raise _truncated("attribute header", pos)
+        name_index, length = _ATTRIBUTE_HEAD.unpack_from(data, pos)
+        start = pos + 6
+        if start + length > end:
+            raise _truncated("attribute", pos)
+        return utf8(name_index), start, start + length
+
+    def members(pos: int, is_interface: bool) -> tuple[tuple[RawMember, ...], int]:
+        if pos + 2 > end:
+            raise _truncated("member count", pos)
+        number = _U2.unpack_from(data, pos)[0]
+        pos += 2
+        parsed: list[RawMember] = []
+        for _ in range(number):
+            if pos + 8 > end:
+                raise _truncated("member", pos)
+            access, name_index, descriptor_index, attribute_count = _U2_QUAD.unpack_from(data, pos)
+            pos += 8
+            name = utf8(name_index)
+            descriptor = utf8(descriptor_index)
+            if descriptor_index not in checked_descriptors:
+                try:
+                    validate_descriptor(descriptor)
+                except DescriptorError as exc:
+                    raise MalformedConstantPool(str(exc)) from exc
+                checked_descriptors.add(descriptor_index)
+            constant = None
+            exceptions = invoked = accessed = types = visible = invisible = ()
+            for _ in range(attribute_count):
+                kind, start, pos = attribute(pos)
+                if kind == "Code":
+                    if start + 8 > pos:
+                        raise _truncated("Code attribute", start)
+                    code_start = start + 8
+                    code_end = code_start + _CODE_LENGTH.unpack_from(data, start)[0]
+                    if code_end > pos:
+                        raise _truncated("code array", code_start)
+                    code_invoked, code_accessed, code_types = scan_code(code_start, code_end)
+                    invoked += code_invoked
+                    accessed += code_accessed
+                    types += code_types
+                elif kind == "ConstantValue":
+                    if start + 2 > pos:
+                        raise _truncated("ConstantValue attribute", start)
+                    value_index = _U2.unpack_from(data, start)[0]
+                    if not (value_index < count and tags[value_index] in _CONSTANT_VALUE_TAGS):
+                        raise MalformedConstantPool(f"constant {value_index} is not a constant value")
+                    constant = values[value_index][0]
+                    if tags[value_index] == _STRING:
+                        constant = utf8(constant)
+                elif kind == "Exceptions":
+                    if start + 2 > pos:
+                        raise _truncated("Exceptions attribute", start)
+                    number_thrown = _U2.unpack_from(data, start)[0]
+                    if start + 2 + 2 * number_thrown > pos:
+                        raise _truncated("Exceptions attribute", start)
+                    exceptions += tuple(map(class_name, _u2_array(data, start + 2, number_thrown)))
+                elif kind == "RuntimeVisibleAnnotations":
+                    visible += annotations(start, pos)
+                elif kind == "RuntimeInvisibleAnnotations":
+                    invisible += annotations(start, pos)
+            is_default = (
+                is_interface
+                and descriptor.startswith("(")
+                and not access & 0x0400  # ACC_ABSTRACT
+                and not access & 0x0008  # ACC_STATIC
+                and name not in ("<init>", "<clinit>")
+            )
+            parsed.append(
+                RawMember(
+                    name=name,
+                    descriptor=descriptor,
+                    access_flags=access,
+                    annotations=visible + invisible,
+                    is_default_method=is_default,
+                    constant_value=constant,
+                    declared_exceptions=exceptions,
+                    invoked_methods=invoked,
+                    accessed_fields=accessed,
+                    referenced_types=types,
                 )
             )
+        return tuple(parsed), pos
+
+    if pos + 8 > end:
+        raise _truncated("class head", pos)
+    access, this_index, super_index, interface_count = _U2_QUAD.unpack_from(data, pos)
+    pos += 8
+    this_name = class_name(this_index)
+    super_name = class_name(super_index) if super_index else None
+    if pos + 2 * interface_count > end:
+        raise _truncated("interfaces", pos)
+    interfaces = tuple(map(class_name, _u2_array(data, pos, interface_count)))
+    pos += 2 * interface_count
+
+    is_interface = bool(access & 0x0200)
+    checked_descriptors: set[int] = set()
+    fields, pos = members(pos, is_interface)
+    methods, pos = members(pos, is_interface)
+
+    if pos + 2 > end:
+        raise _truncated("class attribute count", pos)
+    attribute_count = _U2.unpack_from(data, pos)[0]
+    pos += 2
+    source_file = None
+    visible = invisible = ()
+    inner_records: list[InnerClassRecord] = []
+    for _ in range(attribute_count):
+        kind, start, pos = attribute(pos)
+        if kind == "SourceFile":
+            if start + 2 > pos:
+                raise _truncated("SourceFile attribute", start)
+            source_file = utf8(_U2.unpack_from(data, start)[0])
+        elif kind == "InnerClasses":
+            if start + 2 > pos:
+                raise _truncated("InnerClasses attribute", start)
+            rows = _U2.unpack_from(data, start)[0]
+            if start + 2 + 8 * rows > pos:
+                raise _truncated("InnerClasses attribute", start)
+            for offset in range(start + 2, start + 2 + 8 * rows, 8):
+                inner_index, outer_index, name_index, inner_access = _U2_QUAD.unpack_from(data, offset)
+                inner_records.append(
+                    InnerClassRecord(
+                        inner_name=class_name(inner_index),
+                        outer_name=class_name(outer_index) if outer_index else None,
+                        simple_name=utf8(name_index) if name_index else None,
+                        access_flags=inner_access,
+                    )
+                )
+        elif kind == "RuntimeVisibleAnnotations":
+            visible += annotations(start, pos)
+        elif kind == "RuntimeInvisibleAnnotations":
+            invisible += annotations(start, pos)
 
     return RawClass(
-        magic=magic,
+        magic=MAGIC,
         major_version=major,
         minor_version=minor,
         access_flags=access,
@@ -444,9 +504,73 @@ def parse_class(data: bytes) -> RawClass:
         fields=fields,
         methods=methods,
         source_file=source_file,
-        annotations=_member_annotations(attrs, pool),
+        annotations=visible + invisible,
         inner_class_records=tuple(inner_records),
     )
+
+
+# A member's local header: signature, general-purpose flags, name length and
+# extra-field length; the sizes and CRC-32 are read from the central directory.
+_LOCAL_HEADER = struct.Struct("<4s2xH18xHH")
+_LOCAL_SIGNATURE = b"PK\x03\x04"
+_UTF8_NAME = 0x800  # general-purpose flag bit 11
+_ENCRYPTED = 0x1  # bit 0
+_COMPRESSED_PATCH = 0x20  # bit 5
+_STRONG_ENCRYPTION = 0x40  # bit 6
+
+
+def _read_entry(raw: bytes, info: zipfile.ZipInfo) -> bytes:
+    """The bytes of one member of the archive ``raw``, read as ``zipfile``
+    reads a member, with its checks and exceptions."""
+    offset = info.header_offset
+    if offset < 0 or offset + _LOCAL_HEADER.size > len(raw):
+        raise zipfile.BadZipFile("Truncated file header")
+    signature, flags, name_length, extra_length = _LOCAL_HEADER.unpack_from(raw, offset)
+    if signature != _LOCAL_SIGNATURE:
+        raise zipfile.BadZipFile("Bad magic number for file header")
+    start = offset + _LOCAL_HEADER.size + name_length
+    local_name = raw[start - name_length : start]
+    if info.flag_bits & _COMPRESSED_PATCH:
+        raise NotImplementedError("compressed patched data (flag bit 5)")
+    if info.flag_bits & _STRONG_ENCRYPTION:
+        raise NotImplementedError("strong encryption (flag bit 6)")
+    # ASCII reads the same in both encodings, and decodes fastest as UTF-8.
+    encoding = "utf-8" if flags & _UTF8_NAME or local_name.isascii() else "cp437"
+    try:
+        same_name = local_name.decode(encoding) == info.orig_filename
+    except UnicodeDecodeError:
+        same_name = False
+    if not same_name:
+        raise zipfile.BadZipFile(
+            f"File name in directory {info.orig_filename!r} and header {local_name!r} differ."
+        )
+    if info.flag_bits & _ENCRYPTED:
+        raise RuntimeError(f"File {info.filename!r} is encrypted, password required for extraction")
+
+    start += extra_length
+    size, packed_size = info.file_size, info.compress_size
+    packed = raw[start : start + packed_size]
+    # As in zipfile, data that the file cuts short is an EOFError unless what
+    # is there already yields the declared size or ends the deflate stream.
+    if packed_size and not packed:
+        raise EOFError
+    if info.compress_type == zipfile.ZIP_STORED:
+        if len(packed) < min(packed_size, size):
+            raise EOFError
+        data = packed[:size]
+    elif info.compress_type == zipfile.ZIP_DEFLATED:
+        inflater = zlib.decompressobj(-15)
+        # At most the declared size is inflated; zlib reads a limit of 0 as none.
+        data = inflater.decompress(packed, size or 1)[:size]
+        if len(data) < size:
+            if not inflater.eof and len(packed) < packed_size:
+                raise EOFError
+            data += inflater.flush()
+    else:
+        raise NotImplementedError(f"compression type {info.compress_type}")
+    if zlib.crc32(data) != info.CRC:
+        raise zipfile.BadZipFile(f"Bad CRC-32 for file {info.filename!r}")
+    return data
 
 
 # What reading one entry of an opened archive raises: a bad CRC-32 or local
@@ -461,6 +585,7 @@ def open_jar(
 ) -> JarContent:
     """Read a JAR, parsing every ``*.class`` entry.
 
+    The archive is read once; its bytes are held only while it is opened.
     Entry-level failures, a damaged ZIP entry or a malformed class, are
     recorded in ``parse_failures``, not fatal; a damaged entry also in
     ``damaged_entries`` (see ``JarContent.require_intact``).
@@ -471,36 +596,37 @@ def open_jar(
     identical bytes.
     """
     try:
-        archive = zipfile.ZipFile(source)
+        raw = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
+        with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+            infos = archive.infolist()
     except (zipfile.BadZipFile, OSError) as exc:
         raise NotAZip(f"{source}: {exc}") from exc
 
     parsed = {} if parsed is None else parsed
     content = JarContent(source=str(source) if isinstance(source, (str, Path)) else "")
-    with archive:
-        for info in archive.infolist():
-            if info.is_dir():
-                continue
-            name = info.filename
-            if not name.endswith(".class") or name.endswith("module-info.class"):
-                content.non_class_entries += 1
-                continue
+    for info in infos:
+        if info.is_dir():
+            continue
+        name = info.filename
+        if not name.endswith(".class") or name.endswith("module-info.class"):
+            content.non_class_entries += 1
+            continue
+        try:
+            data = _read_entry(raw, info)
+        except _DAMAGED_ENTRY as exc:
+            failure = (name, f"{type(exc).__name__}: {exc}")
+            content.parse_failures.append(failure)
+            content.damaged_entries.append(failure)
+            continue
+        # Matched on the whole bytes: the directory's CRC and size could collide.
+        cls = parsed.get(data)
+        if cls is None:
             try:
-                data = archive.read(info)
-            except _DAMAGED_ENTRY as exc:
-                failure = (name, f"{type(exc).__name__}: {exc}")
-                content.parse_failures.append(failure)
-                content.damaged_entries.append(failure)
+                cls = parse_class(data)
+            except ClassFormatError as exc:
+                content.parse_failures.append((name, f"{type(exc).__name__}: {exc}"))
                 continue
-            # Matched on the whole bytes: the directory's CRC and size could collide.
-            cls = parsed.get(data)
-            if cls is None:
-                try:
-                    cls = parse_class(data)
-                except ClassFormatError as exc:
-                    content.parse_failures.append((name, f"{type(exc).__name__}: {exc}"))
-                    continue
-                parsed[data] = cls
-            content.entries.append((name, cls))
-            content.detected_languages.add(language_of_source(cls.source_file))
+            parsed[data] = cls
+        content.entries.append((name, cls))
+        content.detected_languages.add(language_of_source(cls.source_file))
     return content

@@ -7,6 +7,7 @@ import math
 import struct
 import zipfile
 import zlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,12 @@ from jarcompat.classfile import (
     ACC_ABSTRACT,
     ACC_FINAL,
     ACC_INTERFACE,
+    ACC_NATIVE,
+    ACC_PRIVATE,
+    ACC_PROTECTED,
     ACC_PUBLIC,
     ACC_STATIC,
+    ACC_STRICT,
     AUTO_SOURCE,
     BadMagic,
     ClassFormatError,
@@ -36,7 +41,7 @@ from jarcompat.classfile import (
     write_class,
 )
 from jarcompat.classfile import parser
-from jarcompat.classfile.parser import _parse_constant_pool, _Reader
+from test_delta import _SKELETON, _type_spec
 
 
 def test_bad_magic():
@@ -332,13 +337,74 @@ def test_every_proper_prefix_is_a_class_format_error():
             parse_class(data[:end])
 
 
+def test_every_single_byte_change_parses_or_is_a_class_format_error():
+    data = _rich_class()
+    for pos in range(len(data)):
+        for value in (data[pos] ^ 0xFF, (data[pos] + 1) & 0xFF):
+            # Any other exception escapes and fails the test.
+            try:
+                parse_class(data[:pos] + bytes((value,)) + data[pos + 1 :])
+            except ClassFormatError:
+                pass
+
+
+def test_deeply_nested_annotation_values_parse():
+    data = write_class(ClassSpec("p.A", annotations=("p.Marker",), source_file=None))
+    # The class ends with its one attribute, RuntimeVisibleAnnotations, holding
+    # one annotation without element pairs: give it one pair whose value is
+    # arrays nested 5,000 deep around a boolean.
+    name_index, length, count, type_index, pairs = struct.unpack_from(">HIHHH", data, len(data) - 12)
+    assert (length, count, pairs) == (6, 1, 0)
+    value = b"[\x00\x01" * 5000 + b"Z\x00\x01"
+    payload = struct.pack(">HHHH", 1, type_index, 1, type_index) + value
+    nested = data[:-12] + struct.pack(">HI", name_index, len(payload)) + payload
+    assert parse_class(nested).annotations == ("p.Marker",)
+
+
+def _with_code(data: bytes, body: int, code: bytes) -> bytes:
+    """``data`` with the Code attribute whose body starts at ``body`` holding
+    ``code`` instead, its attribute and code lengths fixed up."""
+    (length,) = struct.unpack_from(">I", data, body - 4)
+    payload = struct.pack(">HHI", 8, 8, len(code)) + code + struct.pack(">HH", 0, 0)
+    return data[: body - 4] + struct.pack(">I", len(payload)) + payload + data[body + length :]
+
+
+def _switch_at(offset: int, opcode: int) -> bytes:
+    """``offset`` nops, then a tableswitch (0xAA) or lookupswitch (0xAB) whose
+    operands start at the next multiple of four from the start of the code."""
+    code = b"\x00" * offset + bytes((opcode,)) + b"\x00" * (-(offset + 1) % 4)
+    if opcode == 0xAA:  # default, low, high, then high - low + 1 jump offsets
+        return code + struct.pack(">5i", 0x7F, 0, 1, 0x7F, 0x7F)
+    return code + struct.pack(">4i", 0x7F, 1, 5, 0x7F)  # default, one (match, offset) pair
+
+
+def test_switch_padding_counts_from_the_start_of_the_code():
+    call = MemberRef("p.Lib", "run", "()V")
+    code_alignments = set()
+    # Names of four lengths put the code array at every offset mod 4 in the class file.
+    for name in ("p.A", "p.AB", "p.ABC", "p.ABCD"):
+        data = write_class(ClassSpec(name, source_file=None, methods=(MethodSpec("m", calls=(call,)),)))
+        body = data.index(struct.pack(">HHI", 8, 8, 4) + b"\xb6")  # invokevirtual; return
+        code_alignments.add((body + 8) % 4)
+        invoke = data[body + 8 : body + 11]
+        for offset in range(4):
+            for opcode in (0xAA, 0xAB):
+                cls = parse_class(_with_code(data, body, _switch_at(offset, opcode) + invoke + b"\xb1"))
+                assert cls.methods[0].invoked_methods == (call,), (name, offset, hex(opcode))
+    assert code_alignments == {0, 1, 2, 3}
+
+
 def test_short_constant_value_attribute_is_a_class_format_error():
-    data = write_class(
-        ClassSpec("p.A", fields=(FieldSpec("i", "I", is_static=True, is_final=True, constant=42),))
-    )
-    pool = _parse_constant_pool(_Reader(data[8:]))  # after magic and version
-    name_index = pool.entries.index((1, "ConstantValue"))
-    attribute = data.index(struct.pack(">HI", name_index, 2))
+    data = write_class(ClassSpec(
+        "p.A",
+        fields=(FieldSpec("i", "I", is_static=True, is_final=True, constant=42),),
+        source_file=None,
+    ))
+    # The class ends with the field's one attribute, the method count and the
+    # attribute count, so its ConstantValue attribute starts 12 bytes from the end.
+    attribute = len(data) - 12
+    name_index, length = struct.unpack_from(">HI", data, attribute)
+    assert length == 2 and b"\x01\x00\x0dConstantValue" in data
     # Declare the attribute one byte long and drop its last byte, so the rest still lines up.
     short = (
         data[:attribute] + struct.pack(">HI", name_index, 1)
@@ -421,6 +487,116 @@ def test_open_jar_records_damaged_entry(damage, reasons):
     assert name == "p/A.class" and failure.startswith(reasons)
     with pytest.raises(NotAZip, match="damaged entry p/A.class"):
         content.require_intact()
+
+
+class _Unseekable(io.RawIOBase):
+    """A write-only stream that cannot tell or seek, so zipfile writes each
+    entry's sizes and CRC-32 in a data descriptor after its data."""
+
+    def __init__(self) -> None:
+        self.written = io.BytesIO()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        return self.written.write(data)
+
+
+def _mixed_jar(data_descriptors: bool) -> bytes:
+    """Stored and deflated class entries, two with a local extra field (the
+    JAR marker 0xCAFE) and one with a UTF-8-flagged name."""
+    sink = _Unseekable() if data_descriptors else io.BytesIO()
+    entries = [
+        ("p/Café.class", zipfile.ZIP_DEFLATED, b"\xfe\xca\x00\x00"),
+        ("p/B.class", zipfile.ZIP_STORED, b""),
+        ("p/C.class", zipfile.ZIP_DEFLATED, b""),
+        ("p/D.class", zipfile.ZIP_STORED, b"\xfe\xca\x00\x00"),
+    ]
+    with zipfile.ZipFile(sink, "w") as archive:
+        for name, compression, extra in entries:
+            info = zipfile.ZipInfo(name, (1980, 1, 1, 0, 0, 0))
+            info.compress_type = compression
+            info.extra = extra
+            spec = ClassSpec("p." + name[2:-6], methods=(MethodSpec("m", calls=(("p.B", "m", "()V"),)),))
+            archive.writestr(info, write_class(spec))
+    jar = (sink.written if data_descriptors else sink).getvalue()
+    flags = [info.flag_bits for info in zipfile.ZipFile(io.BytesIO(jar)).infolist()]
+    assert [bool(flag & 0x8) for flag in flags] == [data_descriptors] * 4
+    assert flags[0] & 0x800 and not flags[1] & 0x800
+    return jar
+
+
+def _read_by_zipfile(jar: bytes) -> dict[str, bytes | None]:
+    """Each entry's bytes as ``zipfile.ZipFile.read`` reads them, None where it refuses."""
+    archive = zipfile.ZipFile(io.BytesIO(jar))
+    out: dict[str, bytes | None] = {}
+    for info in archive.infolist():
+        try:
+            out[info.filename] = archive.read(info)
+        # A name whose UTF-8 flag is wrong fails to decode.
+        except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, RuntimeError,
+                UnicodeDecodeError):
+            out[info.filename] = None
+    return out
+
+
+@pytest.fixture
+def read_by_open_jar(monkeypatch):
+    """Each class entry's bytes as ``open_jar`` reads them, None for an entry it
+    reports damaged. The test JARs hold no two entries with equal bytes, so
+    every entry read reaches ``parse_class``."""
+    delivered: list[bytes] = []
+
+    def recording_parse(data):
+        delivered.append(data)
+        return parse_class(data)
+
+    monkeypatch.setattr(parser, "parse_class", recording_parse)
+
+    def read(jar: bytes) -> dict[str, bytes | None]:
+        delivered.clear()
+        content = open_jar(io.BytesIO(jar))
+        damaged = {name for name, _ in content.damaged_entries}
+        read_in_order = iter(delivered)
+        return {
+            info.filename: None if info.filename in damaged else next(read_in_order)
+            for info in zipfile.ZipFile(io.BytesIO(jar)).infolist()
+        }
+
+    return read
+
+
+@pytest.mark.parametrize("data_descriptors", [False, True], ids=["sized", "data-descriptor"])
+def test_open_jar_reads_entries_as_zipfile_does(data_descriptors, read_by_open_jar):
+    jar = _mixed_jar(data_descriptors)
+    expected = _read_by_zipfile(jar)
+    assert None not in expected.values()
+    assert read_by_open_jar(jar) == expected
+
+
+@pytest.mark.parametrize("data_descriptors", [False, True], ids=["sized", "data-descriptor"])
+def test_open_jar_agrees_with_zipfile_on_every_changed_local_header_byte(
+    data_descriptors, read_by_open_jar
+):
+    jar = _mixed_jar(data_descriptors)
+    intact = _read_by_zipfile(jar)
+    for info in zipfile.ZipFile(io.BytesIO(jar)).infolist():
+        name_length, extra_length = struct.unpack_from("<HH", jar, info.header_offset + 26)
+        data_start = info.header_offset + 30 + name_length + extra_length
+        refused = 0
+        # The local header, then the first data bytes.
+        for pos in range(info.header_offset, data_start + 8):
+            for flip in (0xFF, 0x01):
+                changed = jar[:pos] + bytes((jar[pos] ^ flip,)) + jar[pos + 1 :]
+                expected = _read_by_zipfile(changed)
+                # Only the changed entry may differ from the intact JAR.
+                assert {k: v for k, v in expected.items() if k != info.filename} == {
+                    k: v for k, v in intact.items() if k != info.filename
+                }
+                assert read_by_open_jar(changed) == expected, (info.filename, pos, flip)
+                refused += expected[info.filename] is None
+        assert refused
 
 
 def test_require_intact_passes_a_class_that_does_not_parse():
@@ -521,3 +697,98 @@ def test_open_jar_memo_matches_whole_bytes_not_crc():
     assert constants[0] == [0x11111111, 0x22222222]
     assert constants[1][0] == 0x33333333
     assert len(parsed) == 2
+
+
+_CALLS = (("p.A", "m", "()V"), ("p.I1", "n", "(I)V"), ("java.lang.Object", "<init>", "()V"))
+_FIELD_REFS = (("p.A", "f", "I"), ("p.B", "K", "D"))
+_TYPE_REFS = ("p.Q", "java.util.List")
+_CONSTANT_FIELDS = tuple(
+    FieldSpec(name, descriptor, is_static=True, is_final=True, constant=value)
+    for name, descriptor, value in (
+        ("I", "I", -7), ("J", "J", 1 << 40), ("F", "F", 1.5), ("S", "Ljava/lang/String;", "hé"),
+    )
+)
+_VISIBILITY_BITS = {"public": ACC_PUBLIC, "protected": ACC_PROTECTED, "package": 0, "private": ACC_PRIVATE}
+
+
+@st.composite
+def _jar_specs(draw):
+    """The skeleton's types, with method bodies and constants of every kind, in a drawn entry order."""
+    def refs(choices):
+        return draw(st.lists(st.sampled_from(choices), max_size=3).map(tuple))
+
+    specs = []
+    for name, kind, super_name, interfaces in _SKELETON:
+        spec = draw(_type_spec(name, kind, super_name, interfaces))
+        methods = tuple(
+            method if method.is_abstract else replace(
+                method, calls=refs(_CALLS), interface_calls=refs(_CALLS),
+                field_reads=refs(_FIELD_REFS), field_writes=refs(_FIELD_REFS), type_refs=refs(_TYPE_REFS),
+            )
+            for method in spec.methods
+        )
+        constants = tuple(draw(st.lists(st.sampled_from(_CONSTANT_FIELDS), unique=True)))
+        specs.append(replace(spec, methods=methods, fields=spec.fields + constants))
+    return draw(st.permutations(specs))
+
+
+def _assert_mirrors(cls, spec: ClassSpec) -> None:
+    assert (cls.this_name, cls.super_name, cls.interfaces) == (
+        spec.name, spec.resolved_super(), spec.interfaces
+    )
+    assert cls.is_interface == (spec.kind == "interface")
+    assert bool(cls.access_flags & ACC_ABSTRACT) == (spec.kind == "interface" or spec.is_abstract)
+    assert bool(cls.access_flags & ACC_FINAL) == spec.is_final
+    assert (cls.source_file, cls.annotations) == (spec.resolved_source(), spec.annotations)
+    assert [tuple(record) for record in cls.inner_class_records] == list(spec.inner_classes)
+    assert [(f.name, f.descriptor) for f in cls.fields] == [(f.name, f.descriptor) for f in spec.fields]
+    for field, field_spec in zip(cls.fields, spec.fields):
+        assert field.access_flags == (
+            _VISIBILITY_BITS[field_spec.visibility]
+            | (ACC_STATIC if field_spec.is_static else 0)
+            | (ACC_FINAL if field_spec.is_final else 0)
+        )
+        # By repr, so that NaN matches NaN and -0.0 does not match 0.0.
+        assert repr(field.constant_value) == repr(field_spec.constant)
+        assert field.annotations == field_spec.annotations
+    assert [(m.name, m.descriptor) for m in cls.methods] == [(m.name, m.descriptor) for m in spec.methods]
+    for method, method_spec in zip(cls.methods, spec.methods):
+        assert method.access_flags == (
+            _VISIBILITY_BITS[method_spec.visibility]
+            | (ACC_ABSTRACT if method_spec.is_abstract else 0)
+            | (ACC_STATIC if method_spec.is_static else 0)
+            | (ACC_FINAL if method_spec.is_final else 0)
+            | (ACC_NATIVE if method_spec.is_native else 0)
+            | (ACC_STRICT if method_spec.is_strict else 0)
+        )
+        assert (method.annotations, method.declared_exceptions) == (
+            method_spec.annotations, method_spec.exceptions
+        )
+        assert method.invoked_methods == tuple(
+            MemberRef(*ref) for ref in method_spec.calls + method_spec.interface_calls
+        )
+        assert method.accessed_fields == tuple(
+            MemberRef(*ref) for ref in method_spec.field_reads + method_spec.field_writes
+        )
+        assert method.referenced_types == method_spec.type_refs
+        assert method.is_default_method == (
+            spec.kind == "interface" and not method_spec.is_abstract and not method_spec.is_static
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_jar_specs())
+def test_classes_round_trip_through_writer_parser_and_jar(specs):
+    parsed = [parse_class(write_class(spec)) for spec in specs]
+    for cls, spec in zip(parsed, specs):
+        _assert_mirrors(cls, spec)
+    entries = []
+    for compression in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
+        buffer = io.BytesIO()
+        with zipfile.ZipFile(buffer, "w", compression) as archive:
+            for spec in specs:
+                archive.writestr(spec.name.replace(".", "/") + ".class", write_class(spec))
+        entries.append(open_jar(io.BytesIO(buffer.getvalue())).entries)
+    names = [spec.name.replace(".", "/") + ".class" for spec in specs]
+    # By repr: a NaN constant never equals itself, so equal classes that hold one compare unequal.
+    assert repr(entries[0]) == repr(entries[1]) == repr(list(zip(names, parsed)))
