@@ -1,16 +1,12 @@
 """Report generation over pipeline outputs or injected summary counts.
 
-Produces three report families:
-
-* breaking-upgrade ratios per semver level (plus non-major and total rows);
-* the year-by-level trend series for external plotting;
-* the client-impact battery: chi-squared across levels, pairwise Fisher
-  tests with Holm-Bonferroni correction and odds ratios, Kruskal-Wallis on
-  detection counts, and pairwise Mann-Whitney with Cliff's delta.
-
-The same battery runs on precomputed per-level (population, sample, broken)
-counts supplied as a summary JSON, which allows checking published tables
-without the underlying corpus.
+From a ``corpus run`` results directory: breaking-upgrade ratios per semver
+level (plus non-major and total rows), the year-by-level trend series, and
+two client-impact batteries (see ``Battery``): chi-squared, Fisher and odds
+ratios on broken-client proportions; Kruskal-Wallis, Mann-Whitney and
+Cliff's delta on detection counts. From a summary JSON of per-level
+(population, sample, broken) counts, the proportion battery alone, which
+checks published tables without the underlying corpus.
 """
 
 from __future__ import annotations
@@ -18,13 +14,18 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
+from dataclasses import dataclass
+from itertools import combinations
 from operator import itemgetter
 from pathlib import Path
+from typing import Callable
 
 from .corpus import write_csv
 from .stats import (
     ContingencyTable,
+    DegenerateTable,
     LEVEL_ORDER,
+    TestResult,
     breaking_ratio,
     chi_squared,
     cliffs_delta,
@@ -37,6 +38,8 @@ from .stats import (
 
 # Significance stars at the usual thresholds.
 STARS = ((0.01, "***"), (0.05, "**"), (0.1, "*"))
+
+RATIO_COLUMNS = ("group", "count", "share_pct", "breaking", "breaking_pct")
 
 
 def significance(p: float) -> str:
@@ -81,218 +84,133 @@ def _cell(convert, text: str, path: Path, column: str):
         raise ValueError(f"{path}: bad {column} cell {text!r}") from None
 
 
-def level_pairs() -> list[tuple[str, str]]:
-    return [
-        (LEVEL_ORDER[i], LEVEL_ORDER[j])
-        for i in range(len(LEVEL_ORDER))
-        for j in range(i + 1, len(LEVEL_ORDER))
-    ]
+# A battery's pairwise test takes two levels' data and gives the p-value, the
+# effect-size cells of the CSV row and the report's note on the effect.
 
 
-def proportion_tests(level_counts: dict[str, tuple[int, int]]) -> dict:
-    """Chi-squared across levels plus pairwise Fisher / Holm / odds ratios.
-
-    ``level_counts`` maps level -> (broken, sample_size).
-    """
-    rows = []
-    for level in LEVEL_ORDER:
-        if level not in level_counts:
-            continue
-        broken, total = level_counts[level]
-        rows.append((level, (broken, total - broken)))
-    if len(rows) < 2:
-        return {"chi2": None, "pairs": []}
-    chi2 = chi_squared(ContingencyTable(rows=rows))
-
-    pairs = []
-    raw_ps = []
-    for a, b in level_pairs():
-        if a not in level_counts or b not in level_counts:
-            continue
-        a_broken, a_total = level_counts[a]
-        b_broken, b_total = level_counts[b]
-        fisher = fisher_exact(
-            [[a_broken, a_total - a_broken], [b_broken, b_total - b_broken]]
-        )
-        ratio = odds_ratio(a_broken, a_total, b_broken, b_total)
-        pairs.append({"pair": f"{a} vs {b}", "p": fisher.p_value, "odds_ratio": ratio})
-        raw_ps.append(fisher.p_value)
-    for entry, adjusted in zip(pairs, holm_bonferroni(raw_ps)):
-        entry["p_adj"] = adjusted
-        entry["significance"] = significance(adjusted)
-    return {"chi2": chi2, "pairs": pairs}
+def _fisher(a: tuple[int, int], b: tuple[int, int]) -> tuple[float, list[str], str]:
+    (a_broken, a_total), (b_broken, b_total) = a, b
+    p = fisher_exact([[a_broken, a_total - a_broken], [b_broken, b_total - b_broken]]).p_value
+    ratio = f"{odds_ratio(a_broken, a_total, b_broken, b_total):.2f}"  # "inf" when undefined
+    return p, [ratio], f"odds ratio {ratio}"
 
 
-def detection_tests(level_values: dict[str, list[float]]) -> dict:
-    """Kruskal-Wallis plus pairwise Mann-Whitney / Holm / Cliff's delta."""
-    groups = [level_values[level] for level in LEVEL_ORDER if level_values.get(level)]
-    if len(groups) < 2:
-        return {"kruskal": None, "pairs": []}
-    kruskal = kruskal_wallis(groups)
-
-    pairs = []
-    raw_ps = []
-    for a, b in level_pairs():
-        xs = level_values.get(a) or []
-        ys = level_values.get(b) or []
-        if not xs or not ys:
-            continue
-        mw = mann_whitney(xs, ys)
-        delta, label = cliffs_delta(xs, ys)
-        pairs.append(
-            {"pair": f"{a} vs {b}", "p": mw.p_value, "cliffs_delta": delta, "interpretation": label}
-        )
-        raw_ps.append(mw.p_value)
-    for entry, adjusted in zip(pairs, holm_bonferroni(raw_ps)):
-        entry["p_adj"] = adjusted
-        entry["significance"] = significance(adjusted)
-    return {"kruskal": kruskal, "pairs": pairs}
+def _mann_whitney(xs: list[float], ys: list[float]) -> tuple[float, list[str], str]:
+    p = mann_whitney(xs, ys).p_value
+    delta, label = cliffs_delta(xs, ys)
+    return p, [f"{delta:.3f}", label], f"Cliff's delta {delta:.2f} ({label})"
 
 
-def analyze_summary_counts(levels: dict[str, dict]) -> dict:
-    """Run the proportion battery on injected per-level counts.
+@dataclass(frozen=True)
+class Battery:
+    """An omnibus test across levels, then every pair of levels with
+    Holm-adjusted p-values, reported in ``report.md`` and one pairwise CSV.
+    The tests look the statistics up when called, so a wrapped one is used."""
 
-    ``levels`` maps level name to {"population": N, "sample": n, "broken": b}.
-    """
-    proportions = []
-    counts: dict[str, tuple[int, int]] = {}
-    for level in LEVEL_ORDER:
-        if level not in levels:
-            continue
-        entry = levels[level]
-        broken, sample = int(entry["broken"]), int(entry["sample"])
-        counts[level] = (broken, sample)
-        proportions.append(
-            {
-                "level": level,
-                "population": int(entry.get("population", 0)),
-                "sample": sample,
-                "broken": broken,
-                "pct_broken": round(100.0 * broken / sample, 1) if sample else None,
-            }
-        )
-    battery = proportion_tests(counts)
-    return {"proportions": proportions, "tests": battery}
+    heading: str
+    omnibus_name: str
+    statistic_name: str
+    omnibus: Callable[[list], TestResult]  # takes the (level, data) of every level tested
+    pairwise: Callable[[object, object], tuple[float, list[str], str]]
+    file_name: str
+    effect_columns: tuple[str, ...]
+
+    def run(self, data: dict[str, object], out: Path, narrative: list[str]) -> None:
+        """Test the levels ``data`` holds, in ``LEVEL_ORDER``, and write the results."""
+        levels = [level for level in LEVEL_ORDER if level in data]
+        narrative += [self.heading, ""]
+        if len(levels) > 1:
+            try:
+                result = self.omnibus([(level, data[level]) for level in levels])
+            except DegenerateTable as exc:
+                narrative.append(f"- {self.omnibus_name}: undefined for this table ({exc})")
+            else:
+                narrative.append(
+                    f"- {self.omnibus_name}: {self.statistic_name} {result.statistic:.2f}, "
+                    f"p {result.p_value:.3g} {significance(result.p_value)}"
+                )
+        pairs = [(f"{a} vs {b}", *self.pairwise(data[a], data[b])) for a, b in combinations(levels, 2)]
+        rows = []
+        for (pair, p, effect, note), p_adj in zip(pairs, holm_bonferroni([p for _, p, _, _ in pairs])):
+            stars = significance(p_adj)
+            rows.append([pair, f"{p:.6g}", f"{p_adj:.6g}", *effect, stars])
+            narrative.append(f"- {pair}: p_adj {p_adj:.3g} {stars}, {note}")
+        narrative.append("")
+        write_csv(out / self.file_name, ("pair", "p", "p_adj", *self.effect_columns, "significance"), rows)
 
 
-def analyze_results(results_dir: str | Path, out_dir: str | Path, summary_json: str | Path | None = None) -> dict:
-    """Generate the full report set into ``out_dir``; returns the summary dict."""
+# Data per level: (broken, sampled) clients.
+PROPORTIONS = Battery(
+    "## Broken-client proportions", "chi-squared across levels", "statistic",
+    lambda levels: chi_squared(ContingencyTable([(lv, (b, n - b)) for lv, (b, n) in levels])),
+    _fisher, "q3_pairwise_fisher.csv", ("odds_ratio",),
+)
+# Data per level: the detection counts of the broken clients.
+DETECTIONS = Battery(
+    "## Detections per broken client", "Kruskal-Wallis across levels", "H",
+    lambda levels: kruskal_wallis([values for _, values in levels]),
+    _mann_whitney, "q3_pairwise_mannwhitney.csv", ("cliffs_delta", "interpretation"),
+)
+
+
+def analyze_results(
+    results_dir: str | Path | None, out_dir: str | Path, summary_json: str | Path | None = None
+) -> None:
+    """Write the report set of one input, a ``corpus run`` results directory
+    or a summary JSON of per-level counts, into ``out_dir``."""
+    if (results_dir is None) == (summary_json is None):
+        raise ValueError("need exactly one input: a results directory or a summary JSON")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    narrative: list[str] = ["# Corpus analysis", ""]
-    produced: dict = {}
+    narrative = ["# Corpus analysis", ""]
+    if results_dir is not None:
+        _analyze_tables(Path(results_dir), out, narrative)
+    else:
+        # Each level is {"population": N, "sample": n, "broken": b}.
+        levels = json.loads(Path(summary_json).read_text(encoding="utf-8"))["levels"]
+        counts: dict[str, tuple[int, int]] = {}
+        rows = []
+        for level in LEVEL_ORDER:
+            if level in levels:
+                entry = levels[level]
+                broken, sample = int(entry["broken"]), int(entry["sample"])
+                counts[level] = (broken, sample)
+                pct = round(100.0 * broken / sample, 1) if sample else None
+                rows.append([level, int(entry.get("population", 0)), sample, broken, pct])
+        write_csv(out / "proportions.csv", ("level", "population", "sample", "broken", "pct_broken"), rows)
+        PROPORTIONS.run(counts, out, narrative)
+    (out / "report.md").write_text("\n".join(narrative) + "\n", encoding="utf-8")
 
-    if summary_json is not None:
-        payload = json.loads(Path(summary_json).read_text(encoding="utf-8"))
-        outcome = analyze_summary_counts(payload["levels"])
-        produced["summary_counts"] = outcome
-        write_csv(
-            out / "proportions.csv",
-            ["level", "population", "sample", "broken", "pct_broken"],
-            [[r["level"], r["population"], r["sample"], r["broken"], r["pct_broken"]]
-             for r in outcome["proportions"]],
-        )
-        _emit_proportion_reports(out, outcome["tests"], narrative)
 
-    results = Path(results_dir) if results_dir is not None else None
-    upgrades = _read_csv(results / "upgrades.csv", ("level", "breaking", "year")) if results else Counter()
-    clients = _read_csv(results / "clients.csv", ("level", "broken", "detections")) if results else Counter()
+def _analyze_tables(results: Path, out: Path, narrative: list[str]) -> None:
+    """The breaking ratios from ``upgrades.csv`` and both batteries from ``clients.csv``."""
+    upgrades = _read_csv(results / "upgrades.csv", ("level", "breaking", "year"))
+    clients = _read_csv(results / "clients.csv", ("level", "broken", "detections"))
 
     if upgrades:
         cells: Counter[tuple[str, bool, int]] = Counter()
         for (level, breaking, year), n in upgrades.items():
             cells[level, breaking == "true", _cell(int, year, results / "upgrades.csv", "year")] += n
-        ratio_table = breaking_ratio(cells, "level")
-        produced["q1"] = ratio_table
-        write_csv(
-            out / "q1_ratios.csv",
-            ["group", "count", "share_pct", "breaking", "breaking_pct"],
-            [[r["group"], r["count"], r["share_pct"], r["breaking"], r["breaking_pct"]]
-             for r in ratio_table],
-        )
-        trend = breaking_ratio(cells, "year_level")
-        produced["q2"] = trend
-        write_csv(
-            out / "q2_trend.csv",
-            ["group", "count", "share_pct", "breaking", "breaking_pct"],
-            [[r["group"], r["count"], r["share_pct"], r["breaking"], r["breaking_pct"]]
-             for r in trend],
-        )
-        narrative.append("## Breaking upgrades per level")
-        narrative.append("")
-        for r in ratio_table:
+        levels = breaking_ratio(cells, "level")
+        for file_name, table in (("q1_ratios.csv", levels), ("q2_trend.csv", breaking_ratio(cells, "year_level"))):
+            write_csv(out / file_name, RATIO_COLUMNS, [[r[c] for c in RATIO_COLUMNS] for r in table])
+        narrative += ["## Breaking upgrades per level", ""]
+        for r in levels:
             pct = "n/a" if r["breaking_pct"] is None else f"{r['breaking_pct']}%"
             narrative.append(f"- {r['group']}: {r['breaking']}/{r['count']} breaking ({pct})")
         narrative.append("")
 
     if clients:
-        counts: dict[str, tuple[int, int]] = {}
+        sampled: Counter[str] = Counter()
+        broken: Counter[str] = Counter()
         values: dict[str, list[float]] = {}
-        for (level, broken_cell, detections), n in clients.items():
-            if broken_cell not in ("true", "false"):
-                continue
-            broken, total = counts.get(level, (0, 0))
-            is_broken = broken_cell == "true"
-            counts[level] = (broken + (n if is_broken else 0), total + n)
-            if is_broken:
+        for (level, verdict, detections), n in clients.items():
+            if verdict in ("true", "false"):
+                sampled[level] += n
+            if verdict == "true":
+                broken[level] += n
                 # The rank tests depend only on the multiset of values.
                 value = _cell(float, detections, results / "clients.csv", "detections")
                 values.setdefault(level, []).extend([value] * n)
-        produced["q3_proportions"] = proportion_tests(counts)
-        _emit_proportion_reports(out, produced["q3_proportions"], narrative)
-        produced["q3_detections"] = detection_tests(values)
-        _emit_detection_reports(out, produced["q3_detections"], narrative)
-
-    (out / "report.md").write_text("\n".join(narrative) + "\n", encoding="utf-8")
-    return produced
-
-
-def _emit_proportion_reports(out: Path, battery: dict, narrative: list[str]) -> None:
-    chi2 = battery.get("chi2")
-    narrative.append("## Broken-client proportions")
-    narrative.append("")
-    if chi2 is not None:
-        narrative.append(
-            f"- chi-squared across levels: statistic {chi2.statistic:.2f}, "
-            f"p {chi2.p_value:.3g} {significance(chi2.p_value)}"
-        )
-    rows = []
-    for pair in battery.get("pairs", []):
-        rows.append(
-            [pair["pair"], f"{pair['p']:.6g}", f"{pair['p_adj']:.6g}",
-             "inf" if pair["odds_ratio"] == float("inf") else f"{pair['odds_ratio']:.2f}",
-             pair["significance"]]
-        )
-        narrative.append(
-            f"- {pair['pair']}: p_adj {pair['p_adj']:.3g} {pair['significance']}, "
-            f"odds ratio {pair['odds_ratio']:.2f}"
-        )
-    narrative.append("")
-    write_csv(out / "q3_pairwise_fisher.csv", ["pair", "p", "p_adj", "odds_ratio", "significance"], rows)
-
-
-def _emit_detection_reports(out: Path, battery: dict, narrative: list[str]) -> None:
-    kruskal = battery.get("kruskal")
-    narrative.append("## Detections per broken client")
-    narrative.append("")
-    if kruskal is not None:
-        narrative.append(
-            f"- Kruskal-Wallis across levels: H {kruskal.statistic:.2f}, "
-            f"p {kruskal.p_value:.3g} {significance(kruskal.p_value)}"
-        )
-    rows = []
-    for pair in battery.get("pairs", []):
-        rows.append(
-            [pair["pair"], f"{pair['p']:.6g}", f"{pair['p_adj']:.6g}",
-             f"{pair['cliffs_delta']:.3f}", pair["interpretation"], pair["significance"]]
-        )
-        narrative.append(
-            f"- {pair['pair']}: p_adj {pair['p_adj']:.3g} {pair['significance']}, "
-            f"Cliff's delta {pair['cliffs_delta']:.2f} ({pair['interpretation']})"
-        )
-    narrative.append("")
-    write_csv(
-        out / "q3_pairwise_mannwhitney.csv",
-        ["pair", "p", "p_adj", "cliffs_delta", "interpretation", "significance"],
-        rows,
-    )
+        PROPORTIONS.run({level: (broken[level], n) for level, n in sampled.items()}, out, narrative)
+        DETECTIONS.run(values, out, narrative)

@@ -148,14 +148,6 @@ class RawClass:
     annotations: tuple[str, ...] = ()
     inner_class_records: tuple[InnerClassRecord, ...] = ()
 
-    @property
-    def is_interface(self) -> bool:
-        return bool(self.access_flags & ACC_INTERFACE)
-
-    @property
-    def language(self) -> str:
-        return language_of_source(self.source_file)
-
 
 @dataclass
 class JarContent:
@@ -169,6 +161,7 @@ class JarContent:
     # deliver, as opposed to class files that did not parse.
     damaged_entries: list[tuple[str, str]] = field(default_factory=list)
     source: str = ""
+    sha256: str = ""  # hex digest of the archive's bytes
 
     def classes(self) -> list[RawClass]:
         return [cls for _, cls in self.entries]

@@ -19,6 +19,7 @@ contain; instructions are never interpreted. Malformed input raises
 
 from __future__ import annotations
 
+import hashlib
 import io
 import struct
 import zipfile
@@ -603,7 +604,10 @@ def open_jar(
         raise NotAZip(f"{source}: {exc}") from exc
 
     parsed = {} if parsed is None else parsed
-    content = JarContent(source=str(source) if isinstance(source, (str, Path)) else "")
+    content = JarContent(
+        source=str(source) if isinstance(source, (str, Path)) else "",
+        sha256=hashlib.sha256(raw).hexdigest(),
+    )
     for info in infos:
         if info.is_dir():
             continue

@@ -244,8 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_delta = sub.add_parser("delta", help="breaking changes between two JARs")
     p_delta.add_argument("old_jar")
     p_delta.add_argument("new_jar")
-    p_delta.add_argument("--json", default=None, help="write JSON report here ('-' for stdout)")
-    p_delta.add_argument("--csv", default=None, help="write CSV report instead of JSON")
+    report = p_delta.add_mutually_exclusive_group()
+    report.add_argument("--json", default=None, help="write JSON report here ('-' for stdout)")
+    report.add_argument("--csv", default=None, help="write CSV report instead of JSON")
     p_delta.add_argument("--stability-config", default=None)
     p_delta.add_argument("--scope", choices=("stable", "all"), default="stable")
     p_delta.add_argument("--fail-on-breaking", action="store_true")
@@ -282,9 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--stability-config", default=None)
 
     p_analyze = sub.add_parser("analyze", help="statistical reports over results")
-    p_analyze.add_argument("results_dir", nargs="?", default=None)
+    source = p_analyze.add_mutually_exclusive_group(required=True)
+    source.add_argument("results_dir", nargs="?", default=None, help="a corpus run output directory")
+    source.add_argument("--summary", default=None, help="precomputed per-level counts JSON")
     p_analyze.add_argument("--out", required=True)
-    p_analyze.add_argument("--summary", default=None, help="precomputed per-level counts JSON")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_bench = sub.add_parser("bench", help="accuracy benchmark against oracle records")

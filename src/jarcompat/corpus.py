@@ -168,6 +168,7 @@ class _JarFacts:
     reason: str | None = None
     languages: frozenset[str] = frozenset()
     max_release: int | None = None
+    sha256: str = ""  # of the JAR's bytes, as open_jar read them
 
 
 class _JarProbe:
@@ -217,6 +218,7 @@ class _JarProbe:
                     ok=True,
                     languages=frozenset(content.detected_languages),
                     max_release=content.max_java_release(),
+                    sha256=content.sha256,
                 )
                 if self.config is not None:
                     self.contents[record.coord] = content
@@ -357,7 +359,7 @@ def derive_upgrades(
             for record in chain:
                 try:
                     version = parse_version(record.version)
-                    skip = None if version.compliant else version.noncompliance_reason or "non_compliant"
+                    skip = version.noncompliance_reason
                 except Unparseable:
                     skip = "unparseable"
                 if skip is None:
@@ -468,11 +470,10 @@ class PipelineOptions:
     stability_config: StabilityConfig | None = None
 
 
-def _hash_jars(*paths: Path) -> str:
-    digest = hashlib.sha256()
-    for path in paths:
-        digest.update(path.read_bytes())
-    return digest.hexdigest()
+def _input_hash(v1: _JarFacts, v2: _JarFacts, config: StabilityConfig) -> str:
+    """What a delta depends on: the bytes of both JARs and the stability config."""
+    key = json.dumps([v1.sha256, v2.sha256, config.keywords, config.annotations])
+    return hashlib.sha256(key.encode("utf-8")).hexdigest()
 
 
 def _delta_filename(upgrade: Upgrade) -> str:
@@ -512,8 +513,8 @@ def run_pipeline(
     At more jobs, the tasks of libraries with an external client go to a
     process pool, and the rest, which open no JAR, run inline. Outputs are
     deterministic for fixed inputs; per-upgrade delta files are keyed by a
-    content hash of the two JARs and reused when already present. Returns a
-    summary dict (also written to summary.json).
+    hash of the two JARs' bytes and the stability config, and reused when
+    already present. Returns a summary dict (also written to summary.json).
     """
     options = options or PipelineOptions()
     out = Path(out_dir)
@@ -666,11 +667,8 @@ def _open_client(path: Path | None) -> JarContent | None:
 
 def _upgrade_delta(upgrade: Upgrade, probe: _JarProbe, deltas: Path) -> Delta:
     """The delta file's content when its input hash still matches, else a new delta, written."""
-    v1_path = probe.resolve(upgrade.rec1)
-    v2_path = probe.resolve(upgrade.rec2)
-    assert v1_path is not None and v2_path is not None  # filtered earlier
     delta_path = deltas / _delta_filename(upgrade)
-    input_hash = _hash_jars(v1_path, v2_path)
+    input_hash = _input_hash(probe.facts(upgrade.rec1), probe.facts(upgrade.rec2), probe.config)
     if delta_path.exists():
         payload = json.loads(delta_path.read_text(encoding="utf-8"))
         if payload.get("inputHash") == input_hash:

@@ -43,9 +43,7 @@ class Version:
 
     @property
     def compliant(self) -> bool:
-        if self.qualifier is not None:
-            return False
-        return not any(self._date_like(c) for c in (self.major, self.minor, self.patch))
+        return self.noncompliance_reason is None
 
     @property
     def noncompliance_reason(self) -> str | None:

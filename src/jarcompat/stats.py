@@ -398,26 +398,6 @@ def cliffs_delta(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, str]:
     return delta, interpret_cliffs_delta(delta)
 
 
-# --- descriptive -----------------------------------------------------------
-
-
-def distribution_summary(values: Sequence[float]) -> tuple[float, float, float, float, float, float]:
-    """(min, q1, median, mean, q3, max) with linearly interpolated quartiles."""
-    if not values:
-        raise EmptyInput("distribution_summary of empty input")
-    ordered = sorted(values)
-
-    def quantile(p: float) -> float:
-        h = (len(ordered) - 1) * p
-        lower = math.floor(h)
-        upper = min(lower + 1, len(ordered) - 1)
-        frac = h - lower
-        return ordered[lower] * (1 - frac) + ordered[upper] * frac
-
-    mean = sum(ordered) / len(ordered)
-    return (ordered[0], quantile(0.25), quantile(0.5), mean, quantile(0.75), ordered[-1])
-
-
 # --- corpus ratios -----------------------------------------------------------
 
 LEVEL_ORDER = ("major", "minor", "patch", "dev")

@@ -736,7 +736,7 @@ def _assert_mirrors(cls, spec: ClassSpec) -> None:
     assert (cls.this_name, cls.super_name, cls.interfaces) == (
         spec.name, spec.resolved_super(), spec.interfaces
     )
-    assert cls.is_interface == (spec.kind == "interface")
+    assert bool(cls.access_flags & ACC_INTERFACE) == (spec.kind == "interface")
     assert bool(cls.access_flags & ACC_ABSTRACT) == (spec.kind == "interface" or spec.is_abstract)
     assert bool(cls.access_flags & ACC_FINAL) == spec.is_final
     assert (cls.source_file, cls.annotations) == (spec.resolved_source(), spec.annotations)

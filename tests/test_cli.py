@@ -11,6 +11,7 @@ import random
 import re
 import tracemalloc
 import zipfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,14 @@ def test_delta_csv_output(jars, capsys):
     assert code == 0
     assert out[0] == "kind,element,stability,detail"
     assert out[1].startswith("methodAddedToInterface,srv.Handler.b()V,stable")
+
+
+def test_delta_json_and_csv_exclude_each_other(jars):
+    reports = [jars["dir"] / "delta.json", jars["dir"] / "delta.csv"]
+    with pytest.raises(SystemExit) as exc:
+        main(["delta", str(jars["v1"]), str(jars["v2"]), "--json", str(reports[0]), "--csv", str(reports[1])])
+    assert exc.value.code == 2
+    assert not any(report.exists() for report in reports)
 
 
 def test_delta_csv_quotes_multi_value_details(tmp_path, capsys):
@@ -251,6 +260,59 @@ def test_corpus_run_counts_a_corrupt_client_jar_as_missing(tmp_path, caplog):
     assert "mock-1.0.0.jar" in caplog.text
 
 
+def test_corpus_run_reads_each_library_jar_once(tmp_path, monkeypatch):
+    artifacts, edges, jar_root = build_fixture(tmp_path / "fixture")
+    reads = Counter()
+    read_bytes = Path.read_bytes
+
+    def counted(path):
+        reads[path.name] += 1
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", counted)
+    assert main(["corpus", "run", "--artifacts", str(artifacts), "--edges", str(edges),
+                 "--jars", str(jar_root), "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
+    library_reads = {name: n for name, n in reads.items() if name.startswith("servlet-api-")}
+    assert library_reads == {f"servlet-api-{v}.jar": 1 for v in ("3.0.1", "3.1.0", "4.0.0", "4.0.1")}
+
+
+# A library whose one upgrade removes a @x.Beta method, which its client calls.
+BETA_ROWS = [
+    ("org.b", "lib", "1.0.0", "2015-01-01", "jar", "lib-1.0.0.jar"),
+    ("org.b", "lib", "2.0.0", "2016-01-01", "jar", "lib-2.0.0.jar"),
+    ("org.c", "app", "1.0.0", "2015-06-01", "jar", "app-1.0.0.jar"),
+]
+BETA_EDGES = [
+    ("NEXT", "", "org.b:lib:1.0.0", "org.b:lib:2.0.0"),
+    ("DEPENDS", "compile", "org.c:app:1.0.0", "org.b:lib:1.0.0"),
+]
+
+
+def test_corpus_run_recomputes_deltas_under_another_stability_config(tmp_path):
+    artifacts, edges = write_graph_csvs(tmp_path / "graph", BETA_ROWS, BETA_EDGES)
+    jars = tmp_path / "graph" / "jars"
+    write_jar(jars / "lib-1.0.0.jar", [ClassSpec("p.A", methods=(
+        MethodSpec("m", annotations=("x.Beta",)), MethodSpec("keep")))])
+    write_jar(jars / "lib-2.0.0.jar", [ClassSpec("p.A", methods=(MethodSpec("keep"),))])
+    write_jar(jars / "app-1.0.0.jar", [ClassSpec("c.Use", methods=(
+        MethodSpec("run", calls=(("p.A", "m", "()V"),)),))])
+    # Under this config @Beta marks nothing unstable, so the removal is a stable break.
+    config = tmp_path / "stability.cfg"
+    config.write_text("[keywords]\nzzz\n[annotations]\n", encoding="utf-8")
+
+    def run(out, *extra):
+        assert main(["corpus", "run", "--artifacts", str(artifacts), "--edges", str(edges),
+                     "--jars", str(jars), "--out", str(out), "--jobs", "1", *extra]) == 0
+        return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    reused = tmp_path / "reused"
+    assert b",major,2016,false,true,1,0," in run(reused)["upgrades.csv"]
+    rerun = run(reused, "--stability-config", str(config))
+    fresh = run(tmp_path / "fresh", "--stability-config", str(config))
+    assert b",major,2016,true,true,1,1," in fresh["upgrades.csv"]
+    assert rerun == fresh
+
+
 # "org.lib1" sorts before "org.lib10" as a (group, artifact) tuple, but
 # "org.lib10:..." sorts before "org.lib1:..." as a string, and version "1.10.0"
 # sorts before "1.9.0" as a string.
@@ -343,17 +405,20 @@ def test_corpus_schema_error_exit_three(tmp_path):
     assert code == 3
 
 
-def test_analyze_summary_mode(tmp_path):
-    summary = {
-        "levels": {
-            "major": {"population": 29847, "sample": 10663, "broken": 1250},
-            "minor": {"population": 111830, "sample": 14445, "broken": 1130},
-            "patch": {"population": 123286, "sample": 14621, "broken": 735},
-            "dev": {"population": 28854, "sample": 10533, "broken": 1772},
-        }
+# The published table 5: sampled and broken clients per level.
+TABLE5 = {
+    "levels": {
+        "major": {"population": 29847, "sample": 10663, "broken": 1250},
+        "minor": {"population": 111830, "sample": 14445, "broken": 1130},
+        "patch": {"population": 123286, "sample": 14621, "broken": 735},
+        "dev": {"population": 28854, "sample": 10533, "broken": 1772},
     }
+}
+
+
+def test_analyze_summary_mode(tmp_path):
     summary_path = tmp_path / "table5.json"
-    summary_path.write_text(json.dumps(summary), encoding="utf-8")
+    summary_path.write_text(json.dumps(TABLE5), encoding="utf-8")
     out = tmp_path / "report"
     code = main(["analyze", "--out", str(out), "--summary", str(summary_path)])
     assert code == 0
@@ -446,6 +511,59 @@ def test_analyze_reads_columns_by_name(tmp_path):
     assert set(expected) == {"q1_ratios.csv", "q2_trend.csv", "q3_pairwise_fisher.csv",
                              "q3_pairwise_mannwhitney.csv", "report.md"}
     assert report_files(tmp_path / "b") == expected
+
+
+ANALYZE_GOLDEN = Path(__file__).parent / "golden" / "analyze"
+
+
+def analyze_input(root: Path, name: str) -> list[str]:
+    """Write one golden input under ``root``; returns the ``analyze`` arguments that read it."""
+    root.mkdir(parents=True)
+    if name == "summary":
+        (root / "table5.json").write_text(json.dumps(TABLE5), encoding="utf-8")
+        return ["--summary", str(root / "table5.json")]
+    upgrades, clients = results_tables()
+    write_table(root / "upgrades.csv", UPGRADE_HEADER, upgrades)
+    write_table(root / "clients.csv", CLIENT_HEADER, clients)
+    return [str(root)]
+
+
+@pytest.mark.parametrize("name", ["results", "summary"])
+def test_analyze_outputs_match_golden_files(tmp_path, name):
+    out = tmp_path / "out"
+    assert main(["analyze", *analyze_input(tmp_path / "in", name), "--out", str(out)]) == 0
+    assert report_files(out) == report_files(ANALYZE_GOLDEN / name)
+
+
+@pytest.mark.parametrize("inputs", [[], ["results", "--summary", "table5.json"]], ids=["neither", "both"])
+def test_analyze_takes_exactly_one_input(tmp_path, inputs):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", *inputs, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verdict", ["true", "false"])
+def test_analyze_when_every_client_has_the_same_verdict(tmp_path, verdict):
+    # A 2 x k table with an empty column has no chi-squared statistic, but
+    # the pairwise tests are still defined.
+    upgrades, clients = results_tables()
+    for i, row in enumerate(clients):
+        row[CLIENT_HEADER.index("broken")] = verdict
+        row[CLIENT_HEADER.index("detections")] = 1 + i % 7 if verdict == "true" else 0
+    results = tmp_path / "results"
+    results.mkdir()
+    write_table(results / "upgrades.csv", UPGRADE_HEADER, upgrades)
+    write_table(results / "clients.csv", CLIENT_HEADER, clients)
+    out = tmp_path / "out"
+    assert main(["analyze", str(results), "--out", str(out)]) == 0
+    report = (out / "report.md").read_text(encoding="utf-8")
+    assert "- chi-squared across levels: undefined for this table" in report
+    fisher = list(csv.reader(io.StringIO((out / "q3_pairwise_fisher.csv").read_text(encoding="utf-8"))))
+    pairs = itertools.combinations(LEVEL_ORDER, 2)
+    assert [row[:3] for row in fisher[1:]] == [[f"{a} vs {b}", "1", "1"] for a, b in pairs]
+    mann_whitney = (out / "q3_pairwise_mannwhitney.csv").read_text(encoding="utf-8").splitlines()
+    assert len(mann_whitney) == (7 if verdict == "true" else 1)
 
 
 @pytest.mark.parametrize("defect", ["no detections column", "short row"])

@@ -23,7 +23,6 @@ from jarcompat.stats import (
     chi_squared,
     cliffs_delta,
     cochran_sample,
-    distribution_summary,
     fisher_exact,
     holm_bonferroni,
     interpret_cliffs_delta,
@@ -463,29 +462,6 @@ def test_cliffs_matches_pair_counting_oracle():
 def test_cliffs_bounds():
     assert cliffs_delta([10], [1])[0] == 1.0
     assert cliffs_delta([1], [10])[0] == -1.0
-
-
-# --- descriptive ----------------------------------------------------------------------
-
-
-def test_distribution_summary_examples():
-    assert distribution_summary([1, 2, 3, 4, 5]) == (1, 2.0, 3.0, 3.0, 4.0, 5)
-    assert distribution_summary([7]) == (7, 7.0, 7.0, 7.0, 7.0, 7)
-    with pytest.raises(EmptyInput):
-        distribution_summary([])
-
-
-def test_distribution_summary_against_sort_oracle():
-    rng = random.Random(17)
-    values = [rng.uniform(-5, 5) for _ in range(101)]
-    result = distribution_summary(values)
-    ordered = sorted(values)
-    assert result[0] == ordered[0]
-    assert result[5] == ordered[-1]
-    assert result[2] == pytest.approx(ordered[50])  # odd count: exact middle
-    assert result[1] == pytest.approx(ordered[25])
-    assert result[4] == pytest.approx(ordered[75])
-    assert result[3] == pytest.approx(sum(values) / len(values))
 
 
 # --- ratios --------------------------------------------------------------------------
