@@ -160,14 +160,24 @@ def analyze_results(
     or a summary JSON of per-level counts, into ``out_dir``."""
     if (results_dir is None) == (summary_json is None):
         raise ValueError("need exactly one input: a results directory or a summary JSON")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    narrative = ["# Corpus analysis", ""]
-    if results_dir is not None:
-        _analyze_tables(Path(results_dir), out, narrative)
+    if summary_json is None:
+        if not Path(results_dir).is_dir():
+            raise ValueError(f"{results_dir}: no such results directory")
     else:
         # Each level is {"population": N, "sample": n, "broken": b}.
         levels = json.loads(Path(summary_json).read_text(encoding="utf-8"))["levels"]
+        unknown = sorted(set(levels) - set(LEVEL_ORDER))
+        if unknown:
+            raise ValueError(
+                f"{summary_json}: unknown level {', '.join(map(repr, unknown))}; "
+                f"levels are {', '.join(LEVEL_ORDER)}"
+            )
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    narrative = ["# Corpus analysis", ""]
+    if summary_json is None:
+        _analyze_tables(Path(results_dir), out, narrative)
+    else:
         counts: dict[str, tuple[int, int]] = {}
         rows = []
         for level in LEVEL_ORDER:

@@ -226,22 +226,7 @@ def run_case(case: BenchCase, config: StabilityConfig | None = None) -> CaseVerd
     return verdict
 
 
-def run_benchmark(
-    manifest: str | Path | list[BenchCase],
-    config: StabilityConfig | None = None,
-    jobs: int = 1,
-) -> AccuracyReport:
-    """Run every case and aggregate the confusion; invalid cases are listed
-    but excluded from the tallies. Cases are independent, so ``jobs`` > 1
-    fans them out over a process pool."""
-    cases = load_manifest(manifest) if isinstance(manifest, (str, Path)) else manifest
-    report = AccuracyReport()
-    if jobs > 1 and len(cases) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            report.verdicts = list(pool.map(run_case, cases, [config] * len(cases)))
-    else:
-        for case in cases:
-            report.verdicts.append(run_case(case, config))
-    return report
+def run_benchmark(manifest: str | Path, config: StabilityConfig | None = None) -> AccuracyReport:
+    """Run every case in turn and aggregate the confusion; invalid cases are
+    listed but excluded from the tallies."""
+    return AccuracyReport(verdicts=[run_case(case, config) for case in load_manifest(manifest)])

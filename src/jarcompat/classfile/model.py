@@ -135,9 +135,7 @@ class RawMember:
 class RawClass:
     """A parsed class file with all constant-pool indices resolved away."""
 
-    magic: int
     major_version: int
-    minor_version: int
     access_flags: int
     this_name: str
     super_name: str | None

@@ -70,7 +70,7 @@ _U2 = struct.Struct(">H")
 _I4 = struct.Struct(">i")
 _I4_PAIR = struct.Struct(">ii")
 _U2_PAIR = struct.Struct(">HH")
-_HEADER = struct.Struct(">4xHHH")  # after the magic: minor, major, constant count
+_HEADER = struct.Struct(">6xHH")  # after the magic and minor version: major, constant count
 _U2_QUAD = struct.Struct(">HHHH")  # class head, member head, InnerClasses row
 _ATTRIBUTE_HEAD = struct.Struct(">HI")  # name index, length
 _CODE_LENGTH = struct.Struct(">4xI")  # after max_stack and max_locals
@@ -194,7 +194,7 @@ def parse_class(data: bytes) -> RawClass:
         raise BadMagic(f"magic 0x{int.from_bytes(data[:4], 'big'):08X} != 0xCAFEBABE")
     if end < 10:
         raise _truncated("class header", 4)
-    minor, major, count = _HEADER.unpack_from(data)
+    major, count = _HEADER.unpack_from(data)
     if major < MIN_MAJOR_VERSION:
         raise ClassFormatError(f"major version {major} predates the JVM")
 
@@ -495,9 +495,7 @@ def parse_class(data: bytes) -> RawClass:
             invisible += annotations(start, pos)
 
     return RawClass(
-        magic=MAGIC,
         major_version=major,
-        minor_version=minor,
         access_flags=access,
         this_name=this_name,
         super_name=super_name,

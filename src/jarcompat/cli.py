@@ -210,9 +210,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
     try:
-        report = run_benchmark(args.manifest, _load_config(args.stability_config), jobs=jobs)
+        report = run_benchmark(args.manifest, _load_config(args.stability_config))
     except (OSError, ValueError) as exc:
         raise DataError(str(exc)) from exc
     if args.json is not None:
@@ -292,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="accuracy benchmark against oracle records")
     p_bench.add_argument("manifest")
     p_bench.add_argument("--json", default=None)
-    p_bench.add_argument("--jobs", type=_jobs, default=None)
     p_bench.add_argument("--stability-config", default=None)
     p_bench.set_defaults(func=cmd_bench)
 

@@ -69,10 +69,10 @@ class ArtifactRecord:
 
 @dataclass(frozen=True)
 class GraphEdge:
-    kind: str  # DEPENDS | NEXT
-    scope: str | None
+    """A DEPENDS edge; its target is the key it is filed under in ``dependents``."""
+
+    scope: str
     src: str
-    dst: str
 
 
 @dataclass
@@ -149,7 +149,6 @@ def load_graph(artifacts_path: str | Path, edges_path: str | Path) -> Dependency
             if src not in graph.artifacts or dst not in graph.artifacts:
                 graph.diagnostics.append(f"{edges_path}:{lineno}: dangling edge {src} -> {dst}")
                 continue
-            edge = GraphEdge(kind=kind, scope=scope or None, src=src, dst=dst)
             if kind == "NEXT":
                 if graph.artifacts[src].library != graph.artifacts[dst].library:
                     raise SchemaError(
@@ -157,41 +156,30 @@ def load_graph(artifacts_path: str | Path, edges_path: str | Path) -> Dependency
                     )
                 graph.next_out.setdefault(src, []).append(dst)
             else:
-                graph.dependents.setdefault(dst, []).append(edge)
+                graph.dependents.setdefault(dst, []).append(GraphEdge(scope, src))
 
     return graph
 
 
-@dataclass
-class _JarFacts:
-    ok: bool
-    reason: str | None = None
-    languages: frozenset[str] = frozenset()
-    max_release: int | None = None
-    sha256: str = ""  # of the JAR's bytes, as open_jar read them
-
-
 class _JarProbe:
-    """Opens each artifact's JAR at most once and caches what it read.
+    """Opens each artifact's JAR at most once and keeps what it yielded.
 
-    The selection filters read the facts. A probe given a stability config
-    also keeps the parsed content, so that the pipeline builds each model
-    from the parse the filters already made, and its JARs share one parse
-    memo, so a class whose bytes recur across versions is parsed once and
-    the models of two versions hold the same ``RawClass`` for it. Each model
-    is built from the last one still held, so it reuses that model's work on
-    the classes they share (see ``build_model``). A probe that keeps only
-    facts parses each JAR on its own, so that what it holds does not grow
-    with the classes it has read.
+    ``jars`` maps a coordinate to the JAR's parsed content, or to the reason
+    its pairs are excluded (``jar_unavailable``, ``unreadable_jar``). The
+    selection filters read the content, and each model is built from it.
+    A probe's JARs share one parse memo, so a class whose bytes recur
+    across versions is parsed once and the models of two versions hold the
+    same ``RawClass`` for it. Each model is built from the last one still
+    held, so it reuses that model's work on the classes they share (see
+    ``build_model``). A probe serves one library.
     """
 
-    def __init__(self, jar_root: Path | None, config: StabilityConfig | None = None) -> None:
+    def __init__(self, jar_root: Path | None, config: StabilityConfig) -> None:
         self.jar_root = jar_root
         self.config = config
-        self.cache: dict[str, _JarFacts] = {}
-        self.contents: dict[str, JarContent] = {}
+        self.jars: dict[str, JarContent | str] = {}
         self.models: dict[str, ApiModel] = {}
-        self.parsed: dict[bytes, RawClass] | None = {} if config is not None else None
+        self.parsed: dict[bytes, RawClass] | None = {}
 
     def resolve(self, record: ArtifactRecord) -> Path | None:
         if record.jar_path is None:
@@ -201,37 +189,29 @@ class _JarProbe:
             path = self.jar_root / path
         return path
 
-    def facts(self, record: ArtifactRecord) -> _JarFacts:
-        cached = self.cache.get(record.coord)
-        if cached is not None:
-            return cached
-        path = self.resolve(record)
-        if path is None or not path.exists():
-            facts = _JarFacts(ok=False, reason="jar_unavailable")
-        else:
-            try:
-                content = open_jar(path, self.parsed).require_complete()
-            except (NotAZip, ClassFormatError):
-                facts = _JarFacts(ok=False, reason="unreadable_jar")
+    def open(self, record: ArtifactRecord) -> JarContent | str:
+        """The artifact's parsed JAR, or the reason it cannot be read."""
+        jar = self.jars.get(record.coord)
+        if jar is None:
+            path = self.resolve(record)
+            if path is None or not path.exists():
+                jar = "jar_unavailable"
             else:
-                facts = _JarFacts(
-                    ok=True,
-                    languages=frozenset(content.detected_languages),
-                    max_release=content.max_java_release(),
-                    sha256=content.sha256,
-                )
-                if self.config is not None:
-                    self.contents[record.coord] = content
-        self.cache[record.coord] = facts
-        return facts
+                try:
+                    jar = open_jar(path, self.parsed).require_complete()
+                except (NotAZip, ClassFormatError):
+                    jar = "unreadable_jar"
+            self.jars[record.coord] = jar
+        return jar
 
     def model(self, record: ArtifactRecord) -> ApiModel:
-        """The API model of an artifact whose facts were ok, built once."""
+        """The API model of an artifact whose JAR was read, built once."""
         model = self.models.get(record.coord)
         if model is None:
-            content = self.contents.pop(record.coord)
             previous = next(reversed(self.models.values()), None)
-            model = build_model(content, self.config, model_id=record.coord, previous=previous)
+            model = build_model(
+                self.jars[record.coord], self.config, model_id=record.coord, previous=previous
+            )
             self.models[record.coord] = model
         return model
 
@@ -344,16 +324,18 @@ def derive_upgrades(
     candidate endpoints; each gets one ``version`` row and is skipped when
     pairing neighbours. Every other candidate pair is emitted or gets one
     ``pair`` row. Version rows come first, by coordinate, then pair rows by
-    (group, artifact, v1, v2). A caller that passes its own ``probe`` (which
-    then supplies the JAR root) keeps the JARs the filters opened.
+    (group, artifact, v1, v2). Each library's JARs are read through a fresh
+    probe, unless the caller passes its own ``probe`` (which then supplies the
+    JAR root) for an index of one library, to keep the JARs the filters read.
     """
-    probe = probe or _JarProbe(Path(jar_root) if jar_root is not None else None)
+    root = Path(jar_root) if jar_root is not None else None
     upgrades: list[Upgrade] = []
     skipped: dict[str, str] = {}
     excluded: list[tuple[tuple[str, ...], list]] = []
     seen_pairs: set[tuple[str, str]] = set()
 
     for library in sorted(index.chains):
+        library_probe = probe or _JarProbe(root, StabilityConfig())
         for chain in index.chains[library]:
             compliant: list[tuple[ArtifactRecord, Version]] = []
             for record in chain:
@@ -371,7 +353,7 @@ def derive_upgrades(
                 if (rec1.coord, rec2.coord) in seen_pairs:
                     continue
                 seen_pairs.add((rec1.coord, rec2.coord))
-                selected = _select(index.graph, probe, rec1, rec2, v1, v2)
+                selected = _select(index.graph, library_probe, rec1, rec2, v1, v2)
                 if isinstance(selected, Upgrade):
                     upgrades.append(selected)
                 else:
@@ -400,16 +382,16 @@ def _select(
         return "no_external_client"
     if rec1.packaging != "jar" or rec2.packaging != "jar":
         return "packaging_not_jar"
-    facts1 = probe.facts(rec1)
-    facts2 = probe.facts(rec2)
-    for facts in (facts1, facts2):
-        if not facts.ok:
-            return facts.reason
-    for facts in (facts1, facts2):
-        if any(tag not in ("java", "unknown") for tag in facts.languages):
+    jars = (probe.open(rec1), probe.open(rec2))
+    for jar in jars:
+        if isinstance(jar, str):
+            return jar
+    for jar in jars:
+        if any(tag not in ("java", "unknown") for tag in jar.detected_languages):
             return "non_java_language"
-    for facts in (facts1, facts2):
-        if facts.max_release is not None and facts.max_release > 8:
+    for jar in jars:
+        release = jar.max_java_release()
+        if release is not None and release > 8:
             return "invalid_java_version"
     if rec1.release_date > rec2.release_date:
         return "release_date_inversion"
@@ -470,7 +452,7 @@ class PipelineOptions:
     stability_config: StabilityConfig | None = None
 
 
-def _input_hash(v1: _JarFacts, v2: _JarFacts, config: StabilityConfig) -> str:
+def _input_hash(v1: JarContent, v2: JarContent, config: StabilityConfig) -> str:
     """What a delta depends on: the bytes of both JARs and the stability config."""
     key = json.dumps([v1.sha256, v2.sha256, config.keywords, config.annotations])
     return hashlib.sha256(key.encode("utf-8")).hexdigest()
@@ -586,7 +568,7 @@ def _reads_jars(task: _LibraryTask) -> bool:
 
 
 def _run_library(task: _LibraryTask) -> _LibraryResult:
-    """Select one library's upgrades, then diff each and detect its clients' impact.
+    """Select one library's upgrades, then run ``_upgrade_rows`` on each.
 
     The library's JARs are each opened once, by the selection filters, and
     each needed model is built once from that parse. The upgrade rows come
@@ -596,61 +578,69 @@ def _run_library(task: _LibraryTask) -> _LibraryResult:
     probe = _JarProbe(task.jar_root, task.config)
     upgrades, exclusion_rows = derive_upgrades(task.index, probe=probe)
     # Selection has opened every JAR an upgrade reads, so the memo is spent.
-    # A JAR's content or model, with the parsed classes the model keeps for
-    # the delta's short cut, is dropped after the last upgrade that reads it.
+    # A JAR's content and model, with the parsed classes the model keeps for
+    # the delta's short cut, are dropped after the last upgrade that reads it.
     probe.parsed = None
     uses_left = Counter(rec.coord for upgrade in upgrades for rec in (upgrade.rec1, upgrade.rec2))
     result = _LibraryResult(exclusion_rows=exclusion_rows)
-    artifacts = task.index.graph.artifacts
     by_version: list[tuple[tuple, list]] = []
     for upgrade in upgrades:
-        rec1, rec2 = upgrade.rec1, upgrade.rec2
-        delta = _upgrade_delta(upgrade, probe, task.deltas)
-        library = f"{rec1.group_id}:{rec1.artifact_id}"
-        v1, v2, level = upgrade.v1.raw, upgrade.v2.raw, upgrade.level.value
-        by_version.append((
-            (upgrade.v1.key(), upgrade.v2.key()),
-            [
-                rec1.group_id, rec1.artifact_id, v1, v2, level, rec2.release_date.year,
-                str(is_breaking(delta, "stable")).lower(),
-                str(is_breaking(delta, "all")).lower(),
-                len(delta.changes),
-                sum(1 for c in delta.changes if c.stability.is_stable),
-                f"deltas/{_delta_filename(upgrade)}",
-            ],
-        ))
-        stability: dict[tuple[str, str], str] = {}
-        for change in delta.changes:
-            stability.setdefault((change.element, change.kind.value), change.stability.status)
-        for edge in derive_clients(upgrade, task.index):
-            client = _open_client(probe.resolve(artifacts[edge.src]))
-            broken = ""
-            detection_count = 0
-            if client is not None:
-                usage = extract_usage(client, probe.model(rec1))
-                detections = compute_detections(delta, usage)
-                impact = classify_impact(delta, usage, detections)
-                broken = str(impact.broken).lower()
-                detection_count = impact.detection_count
-                result.detection_rows += (
-                    [
-                        library, v1, v2, edge.src, d.client_element, d.library_element,
-                        d.use_kind.value, d.bc_kind.value, d.confidence,
-                        stability.get((d.library_element, d.bc_kind.value), ""),
-                    ]
-                    for d in detections
-                )
-            result.client_rows.append(
-                [edge.src, edge.scope, library, v1, v2, level, broken, detection_count]
-            )
-        for coord in (rec1.coord, rec2.coord):
+        upgrade_row, client_rows, detection_rows = _upgrade_rows(upgrade, probe, task)
+        by_version.append(((upgrade.v1.key(), upgrade.v2.key()), upgrade_row))
+        result.client_rows += client_rows
+        result.detection_rows += detection_rows
+        for coord in (upgrade.rec1.coord, upgrade.rec2.coord):
             uses_left[coord] -= 1
             if not uses_left[coord]:
-                probe.contents.pop(coord, None)
+                del probe.jars[coord]
                 probe.models.pop(coord, None)
     by_version.sort(key=itemgetter(0))
     result.upgrade_rows = [row for _, row in by_version]
     return result
+
+
+def _upgrade_rows(
+    upgrade: Upgrade, probe: _JarProbe, task: _LibraryTask
+) -> tuple[list, list[list], list[list]]:
+    """One upgrade's ``upgrades.csv`` row, ``clients.csv`` rows and ``detections.csv`` rows."""
+    rec1, rec2 = upgrade.rec1, upgrade.rec2
+    delta = _upgrade_delta(upgrade, probe, task.deltas)
+    library = f"{rec1.group_id}:{rec1.artifact_id}"
+    v1, v2, level = upgrade.v1.raw, upgrade.v2.raw, upgrade.level.value
+    upgrade_row = [
+        rec1.group_id, rec1.artifact_id, v1, v2, level, rec2.release_date.year,
+        str(is_breaking(delta, "stable")).lower(),
+        str(is_breaking(delta, "all")).lower(),
+        len(delta.changes),
+        sum(1 for c in delta.changes if c.stability.is_stable),
+        f"deltas/{_delta_filename(upgrade)}",
+    ]
+    stability: dict[tuple[str, str], str] = {}
+    for change in delta.changes:
+        stability.setdefault((change.element, change.kind.value), change.stability.status)
+    client_rows: list[list] = []
+    detection_rows: list[list] = []
+    artifacts = task.index.graph.artifacts
+    for edge in derive_clients(upgrade, task.index):
+        client = _open_client(probe.resolve(artifacts[edge.src]))
+        broken = ""
+        detection_count = 0
+        if client is not None:
+            usage = extract_usage(client, probe.model(rec1))
+            detections = compute_detections(delta, usage)
+            impact = classify_impact(delta, usage, detections)
+            broken = str(impact.broken).lower()
+            detection_count = impact.detection_count
+            detection_rows += (
+                [
+                    library, v1, v2, edge.src, d.client_element, d.library_element,
+                    d.use_kind.value, d.bc_kind.value, d.confidence,
+                    stability.get((d.library_element, d.bc_kind.value), ""),
+                ]
+                for d in detections
+            )
+        client_rows.append([edge.src, edge.scope, library, v1, v2, level, broken, detection_count])
+    return upgrade_row, client_rows, detection_rows
 
 
 def _open_client(path: Path | None) -> JarContent | None:
@@ -668,14 +658,15 @@ def _open_client(path: Path | None) -> JarContent | None:
 def _upgrade_delta(upgrade: Upgrade, probe: _JarProbe, deltas: Path) -> Delta:
     """The delta file's content when its input hash still matches, else a new delta, written."""
     delta_path = deltas / _delta_filename(upgrade)
-    input_hash = _input_hash(probe.facts(upgrade.rec1), probe.facts(upgrade.rec2), probe.config)
+    rec1, rec2 = upgrade.rec1, upgrade.rec2
+    input_hash = _input_hash(probe.jars[rec1.coord], probe.jars[rec2.coord], probe.config)
     if delta_path.exists():
         payload = json.loads(delta_path.read_text(encoding="utf-8"))
         if payload.get("inputHash") == input_hash:
             return Delta.from_dict(payload)
     # v1's model first, so that v2's is built from it.
-    old = probe.model(upgrade.rec1)
-    delta = compute_delta(old, probe.model(upgrade.rec2))
+    old = probe.model(rec1)
+    delta = compute_delta(old, probe.model(rec2))
     payload = delta.to_dict()
     payload["inputHash"] = input_hash
     delta_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -105,9 +105,8 @@ CATALOG: dict[BcKind, str] = {
 
 assert len(CATALOG) == len(BcKind) == 31
 
-# Exception types never treated as checked. Anything else that cannot be
-# resolved inside the model is assumed checked (pessimistic).
-UNCHECKED_ROOTS = frozenset({"java.lang.RuntimeException", "java.lang.Error", "java.lang.Throwable"})
+# The roots of the unchecked exception types.
+UNCHECKED_ROOTS = frozenset({"java.lang.RuntimeException", "java.lang.Error"})
 
 
 @dataclass(frozen=True)
@@ -195,28 +194,11 @@ def is_breaking(delta: Delta, scope: str = "stable") -> bool:
     return any(change.stability.is_stable for change in delta.changes)
 
 
-def bc_histogram(deltas) -> dict[str, int]:
-    """Total changes per kind over a collection of deltas."""
-    counts: dict[str, int] = {}
-    for delta in deltas:
-        for kind, count in delta.by_kind().items():
-            counts[kind] = counts.get(kind, 0) + count
-    return dict(sorted(counts.items()))
-
-
 def _is_checked_exception(model: ApiModel, name: str) -> bool:
-    seen: set[str] = set()
-    current: str | None = name
-    while current and current not in seen:
-        if current in UNCHECKED_ROOTS and current != "java.lang.Throwable":
-            return False
-        seen.add(current)
-        decl = model.types.get(current)
-        if decl is None:
-            # Unknown outside the model: assume checked unless it is a known root.
-            return current not in UNCHECKED_ROOTS or current == "java.lang.Throwable"
-        current = decl.super_name
-    return True
+    """False when the type or a superclass is an unchecked root. A chain that
+    leaves the model ends at its first unknown name, so an unknown exception
+    is assumed checked (pessimistic)."""
+    return UNCHECKED_ROOTS.isdisjoint({name, *model.superclass_chain(name)})
 
 
 def _label_of(member: EffectiveMember, model: ApiModel) -> StabilityLabel:

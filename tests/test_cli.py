@@ -381,16 +381,11 @@ def test_corpus_run_rejects_scope(tmp_path):
 @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
 def test_jobs_must_be_a_positive_whole_number(tmp_path, jobs, capsys):
     artifacts, edges, _ = build_fixture(tmp_path / "fixture")
-    commands = [
-        ["corpus", "run", "--artifacts", str(artifacts), "--edges", str(edges),
-         "--out", str(tmp_path / "o"), "--jobs", jobs],
-        ["bench", str(tmp_path / "manifest.json"), "--jobs", jobs],
-    ]
-    for command in commands:
-        with pytest.raises(SystemExit) as exc:
-            main(command)
-        assert exc.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", "run", "--artifacts", str(artifacts), "--edges", str(edges),
+              "--out", str(tmp_path / "o"), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -540,6 +535,23 @@ def test_analyze_takes_exactly_one_input(tmp_path, inputs):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", *inputs, "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_missing_results_directory_is_a_data_error(tmp_path, capsys):
+    missing = tmp_path / "no" / "such"
+    assert main(["analyze", str(missing), "--out", str(tmp_path / "out")]) == 3
+    assert str(missing) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_summary_with_an_unknown_level_is_a_data_error(tmp_path, capsys):
+    levels = dict(TABLE5["levels"])
+    levels["Major"] = levels.pop("major")
+    summary = tmp_path / "counts.json"
+    summary.write_text(json.dumps({"levels": levels}), encoding="utf-8")
+    assert main(["analyze", "--summary", str(summary), "--out", str(tmp_path / "out")]) == 3
+    assert "'Major'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

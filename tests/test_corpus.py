@@ -565,9 +565,10 @@ def test_run_pipeline_drops_each_model_after_its_last_upgrade(tmp_path, monkeypa
     assert all(memo is None for _, _, memo in seen)
 
 
-def test_derive_upgrades_parses_each_jar_on_its_own(tmp_path, monkeypatch):
-    # Selection alone keeps no parse, so it shares none: what it holds stays
-    # one JAR's classes, not every class of the corpus.
+def test_derive_upgrades_shares_parses_within_a_library_only(tmp_path, monkeypatch):
+    # Selection reads each library through its own probe, as a corpus run
+    # task does: a class recurring across one library's JARs is parsed once,
+    # and what a probe holds is one library's JARs, never the corpus.
     graph, jar_root, jars = _reuse_graph(tmp_path)
     parses = Counter()
     original = parser.parse_class
@@ -576,10 +577,19 @@ def test_derive_upgrades_parses_each_jar_on_its_own(tmp_path, monkeypatch):
         parses[data] += 1
         return original(data)
 
+    libraries: dict[corpus._JarProbe, set] = {}  # holds each probe, so no identity is reused
+
+    class RecordingProbe(corpus._JarProbe):
+        def open(self, record):
+            libraries.setdefault(self, set()).add(record.library)
+            return super().open(record)
+
     monkeypatch.setattr(parser, "parse_class", counting_parse)
+    monkeypatch.setattr(corpus, "_JarProbe", RecordingProbe)
     upgrades, _ = derive_upgrades(index_graph(graph), jar_root)
     assert len(upgrades) == 3
-    assert parses[write_class(jars["two-1.0.0.jar"][1])] == 5  # shared.Util, once per library JAR
+    assert parses[write_class(jars["two-1.0.0.jar"][1])] == 2  # shared.Util, once per library
+    assert sorted(map(sorted, libraries.values())) == [[("g.lib", "lib")], [("g.two", "two")]]
 
 
 def test_run_pipeline_empty_graph(tmp_path):

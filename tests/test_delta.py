@@ -17,7 +17,6 @@ from jarcompat.delta import (
     CATALOG,
     BcKind,
     Delta,
-    bc_histogram,
     compute_delta,
     is_breaking,
 )
@@ -193,22 +192,14 @@ def test_is_breaking_stable_field_removed():
     assert is_breaking(compute_delta(old, new), "stable")
 
 
-def test_histogram_empty_and_additive():
-    assert bc_histogram([]) == {}
-    old = model_of([ClassSpec("p.A", methods=(MethodSpec("m"), MethodSpec("keep")))])
-    new = model_of([ClassSpec("p.A", methods=(MethodSpec("keep"),))])
-    delta = compute_delta(old, new)
-    assert bc_histogram([delta, delta]) == {"methodRemoved": 2}
-
-
 def test_histogram_matches_per_delta_recount():
-    deltas = [_delta_for(case)[0] for case in CATALOG_CASES]
-    histogram = bc_histogram(deltas)
-    recount: dict[str, int] = {}
-    for delta in deltas:
+    assert Delta("a", "b").by_kind() == {}
+    for case in CATALOG_CASES:
+        delta = _delta_for(case)[0]
+        recount: dict[str, int] = {}
         for change in delta.changes:
             recount[change.kind.value] = recount.get(change.kind.value, 0) + 1
-    assert histogram == dict(sorted(recount.items()))
+        assert delta.by_kind() == dict(sorted(recount.items()))
 
 
 def test_serialization_is_deterministic_and_round_trips():
@@ -280,6 +271,28 @@ def test_unchecked_exception_additions_do_not_fire():
         ]
     )
     assert compute_delta(old, new).changes == []
+
+
+@pytest.mark.parametrize("name, checked", [
+    ("p.Sub", False),  # p.Sub -> p.Oops -> java.lang.Error, outside the model
+    ("java.lang.RuntimeException", False),
+    ("p.Thrown", True),  # extends java.lang.Throwable, which is checked
+    ("p.Lost", True),  # its superclass is unknown: assumed checked
+    ("p.Loop", True),  # a superclass cycle ends the walk
+    ("java.lang.Exception", True),
+])
+def test_checked_exception_is_read_from_the_superclass_chain(name, checked):
+    from jarcompat.delta import _is_checked_exception
+
+    model = model_of([
+        ClassSpec("p.Oops", super_name="java.lang.Error"),
+        ClassSpec("p.Sub", super_name="p.Oops"),
+        ClassSpec("p.Thrown", super_name="java.lang.Throwable"),
+        ClassSpec("p.Lost", super_name="q.Gone"),
+        ClassSpec("p.Loop", super_name="p.Pool"),
+        ClassSpec("p.Pool", super_name="p.Loop"),
+    ])
+    assert _is_checked_exception(model, name) is checked
 
 
 # --- unchanged types: the short cut of models that share parses ----------

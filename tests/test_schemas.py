@@ -70,7 +70,7 @@ def test_detections_json_validates(jars, capsys):
 
 def test_bench_json_validates(tmp_path, capsys):
     manifest = write_benchmark(tmp_path / "bench")
-    main(["bench", str(manifest), "--json", "-", "--jobs", "1"])
+    main(["bench", str(manifest), "--json", "-"])
     payload = json.loads(capsys.readouterr().out)
     jsonschema.validate(payload, _schema("bench-report.schema.json"))
     assert payload["cases"] == len(payload["perCase"])
