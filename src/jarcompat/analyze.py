@@ -22,7 +22,6 @@ from typing import Callable
 
 from .corpus import write_csv
 from .stats import (
-    ContingencyTable,
     DegenerateTable,
     LEVEL_ORDER,
     TestResult,
@@ -142,7 +141,7 @@ class Battery:
 # Data per level: (broken, sampled) clients.
 PROPORTIONS = Battery(
     "## Broken-client proportions", "chi-squared across levels", "statistic",
-    lambda levels: chi_squared(ContingencyTable([(lv, (b, n - b)) for lv, (b, n) in levels])),
+    lambda levels: chi_squared([(b, n - b) for _, (b, n) in levels]),
     _fisher, "q3_pairwise_fisher.csv", ("odds_ratio",),
 )
 # Data per level: the detection counts of the broken clients.

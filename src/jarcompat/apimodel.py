@@ -26,6 +26,7 @@ from .classfile import (
     JarContent,
     RawClass,
     RawMember,
+    open_jar,
 )
 
 VISIBILITY_RANK = {"private": 0, "package": 1, "protected": 2, "public": 3}
@@ -176,7 +177,10 @@ class ApiModel:
     id: str = ""
     config: StabilityConfig = field(default_factory=StabilityConfig)
     types: dict[str, TypeDecl] = field(default_factory=dict)
-    stability: dict[str, StabilityLabel] = field(default_factory=dict)
+    # Types and members are labelled apart: a type can be named like a field
+    # reference (class ``p.A.f`` beside field ``f`` of ``p.A``).
+    type_stability: dict[str, StabilityLabel] = field(default_factory=dict)
+    member_stability: dict[str, StabilityLabel] = field(default_factory=dict)
     constants: dict[str, int | float | str] = field(default_factory=dict)
     diagnostics: list[str] = field(default_factory=list)
     # The parsed class each type was built from. Models built from parses
@@ -440,14 +444,6 @@ def same_closure(old: ApiModel, new: ApiModel, name: str, memo: dict[str, bool])
     return result
 
 
-def _labels_unique(model: ApiModel) -> bool:
-    """True when no two declarations of ``model`` share a stability key, so
-    that the label under each member's ref is that member's own."""
-    return len(model.stability) == len(model.types) + sum(
-        len(decl.members) for decl in model.types.values()
-    )
-
-
 def build_model(
     jar: JarContent,
     config: StabilityConfig | None = None,
@@ -458,7 +454,7 @@ def build_model(
 
     Duplicate type names keep the first occurrence and record a diagnostic.
     Synthetic classes are skipped. Stability is computed for every type and
-    member, so the stability map is total.
+    member, so both stability maps are total.
 
     ``previous``, typically the model of the library's preceding version,
     lends its work on every type built from the same ``RawClass`` object:
@@ -483,25 +479,27 @@ def build_model(
             if raw.constant_value is not None:
                 model.constants[member_ref(name, raw.name, raw.descriptor)] = raw.constant_value
 
-    reuse_labels = previous is not None and previous.config == config and _labels_unique(previous)
+    reuse_labels = previous is not None and previous.config == config
     # Outer types label before nested ones: sort by name length of the '$' chain.
     for name in sorted(model.types, key=lambda n: (n.count("$"), n)):
         decl = model.types[name]
         enclosing_label = None
         if decl.enclosing_name:
-            enclosing_label = model.stability.get(decl.enclosing_name)
+            enclosing_label = model.type_stability.get(decl.enclosing_name)
         type_label = classify_type_stability(decl, config, enclosing_label)
-        model.stability[name] = type_label
+        model.type_stability[name] = type_label
         if (
             reuse_labels
             and previous.types.get(name) is decl
-            and previous.stability[name] == type_label
+            and previous.type_stability[name] == type_label
         ):
             for member in decl.members:
-                model.stability[member.ref] = previous.stability[member.ref]
+                model.member_stability[member.ref] = previous.member_stability[member.ref]
         else:
             for member in decl.members:
-                model.stability[member.ref] = classify_member_stability(member, config, type_label)
+                model.member_stability[member.ref] = classify_member_stability(
+                    member, config, type_label
+                )
 
     if previous is not None:
         memo: dict[str, bool] = {}
@@ -513,6 +511,23 @@ def build_model(
     for name in model.types:
         _collect_effective(model, name, model._methods, model._fields, in_progress)
     return model
+
+
+def model_pair(
+    old_jar: str | Path, new_jar: str | Path, config: StabilityConfig | None = None
+) -> tuple[ApiModel, ApiModel]:
+    """The models of two versions of a library, each named after its JAR.
+
+    One parse memo serves both JARs: identical class bytes are parsed once,
+    the new model reuses the old one's work on them, and ``compute_delta``
+    can skip the types built from them. Raises what ``open_jar`` and
+    ``require_complete`` raise; each caller maps those errors itself.
+    """
+    parsed: dict[bytes, RawClass] = {}
+    old_content = open_jar(old_jar, parsed).require_complete()
+    new_content = open_jar(new_jar, parsed).require_complete()
+    old_model = build_model(old_content, config, model_id=str(old_jar))
+    return old_model, build_model(new_content, config, model_id=str(new_jar), previous=old_model)
 
 
 def type_accessible(model: ApiModel, type_name: str) -> bool:

@@ -18,11 +18,11 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .apimodel import StabilityConfig, build_model, member_owner
+from .apimodel import StabilityConfig, member_owner, model_pair
 from .delta import compute_delta
 from .detect import Detection, compute_detections, rule_note
 from .usage import extract_usage
-from .classfile import RawClass, open_jar
+from .classfile import open_jar
 
 
 @dataclass(frozen=True)
@@ -188,12 +188,8 @@ def _matches_oracle(detection: Detection, oracle: OracleRecord) -> bool:
 
 def run_case(case: BenchCase, config: StabilityConfig | None = None) -> CaseVerdict:
     verdict = CaseVerdict(case_id=case.case_id, known_gap=case.known_gap)
-    parsed: dict[bytes, RawClass] = {}  # shared, so that unchanged types are reused and skipped
     try:
-        v1 = open_jar(case.v1_jar, parsed).require_complete()
-        v2 = open_jar(case.v2_jar, parsed).require_complete()
-        old_model = build_model(v1, config, model_id=str(case.v1_jar))
-        new_model = build_model(v2, config, model_id=str(case.v2_jar), previous=old_model)
+        old_model, new_model = model_pair(case.v1_jar, case.v2_jar, config)
         client = open_jar(case.client_jar).require_intact()
     except Exception as exc:  # noqa: BLE001 - per-case load failures are data
         verdict.error = f"{type(exc).__name__}: {exc}"

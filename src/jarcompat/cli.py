@@ -15,9 +15,9 @@ import os
 import sys
 from pathlib import Path
 
-from .apimodel import StabilityConfig, build_model
+from .apimodel import StabilityConfig, model_pair
 from .bench import run_benchmark
-from .classfile import ClassFormatError, NotAZip, RawClass, open_jar
+from .classfile import ClassFormatError, NotAZip, open_jar
 from .corpus import (
     UPGRADE_COLUMNS,
     PipelineOptions,
@@ -61,18 +61,10 @@ def _load_config(path: str | None) -> StabilityConfig:
 
 
 def _build_models(old_jar: str, new_jar: str, config: StabilityConfig):
-    # One parse memo for both JARs: identical class bytes are parsed once,
-    # the new model reuses the old one's work on them, and compute_delta
-    # can skip the types built from them.
-    parsed: dict[bytes, RawClass] = {}
     try:
-        old_content = open_jar(old_jar, parsed).require_complete()
-        new_content = open_jar(new_jar, parsed).require_complete()
-        old_model = build_model(old_content, config, model_id=old_jar)
-        new_model = build_model(new_content, config, model_id=new_jar, previous=old_model)
+        return model_pair(old_jar, new_jar, config)
     except (NotAZip, ClassFormatError, OSError) as exc:
         raise DataError(str(exc)) from exc
-    return old_model, new_model
 
 
 def _emit(text: str, path: str | None) -> None:

@@ -202,7 +202,7 @@ def _is_checked_exception(model: ApiModel, name: str) -> bool:
 
 
 def _label_of(member: EffectiveMember, model: ApiModel) -> StabilityLabel:
-    return model.stability.get(member.decl.ref, STABLE)
+    return model.member_stability.get(member.decl.ref, STABLE)
 
 
 class _DeltaBuilder:
@@ -240,7 +240,7 @@ class _DeltaBuilder:
                 continue
             t_old = self.old.types[name]
             t_new = self.new.types.get(name)
-            label = self.old.stability[name]
+            label = self.old.type_stability[name]
             if t_new is None:
                 self.emit(BcKind.CLASS_REMOVED, name, label)
                 continue

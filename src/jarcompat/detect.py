@@ -26,7 +26,7 @@ from typing import Iterable
 
 from .apimodel import member_owner, rehost_member
 from .delta import BcKind, BreakingChange, Delta
-from .usage import Pair, UsageModel, UseKind
+from .usage import UsageModel, UseKind
 
 CERTAIN = "certain"
 PESSIMISTIC = "pessimistic"
@@ -249,8 +249,10 @@ def _client_type_of(element: str, usage: UsageModel) -> str:
 
 
 def _is_subtype(client_type: str, owner: str, usage: UsageModel) -> bool:
-    pairs = usage.relations[UseKind.EXTENDS] | usage.relations[UseKind.IMPLEMENTS]
-    return (client_type, owner) in pairs
+    return any(
+        client_type in usage.uses[kind].get(owner, ())
+        for kind in (UseKind.EXTENDS, UseKind.IMPLEMENTS)
+    )
 
 
 def _visibility_breaks(
@@ -306,29 +308,13 @@ def compute_detections(delta: Delta, usage: UsageModel) -> list[Detection]:
             f"usage resolved against {usage.library_id!r}, delta old side is {delta.old_id!r}"
         )
 
-    by_target: dict[UseKind, dict[str, list[Pair]]] = {kind: {} for kind in UseKind}
-    by_owner: dict[UseKind, dict[str, list[Pair]]] = {kind: {} for kind in UseKind}
-    for kind in UseKind:
-        for pair in usage.relations[kind]:
-            by_target[kind].setdefault(pair[1], []).append(pair)
-            if kind in (
-                UseKind.METHOD_INVOCATION,
-                UseKind.CONSTRUCTOR_INVOCATION,
-                UseKind.FIELD_ACCESS,
-            ):
-                by_owner[kind].setdefault(member_owner(pair[1]), []).append(pair)
-
     detections: set[Detection] = set()
     for change in delta.changes:
         owner = element_owner(change)
         for matcher in IMPACT_RULES[change.kind]:
-            if matcher.target == ELEMENT:
-                candidates = by_target[matcher.use_kind].get(change.element, [])
-            elif matcher.target == TYPE:
-                candidates = by_target[matcher.use_kind].get(owner, [])
-            else:
-                candidates = by_owner[matcher.use_kind].get(owner, [])
-            for client_element, _ in candidates:
+            index = usage.member_uses if matcher.target == TYPE_MEMBERS else usage.uses
+            target = change.element if matcher.target == ELEMENT else owner
+            for client_element in index[matcher.use_kind].get(target, ()):
                 confidence = matcher.confidence
                 if matcher.predicate == "visibility":
                     verdict = _visibility_breaks(change, client_element, usage)
@@ -366,18 +352,6 @@ def classify_impact(
         detected.add((detection.library_element, detection.bc_kind.value))
         count += 1
 
-    touched: set[str] = set()
-    types_touched: set[str] = set()
-    for kind in UseKind:
-        member_kind = kind in (
-            UseKind.METHOD_INVOCATION,
-            UseKind.CONSTRUCTOR_INVOCATION,
-            UseKind.FIELD_ACCESS,
-        )
-        for _, library in usage.relations[kind]:
-            touched.add(library)
-            types_touched.add(member_owner(library) if member_kind else library)
-
     additive = {
         BcKind.METHOD_ADDED_TO_INTERFACE,
         BcKind.METHOD_ABSTRACT_ADDED_TO_CLASS,
@@ -392,13 +366,13 @@ def classify_impact(
             used = True
         elif change.kind in _TYPE_LEVEL_KINDS:
             # A type-level change is "used" when the type or any member is.
-            used = change.element in types_touched or change.element in touched
+            used = usage.is_touched(change.element)
         elif change.kind in additive:
             # Old clients cannot reference the new declaration; using the
             # affected type is what puts them in scope.
-            used = owner in types_touched or owner in touched
+            used = usage.is_touched(owner)
         else:
-            used = change.element in touched
+            used = usage.is_used(change.element)
         if key in detected:
             summary.per_change[key] = BREAKING_USE
         elif used:

@@ -32,16 +32,6 @@ class TestResult:
     p_value: float
 
 
-@dataclass
-class ContingencyTable:
-    """Labelled rows of counts, e.g. level -> (broken, not_broken)."""
-
-    rows: list[tuple[str, tuple[int, ...]]]
-
-    def counts(self) -> list[tuple[int, ...]]:
-        return [cells for _, cells in self.rows]
-
-
 # --- normal distribution -------------------------------------------------
 
 # The CDF and the survival function use ``math.erfc``: ``NormalDist.cdf``
@@ -148,9 +138,8 @@ def cochran_sample(population: int, confidence: float, margin: float, proportion
 # --- contingency tests -----------------------------------------------------
 
 
-def chi_squared(table: ContingencyTable) -> TestResult:
-    """Pearson chi-squared test of homogeneity across the table rows."""
-    counts = table.counts()
+def chi_squared(counts: Sequence[Sequence[int]]) -> TestResult:
+    """Pearson chi-squared test of homogeneity across rows of counts."""
     if len(counts) < 2 or any(len(cells) < 2 for cells in counts):
         raise DegenerateTable("need at least a 2x2 table")
     width = len(counts[0])

@@ -1,9 +1,9 @@
 """Extraction of client-to-library usage relations from bytecode.
 
-Every relation pair corresponds to a concrete constant-pool reference,
-hierarchy declaration, descriptor, or annotation in the client bytes;
-nothing is fabricated. References that do not resolve against the supplied
-library model are dropped.
+Every use corresponds to a concrete constant-pool reference, hierarchy
+declaration, descriptor, or annotation in the client bytes; nothing is
+fabricated. References that do not resolve against the supplied library
+model are dropped.
 
 Method overriding is not represented: binaries carry no override facts, so
 analyses that need them must over-approximate.
@@ -28,22 +28,38 @@ class UseKind(str, Enum):
     CONSTRUCTOR_INVOCATION = "constructorInvocation"
 
 
-Pair = tuple[str, str]
+# The use kinds whose library element is a member; their uses are also
+# filed under the member's owner type.
+MEMBER_USES = (UseKind.METHOD_INVOCATION, UseKind.FIELD_ACCESS, UseKind.CONSTRUCTOR_INVOCATION)
+
+# use kind -> library element (or owner type) -> the client elements using it
+UseIndex = dict[UseKind, dict[str, set[str]]]
 
 
 @dataclass
 class UsageModel:
-    """Binary relations from client elements to library elements."""
+    """How one client uses one library, indexed by the library side.
+
+    ``uses`` maps each use kind and library element to the client elements
+    that use it. ``member_uses`` files every member use a second time, under
+    the member's owner type.
+    """
 
     library_id: str = ""
-    relations: dict[UseKind, set[Pair]] = field(
-        default_factory=lambda: {kind: set() for kind in UseKind}
-    )
+    uses: UseIndex = field(default_factory=lambda: {kind: {} for kind in UseKind})
+    member_uses: UseIndex = field(default_factory=lambda: {kind: {} for kind in MEMBER_USES})
     client_elements: set[str] = field(default_factory=set)
     client_types: set[str] = field(default_factory=set)
 
-    def pairs(self, kind: UseKind) -> set[Pair]:
-        return self.relations[kind]
+    def is_used(self, element: str) -> bool:
+        """True when a use of any kind names ``element``."""
+        return any(element in targets for targets in self.uses.values())
+
+    def is_touched(self, type_name: str) -> bool:
+        """True when ``type_name`` is used, or owns a used member."""
+        return self.is_used(type_name) or any(
+            type_name in owners for owners in self.member_uses.values()
+        )
 
 
 class _Extractor:
@@ -52,7 +68,7 @@ class _Extractor:
         self.model = UsageModel(library_id=library.id)
 
     def add(self, kind: UseKind, client: str, library_element: str) -> None:
-        self.model.relations[kind].add((client, library_element))
+        self.model.uses[kind].setdefault(library_element, set()).add(client)
 
     def add_type_use(self, kind: UseKind, client: str, type_name: str) -> None:
         if type_name in self.library.types:
@@ -73,6 +89,7 @@ class _Extractor:
         else:
             kind = UseKind.METHOD_INVOCATION
         self.add(kind, client, target)
+        self.model.member_uses[kind].setdefault(ref.owner, set()).add(client)
 
     def descriptor_types(self, client: str, descriptor: str) -> None:
         for name in class_names_in(descriptor):
@@ -109,7 +126,7 @@ class _Extractor:
 
 
 def extract_usage(client: JarContent, library: ApiModel) -> UsageModel:
-    """Relations describing how ``client`` uses declarations of ``library``.
+    """The index of how ``client`` uses declarations of ``library``.
 
     Resolution is purely name/descriptor based against the supplied model;
     usage is normally extracted against the *old* version of a library when

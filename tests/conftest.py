@@ -11,6 +11,7 @@ import pytest
 
 from jarcompat.apimodel import ApiModel, StabilityConfig, build_model
 from jarcompat.classfile import ClassSpec, JarContent, open_jar, write_class
+from jarcompat.usage import UsageModel, UseKind
 
 
 def jar_bytes(specs: list[ClassSpec], extra: dict[str, bytes] | None = None) -> bytes:
@@ -48,6 +49,11 @@ def model_of(
     model_id: str = "fixture",
 ) -> ApiModel:
     return build_model(jar_content(specs), config, model_id=model_id)
+
+
+def usage_pairs(usage: UsageModel, kind: UseKind) -> set[tuple[str, str]]:
+    """The (client element, library element) pairs of one use kind."""
+    return {(client, target) for target, clients in usage.uses[kind].items() for client in clients}
 
 
 @pytest.fixture

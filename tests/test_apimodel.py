@@ -43,7 +43,7 @@ def test_build_model_interface_evolution_shape():
 def test_build_model_empty():
     model = model_of([])
     assert model.types == {}
-    assert model.stability == {}
+    assert model.type_stability == model.member_stability == {}
 
 
 def test_duplicate_type_keeps_first():
@@ -71,16 +71,16 @@ def test_beta_annotation_is_unstable():
             )
         ]
     )
-    label = model.stability["p.A.m()V"]
+    label = model.member_stability["p.A.m()V"]
     assert label.status == "unstable"
     assert label.reason_kind == "annotation"
     assert label.reason_value == "Beta"
-    assert model.stability["p.A"].status == "stable"
+    assert model.type_stability["p.A"].status == "stable"
 
 
 def test_internal_package_is_unstable():
     model = model_of([ClassSpec("com.google.common.base.internal.Finalizer")])
-    label = model.stability["com.google.common.base.internal.Finalizer"]
+    label = model.type_stability["com.google.common.base.internal.Finalizer"]
     assert label.status == "unstable"
     assert label.reason_kind == "package_convention"
     assert label.reason_value == "internal"
@@ -89,22 +89,22 @@ def test_internal_package_is_unstable():
 def test_package_keyword_is_exact_segment():
     # "apiserver" contains "api" but is not the segment "api".
     model = model_of([ClassSpec("com.example.apiserver.Thing")])
-    assert model.stability["com.example.apiserver.Thing"].status == "stable"
+    assert model.type_stability["com.example.apiserver.Thing"].status == "stable"
 
 
 def test_plain_public_method_is_stable():
     model = model_of([ClassSpec("org.example.A", methods=(MethodSpec("m"),))])
-    assert model.stability["org.example.A.m()V"].status == "stable"
+    assert model.member_stability["org.example.A.m()V"].status == "stable"
 
 
 def test_members_inherit_type_instability():
     model = model_of(
         [ClassSpec("a.internal.b.T", methods=(MethodSpec("m"),), fields=(FieldSpec("f"),))]
     )
-    assert model.stability["a.internal.b.T"].reason_kind == "package_convention"
-    assert model.stability["a.internal.b.T.m()V"].reason_kind == "enclosing"
-    assert model.stability["a.internal.b.T.m()V"].reason_value == "a.internal.b.T"
-    assert model.stability["a.internal.b.T.f"].status == "unstable"
+    assert model.type_stability["a.internal.b.T"].reason_kind == "package_convention"
+    assert model.member_stability["a.internal.b.T.m()V"].reason_kind == "enclosing"
+    assert model.member_stability["a.internal.b.T.m()V"].reason_value == "a.internal.b.T"
+    assert model.member_stability["a.internal.b.T.f"].status == "unstable"
 
 
 def test_nested_type_inherits_enclosing_instability():
@@ -114,25 +114,25 @@ def test_nested_type_inherits_enclosing_instability():
             ClassSpec("p.Outer$Nested", methods=(MethodSpec("m"),)),
         ]
     )
-    assert model.stability["p.Outer"].reason_kind == "annotation"
-    nested = model.stability["p.Outer$Nested"]
+    assert model.type_stability["p.Outer"].reason_kind == "annotation"
+    nested = model.type_stability["p.Outer$Nested"]
     assert nested.status == "unstable"
     assert nested.reason_kind == "enclosing"
-    assert model.stability["p.Outer$Nested.m()V"].status == "unstable"
+    assert model.member_stability["p.Outer$Nested.m()V"].status == "unstable"
 
 
 def test_deprecated_is_not_unstable():
     model = model_of(
         [ClassSpec("p.A", methods=(MethodSpec("m", annotations=("java.lang.Deprecated",)),))]
     )
-    assert model.stability["p.A.m()V"].status == "stable"
+    assert model.member_stability["p.A.m()V"].status == "stable"
 
 
 def test_interface_audience_annotation_matches_default_list():
     model = model_of(
         [ClassSpec("p.A", annotations=("org.apache.hadoop.classification.InterfaceAudience",))]
     )
-    assert model.stability["p.A"].reason_value == "InterfaceAudience"
+    assert model.type_stability["p.A"].reason_value == "InterfaceAudience"
 
 
 def test_stability_totality():
@@ -147,32 +147,35 @@ def test_stability_totality():
         ]
     )
     for name, decl in model.types.items():
-        assert name in model.stability
+        assert name in model.type_stability
         for member in decl.members:
-            assert member.ref in model.stability
+            assert member.ref in model.member_stability
 
 
 def test_classify_stability_standalone():
     model = model_of([ClassSpec("p.A", methods=(MethodSpec("m"),))])
     decl = model.types["p.A"]
-    assert model.stability[decl.qualified_name].status == "stable"
-    assert model.stability[decl.members[0].ref].status == "stable"
+    assert model.type_stability[decl.qualified_name].status == "stable"
+    assert model.member_stability[decl.members[0].ref].status == "stable"
 
 
 def test_previous_model_whose_type_shares_a_field_ref_lends_no_label():
-    # In 1.0 the type p.A.f (package p.A) and the field f of p.A share the
-    # stability key "p.A.f", and the type, labelled last, holds it. 1.1
-    # drops that type, so the field's own label must be worked out afresh.
+    # In 1.0 the type p.A.f (package p.A) is named like the field f of p.A,
+    # and only the type is @Beta. Each keeps its own label, and 1.1, which
+    # drops that type, takes over the field's label unchanged.
     owner = ClassSpec("p.A", fields=(FieldSpec("f"),))
     clash = ClassSpec("p.A.f", annotations=("p.Beta",))
     parsed: dict = {}
     v1 = open_jar(io.BytesIO(jar_bytes([owner, clash])), parsed)
     v2 = open_jar(io.BytesIO(jar_bytes([owner])), parsed)
     previous = build_model(v1)
-    assert previous.stability["p.A.f"].reason_kind == "annotation"
+    assert previous.type_stability["p.A.f"].reason_kind == "annotation"
+    assert previous.member_stability == {"p.A.f": STABLE}
     reused = build_model(v2, previous=previous)
+    fresh = build_model(v2)
     assert reused.types["p.A"] is previous.types["p.A"]
-    assert reused.stability == build_model(v2).stability == {"p.A": STABLE, "p.A.f": STABLE}
+    assert reused.type_stability == fresh.type_stability == {"p.A": STABLE}
+    assert reused.member_stability == fresh.member_stability == {"p.A.f": STABLE}
 
 
 def test_config_file_round_trip(tmp_path):
@@ -184,10 +187,10 @@ def test_config_file_round_trip(tmp_path):
     assert config.keywords == ("beta", "unsafe")
     assert config.annotations == ("Preview",)
     model = model_of([ClassSpec("p.unsafe.T")], config=config)
-    assert model.stability["p.unsafe.T"].status == "unstable"
+    assert model.type_stability["p.unsafe.T"].status == "unstable"
     # The default "internal" keyword is gone under the custom config.
     model2 = model_of([ClassSpec("p.internal.T")], config=config)
-    assert model2.stability["p.internal.T"].status == "stable"
+    assert model2.type_stability["p.internal.T"].status == "stable"
 
 
 def test_config_file_rejects_stray_lines(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from catalog_cases import CATALOG_CASES
 from conftest import jar_bytes, jar_content, model_of
-from jarcompat.apimodel import StabilityConfig, build_model
+from jarcompat.apimodel import StabilityConfig, StabilityLabel, build_model
 from jarcompat.classfile import ClassSpec, FieldSpec, MethodSpec, open_jar
 from jarcompat.delta import (
     CATALOG,
@@ -153,7 +153,19 @@ def test_stability_tag_matches_old_model():
             for member in old.types["p.A"].members
             if member.ref == change.element
         )
-        assert change.stability == old.stability[decl.ref]
+        assert change.stability == old.member_stability[decl.ref]
+
+
+def test_removed_field_keeps_its_label_beside_a_type_named_like_it():
+    # The class p.A.f is named like the field f of p.A; only the field is
+    # @Beta, and its label must not give way to the class's.
+    clash = ClassSpec("p.A.f")
+    old = model_of([ClassSpec("p.A", fields=(FieldSpec("f", annotations=("x.Beta",)),)), clash])
+    new = model_of([ClassSpec("p.A"), clash])
+    delta = compute_delta(old, new)
+    assert [(c.kind, c.element, c.stability) for c in delta.changes] == [
+        (BcKind.FIELD_REMOVED, "p.A.f", StabilityLabel("unstable", "annotation", "Beta"))
+    ]
 
 
 def test_additive_kind_uses_new_model_stability():
@@ -360,12 +372,12 @@ def _type_spec(draw, name, kind, super_name, interfaces):
 
 
 @st.composite
-def _version_pair(draw):
-    """Specs of two versions, each in its own shuffled entry order. Every
-    type is shared (same bytes), changed, changed in its constant alone,
-    only in v1, or only in v2."""
+def _version_pair(draw, skeleton=_SKELETON):
+    """Specs of two versions of the ``skeleton`` types, each in its own
+    shuffled entry order. Every type is shared (same bytes), changed, changed
+    in its constant alone, only in v1, or only in v2."""
     old, new = [], []
-    for name, kind, super_name, interfaces in _SKELETON:
+    for name, kind, super_name, interfaces in skeleton:
         spec = draw(_type_spec(name, kind, super_name, interfaces))
         status = draw(st.sampled_from(["shared", "shared", "changed", "constant", "removed", "added"]))
         if status != "added":
@@ -430,7 +442,8 @@ _CONFIGS = (StabilityConfig(), StabilityConfig(keywords=("internal",), annotatio
 def _model_facts(model):
     return (
         model.types,
-        model.stability,
+        model.type_stability,
+        model.member_stability,
         # repr tells 0.0 from -0.0, and NaN from any other value.
         {ref: repr(value) for ref, value in model.constants.items()},
         model.diagnostics,

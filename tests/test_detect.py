@@ -3,21 +3,35 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import jar_content, model_of
+from conftest import jar_content, model_of, usage_pairs
+from jarcompat.apimodel import build_model, member_owner
 from jarcompat.classfile import ClassSpec, FieldSpec, MethodSpec
 from jarcompat.delta import BcKind, compute_delta
 from jarcompat.detect import (
     BREAKING_USE,
+    CERTAIN,
+    ELEMENT,
     IMPACT_RULES,
     NON_BREAKING_USE,
+    PESSIMISTIC,
+    TYPE,
     UNUSED,
     DeltaUsageMismatch,
+    Detection,
+    _client_type_of,
+    _lacks_declaration,
+    _package_of,
+    _TYPE_LEVEL_KINDS,
     classify_impact,
     compute_detections,
+    element_owner,
     rule_note,
 )
 from jarcompat.usage import UseKind, extract_usage
+from test_delta import _CLASS_NAMES, _INTERFACE_NAMES, _METHOD_SHAPES, _SKELETON, _version_pair
 
 
 def _scenario(old_specs, new_specs, client_specs):
@@ -165,6 +179,21 @@ def test_protected_constructor_always_pessimistic():
     assert detections[0].bc_kind is BcKind.CONSTRUCTOR_LESS_ACCESSIBLE
 
 
+def test_class_removed_reaches_member_uses_of_a_class_named_with_a_paren():
+    # "(" is legal in a class file's class names. Member uses are filed
+    # under the owner the reference names, not one parsed back out of the
+    # member reference, which would cut "p.X(Y.m()V" at its first "(".
+    delta, usage, detections = _scenario(
+        [ClassSpec("p.X(Y", methods=(MethodSpec("m"),)), ClassSpec("p.Keep")],
+        [ClassSpec("p.Keep")],
+        [ClassSpec("c.C", methods=(MethodSpec("x", calls=(("p.X(Y", "m", "()V"),)),))],
+    )
+    assert [(d.use_kind, d.bc_kind, d.client_element) for d in detections] == [
+        (UseKind.METHOD_INVOCATION, BcKind.CLASS_REMOVED, "c.C.x()V")
+    ]
+    assert classify_impact(delta, usage, detections).broken
+
+
 def test_method_now_final_flags_subtypes_pessimistically():
     _, _, detections = _scenario(
         [ClassSpec("lib.A", methods=(MethodSpec("run"),))],
@@ -301,3 +330,129 @@ def test_detections_are_sorted_deterministically():
     keys = [d.sort_key() for d in detections]
     assert keys == sorted(keys)
     assert len(detections) == 2
+
+
+# --- the usage index against a join over (client, library) pairs -------------
+
+# The library's types plus p.A.f, a class named like the field f of p.A.
+_LIBRARY = _SKELETON + (("p.A.f", "class", None, ()),)
+_LIBRARY_TYPES = [name for name, _, _, _ in _LIBRARY]
+_MEMBER_KINDS = (UseKind.METHOD_INVOCATION, UseKind.CONSTRUCTOR_INVOCATION, UseKind.FIELD_ACCESS)
+
+
+@st.composite
+def _client_specs(draw):
+    """Client classes in a foreign package and in the library's own, each
+    extending, implementing, annotating with, calling and reading library
+    types and members, and declaring some of the library's method shapes.
+    Half the calls go to the class's own superclass, where a member narrowed
+    to protected stays accessible."""
+    specs = []
+    for name in ("c.X", "c.Y", "p.Z"):
+        super_name = draw(st.sampled_from([None, "p.A.f", *_CLASS_NAMES]))
+        types = st.sampled_from(_LIBRARY_TYPES)
+        owners = types if super_name is None else st.one_of(st.just(super_name), types)
+        calls = st.tuples(owners, st.sampled_from(_METHOD_SHAPES)).map(lambda t: (t[0], *t[1]))
+        reads = st.tuples(owners, st.sampled_from([("f", "I"), ("K", "D")])).map(lambda t: (t[0], *t[1]))
+        body = MethodSpec(
+            "body",
+            calls=tuple(draw(st.lists(calls, max_size=4))),
+            field_reads=tuple(draw(st.lists(reads, max_size=2))),
+            type_refs=tuple(draw(st.lists(types, max_size=2))),
+        )
+        shapes = draw(st.lists(st.sampled_from(_METHOD_SHAPES[:3]), unique=True))
+        specs.append(ClassSpec(
+            name,
+            super_name=super_name,
+            interfaces=tuple(draw(st.lists(st.sampled_from(_INTERFACE_NAMES), unique=True, max_size=2))),
+            annotations=draw(st.sampled_from([(), ("p.A.f",)])),
+            methods=(body, *(MethodSpec(m_name, desc) for m_name, desc in shapes)),
+        ))
+    return specs
+
+
+def _reference_visibility(change, client, usage, subtypes):
+    """The confidence of a narrowing's hit on ``client``, or None for none."""
+    new_vis = change.detail_map().get("new", "private")
+    owner = element_owner(change)
+    client_type = _client_type_of(client, usage)
+    same_package = _package_of(client_type) == _package_of(owner)
+    if new_vis == "public":
+        return None
+    if new_vis == "protected":
+        if same_package:
+            return None
+        if change.kind is BcKind.CONSTRUCTOR_LESS_ACCESSIBLE:
+            return PESSIMISTIC
+        return None if (client_type, owner) in subtypes else PESSIMISTIC
+    return None if new_vis == "package" and same_package else CERTAIN
+
+
+def _reference_join(delta, usage):
+    """Detections and per-change impact, joined pair by pair as a flat
+    relation would be: member uses match an owner through ``member_owner``,
+    and a use "touches" its library element whatever its kind."""
+    pairs = {kind: usage_pairs(usage, kind) for kind in UseKind}
+    subtypes = pairs[UseKind.EXTENDS] | pairs[UseKind.IMPLEMENTS]
+    detections = set()
+    for change in delta.changes:
+        owner = element_owner(change)
+        for matcher in IMPACT_RULES[change.kind]:
+            for client, library in pairs[matcher.use_kind]:
+                if matcher.target == ELEMENT:
+                    hit = library == change.element
+                elif matcher.target == TYPE:
+                    hit = library == owner
+                else:
+                    hit = matcher.use_kind in _MEMBER_KINDS and member_owner(library) == owner
+                confidence = matcher.confidence
+                if hit and matcher.predicate == "visibility":
+                    confidence = _reference_visibility(change, client, usage, subtypes)
+                    hit = confidence is not None
+                elif hit and matcher.predicate == "lacks_decl":
+                    hit = _lacks_declaration(change, _client_type_of(client, usage), usage)
+                if hit:
+                    detections.add(Detection(client, change.element, matcher.use_kind, change.kind, confidence))
+    touched = {library for kind in UseKind for _, library in pairs[kind]}
+    owners = {member_owner(library) for kind in _MEMBER_KINDS for _, library in pairs[kind]}
+    additive = {
+        BcKind.METHOD_ADDED_TO_INTERFACE, BcKind.METHOD_ABSTRACT_ADDED_TO_CLASS,
+        BcKind.METHOD_ADDED_TO_PUBLIC_CLASS, BcKind.METHOD_NEW_DEFAULT,
+    }
+    detected = {(d.library_element, d.bc_kind.value) for d in detections}
+    per_change = {}
+    for change in delta.changes:
+        key = (change.element, change.kind.value)
+        if key in detected:
+            per_change[key] = BREAKING_USE
+            continue
+        if change.kind in _TYPE_LEVEL_KINDS:
+            used = change.element in touched | owners
+        elif change.kind in additive:
+            used = element_owner(change) in touched | owners
+        else:
+            used = change.element in touched
+        per_change[key] = NON_BREAKING_USE if used else UNUSED
+    return sorted(detections, key=Detection.sort_key), per_change
+
+
+@settings(max_examples=150, deadline=None)
+@given(_version_pair(_LIBRARY), _client_specs())
+# A method narrowed to protected, called by a foreign subclass: spared.
+@example(
+    ([ClassSpec("p.A", methods=(MethodSpec("m"),))],
+     [ClassSpec("p.A", methods=(MethodSpec("m", visibility="protected"),))]),
+    [ClassSpec("c.X", super_name="p.A", methods=(MethodSpec("body", calls=(("p.A", "m", "()V"),)),))],
+)
+def test_index_join_equals_pairwise_join(pair, client_specs):
+    old = build_model(jar_content(list(pair[0])), model_id="old")
+    new = build_model(jar_content(list(pair[1])), model_id="new")
+    delta = compute_delta(old, new)
+    usage = extract_usage(jar_content(client_specs), old)
+    detections = compute_detections(delta, usage)
+    summary = classify_impact(delta, usage, detections)
+    expected, per_change = _reference_join(delta, usage)
+    assert detections == expected
+    assert summary.per_change == per_change
+    assert summary.broken == (BREAKING_USE in per_change.values())
+    assert summary.detection_count == len(expected)

@@ -14,7 +14,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from jarcompat.stats import (
-    ContingencyTable,
     DegenerateTable,
     EmptyInput,
     LEVEL_ORDER,
@@ -126,17 +125,15 @@ def test_cochran_monotone_in_population_and_margin():
 
 
 def test_chi_squared_identical_rows():
-    table = ContingencyTable(rows=[("a", (10, 90)), ("b", (20, 180))])
-    result = chi_squared(table)
+    result = chi_squared([(10, 90), (20, 180)])
     assert result.statistic == pytest.approx(0.0, abs=1e-9)
     assert result.p_value == pytest.approx(1.0)
 
 
 def test_chi_squared_matches_direct_formula():
-    rows = [("a", (12, 5)), ("b", (3, 14))]
-    result = chi_squared(ContingencyTable(rows=rows))
+    counts = [(12, 5), (3, 14)]
+    result = chi_squared(counts)
     # Independent evaluation of sum((o-e)^2/e).
-    counts = [cells for _, cells in rows]
     total = sum(sum(c) for c in counts)
     row_sums = [sum(c) for c in counts]
     col_sums = [sum(c[j] for c in counts) for j in range(2)]
@@ -151,22 +148,21 @@ def test_chi_squared_matches_direct_formula():
 
 
 def test_chi_squared_published_broken_client_table():
-    table = ContingencyTable(
-        rows=[
-            ("major", (1250, 10663 - 1250)),
-            ("minor", (1130, 14445 - 1130)),
-            ("patch", (735, 14621 - 735)),
-            ("dev", (1772, 10533 - 1772)),
-        ]
-    )
+    # major, minor, patch, dev: (broken, not broken)
+    table = [
+        (1250, 10663 - 1250),
+        (1130, 14445 - 1130),
+        (735, 14621 - 735),
+        (1772, 10533 - 1772),
+    ]
     assert chi_squared(table).p_value < 1e-15
 
 
 def test_chi_squared_degenerate():
     with pytest.raises(DegenerateTable):
-        chi_squared(ContingencyTable(rows=[("a", (1, 2))]))
+        chi_squared([(1, 2)])
     with pytest.raises(DegenerateTable):
-        chi_squared(ContingencyTable(rows=[("a", (0, 0)), ("b", (1, 2))]))
+        chi_squared([(0, 0), (1, 2)])
 
 
 # --- Fisher ---------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from conftest import jar_content, model_of
+from conftest import jar_content, model_of, usage_pairs
 from jarcompat.classfile import ClassSpec, FieldSpec, MethodSpec
 from jarcompat.usage import UseKind, extract_usage
 
@@ -43,14 +43,14 @@ def test_implements_relation():
             )
         ]
     )
-    assert ("cli.MockHandler", "lib.Handler") in usage.pairs(UseKind.IMPLEMENTS)
-    assert usage.pairs(UseKind.EXTENDS) == set()
+    assert ("cli.MockHandler", "lib.Handler") in usage_pairs(usage, UseKind.IMPLEMENTS)
+    assert usage_pairs(usage, UseKind.EXTENDS) == set()
 
 
 def test_unrelated_client_has_empty_relations():
     usage = _usage([ClassSpec("cli.Lonely", methods=(MethodSpec("m"),))])
     for kind in UseKind:
-        assert usage.pairs(kind) == set()
+        assert usage_pairs(usage, kind) == set()
 
 
 def test_invocation_and_field_access():
@@ -68,8 +68,8 @@ def test_invocation_and_field_access():
             )
         ]
     )
-    assert ("cli.C.body()V", "lib.A.m()V") in usage.pairs(UseKind.METHOD_INVOCATION)
-    assert ("cli.C.body()V", "lib.A.f") in usage.pairs(UseKind.FIELD_ACCESS)
+    assert ("cli.C.body()V", "lib.A.m()V") in usage_pairs(usage, UseKind.METHOD_INVOCATION)
+    assert ("cli.C.body()V", "lib.A.f") in usage_pairs(usage, UseKind.FIELD_ACCESS)
 
 
 def test_constructor_invocation_is_separate_kind():
@@ -81,9 +81,9 @@ def test_constructor_invocation_is_separate_kind():
             )
         ]
     )
-    assert ("cli.C.body()V", "lib.A.<init>()V") in usage.pairs(UseKind.CONSTRUCTOR_INVOCATION)
-    assert ("cli.C.body()V", "lib.A") in usage.pairs(UseKind.TYPE_DEPENDENCY)
-    assert usage.pairs(UseKind.METHOD_INVOCATION) == set()
+    assert ("cli.C.body()V", "lib.A.<init>()V") in usage_pairs(usage, UseKind.CONSTRUCTOR_INVOCATION)
+    assert ("cli.C.body()V", "lib.A") in usage_pairs(usage, UseKind.TYPE_DEPENDENCY)
+    assert usage_pairs(usage, UseKind.METHOD_INVOCATION) == set()
 
 
 def test_annotation_relation():
@@ -96,8 +96,8 @@ def test_annotation_relation():
             )
         ]
     )
-    assert ("cli.C", "lib.Marker") in usage.pairs(UseKind.ANNOTATION)
-    assert ("cli.C.m()V", "lib.Marker") in usage.pairs(UseKind.ANNOTATION)
+    assert ("cli.C", "lib.Marker") in usage_pairs(usage, UseKind.ANNOTATION)
+    assert ("cli.C.m()V", "lib.Marker") in usage_pairs(usage, UseKind.ANNOTATION)
 
 
 def test_descriptor_types_become_type_dependencies():
@@ -110,9 +110,9 @@ def test_descriptor_types_become_type_dependencies():
             )
         ]
     )
-    assert ("cli.C.h", "lib.Handler") in usage.pairs(UseKind.TYPE_DEPENDENCY)
-    assert ("cli.C.make(Llib/A;)Llib/Base;", "lib.A") in usage.pairs(UseKind.TYPE_DEPENDENCY)
-    assert ("cli.C.make(Llib/A;)Llib/Base;", "lib.Base") in usage.pairs(UseKind.TYPE_DEPENDENCY)
+    assert ("cli.C.h", "lib.Handler") in usage_pairs(usage, UseKind.TYPE_DEPENDENCY)
+    assert ("cli.C.make(Llib/A;)Llib/Base;", "lib.A") in usage_pairs(usage, UseKind.TYPE_DEPENDENCY)
+    assert ("cli.C.make(Llib/A;)Llib/Base;", "lib.Base") in usage_pairs(usage, UseKind.TYPE_DEPENDENCY)
 
 
 def test_unresolved_references_are_dropped():
@@ -132,7 +132,7 @@ def test_unresolved_references_are_dropped():
             )
         ]
     )
-    assert usage.pairs(UseKind.METHOD_INVOCATION) == set()
+    assert usage_pairs(usage, UseKind.METHOD_INVOCATION) == set()
 
 
 def test_inherited_member_resolves_against_host_type():
@@ -147,7 +147,7 @@ def test_inherited_member_resolves_against_host_type():
         [ClassSpec("cli.X", methods=(MethodSpec("body", calls=(("lib.C", "m", "()V"),)),))]
     )
     usage = extract_usage(client, library)
-    assert ("cli.X.body()V", "lib.C.m()V") in usage.pairs(UseKind.METHOD_INVOCATION)
+    assert ("cli.X.body()V", "lib.C.m()V") in usage_pairs(usage, UseKind.METHOD_INVOCATION)
 
 
 def test_extends_closure_mirrors_hierarchy_declarations():
@@ -156,7 +156,7 @@ def test_extends_closure_mirrors_hierarchy_declarations():
         ClassSpec("cli.Other", super_name="cli.Sub"),  # internal super: not a library pair
     ]
     usage = _usage(client_specs)
-    assert usage.pairs(UseKind.EXTENDS) == {("cli.Sub", "lib.Base")}
+    assert usage_pairs(usage, UseKind.EXTENDS) == {("cli.Sub", "lib.Base")}
 
 
 def test_declared_exceptions_are_type_dependencies():
@@ -168,7 +168,7 @@ def test_declared_exceptions_are_type_dependencies():
             )
         ]
     )
-    assert ("cli.C.m()V", "lib.Base") in usage.pairs(UseKind.TYPE_DEPENDENCY)
+    assert ("cli.C.m()V", "lib.Base") in usage_pairs(usage, UseKind.TYPE_DEPENDENCY)
 
 
 def test_no_fabrication_every_pair_has_a_source():
@@ -197,9 +197,33 @@ def test_no_fabrication_every_pair_has_a_source():
         declared_sources |= {f"{r.owner}.{r.name}{r.descriptor}" for r in raw.invoked_methods}
         declared_sources |= {f"{r.owner}.{r.name}" for r in raw.accessed_fields}
     for kind in (UseKind.EXTENDS, UseKind.IMPLEMENTS, UseKind.ANNOTATION):
-        for _, target in usage.pairs(kind):
+        for _, target in usage_pairs(usage, kind):
             assert target in declared_sources
-    for _, target in usage.pairs(UseKind.METHOD_INVOCATION):
+    for _, target in usage_pairs(usage, UseKind.METHOD_INVOCATION):
         assert target in declared_sources
-    for _, target in usage.pairs(UseKind.FIELD_ACCESS):
+    for _, target in usage_pairs(usage, UseKind.FIELD_ACCESS):
         assert target in declared_sources
+
+
+def test_member_uses_are_filed_under_their_owner():
+    library = model_of(
+        [
+            ClassSpec("lib.S", methods=(MethodSpec("m"),), fields=(FieldSpec("f", "I"),)),
+            ClassSpec("lib.C", super_name="lib.S", methods=(MethodSpec("<init>"),)),
+        ],
+        model_id="lib-v1",
+    )
+    body = MethodSpec(
+        "body",
+        calls=(("lib.C", "m", "()V"), ("lib.C", "<init>", "()V")),
+        field_reads=(("lib.S", "f", "I"),),
+    )
+    usage = extract_usage(jar_content([ClassSpec("cli.X", methods=(body,))]), library)
+    # An inherited member is filed under the type the client names.
+    assert usage.member_uses == {
+        UseKind.METHOD_INVOCATION: {"lib.C": {"cli.X.body()V"}},
+        UseKind.FIELD_ACCESS: {"lib.S": {"cli.X.body()V"}},
+        UseKind.CONSTRUCTOR_INVOCATION: {"lib.C": {"cli.X.body()V"}},
+    }
+    assert usage.is_touched("lib.C") and usage.is_touched("lib.S")
+    assert not usage.is_used("lib.C") and usage.is_used("lib.C.m()V")
