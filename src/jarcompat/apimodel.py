@@ -1,33 +1,17 @@
 """Semantic API model of one library version.
 
-Builds typed declarations from parsed classes, labels every declaration as
-stable or unstable per annotation and package-naming conventions, and
-computes the exported API surface plus JVM-style member resolution tables.
+Indexes a JAR's parsed classes by name, labels every declaration as stable
+or unstable per annotation and package-naming conventions, and computes the
+exported API surface plus JVM-style member resolution tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .classfile import (
-    ACC_ABSTRACT,
-    ACC_ANNOTATION,
-    ACC_ENUM,
-    ACC_FINAL,
-    ACC_INTERFACE,
-    ACC_PRIVATE,
-    ACC_PROTECTED,
-    ACC_PUBLIC,
-    ACC_STATIC,
-    ACC_SYNTHETIC,
-    JarContent,
-    RawClass,
-    RawMember,
-    open_jar,
-)
+from .classfile import ACC_SYNTHETIC, JarContent, RawClass, RawMember, open_jar
 
 VISIBILITY_RANK = {"private": 0, "package": 1, "protected": 2, "public": 3}
 
@@ -101,72 +85,10 @@ class StabilityLabel:
 STABLE = StabilityLabel("stable")
 
 
-def member_ref(owner: str, name: str, descriptor: str) -> str:
-    """Element reference of a member: ``owner.name`` for a field,
-    ``owner.name(descriptor)`` for a method or constructor."""
-    if descriptor.startswith("("):
-        return f"{owner}.{name}{descriptor}"
-    return f"{owner}.{name}"
-
-
-def member_owner(ref: str) -> str:
-    """Owner type of a member reference built by ``member_ref``."""
-    head = ref.split("(", 1)[0]
-    owner, _, _ = head.rpartition(".")
-    return owner
-
-
-def rehost_member(ref: str, owner: str) -> str:
-    """The member reference ``ref`` with its owner type replaced by ``owner``."""
-    return owner + ref[len(member_owner(ref)) :]
-
-
-@dataclass(frozen=True)
-class MemberDecl:
-    owner: str
-    member_kind: str  # method | constructor | field
-    name: str
-    descriptor: str
-    visibility: str
-    is_abstract: bool = False
-    is_final: bool = False
-    is_static: bool = False
-    is_default: bool = False
-    declared_exceptions: tuple[str, ...] = ()
-    annotations: tuple[str, ...] = ()
-
-    @cached_property
-    def ref(self) -> str:
-        # Cached: the models of a library's versions share the declarations
-        # of unchanged classes, and each of them reads every member's ref.
-        return member_ref(self.owner, self.name, self.descriptor)
-
-
-@dataclass(frozen=True)
-class TypeDecl:
-    qualified_name: str
-    kind: str  # class | interface | enum | annotation
-    visibility: str
-    is_abstract: bool
-    is_final: bool
-    is_static: bool
-    super_name: str | None
-    interface_names: tuple[str, ...]
-    annotations: tuple[str, ...]
-    members: tuple[MemberDecl, ...]
-    package: str
-
-    @property
-    def enclosing_name(self) -> str | None:
-        if "$" in self.qualified_name:
-            return self.qualified_name.rsplit("$", 1)[0]
-        return None
-
-
 class EffectiveMember(NamedTuple):
     """A member visible on a host type, possibly inherited."""
 
-    decl: MemberDecl
+    decl: RawMember
     inherited_from: str | None
 
 
@@ -176,18 +98,16 @@ class ApiModel:
 
     id: str = ""
     config: StabilityConfig = field(default_factory=StabilityConfig)
-    types: dict[str, TypeDecl] = field(default_factory=dict)
+    # The parsed class of each type. Models built from parses shared through
+    # ``open_jar``'s memo hold the same object for identical class bytes,
+    # which lets ``build_model`` reuse a previous model's work and
+    # ``compute_delta`` skip unchanged types (see ``same_closure``).
+    types: dict[str, RawClass] = field(default_factory=dict)
     # Types and members are labelled apart: a type can be named like a field
     # reference (class ``p.A.f`` beside field ``f`` of ``p.A``).
     type_stability: dict[str, StabilityLabel] = field(default_factory=dict)
     member_stability: dict[str, StabilityLabel] = field(default_factory=dict)
-    constants: dict[str, int | float | str] = field(default_factory=dict)
     diagnostics: list[str] = field(default_factory=list)
-    # The parsed class each type was built from. Models built from parses
-    # shared through ``open_jar``'s memo hold the same object for identical
-    # class bytes, which lets ``build_model`` reuse a previous model's work
-    # and ``compute_delta`` skip unchanged types (see ``same_closure``).
-    raw_classes: dict[str, RawClass] = field(default_factory=dict)
     _methods: dict[str, dict[tuple[str, str], EffectiveMember]] = field(default_factory=dict)
     _fields: dict[str, dict[str, EffectiveMember]] = field(default_factory=dict)
 
@@ -237,32 +157,12 @@ class ApiModel:
             decl = self.types.get(current)
             if decl is None:
                 continue
-            for iface in decl.interface_names:
+            for iface in decl.interfaces:
                 result.add(iface)
                 stack.append(iface)
             if decl.super_name and decl.super_name != "java.lang.Object":
                 stack.append(decl.super_name)
         return result
-
-
-def _visibility(flags: int) -> str:
-    if flags & ACC_PUBLIC:
-        return "public"
-    if flags & ACC_PROTECTED:
-        return "protected"
-    if flags & ACC_PRIVATE:
-        return "private"
-    return "package"
-
-
-def _type_kind(flags: int) -> str:
-    if flags & ACC_ANNOTATION:
-        return "annotation"
-    if flags & ACC_INTERFACE:
-        return "interface"
-    if flags & ACC_ENUM:
-        return "enum"
-    return "class"
 
 
 def simple_annotation_name(qualified: str) -> str:
@@ -289,7 +189,7 @@ def _package_label(package: str, config: StabilityConfig) -> StabilityLabel | No
 
 
 def classify_type_stability(
-    decl: TypeDecl, config: StabilityConfig, enclosing: StabilityLabel | None = None
+    decl: RawClass, config: StabilityConfig, enclosing: StabilityLabel | None = None
 ) -> StabilityLabel:
     """Label a type: own annotations, then package segments, then enclosure."""
     label = _annotation_label(decl.annotations, config)
@@ -304,7 +204,7 @@ def classify_type_stability(
 
 
 def classify_member_stability(
-    decl: MemberDecl, config: StabilityConfig, owner_label: StabilityLabel
+    decl: RawMember, config: StabilityConfig, owner_label: StabilityLabel
 ) -> StabilityLabel:
     label = _annotation_label(decl.annotations, config)
     if label is not None:
@@ -312,56 +212,6 @@ def classify_member_stability(
     if not owner_label.is_stable:
         return StabilityLabel("unstable", "enclosing", decl.owner)
     return STABLE
-
-
-def _member_decl(owner: RawClass, raw: RawMember) -> MemberDecl:
-    if raw.is_method:
-        kind = "constructor" if raw.name == "<init>" else "method"
-    else:
-        kind = "field"
-    return MemberDecl(
-        owner=owner.this_name,
-        member_kind=kind,
-        name=raw.name,
-        descriptor=raw.descriptor,
-        visibility=_visibility(raw.access_flags),
-        is_abstract=bool(raw.access_flags & ACC_ABSTRACT),
-        is_final=bool(raw.access_flags & ACC_FINAL),
-        is_static=bool(raw.access_flags & ACC_STATIC),
-        is_default=raw.is_default_method,
-        declared_exceptions=raw.declared_exceptions,
-        annotations=raw.annotations,
-    )
-
-
-def _type_decl(cls: RawClass) -> TypeDecl:
-    name = cls.this_name
-    package = name.rsplit(".", 1)[0] if "." in name else ""
-    visibility = _visibility(cls.access_flags)
-    is_static = False
-    for record in cls.inner_class_records:
-        if record.inner_name == name:
-            # The InnerClasses attribute carries the true nested visibility.
-            visibility = _visibility(record.access_flags)
-            is_static = bool(record.access_flags & ACC_STATIC)
-    members = tuple(
-        _member_decl(cls, raw)
-        for raw in (*cls.fields, *cls.methods)
-        if raw.name != "<clinit>" and not raw.access_flags & ACC_SYNTHETIC
-    )
-    return TypeDecl(
-        qualified_name=name,
-        kind=_type_kind(cls.access_flags),
-        visibility=visibility,
-        is_abstract=bool(cls.access_flags & ACC_ABSTRACT),
-        is_final=bool(cls.access_flags & ACC_FINAL),
-        is_static=is_static,
-        super_name=cls.super_name,
-        interface_names=cls.interfaces,
-        annotations=cls.annotations,
-        members=members,
-        package=package,
-    )
 
 
 def _collect_effective(
@@ -389,7 +239,7 @@ def _collect_effective(
     supertypes: list[str] = []
     if decl.super_name:
         supertypes.append(decl.super_name)
-    supertypes.extend(decl.interface_names)
+    supertypes.extend(decl.interfaces)
     for parent in supertypes:
         parent_methods, parent_fields = _collect_effective(
             model, parent, methods_out, fields_out, in_progress
@@ -431,8 +281,8 @@ def same_closure(old: ApiModel, new: ApiModel, name: str, memo: dict[str, bool])
     known = memo.get(name)
     if known is not None:
         return known
-    raw = old.raw_classes.get(name)
-    if raw is not new.raw_classes.get(name):
+    raw = old.types.get(name)
+    if raw is not new.types.get(name):
         result = False
     elif raw is None:
         result = True
@@ -458,13 +308,12 @@ def build_model(
 
     ``previous``, typically the model of the library's preceding version,
     lends its work on every type built from the same ``RawClass`` object:
-    the declaration itself; its member labels, when both models use one
-    config and the type's own label is unchanged; and its effective members,
-    when ``same_closure`` holds. The result equals a model built without it.
+    its member labels, when both models use one config and the type's own
+    label is unchanged; and its effective members, when ``same_closure``
+    holds. The result equals a model built without it.
     """
     config = config or StabilityConfig()
     model = ApiModel(id=model_id if model_id is not None else jar.source, config=config)
-    reused = previous.raw_classes if previous is not None else {}
 
     for path, cls in jar.entries:
         if cls.access_flags & ACC_SYNTHETIC:
@@ -473,11 +322,7 @@ def build_model(
         if name in model.types:
             model.diagnostics.append(f"duplicate type {name} at {path}; keeping first")
             continue
-        model.types[name] = previous.types[name] if reused.get(name) is cls else _type_decl(cls)
-        model.raw_classes[name] = cls
-        for raw in cls.fields:
-            if raw.constant_value is not None:
-                model.constants[member_ref(name, raw.name, raw.descriptor)] = raw.constant_value
+        model.types[name] = cls
 
     reuse_labels = previous is not None and previous.config == config
     # Outer types label before nested ones: sort by name length of the '$' chain.

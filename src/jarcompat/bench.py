@@ -18,11 +18,11 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .apimodel import StabilityConfig, member_owner, model_pair
+from .apimodel import StabilityConfig, model_pair
 from .delta import compute_delta
 from .detect import Detection, compute_detections, rule_note
 from .usage import extract_usage
-from .classfile import open_jar
+from .classfile import member_owner, open_jar
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,9 @@ def _read_type(desc: str, pos: int, *, allow_void: bool) -> int:
         end = desc.find(";", pos)
         if end < 0 or end == pos + 1:
             raise DescriptorError(f"unterminated class type: {desc!r}")
+        if desc.find(".", pos, end) >= 0:
+            # Internal names separate packages with '/' (JVMS 4.2.1).
+            raise DescriptorError(f"'.' in class name: {desc!r}")
         return end + 1
     raise DescriptorError(f"bad type tag {ch!r} in {desc!r}")
 

@@ -7,6 +7,7 @@ descriptors; constant-pool indices never escape the parser.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 
@@ -58,6 +59,21 @@ ACC_SYNTHETIC = 0x1000
 ACC_ANNOTATION = 0x2000
 ACC_ENUM = 0x4000
 
+
+def visibility_of(flags: int) -> str:
+    if flags & ACC_PUBLIC:
+        return "public"
+    if flags & ACC_PROTECTED:
+        return "protected"
+    if flags & ACC_PRIVATE:
+        return "private"
+    return "package"
+
+
+# ``visibility_of`` by the three visibility bits, which are the lowest.
+_VISIBILITIES = tuple(visibility_of(flags) for flags in range(8))
+
+
 MAGIC = 0xCAFEBABE
 MIN_MAJOR_VERSION = 45
 
@@ -100,6 +116,37 @@ class MemberRef(NamedTuple):
     descriptor: str
 
 
+# Element references. A type is named by its dotted name (nested ``a.b.C$D``),
+# a field as ``owner.name`` and a method or constructor as
+# ``owner.name(descriptor)``. The owner is everything before the last ``.``:
+# neither a member name (JVMS 4.2.2) nor a descriptor (JVMS 4.3) holds one,
+# and the parser rejects a class whose member name or descriptor does.
+
+
+def member_ref(owner: str, name: str, descriptor: str) -> str:
+    """Element reference of a member: ``owner.name`` for a field,
+    ``owner.name(descriptor)`` for a method or constructor."""
+    if descriptor.startswith("("):
+        return f"{owner}.{name}{descriptor}"
+    return f"{owner}.{name}"
+
+
+def member_owner(ref: str) -> str:
+    """Owner type of a member reference built by ``member_ref``."""
+    return ref.rpartition(".")[0]
+
+
+def rehost_member(ref: str, owner: str) -> str:
+    """The member reference ``ref`` with its owner type replaced by ``owner``."""
+    return owner + ref[len(member_owner(ref)) :]
+
+
+def package_of(type_name: str) -> str:
+    """The package of a dotted type name, ``""`` for the default package.
+    ``$`` marks nesting only after the last ``.``: ``x$y.Lib`` is in ``x$y``."""
+    return type_name.rpartition(".")[0]
+
+
 class InnerClassRecord(NamedTuple):
     """One row of the InnerClasses attribute, names resolved."""
 
@@ -109,6 +156,11 @@ class InnerClassRecord(NamedTuple):
     access_flags: int
 
 
+# The flag decoders are plain properties: a ``cached_property`` takes a lock
+# on its first read, which costs more than decoding a flag. Only the per-class
+# loops (the members view, the InnerClasses lookup) are cached.
+
+
 @dataclass(frozen=True)
 class RawMember:
     """A field or method as declared in the class file."""
@@ -116,6 +168,8 @@ class RawMember:
     name: str
     descriptor: str
     access_flags: int
+    owner: str  # the declaring class
+    ref: str  # ``member_ref(owner, name, descriptor)``
     annotations: tuple[str, ...] = ()
     is_default_method: bool = False
     constant_value: int | float | str | None = None
@@ -127,8 +181,27 @@ class RawMember:
     referenced_types: tuple[str, ...] = ()
 
     @property
-    def is_method(self) -> bool:
-        return "(" in self.descriptor
+    def member_kind(self) -> str:
+        """``field``, ``method`` or ``constructor``."""
+        if not self.descriptor.startswith("("):
+            return "field"
+        return "constructor" if self.name == "<init>" else "method"
+
+    @property
+    def visibility(self) -> str:
+        return _VISIBILITIES[self.access_flags & 7]
+
+    @property
+    def is_abstract(self) -> bool:
+        return bool(self.access_flags & ACC_ABSTRACT)
+
+    @property
+    def is_final(self) -> bool:
+        return bool(self.access_flags & ACC_FINAL)
+
+    @property
+    def is_static(self) -> bool:
+        return bool(self.access_flags & ACC_STATIC)
 
 
 @dataclass(frozen=True)
@@ -145,6 +218,55 @@ class RawClass:
     source_file: str | None = None
     annotations: tuple[str, ...] = ()
     inner_class_records: tuple[InnerClassRecord, ...] = ()
+
+    @property
+    def kind(self) -> str:
+        """``class``, ``interface``, ``enum`` or ``annotation``."""
+        if self.access_flags & ACC_ANNOTATION:
+            return "annotation"
+        if self.access_flags & ACC_INTERFACE:
+            return "interface"
+        if self.access_flags & ACC_ENUM:
+            return "enum"
+        return "class"
+
+    @cached_property
+    def visibility(self) -> str:
+        # A nested class's own row of InnerClasses carries its true visibility.
+        flags = self.access_flags
+        for record in self.inner_class_records:
+            if record.inner_name == self.this_name:
+                flags = record.access_flags
+        return visibility_of(flags)
+
+    @property
+    def is_abstract(self) -> bool:
+        return bool(self.access_flags & ACC_ABSTRACT)
+
+    @property
+    def is_final(self) -> bool:
+        return bool(self.access_flags & ACC_FINAL)
+
+    @property
+    def package(self) -> str:
+        return package_of(self.this_name)
+
+    @property
+    def enclosing_name(self) -> str | None:
+        """The class this one is nested in, by the ``$`` in its simple name."""
+        name = self.this_name
+        if "$" in name[name.rfind(".") + 1 :]:
+            return name.rpartition("$")[0]
+        return None
+
+    @cached_property
+    def members(self) -> tuple[RawMember, ...]:
+        """The members an API declares: all but ``<clinit>`` and synthetic ones."""
+        return tuple(
+            member
+            for member in (*self.fields, *self.methods)
+            if member.name != "<clinit>" and not member.access_flags & ACC_SYNTHETIC
+        )
 
 
 @dataclass

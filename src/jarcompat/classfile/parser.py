@@ -42,6 +42,7 @@ from .model import (
     RawMember,
     TruncatedClass,
     language_of_source,
+    member_ref,
 )
 
 # Constant pool tags.
@@ -255,7 +256,7 @@ def parse_class(data: bytes) -> RawClass:
 
     member_refs: dict[int, MemberRef] = {}
 
-    def member_ref(index: int) -> MemberRef:
+    def pool_member_ref(index: int) -> MemberRef:
         ref = member_refs.get(index)
         if ref is None:
             if not (index < count and tags[index] in _MEMBER_REF_TAGS):
@@ -310,9 +311,9 @@ def parse_class(data: bytes) -> RawClass:
                     raise _truncated("method/field/type instruction", pos)
                 index = _U2.unpack_from(data, pos + 1)[0]
                 if kind == _OP_METHOD:
-                    methods.append(member_ref(index))
+                    methods.append(pool_member_ref(index))
                 elif kind == _OP_FIELD:
-                    fields.append(member_ref(index))
+                    fields.append(pool_member_ref(index))
                 else:
                     name = type_name(index)
                     if name is not None:
@@ -379,6 +380,8 @@ def parse_class(data: bytes) -> RawClass:
             access, name_index, descriptor_index, attribute_count = _U2_QUAD.unpack_from(data, pos)
             pos += 8
             name = utf8(name_index)
+            if "." in name:
+                raise MalformedConstantPool(f"member name {name!r} holds '.'")
             descriptor = utf8(descriptor_index)
             if descriptor_index not in checked_descriptors:
                 try:
@@ -433,6 +436,8 @@ def parse_class(data: bytes) -> RawClass:
                     name=name,
                     descriptor=descriptor,
                     access_flags=access,
+                    owner=this_name,
+                    ref=member_ref(this_name, name, descriptor),
                     annotations=visible + invisible,
                     is_default_method=is_default,
                     constant_value=constant,

@@ -22,13 +22,11 @@ from .apimodel import (
     VISIBILITY_RANK,
     ApiModel,
     EffectiveMember,
-    MemberDecl,
     StabilityLabel,
     api_surface,
-    member_ref,
     same_closure,
 )
-from .classfile import parameter_part
+from .classfile import member_ref, parameter_part
 
 
 class BcKind(str, Enum):
@@ -364,7 +362,7 @@ class _DeltaBuilder:
                         BcKind.METHOD_ADDED_TO_INTERFACE, host_ref, label, inherited,
                         affectedType=name,
                     )
-                elif decl.is_default:
+                elif decl.is_default_method:
                     self.emit(
                         BcKind.METHOD_NEW_DEFAULT, host_ref, label, inherited,
                         affectedType=name,
@@ -415,7 +413,7 @@ class _DeltaBuilder:
             self.emit(BcKind.METHOD_NO_LONGER_STATIC, host_ref, label, inherited)
         if not old.is_abstract and new.is_abstract:
             self.emit(BcKind.METHOD_NOW_ABSTRACT, host_ref, label, inherited)
-        if is_interface and old.is_abstract and new.is_default:
+        if is_interface and old.is_abstract and new.is_default_method:
             self.emit(BcKind.METHOD_ABSTRACT_NOW_DEFAULT, host_ref, label, inherited)
         if not old.is_final and new.is_final:
             self.emit(BcKind.METHOD_NOW_FINAL, host_ref, label, inherited)
@@ -468,21 +466,15 @@ class _DeltaBuilder:
             self.emit(BcKind.FIELD_NO_LONGER_STATIC, host_ref, label, inherited)
         if not old.is_final and new.is_final:
             self.emit(BcKind.FIELD_NOW_FINAL, host_ref, label, inherited)
-        old_const = _constant_of(self.old, old)
-        new_const = _constant_of(self.new, new)
-        if old_const is not None and not _same_constant(old_const, new_const):
+        if old.constant_value is not None and not _same_constant(old.constant_value, new.constant_value):
             self.emit(
                 BcKind.FIELD_CONSTANT_VALUE_CHANGED,
                 host_ref,
                 label,
                 inherited,
-                old=repr(old_const),
-                new=repr(new_const),
+                old=repr(old.constant_value),
+                new=repr(new.constant_value),
             )
-
-
-def _constant_of(model: ApiModel, decl: MemberDecl) -> int | float | str | None:
-    return model.constants.get(decl.ref)
 
 
 def _same_constant(old: int | float | str, new: int | float | str | None) -> bool:

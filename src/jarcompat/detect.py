@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .apimodel import member_owner, rehost_member
+from .classfile import member_owner, package_of, rehost_member
 from .delta import BcKind, BreakingChange, Delta
 from .usage import UsageModel, UseKind
 
@@ -234,18 +234,9 @@ def element_owner(change: BreakingChange) -> str:
     return member_owner(change.element)
 
 
-def _package_of(type_name: str) -> str:
-    outer = type_name.split("$", 1)[0]
-    return outer.rsplit(".", 1)[0] if "." in outer else ""
-
-
 def _client_type_of(element: str, usage: UsageModel) -> str:
-    if element in usage.client_types:
-        return element
-    if "(" in element:
-        return member_owner(element)
-    owner = member_owner(element)
-    return owner if owner else element
+    """The client type of a client element: the element itself or its owner."""
+    return element if element in usage.client_types else member_owner(element)
 
 
 def _is_subtype(client_type: str, owner: str, usage: UsageModel) -> bool:
@@ -263,7 +254,7 @@ def _visibility_breaks(
     new_vis = detail.get("new", "private")
     owner = element_owner(change)
     client_type = _client_type_of(client_element, usage)
-    same_package = _package_of(client_type) == _package_of(owner)
+    same_package = package_of(client_type) == package_of(owner)
     if new_vis == "public":
         return None
     if new_vis == "protected":

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .apimodel import ApiModel, member_ref
-from .classfile import JarContent, MemberRef, RawClass, class_names_in
+from .apimodel import ApiModel
+from .classfile import JarContent, MemberRef, RawClass, class_names_in, member_ref
 
 
 class UseKind(str, Enum):
@@ -111,7 +111,7 @@ class _Extractor:
         self.annotations(client_type, cls.annotations)
 
         for raw in (*cls.fields, *cls.methods):
-            element = member_ref(client_type, raw.name, raw.descriptor)
+            element = raw.ref
             self.model.client_elements.add(element)
             self.annotations(element, raw.annotations)
             self.descriptor_types(element, raw.descriptor)

@@ -14,11 +14,16 @@ from jarcompat.apimodel import (
     StabilityConfig,
     api_surface,
     build_model,
+)
+from jarcompat.classfile import (
+    ClassSpec,
+    FieldSpec,
+    MethodSpec,
     member_owner,
     member_ref,
+    open_jar,
     rehost_member,
 )
-from jarcompat.classfile import ClassSpec, FieldSpec, MethodSpec, open_jar
 
 
 def test_build_model_interface_evolution_shape():
@@ -155,7 +160,7 @@ def test_stability_totality():
 def test_classify_stability_standalone():
     model = model_of([ClassSpec("p.A", methods=(MethodSpec("m"),))])
     decl = model.types["p.A"]
-    assert model.type_stability[decl.qualified_name].status == "stable"
+    assert model.type_stability[decl.this_name].status == "stable"
     assert model.member_stability[decl.members[0].ref].status == "stable"
 
 
@@ -320,7 +325,8 @@ _identifier = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True)
 _owners = st.builds(
     lambda package, names: ".".join([*package, "$".join(names)]),
     st.lists(_identifier, max_size=3),
-    st.lists(st.from_regex(r"[A-Z][A-Za-z0-9_]{0,5}", fullmatch=True), min_size=1, max_size=3),
+    # "(" is legal in a class name; the owner still ends at the last ".".
+    st.lists(st.from_regex(r"[A-Z][A-Za-z0-9_(]{0,5}", fullmatch=True), min_size=1, max_size=3),
 )
 _field_types = st.sampled_from(["I", "J", "[B", "Ljava/lang/String;", "[[La/b/C$D;"])
 _method_descriptors = st.builds(

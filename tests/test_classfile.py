@@ -28,7 +28,9 @@ from jarcompat.classfile import (
     BadMagic,
     ClassFormatError,
     ClassSpec,
+    DescriptorError,
     FieldSpec,
+    MalformedConstantPool,
     MemberRef,
     MethodSpec,
     NotAZip,
@@ -38,6 +40,7 @@ from jarcompat.classfile import (
     java_release_of,
     open_jar,
     parse_class,
+    validate_descriptor,
     write_class,
 )
 from jarcompat.classfile import parser
@@ -177,6 +180,19 @@ def test_default_method_flag():
     # Concrete methods on classes are never "default".
     conc = parse_class(write_class(ClassSpec("p.C", methods=(MethodSpec("d", "()V"),))))
     assert not conc.methods[0].is_default_method
+
+
+def test_a_dot_in_a_member_name_or_descriptor_is_a_class_format_error():
+    # A member reference's owner ends at its last ".", which is exact only
+    # while no member name (JVMS 4.2.2) or descriptor (4.3.2) holds one.
+    with pytest.raises(DescriptorError):
+        validate_descriptor("(Lq.X;)V")
+    data = write_class(ClassSpec("p.A", fields=(FieldSpec("f_g", "Lq/X;"),)))
+    parse_class(data)
+    for written, dotted in ((b"Lq/X;", b"Lq.X;"), (b"f_g", b"f.g")):
+        assert data.count(written) == 1
+        with pytest.raises(MalformedConstantPool):
+            parse_class(data.replace(written, dotted))
 
 
 def test_enum_and_annotation_kinds():

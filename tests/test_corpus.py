@@ -11,8 +11,8 @@ import pytest
 
 from conftest import damage_entry, jar_bytes, write_jar
 from corpus_fixture import build_fixture, build_two_library_fixture, write_graph_csvs
-from jarcompat import apimodel, corpus, delta
-from jarcompat.classfile import ClassSpec, MethodSpec, parse_class, parser, write_class
+from jarcompat import corpus, delta
+from jarcompat.classfile import ClassSpec, MethodSpec, parser, write_class
 from jarcompat.corpus import (
     PipelineOptions,
     SchemaError,
@@ -489,31 +489,6 @@ def test_run_pipeline_parses_each_distinct_class_once_per_library(tmp_path, monk
         ("g.lib:lib:1.2.0", "p.Solo"),
         ("g.two:two:2.0.0", "t.T"),
     ]
-
-
-def test_run_pipeline_builds_each_distinct_type_once_per_library(tmp_path, monkeypatch):
-    # Each version's model is built from its predecessor's, so a class that
-    # recurs across a library's versions gets its declaration built once.
-    graph, jar_root, jars = _reuse_graph(tmp_path)
-    built = Counter()
-    original = apimodel._type_decl
-
-    def counting_type_decl(cls):
-        built[cls] += 1
-        return original(cls)
-
-    monkeypatch.setattr(apimodel, "_type_decl", counting_type_decl)
-    summary = run_pipeline(graph, jar_root, tmp_path / "out", PipelineOptions(jobs=1))
-    assert summary["emitted"] == 3
-
-    expected = Counter()
-    for prefix in ("lib-", "two-"):
-        expected.update({
-            parse_class(write_class(spec))
-            for name, specs in jars.items() if name.startswith(prefix) for spec in specs
-        })
-    assert built == expected
-    assert built[parse_class(write_class(jars["two-1.0.0.jar"][1]))] == 2  # shared.Util
 
 
 def test_run_pipeline_pools_only_the_libraries_that_read_a_jar(tmp_path, monkeypatch):

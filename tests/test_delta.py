@@ -11,8 +11,26 @@ from hypothesis import strategies as st
 
 from catalog_cases import CATALOG_CASES
 from conftest import jar_bytes, jar_content, model_of
-from jarcompat.apimodel import StabilityConfig, StabilityLabel, build_model
-from jarcompat.classfile import ClassSpec, FieldSpec, MethodSpec, open_jar
+from jarcompat.apimodel import StabilityConfig, StabilityLabel, build_model, same_closure
+from jarcompat.classfile import (
+    ACC_ABSTRACT,
+    ACC_ANNOTATION,
+    ACC_ENUM,
+    ACC_FINAL,
+    ACC_INTERFACE,
+    ACC_PRIVATE,
+    ACC_PROTECTED,
+    ACC_PUBLIC,
+    ACC_STATIC,
+    ACC_SYNTHETIC,
+    ClassSpec,
+    FieldSpec,
+    InnerClassRecord,
+    MethodSpec,
+    open_jar,
+    parse_class,
+    write_class,
+)
 from jarcompat.delta import (
     CATALOG,
     BcKind,
@@ -425,10 +443,158 @@ def test_hierarchy_cycle_disables_the_short_cut():
     b = ClassSpec("p.B", super_name="p.A", methods=(MethodSpec("b"),))
     parsed: dict = {}
     old, new = _models([a, b], [b, a], parsed, parsed)
-    assert old.raw_classes["p.A"] is new.raw_classes["p.A"]
+    assert old.types["p.A"] is new.types["p.A"]
     full = compute_delta(*_models([a, b], [b, a], {}, {}))
     assert [(c.kind, c.element) for c in full.changes] == [(BcKind.METHOD_REMOVED, "p.A.b()V")]
     assert compute_delta(old, new).to_dict() == full.to_dict()
+
+
+# --- the records' decoders against the declarations they replaced -----------
+
+# The model once copied every parsed class into a declaration record. These
+# are those builders, with the records' fields as dicts, kept as the oracle
+# of what ``RawClass`` and ``RawMember`` decode. A type's ``is_static``,
+# which nothing read, is left out.
+
+
+def _oracle_visibility(flags):
+    if flags & ACC_PUBLIC:
+        return "public"
+    if flags & ACC_PROTECTED:
+        return "protected"
+    if flags & ACC_PRIVATE:
+        return "private"
+    return "package"
+
+
+def _oracle_type_kind(flags):
+    if flags & ACC_ANNOTATION:
+        return "annotation"
+    if flags & ACC_INTERFACE:
+        return "interface"
+    if flags & ACC_ENUM:
+        return "enum"
+    return "class"
+
+
+def _oracle_member_decl(owner, raw):
+    if "(" in raw.descriptor:
+        kind = "constructor" if raw.name == "<init>" else "method"
+    else:
+        kind = "field"
+    ref = f"{owner.this_name}.{raw.name}"
+    return dict(
+        owner=owner.this_name,
+        member_kind=kind,
+        name=raw.name,
+        descriptor=raw.descriptor,
+        visibility=_oracle_visibility(raw.access_flags),
+        is_abstract=bool(raw.access_flags & ACC_ABSTRACT),
+        is_final=bool(raw.access_flags & ACC_FINAL),
+        is_static=bool(raw.access_flags & ACC_STATIC),
+        is_default=raw.is_default_method,
+        declared_exceptions=raw.declared_exceptions,
+        annotations=raw.annotations,
+        ref=ref + raw.descriptor if raw.descriptor.startswith("(") else ref,
+    )
+
+
+def _oracle_type_decl(cls):
+    name = cls.this_name
+    package = name.rsplit(".", 1)[0] if "." in name else ""
+    visibility = _oracle_visibility(cls.access_flags)
+    for record in cls.inner_class_records:
+        if record.inner_name == name:
+            visibility = _oracle_visibility(record.access_flags)
+    members = [
+        _oracle_member_decl(cls, raw)
+        for raw in (*cls.fields, *cls.methods)
+        if raw.name != "<clinit>" and not raw.access_flags & ACC_SYNTHETIC
+    ]
+    return dict(
+        qualified_name=name,
+        kind=_oracle_type_kind(cls.access_flags),
+        visibility=visibility,
+        is_abstract=bool(cls.access_flags & ACC_ABSTRACT),
+        is_final=bool(cls.access_flags & ACC_FINAL),
+        super_name=cls.super_name,
+        interface_names=cls.interfaces,
+        annotations=cls.annotations,
+        members=members,
+        package=package,
+        enclosing_name=name.rsplit("$", 1)[0] if "$" in name else None,
+    )
+
+
+def _decoded_member(raw):
+    return dict(
+        owner=raw.owner,
+        member_kind=raw.member_kind,
+        name=raw.name,
+        descriptor=raw.descriptor,
+        visibility=raw.visibility,
+        is_abstract=raw.is_abstract,
+        is_final=raw.is_final,
+        is_static=raw.is_static,
+        is_default=raw.is_default_method,
+        declared_exceptions=raw.declared_exceptions,
+        annotations=raw.annotations,
+        ref=raw.ref,
+    )
+
+
+def _decoded_type(cls):
+    return dict(
+        qualified_name=cls.this_name,
+        kind=cls.kind,
+        visibility=cls.visibility,
+        is_abstract=cls.is_abstract,
+        is_final=cls.is_final,
+        super_name=cls.super_name,
+        interface_names=cls.interfaces,
+        annotations=cls.annotations,
+        members=[_decoded_member(raw) for raw in cls.members],
+        package=cls.package,
+        enclosing_name=cls.enclosing_name,
+    )
+
+
+_FLAGS = st.integers(0, 0xFFFF)
+
+
+@st.composite
+def _parsed_class(draw):
+    """A parsed skeleton type of any kind, maybe with a ``<clinit>``, whose
+    class, InnerClasses and member flags are sometimes redrawn at random,
+    which marks about half of the redrawn members synthetic."""
+    name, _, super_name, interfaces = draw(st.sampled_from(_SKELETON))
+    kind = draw(st.sampled_from(("class", "interface", "enum", "annotation")))
+    spec = draw(_type_spec(name, kind, super_name, interfaces))
+    if draw(st.booleans()):
+        spec = replace(spec, methods=(*spec.methods, MethodSpec("<clinit>", is_static=True)))
+    cls = parse_class(write_class(spec))
+
+    def redraw(member):
+        return replace(member, access_flags=draw(_FLAGS)) if draw(st.booleans()) else member
+
+    records = cls.inner_class_records
+    if records and draw(st.booleans()):
+        # A second row for the same class: the last one counts.
+        first = records[0]
+        records = (*records, InnerClassRecord(name, first.outer_name, first.simple_name, draw(_FLAGS)))
+    return replace(
+        cls,
+        access_flags=draw(_FLAGS) if draw(st.booleans()) else cls.access_flags,
+        fields=tuple(map(redraw, cls.fields)),
+        methods=tuple(map(redraw, cls.methods)),
+        inner_class_records=records,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_parsed_class())
+def test_records_decode_what_the_declaration_builders_did(cls):
+    assert _decoded_type(cls) == _oracle_type_decl(cls)
 
 
 # --- models built from a previous version's model ----------------------------
@@ -441,11 +607,8 @@ _CONFIGS = (StabilityConfig(), StabilityConfig(keywords=("internal",), annotatio
 
 def _model_facts(model):
     return (
-        model.types,
         model.type_stability,
         model.member_stability,
-        # repr tells 0.0 from -0.0, and NaN from any other value.
-        {ref: repr(value) for ref, value in model.constants.items()},
         model.diagnostics,
         {name: (model.effective_methods(name), model.effective_fields(name)) for name in model.types},
     )
@@ -462,6 +625,15 @@ def test_model_built_from_a_previous_model_equals_a_fresh_one(pair, old_config, 
     reused = build_model(v2, new_config, model_id="new", previous=previous)
     fresh = build_model(v2, new_config, model_id="new")
     assert _model_facts(reused) == _model_facts(fresh)
-    # Not vacuous: a type built from a shared parse is the previous model's.
-    for name, raw in reused.raw_classes.items():
-        assert (reused.types[name] is previous.types.get(name)) == (previous.raw_classes.get(name) is raw)
+    # Both hold the parsed classes themselves, constants included.
+    assert reused.types.keys() == fresh.types.keys()
+    assert all(reused.types[name] is fresh.types[name] for name in fresh.types)
+    # Not vacuous: the effective tables are taken over exactly when the
+    # type's closure is the same parsed objects in both models.
+    memo: dict = {}
+    for name in reused.types:
+        taken_over = (
+            reused.effective_methods(name) is previous.effective_methods(name)
+            and reused.effective_fields(name) is previous.effective_fields(name)
+        )
+        assert taken_over == same_closure(previous, reused, name, memo)

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import jar_content, model_of, usage_pairs
-from jarcompat.apimodel import build_model, member_owner
-from jarcompat.classfile import ClassSpec, FieldSpec, MethodSpec
+from jarcompat.apimodel import build_model
+from jarcompat.classfile import ClassSpec, FieldSpec, MethodSpec, member_owner, package_of
 from jarcompat.delta import BcKind, compute_delta
 from jarcompat.detect import (
     BREAKING_USE,
@@ -23,7 +23,6 @@ from jarcompat.detect import (
     Detection,
     _client_type_of,
     _lacks_declaration,
-    _package_of,
     _TYPE_LEVEL_KINDS,
     classify_impact,
     compute_detections,
@@ -160,6 +159,34 @@ def test_protected_member_spares_direct_subtype():
         ],
     )
     assert detections == []
+
+
+def test_protected_member_spares_a_subclass_of_an_owner_named_with_a_paren():
+    # The owner of a member reference ends at its last ".", so the "(" in
+    # "p.X(Y.m()V" does not cut it short and the subclass is recognised.
+    delta, _, detections = _scenario(
+        [ClassSpec("p.X(Y", methods=(MethodSpec("m"),))],
+        [ClassSpec("p.X(Y", methods=(MethodSpec("m", visibility="protected"),))],
+        [ClassSpec("q.Sub", super_name="p.X(Y", methods=(MethodSpec("x", calls=(("p.X(Y", "m", "()V"),)),))],
+    )
+    assert [(c.kind, c.element) for c in delta.changes] == [(BcKind.METHOD_LESS_ACCESSIBLE, "p.X(Y.m()V")]
+    assert detections == []
+
+
+def test_a_dollar_in_a_package_name_is_not_nesting():
+    # x$y.Lib is a top-level class of package x$y: narrowing its method to
+    # package access breaks a caller in package x$z and spares one in x$y.
+    def library(visibility):
+        return [ClassSpec("x$y.Lib", methods=(MethodSpec("m", visibility=visibility),))]
+
+    clients = [
+        ClassSpec(f"{package}.Cli", methods=(MethodSpec("x", calls=(("x$y.Lib", "m", "()V"),)),))
+        for package in ("x$y", "x$z")
+    ]
+    _, _, detections = _scenario(library("public"), library("package"), clients)
+    assert [(d.client_element, d.bc_kind, d.confidence) for d in detections] == [
+        ("x$z.Cli.x()V", BcKind.METHOD_LESS_ACCESSIBLE, CERTAIN)
+    ]
 
 
 def test_protected_constructor_always_pessimistic():
@@ -376,7 +403,7 @@ def _reference_visibility(change, client, usage, subtypes):
     new_vis = change.detail_map().get("new", "private")
     owner = element_owner(change)
     client_type = _client_type_of(client, usage)
-    same_package = _package_of(client_type) == _package_of(owner)
+    same_package = package_of(client_type) == package_of(owner)
     if new_vis == "public":
         return None
     if new_vis == "protected":
