@@ -1,8 +1,9 @@
 """Semantic API model of one library version.
 
 Indexes a JAR's parsed classes by name, labels every declaration as stable
-or unstable per annotation and package-naming conventions, and computes the
-exported API surface plus JVM-style member resolution tables.
+or unstable per annotation and package-naming conventions, and computes
+JVM-style member resolution tables. ``type_accessible`` tells which types a
+client outside their package can name.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .classfile import ACC_SYNTHETIC, JarContent, RawClass, RawMember, open_jar
+from .classfile import ACC_SYNTHETIC, EntryKey, JarContent, RawClass, RawMember, open_jar
 
 VISIBILITY_RANK = {"private": 0, "package": 1, "protected": 2, "public": 3}
 
@@ -231,10 +232,10 @@ def _collect_effective(
     in_progress.add(type_name)
 
     for member in decl.members:
-        if member.member_kind == "field":
-            fields[member.name] = EffectiveMember(member, None)
-        else:
+        if member.descriptor.startswith("("):
             methods[(member.name, member.descriptor)] = EffectiveMember(member, None)
+        else:
+            fields[member.name] = EffectiveMember(member, None)
 
     supertypes: list[str] = []
     if decl.super_name:
@@ -245,20 +246,19 @@ def _collect_effective(
             model, parent, methods_out, fields_out, in_progress
         )
         for key, eff in parent_methods.items():
+            if key in methods:
+                continue  # declared here or inherited from an earlier supertype
             inner = eff.decl
-            if inner.member_kind == "constructor" or inner.visibility == "private":
+            if inner.name == "<init>" or inner.visibility == "private":
                 continue  # constructors and private members are not inherited
-            declaring = model.types.get(inner.owner)
-            if inner.is_static and declaring is not None and declaring.kind in (
-                "interface",
-                "annotation",
-            ):
-                continue  # static interface methods are not inherited
-            methods.setdefault(key, EffectiveMember(inner, inner.owner))
+            if inner.is_static:
+                declaring = model.types.get(inner.owner)
+                if declaring is not None and declaring.kind in ("interface", "annotation"):
+                    continue  # static interface methods are not inherited
+            methods[key] = EffectiveMember(inner, inner.owner)
         for key, eff in parent_fields.items():
-            if eff.decl.visibility == "private":
-                continue
-            fields.setdefault(key, EffectiveMember(eff.decl, eff.decl.owner))
+            if key not in fields and eff.decl.visibility != "private":
+                fields[key] = EffectiveMember(eff.decl, eff.decl.owner)
 
     in_progress.discard(type_name)
     methods_out[type_name] = methods
@@ -308,9 +308,10 @@ def build_model(
 
     ``previous``, typically the model of the library's preceding version,
     lends its work on every type built from the same ``RawClass`` object:
-    its member labels, when both models use one config and the type's own
-    label is unchanged; and its effective members, when ``same_closure``
-    holds. The result equals a model built without it.
+    when both models use one config, its type label if the enclosing type's
+    label is unchanged, and its member labels if the type's own label is;
+    and its effective members, when ``same_closure`` holds. The result
+    equals a model built without it.
     """
     config = config or StabilityConfig()
     model = ApiModel(id=model_id if model_id is not None else jar.source, config=config)
@@ -328,16 +329,18 @@ def build_model(
     # Outer types label before nested ones: sort by name length of the '$' chain.
     for name in sorted(model.types, key=lambda n: (n.count("$"), n)):
         decl = model.types[name]
-        enclosing_label = None
-        if decl.enclosing_name:
-            enclosing_label = model.type_stability.get(decl.enclosing_name)
-        type_label = classify_type_stability(decl, config, enclosing_label)
+        enclosing = decl.enclosing_name
+        enclosing_label = model.type_stability.get(enclosing) if enclosing else None
+        # A type's label depends only on its class, the config and its
+        # enclosing type's label, so a previous label for the same class
+        # under the same enclosing label holds here too.
+        shared = reuse_labels and previous.types.get(name) is decl
+        if shared and (not enclosing or previous.type_stability.get(enclosing) == enclosing_label):
+            type_label = previous.type_stability[name]
+        else:
+            type_label = classify_type_stability(decl, config, enclosing_label)
         model.type_stability[name] = type_label
-        if (
-            reuse_labels
-            and previous.types.get(name) is decl
-            and previous.type_stability[name] == type_label
-        ):
+        if shared and previous.type_stability[name] == type_label:
             for member in decl.members:
                 model.member_stability[member.ref] = previous.member_stability[member.ref]
         else:
@@ -363,12 +366,12 @@ def model_pair(
 ) -> tuple[ApiModel, ApiModel]:
     """The models of two versions of a library, each named after its JAR.
 
-    One parse memo serves both JARs: identical class bytes are parsed once,
+    One parse memo serves both JARs: identical stored entries are parsed once,
     the new model reuses the old one's work on them, and ``compute_delta``
     can skip the types built from them. Raises what ``open_jar`` and
     ``require_complete`` raise; each caller maps those errors itself.
     """
-    parsed: dict[bytes, RawClass] = {}
+    parsed: dict[EntryKey, RawClass] = {}
     old_content = open_jar(old_jar, parsed).require_complete()
     new_content = open_jar(new_jar, parsed).require_complete()
     old_model = build_model(old_content, config, model_id=str(old_jar))
@@ -386,16 +389,3 @@ def type_accessible(model: ApiModel, type_name: str) -> bool:
     if enclosing is None:
         return True
     return type_accessible(model, enclosing)
-
-
-def api_surface(model: ApiModel) -> frozenset[str]:
-    """Element references exported to external clients per JLS access rules."""
-    surface: set[str] = set()
-    for name, decl in model.types.items():
-        if not type_accessible(model, name):
-            continue
-        surface.add(name)
-        for member in decl.members:
-            if member.visibility in ("public", "protected"):
-                surface.add(member.ref)
-    return frozenset(surface)

@@ -161,9 +161,15 @@ class InnerClassRecord(NamedTuple):
 # loops (the members view, the InnerClasses lookup) are cached.
 
 
-@dataclass(frozen=True)
-class RawMember:
-    """A field or method as declared in the class file."""
+class RawMember(NamedTuple):
+    """A field or method as declared in the class file.
+
+    A named tuple rather than a frozen dataclass: a class file holds many
+    members, and a tuple is built at a fraction of the cost of a dataclass
+    whose ``__init__`` sets each field through ``object.__setattr__``. It is
+    immutable all the same, which the parse memo and the models' identity
+    short cuts rely on; ``_replace`` gives a modified copy.
+    """
 
     name: str
     descriptor: str

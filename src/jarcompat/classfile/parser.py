@@ -523,9 +523,10 @@ _COMPRESSED_PATCH = 0x20  # bit 5
 _STRONG_ENCRYPTION = 0x40  # bit 6
 
 
-def _read_entry(raw: bytes, info: zipfile.ZipInfo) -> bytes:
-    """The bytes of one member of the archive ``raw``, read as ``zipfile``
-    reads a member, with its checks and exceptions."""
+def _entry_data(raw: bytes, info: zipfile.ZipInfo) -> bytes:
+    """The stored bytes of one member of the archive ``raw``, after the checks
+    ``zipfile`` makes on its local header, with the same exceptions. They may
+    end before the declared compressed size; ``_inflate`` judges that."""
     offset = info.header_offset
     if offset < 0 or offset + _LOCAL_HEADER.size > len(raw):
         raise zipfile.BadZipFile("Truncated file header")
@@ -550,10 +551,14 @@ def _read_entry(raw: bytes, info: zipfile.ZipInfo) -> bytes:
         )
     if info.flag_bits & _ENCRYPTED:
         raise RuntimeError(f"File {info.filename!r} is encrypted, password required for extraction")
-
     start += extra_length
+    return raw[start : start + info.compress_size]
+
+
+def _inflate(packed: bytes, info: zipfile.ZipInfo) -> bytes:
+    """The content of a member from its stored bytes ``packed``, read as
+    ``zipfile`` reads a member, with its size and CRC-32 checks."""
     size, packed_size = info.file_size, info.compress_size
-    packed = raw[start : start + packed_size]
     # As in zipfile, data that the file cuts short is an EOFError unless what
     # is there already yields the declared size or ends the deflate stream.
     if packed_size and not packed:
@@ -584,8 +589,14 @@ def _read_entry(raw: bytes, info: zipfile.ZipInfo) -> bytes:
 _DAMAGED_ENTRY = (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, RuntimeError)
 
 
+# A parse memo's key for one archive member: its compression method, both
+# sizes and CRC-32 from the central directory, and its stored bytes. What
+# ``_inflate`` yields and whether its checks pass depend on nothing else.
+EntryKey = tuple[int, int, int, int, bytes]
+
+
 def open_jar(
-    source: str | Path | BinaryIO, parsed: dict[bytes, RawClass] | None = None
+    source: str | Path | BinaryIO, parsed: dict[EntryKey, RawClass] | None = None
 ) -> JarContent:
     """Read a JAR, parsing every ``*.class`` entry.
 
@@ -594,10 +605,11 @@ def open_jar(
     recorded in ``parse_failures``, not fatal; a damaged entry also in
     ``damaged_entries`` (see ``JarContent.require_intact``).
     ``module-info.class`` entries are skipped (counted as non-class
-    content). ``parsed`` maps class-file bytes to their parse:
-    an entry whose bytes it holds is not parsed again, and every new parse
-    is added to it, so JARs opened with one dict share the ``RawClass`` of
-    identical bytes.
+    content). ``parsed`` maps the ``EntryKey`` of every entry that passed
+    all checks and parsed to its parse. An entry whose key it holds is
+    checked up to its local header and is then neither inflated nor parsed
+    again; every new parse is added to it, so JARs opened with one dict
+    share the ``RawClass`` of identical stored entries.
     """
     try:
         raw = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
@@ -619,21 +631,25 @@ def open_jar(
             content.non_class_entries += 1
             continue
         try:
-            data = _read_entry(raw, info)
+            packed = _entry_data(raw, info)
+            # Matched on the whole stored bytes: the directory's CRC and
+            # sizes could collide.
+            key = (info.compress_type, info.compress_size, info.file_size, info.CRC, packed)
+            cls = parsed.get(key)
+            if cls is None:
+                data = _inflate(packed, info)
         except _DAMAGED_ENTRY as exc:
             failure = (name, f"{type(exc).__name__}: {exc}")
             content.parse_failures.append(failure)
             content.damaged_entries.append(failure)
             continue
-        # Matched on the whole bytes: the directory's CRC and size could collide.
-        cls = parsed.get(data)
         if cls is None:
             try:
                 cls = parse_class(data)
             except ClassFormatError as exc:
                 content.parse_failures.append((name, f"{type(exc).__name__}: {exc}"))
                 continue
-            parsed[data] = cls
+            parsed[key] = cls
         content.entries.append((name, cls))
         content.detected_languages.add(language_of_source(cls.source_file))
     return content

@@ -20,7 +20,9 @@ import csv
 import hashlib
 import json
 import logging
+import os
 import random
+import tempfile
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -32,7 +34,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .apimodel import ApiModel, StabilityConfig, build_model
-from .classfile import ClassFormatError, JarContent, NotAZip, RawClass, open_jar
+from .classfile import ClassFormatError, EntryKey, JarContent, NotAZip, RawClass, open_jar
 from .delta import Delta, compute_delta, is_breaking
 from .detect import classify_impact, compute_detections
 from .semver import NotAnUpgrade, SemverLevel, Unparseable, Version, classify_upgrade, parse_version
@@ -167,11 +169,11 @@ class _JarProbe:
     ``jars`` maps a coordinate to the JAR's parsed content, or to the reason
     its pairs are excluded (``jar_unavailable``, ``unreadable_jar``). The
     selection filters read the content, and each model is built from it.
-    A probe's JARs share one parse memo, so a class whose bytes recur
-    across versions is parsed once and the models of two versions hold the
-    same ``RawClass`` for it. Each model is built from the last one still
-    held, so it reuses that model's work on the classes they share (see
-    ``build_model``). A probe serves one library.
+    A probe's JARs share one parse memo, so a class entry whose stored
+    bytes recur across versions is parsed once and the models of two
+    versions hold the same ``RawClass`` for it. Each model is built from the
+    last one still held, so it reuses that model's work on the classes they
+    share (see ``build_model``). A probe serves one library.
     """
 
     def __init__(self, jar_root: Path | None, config: StabilityConfig) -> None:
@@ -179,7 +181,7 @@ class _JarProbe:
         self.config = config
         self.jars: dict[str, JarContent | str] = {}
         self.models: dict[str, ApiModel] = {}
-        self.parsed: dict[bytes, RawClass] | None = {}
+        self.parsed: dict[EntryKey, RawClass] | None = {}
 
     def resolve(self, record: ArtifactRecord) -> Path | None:
         if record.jar_path is None:
@@ -492,11 +494,14 @@ def run_pipeline(
     """Derive upgrades, compute deltas and detections, and write the datasets.
 
     Each library is one task (see ``_run_library``), run inline at one job.
-    At more jobs, the tasks of libraries with an external client go to a
-    process pool, and the rest, which open no JAR, run inline. Outputs are
-    deterministic for fixed inputs; per-upgrade delta files are keyed by a
-    hash of the two JARs' bytes and the stability config, and reused when
-    already present. Returns a summary dict (also written to summary.json).
+    At ``jobs`` N > 1 the parent is one of N processes: the tasks of
+    libraries with an external client also go to a pool of N - 1 workers,
+    which take them from the back, while the parent walks every task from
+    the front and runs each one that no worker has started. Tasks that open
+    no JAR never go to the pool. Outputs are deterministic for fixed
+    inputs; per-upgrade delta files are keyed by a hash of the two JARs'
+    bytes and the stability config, and reused when already present.
+    Returns a summary dict (also written to summary.json).
     """
     options = options or PipelineOptions()
     out = Path(out_dir)
@@ -508,13 +513,26 @@ def run_pipeline(
     tasks = [
         _LibraryTask(index.library_slice(library), root, deltas, config) for library in index.chains
     ]
-    # Only a task that reads a JAR is worth a worker's round trip; the parent
-    # runs the others while the pool works.
+    # Only a task that reads a JAR is worth a worker's round trip. Workers
+    # and parent meet in the middle. The pool hands a worker one task beyond
+    # the one it runs, too late to cancel; a task runs in the process that
+    # first claims it (see ``_claim``), so the parent need not wait for a
+    # task that a worker holds but has not started, and each task runs once.
     reads = [_reads_jars(task) for task in tasks]
     if options.jobs > 1 and sum(reads) > 1:
-        with ProcessPoolExecutor(max_workers=min(options.jobs, sum(reads))) as pool:
-            done = pool.map(_run_library, [task for task, read in zip(tasks, reads) if read])
-            results = [next(done) if read else _run_library(task) for task, read in zip(tasks, reads)]
+        with tempfile.TemporaryDirectory() as claims, ProcessPoolExecutor(
+            max_workers=min(options.jobs, sum(reads)) - 1
+        ) as pool:
+            futures = [None] * len(tasks)
+            for position in reversed(range(len(tasks))):
+                if reads[position]:
+                    futures[position] = pool.submit(_run_claimed, claims, position, tasks[position])
+            results = [
+                _run_library(task)
+                if future is None or future.cancel() or _claim(claims, position)
+                else future.result()
+                for position, (task, future) in enumerate(zip(tasks, futures))
+            ]
     else:
         results = [_run_library(task) for task in tasks]
 
@@ -554,6 +572,25 @@ def run_pipeline(
     if options.samples:
         _write_samples(out, client_rows, options)
     return summary
+
+
+def _claim(claims: str, position: int) -> bool:
+    """Take task ``position`` for this process; False when another took it first.
+
+    A claim is a file named after the position in the run's ``claims``
+    directory. Creating it with ``O_EXCL`` is atomic across processes.
+    """
+    try:
+        claim = os.open(os.path.join(claims, str(position)), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return False
+    os.close(claim)
+    return True
+
+
+def _run_claimed(claims: str, position: int, task: _LibraryTask) -> _LibraryResult | None:
+    """In a pool worker: the task's result, or None when the parent took it first."""
+    return _run_library(task) if _claim(claims, position) else None
 
 
 def _reads_jars(task: _LibraryTask) -> bool:

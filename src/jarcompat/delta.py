@@ -23,8 +23,8 @@ from .apimodel import (
     ApiModel,
     EffectiveMember,
     StabilityLabel,
-    api_surface,
     same_closure,
+    type_accessible,
 )
 from .classfile import member_ref, parameter_part
 
@@ -208,7 +208,6 @@ class _DeltaBuilder:
         self.old = old
         self.new = new
         self.changes: list[BreakingChange] = []
-        self.old_surface = api_surface(old)
         self._closure_memo: dict[str, bool] = {}
 
     def emit(
@@ -233,18 +232,20 @@ class _DeltaBuilder:
     # -- type-level comparisons -------------------------------------------
 
     def compare_types(self) -> None:
+        # Only types a client outside the package can name are compared. The
+        # closure test comes first: it is cheaper and settles most types.
         for name in sorted(self.old.types):
-            if name not in self.old_surface:
+            if same_closure(self.old, self.new, name, self._closure_memo):
+                # Same declaration and effective members in both models; its
+                # outer classes' labels would only decorate emitted changes.
+                continue
+            if not type_accessible(self.old, name):
                 continue
             t_old = self.old.types[name]
             t_new = self.new.types.get(name)
             label = self.old.type_stability[name]
             if t_new is None:
                 self.emit(BcKind.CLASS_REMOVED, name, label)
-                continue
-            if same_closure(self.old, self.new, name, self._closure_memo):
-                # Same declaration and effective members in both models; its
-                # outer classes' labels would only decorate emitted changes.
                 continue
             if t_old.kind != t_new.kind:
                 # Finer-grained comparison is meaningless across kinds;
@@ -489,9 +490,9 @@ def _same_constant(old: int | float | str, new: int | float | str | None) -> boo
 def compute_delta(old: ApiModel, new: ApiModel) -> Delta:
     """All breaking changes between two models, deterministically ordered.
 
-    Only elements exported by the old version's API surface can produce
-    changes; additions are reported against types that exist in both
-    versions.
+    Only types that the old version exports (``type_accessible``) and
+    their public and protected members can produce changes; additions are
+    reported against such types that exist in both versions.
     """
     builder = _DeltaBuilder(old, new)
     builder.compare_types()

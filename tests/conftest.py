@@ -14,9 +14,13 @@ from jarcompat.classfile import ClassSpec, JarContent, open_jar, write_class
 from jarcompat.usage import UsageModel, UseKind
 
 
-def jar_bytes(specs: list[ClassSpec], extra: dict[str, bytes] | None = None) -> bytes:
+def jar_bytes(
+    specs: list[ClassSpec],
+    extra: dict[str, bytes] | None = None,
+    compression: int = zipfile.ZIP_STORED,
+) -> bytes:
     buffer = io.BytesIO()
-    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_STORED) as archive:
+    with zipfile.ZipFile(buffer, "w", compression) as archive:
         for spec in specs:
             archive.writestr(spec.name.replace(".", "/") + ".class", write_class(spec))
         for name, data in (extra or {}).items():
@@ -35,6 +39,21 @@ def damage_entry(jar: bytes, name: str) -> bytes:
     damaged = bytearray(jar)
     damaged[offset + 30 + name_length + extra_length] ^= 0xFF
     return bytes(damaged)
+
+
+def misfile_entry(jar: bytes, name: str, field: str) -> bytes:
+    """``jar`` with entry ``name``'s stored bytes kept but one field about them
+    made wrong: its CRC-32 in the central directory (``field="crc"``) or the
+    last character of its name in its local header (``field="local_name"``)."""
+    info = zipfile.ZipFile(io.BytesIO(jar)).getinfo(name)
+    if field == "crc":
+        record = jar.index(b"PK\x01\x02")
+        while jar[record + 46 : record + 46 + len(name)] != name.encode():
+            record = jar.index(b"PK\x01\x02", record + 4)
+        return jar[: record + 16] + struct.pack("<I", info.CRC ^ 1) + jar[record + 20 :]
+    assert field == "local_name"
+    last = info.header_offset + 30 + len(name) - 1
+    return jar[:last] + b"_" + jar[last + 1 :]
 
 
 def write_jar(path: Path, specs: list[ClassSpec], extra: dict[str, bytes] | None = None) -> Path:

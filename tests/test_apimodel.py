@@ -1,4 +1,4 @@
-"""API-model construction, stability labels, and surface computation."""
+"""API-model construction, stability labels, and what a model exports."""
 
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ from conftest import jar_bytes, model_of
 from jarcompat.apimodel import (
     STABLE,
     StabilityConfig,
-    api_surface,
     build_model,
+    type_accessible,
 )
 from jarcompat.classfile import (
     ClassSpec,
@@ -205,7 +205,22 @@ def test_config_file_rejects_stray_lines(tmp_path):
         StabilityConfig.load(path)
 
 
-def test_api_surface_excludes_private_members():
+# A client outside the package sees a type when ``type_accessible`` holds,
+# and then its public and protected members.
+
+
+def _exported(model, type_name):
+    """The references of the members ``type_name`` exports, empty for a hidden type."""
+    if not type_accessible(model, type_name):
+        return set()
+    return {
+        member.ref
+        for member in model.types[type_name].members
+        if member.visibility in ("public", "protected")
+    }
+
+
+def test_private_member_is_not_exported():
     model = model_of(
         [
             ClassSpec(
@@ -214,24 +229,24 @@ def test_api_surface_excludes_private_members():
             )
         ]
     )
-    surface = api_surface(model)
-    assert "p.A.pub()V" in surface
-    assert "p.A.priv()V" not in surface
+    exported = _exported(model, "p.A")
+    assert "p.A.pub()V" in exported
+    assert "p.A.priv()V" not in exported
 
 
-def test_api_surface_includes_protected_field_on_public_class():
+def test_protected_field_on_public_class_is_exported():
     model = model_of([ClassSpec("p.A", fields=(FieldSpec("f", visibility="protected"),))])
-    assert "p.A.f" in api_surface(model)
+    assert "p.A.f" in _exported(model, "p.A")
 
 
-def test_api_surface_excludes_public_member_of_package_private_class():
+def test_public_member_of_package_private_class_is_not_exported():
     model = model_of([ClassSpec("p.A", visibility="package", methods=(MethodSpec("m"),))])
-    surface = api_surface(model)
-    assert "p.A" not in surface
-    assert "p.A.m()V" not in surface
+    assert not type_accessible(model, "p.A")
+    assert model.types["p.A"].members[0].visibility == "public"
+    assert _exported(model, "p.A") == set()
 
 
-def test_api_surface_nested_needs_accessible_chain():
+def test_nested_type_needs_accessible_chain():
     hidden_outer = model_of(
         [
             ClassSpec("p.Out", visibility="package"),
@@ -242,7 +257,8 @@ def test_api_surface_nested_needs_accessible_chain():
             ),
         ]
     )
-    assert "p.Out$In" not in api_surface(hidden_outer)
+    assert hidden_outer.types["p.Out$In"].visibility == "public"
+    assert not type_accessible(hidden_outer, "p.Out$In")
     open_outer = model_of(
         [
             ClassSpec("p.Out"),
@@ -253,11 +269,11 @@ def test_api_surface_nested_needs_accessible_chain():
             ),
         ]
     )
-    assert "p.Out$In" in api_surface(open_outer)
-    assert "p.Out$In.m()V" in api_surface(open_outer)
+    assert type_accessible(open_outer, "p.Out$In")
+    assert "p.Out$In.m()V" in _exported(open_outer, "p.Out$In")
 
 
-def test_api_surface_visibility_property():
+def test_member_visibility_property():
     model = model_of(
         [
             ClassSpec(
@@ -271,11 +287,9 @@ def test_api_surface_visibility_property():
             )
         ]
     )
-    surface = api_surface(model)
-    for decl in model.types.values():
-        for member in decl.members:
-            if member.ref in surface:
-                assert member.visibility in ("public", "protected")
+    visibility = {member.name: member.visibility for member in model.types["p.A"].members}
+    assert visibility == {"a": "public", "b": "protected", "c": "package", "d": "private"}
+    assert _exported(model, "p.A") == {"p.A.a()V", "p.A.b()V"}
 
 
 def test_effective_members_inherited():

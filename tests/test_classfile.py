@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import damage_entry, jar_content
+from conftest import damage_entry, jar_bytes, jar_content, misfile_entry
+from jarcompat.apimodel import build_model
 from jarcompat.classfile import (
     ACC_ABSTRACT,
     ACC_FINAL,
@@ -44,6 +45,7 @@ from jarcompat.classfile import (
     write_class,
 )
 from jarcompat.classfile import parser
+from jarcompat.delta import compute_delta
 from test_delta import _SKELETON, _type_spec
 
 
@@ -713,6 +715,56 @@ def test_open_jar_memo_matches_whole_bytes_not_crc():
     assert constants[0] == [0x11111111, 0x22222222]
     assert constants[1][0] == 0x33333333
     assert len(parsed) == 2
+
+
+
+def _stored_bytes(jar: bytes, name: str) -> bytes:
+    info = zipfile.ZipFile(io.BytesIO(jar)).getinfo(name)
+    name_length, extra_length = struct.unpack_from("<HH", jar, info.header_offset + 26)
+    start = info.header_offset + 30 + name_length + extra_length
+    return jar[start : start + info.compress_size]
+
+
+@pytest.mark.parametrize("field", ["crc", "local_name"])
+@pytest.mark.parametrize(
+    "compression", [zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED], ids=["stored", "deflated"]
+)
+def test_open_jar_memo_never_skips_an_entry_check(compression, field):
+    # p/A.class keeps the stored bytes that the memo already holds, but its
+    # directory CRC-32 or its local name is wrong: it is still damaged.
+    jar = _two_class_jar(compression)
+    damaged = misfile_entry(jar, "p/A.class", field)
+    assert _stored_bytes(damaged, "p/A.class") == _stored_bytes(jar, "p/A.class")
+    parsed: dict = {}
+    open_jar(io.BytesIO(jar), parsed)
+    content = open_jar(io.BytesIO(damaged), parsed)
+    assert [name for name, _ in content.entries] == ["p/B.class"]
+    [(name, failure)] = content.damaged_entries
+    assert name == "p/A.class"
+    assert failure.startswith("BadZipFile: " + ("Bad CRC-32" if field == "crc" else "File name"))
+    with pytest.raises(NotAZip, match="damaged entry p/A.class"):
+        content.require_complete()
+    # Only entries that passed every check are remembered.
+    assert len(parsed) == 2
+
+
+def test_a_class_stored_then_deflated_parses_to_equal_records_and_no_delta():
+    specs = [
+        ClassSpec("p.A", methods=(MethodSpec("m", exceptions=("java.io.IOException",)),)),
+        ClassSpec("p.B", super_name="p.A", fields=(
+            FieldSpec("K", "J", is_static=True, is_final=True, constant=7),
+        )),
+    ]
+    parsed: dict = {}
+    stored = open_jar(io.BytesIO(jar_bytes(specs)), parsed)
+    deflated = open_jar(io.BytesIO(jar_bytes(specs, compression=zipfile.ZIP_DEFLATED)), parsed)
+    # The memo is keyed on stored entries, so each class is parsed twice.
+    assert len(parsed) == 4
+    assert stored.classes() == deflated.classes()
+    assert all(a is not b for a, b in zip(stored.classes(), deflated.classes()))
+    old = build_model(stored, model_id="old")
+    new = build_model(deflated, model_id="new", previous=old)
+    assert compute_delta(old, new).changes == []
 
 
 _CALLS = (("p.A", "m", "()V"), ("p.I1", "n", "(I)V"), ("java.lang.Object", "<init>", "()V"))

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from conftest import damage_entry, jar_bytes, write_jar
+from conftest import damage_entry, jar_bytes, misfile_entry, write_jar
 from corpus_fixture import build_fixture, build_two_library_fixture, write_graph_csvs
 from jarcompat import corpus, delta
 from jarcompat.classfile import ClassSpec, MethodSpec, parser, write_class
@@ -240,6 +241,35 @@ def test_run_pipeline_excludes_a_library_jar_with_a_damaged_entry(tmp_path):
     ]
     assert not list((out / "deltas").glob("*.json"))
     assert "classRemoved" not in "".join(p.read_text(encoding="utf-8") for p in out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("field", ["crc", "local_name"])
+def test_run_pipeline_excludes_a_library_jar_whose_entry_repeats_stored_bytes_but_is_damaged(
+    tmp_path, field
+):
+    # 1.1.0's p/A.class holds the stored bytes of 1.0.0's, which the task's
+    # parse memo already holds, under a wrong directory CRC-32 or local name.
+    jar_root = tmp_path / "jars"
+    write_jar(jar_root / "lib-1.0.0.jar", [ClassSpec("p.A"), ClassSpec("p.B")])
+    v2 = jar_bytes([ClassSpec("p.A"), ClassSpec("p.B", methods=(MethodSpec("m"),))])
+    (jar_root / "lib-1.1.0.jar").write_bytes(misfile_entry(v2, "p/A.class", field))
+    write_jar(jar_root / "app-1.0.0.jar", [ClassSpec("c.App")])
+    rows = [
+        ("g", "lib", "1.0.0", "2011-01-01", "jar", "lib-1.0.0.jar"),
+        ("g", "lib", "1.1.0", "2011-06-01", "jar", "lib-1.1.0.jar"),
+        ("x", "app", "1.0.0", "2011-02-01", "jar", "app-1.0.0.jar"),
+    ]
+    edge_rows = [
+        ("NEXT", "", "g:lib:1.0.0", "g:lib:1.1.0"),
+        ("DEPENDS", "compile", "x:app:1.0.0", "g:lib:1.0.0"),
+    ]
+    graph = load_graph(*write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows))
+    out = tmp_path / "out"
+    summary = run_pipeline(graph, jar_root, out, PipelineOptions(jobs=1))
+    assert summary["emitted"] == 0 and summary["excluded"] == 1
+    assert (out / "exclusions.csv").read_text(encoding="utf-8").splitlines()[1:] == [
+        "pair,g:lib:1.0.0,g:lib:1.1.0,unreadable_jar"
+    ]
 
 
 def test_a_library_class_that_does_not_parse_excludes_its_pairs(tmp_path):
@@ -491,6 +521,19 @@ def test_run_pipeline_parses_each_distinct_class_once_per_library(tmp_path, monk
     ]
 
 
+# Pool workers are other processes, so each library task run appends its
+# process id and library to the file this variable names.
+_RUN_LOG = "JARCOMPAT_TEST_RUN_LOG"
+_original_run_library = corpus._run_library
+
+
+def _logged_run_library(task):
+    (library,) = task.index.versions
+    with open(os.environ[_RUN_LOG], "a", encoding="utf-8") as log:
+        log.write(f"{os.getpid()} {':'.join(library)}\n")
+    return _original_run_library(task)
+
+
 def test_run_pipeline_pools_only_the_libraries_that_read_a_jar(tmp_path, monkeypatch):
     _, jar_root, _ = _reuse_graph(tmp_path)
     # g.mid has a version pair but no client, so it opens no JAR, and the
@@ -501,24 +544,33 @@ def test_run_pipeline_pools_only_the_libraries_that_read_a_jar(tmp_path, monkeyp
     with edges.open("a", encoding="utf-8") as handle:
         handle.write("NEXT,,g.mid:mid:1.0.0,g.mid:mid:1.1.0\n")
     graph = load_graph(artifacts, edges)
-    pooled = []
+    libraries = ["c0:app", "c1:app", "c2:app", "g.lib:lib", "g.mid:mid", "g.two:two"]
+    submitted = []
 
     class RecordingPool(ProcessPoolExecutor):
-        def map(self, fn, tasks):
-            tasks = list(tasks)
-            pooled.extend(library for task in tasks for library in task.index.versions)
-            return super().map(fn, tasks)
+        def submit(self, fn, *args):
+            submitted.extend(":".join(library) for library in args[-1].index.versions)
+            return super().submit(fn, *args)
 
     monkeypatch.setattr(corpus, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(corpus, "_run_library", _logged_run_library)
     samples = (("all", 0.95, 0.05),)
-    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-    run_pipeline(graph, jar_root, serial, PipelineOptions(jobs=1, samples=samples))
-    assert not pooled
-    run_pipeline(graph, jar_root, parallel, PipelineOptions(jobs=2, samples=samples))
-    assert pooled == [("g.lib", "lib"), ("g.two", "two")]
-    files = snapshot(serial)
+    outputs = {}
+    for jobs in (1, 2, 3):
+        log = tmp_path / f"runs-{jobs}.txt"
+        monkeypatch.setenv(_RUN_LOG, str(log))
+        submitted.clear()
+        outputs[jobs] = tmp_path / f"jobs-{jobs}"
+        run_pipeline(graph, jar_root, outputs[jobs], PipelineOptions(jobs=jobs, samples=samples))
+        runs = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+        # Every task runs exactly once, in the parent or in a worker, and only
+        # tasks that read a JAR are offered to the pool, from the back.
+        assert sorted(library for _, library in runs) == libraries
+        assert submitted == ([] if jobs == 1 else ["g.two:two", "g.lib:lib"])
+        assert {library for pid, library in runs if pid != str(os.getpid())} <= set(submitted)
+    files = snapshot(outputs[1])
     assert b"g.mid:mid:1.0.0,g.mid:mid:1.1.0,no_external_client" in files["exclusions.csv"]
-    assert snapshot(parallel) == files
+    assert snapshot(outputs[2]) == snapshot(outputs[3]) == files
 
 
 def test_run_pipeline_drops_each_model_after_its_last_upgrade(tmp_path, monkeypatch):

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import io
+import zipfile
+
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import jar_content, model_of, usage_pairs
+from conftest import jar_bytes, jar_content, model_of, usage_pairs
 from jarcompat.apimodel import build_model
-from jarcompat.classfile import ClassSpec, FieldSpec, MethodSpec, member_owner, package_of
+from jarcompat.classfile import ClassSpec, FieldSpec, MethodSpec, member_owner, open_jar, package_of
 from jarcompat.delta import BcKind, compute_delta
 from jarcompat.detect import (
     BREAKING_USE,
@@ -483,3 +486,62 @@ def test_index_join_equals_pairwise_join(pair, client_specs):
     assert summary.per_change == per_change
     assert summary.broken == (BREAKING_USE in per_change.values())
     assert summary.detection_count == len(expected)
+
+
+# --- independence from the order of JAR entries -------------------------------
+
+
+def _has_hierarchy_cycle(specs) -> bool:
+    """True when some type of ``specs`` reaches itself through its supertypes.
+    A cycle's effective members resolve in entry order, which
+    ``test_hierarchy_cycle_disables_the_short_cut`` pins."""
+    supertypes = {
+        spec.name: [*([spec.super_name] if spec.super_name else []), *spec.interfaces]
+        for spec in specs
+    }
+
+    def reaches(start, name, seen):
+        for parent in supertypes.get(name, ()):
+            if parent == start or (parent not in seen and reaches(start, parent, seen | {parent})):
+                return True
+        return False
+
+    return any(reaches(name, name, {name}) for name in supertypes)
+
+
+def _library_results(old_specs, new_specs, client_specs, compressions):
+    """The delta and what it does to the client, with both library JARs read
+    through one parse memo as a corpus run task reads them."""
+    parsed: dict = {}
+    old_jar, new_jar = (
+        open_jar(io.BytesIO(jar_bytes(specs, compression=compression)), parsed)
+        for specs, compression in zip((old_specs, new_specs), compressions)
+    )
+    old = build_model(old_jar, model_id="old")
+    new = build_model(new_jar, model_id="new", previous=old)
+    delta = compute_delta(old, new)
+    usage = extract_usage(jar_content(client_specs), old)
+    detections = compute_detections(delta, usage)
+    return delta.to_dict(), detections, classify_impact(delta, usage, detections)
+
+
+_COMPRESSIONS = st.sampled_from([zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_version_pair(_LIBRARY), _client_specs(), st.data())
+def test_results_do_not_depend_on_the_order_of_jar_entries(pair, client_specs, data):
+    # The specs hold no two types of one name; each JAR is also re-stored
+    # under a drawn compression method, which changes every memo key.
+    old_specs, new_specs = pair
+    assume(not _has_hierarchy_cycle(old_specs) and not _has_hierarchy_cycle(new_specs))
+    expected = _library_results(
+        old_specs, new_specs, client_specs, (zipfile.ZIP_STORED, zipfile.ZIP_STORED)
+    )
+    permuted = _library_results(
+        data.draw(st.permutations(old_specs)),
+        data.draw(st.permutations(new_specs)),
+        data.draw(st.permutations(client_specs)),
+        (data.draw(_COMPRESSIONS), data.draw(_COMPRESSIONS)),
+    )
+    assert permuted == expected
