@@ -592,6 +592,8 @@ _DAMAGED_ENTRY = (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError,
 # A parse memo's key for one archive member: its compression method, both
 # sizes and CRC-32 from the central directory, and its stored bytes. What
 # ``_inflate`` yields and whether its checks pass depend on nothing else.
+# A parse is also kept under the key its class would have if STORED, so the
+# same class compressed another way shares it.
 EntryKey = tuple[int, int, int, int, bytes]
 
 
@@ -606,10 +608,12 @@ def open_jar(
     ``damaged_entries`` (see ``JarContent.require_intact``).
     ``module-info.class`` entries are skipped (counted as non-class
     content). ``parsed`` maps the ``EntryKey`` of every entry that passed
-    all checks and parsed to its parse. An entry whose key it holds is
-    checked up to its local header and is then neither inflated nor parsed
-    again; every new parse is added to it, so JARs opened with one dict
-    share the ``RawClass`` of identical stored entries.
+    all checks and parsed, and the key of its class as a STORED entry, to
+    its parse. An entry whose key it holds is checked up to its local header
+    and is then neither inflated nor parsed again; an entry whose class it
+    holds under the STORED key is inflated and checked but not parsed again.
+    Every new parse is added to it, so JARs opened with one dict share the
+    ``RawClass`` of identical class files, however each JAR stores them.
     """
     try:
         raw = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
@@ -644,11 +648,15 @@ def open_jar(
             content.damaged_entries.append(failure)
             continue
         if cls is None:
-            try:
-                cls = parse_class(data)
-            except ClassFormatError as exc:
-                content.parse_failures.append((name, f"{type(exc).__name__}: {exc}"))
-                continue
+            plain = (zipfile.ZIP_STORED, len(data), len(data), info.CRC, data)
+            cls = parsed.get(plain)
+            if cls is None:
+                try:
+                    cls = parse_class(data)
+                except ClassFormatError as exc:
+                    content.parse_failures.append((name, f"{type(exc).__name__}: {exc}"))
+                    continue
+                parsed[plain] = cls
             parsed[key] = cls
         content.entries.append((name, cls))
         content.detected_languages.add(language_of_source(cls.source_file))

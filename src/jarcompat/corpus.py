@@ -22,8 +22,8 @@ import json
 import logging
 import os
 import random
-import tempfile
 import sys
+import tempfile
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -169,9 +169,9 @@ class _JarProbe:
     ``jars`` maps a coordinate to the JAR's parsed content, or to the reason
     its pairs are excluded (``jar_unavailable``, ``unreadable_jar``). The
     selection filters read the content, and each model is built from it.
-    A probe's JARs share one parse memo, so a class entry whose stored
-    bytes recur across versions is parsed once and the models of two
-    versions hold the same ``RawClass`` for it. Each model is built from the
+    A probe's JARs share one parse memo, so a class whose bytes recur
+    across versions is parsed once and the models of two versions hold the
+    same ``RawClass`` for it. Each model is built from the
     last one still held, so it reuses that model's work on the classes they
     share (see ``build_model``). A probe serves one library.
     """

@@ -737,6 +737,7 @@ def test_open_jar_memo_never_skips_an_entry_check(compression, field):
     assert _stored_bytes(damaged, "p/A.class") == _stored_bytes(jar, "p/A.class")
     parsed: dict = {}
     open_jar(io.BytesIO(jar), parsed)
+    remembered = dict(parsed)
     content = open_jar(io.BytesIO(damaged), parsed)
     assert [name for name, _ in content.entries] == ["p/B.class"]
     [(name, failure)] = content.damaged_entries
@@ -745,10 +746,24 @@ def test_open_jar_memo_never_skips_an_entry_check(compression, field):
     with pytest.raises(NotAZip, match="damaged entry p/A.class"):
         content.require_complete()
     # Only entries that passed every check are remembered.
-    assert len(parsed) == 2
+    assert parsed == remembered
 
 
-def test_a_class_stored_then_deflated_parses_to_equal_records_and_no_delta():
+@pytest.mark.parametrize(
+    "first, second",
+    [(zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED), (zipfile.ZIP_DEFLATED, zipfile.ZIP_STORED)],
+    ids=["stored-then-deflated", "deflated-then-stored"],
+)
+def test_a_class_stored_then_deflated_parses_to_equal_records_and_no_delta(
+    monkeypatch, first, second
+):
+    calls = []
+
+    def counting_parse(data):
+        calls.append(data)
+        return parse_class(data)
+
+    monkeypatch.setattr(parser, "parse_class", counting_parse)
     specs = [
         ClassSpec("p.A", methods=(MethodSpec("m", exceptions=("java.io.IOException",)),)),
         ClassSpec("p.B", super_name="p.A", fields=(
@@ -756,14 +771,14 @@ def test_a_class_stored_then_deflated_parses_to_equal_records_and_no_delta():
         )),
     ]
     parsed: dict = {}
-    stored = open_jar(io.BytesIO(jar_bytes(specs)), parsed)
-    deflated = open_jar(io.BytesIO(jar_bytes(specs, compression=zipfile.ZIP_DEFLATED)), parsed)
-    # The memo is keyed on stored entries, so each class is parsed twice.
-    assert len(parsed) == 4
-    assert stored.classes() == deflated.classes()
-    assert all(a is not b for a, b in zip(stored.classes(), deflated.classes()))
-    old = build_model(stored, model_id="old")
-    new = build_model(deflated, model_id="new", previous=old)
+    v1 = open_jar(io.BytesIO(jar_bytes(specs, compression=first)), parsed)
+    v2 = open_jar(io.BytesIO(jar_bytes(specs, compression=second)), parsed)
+    # The memo finds each class however it is stored: parsed once, one record.
+    assert len(calls) == 2
+    assert v1.classes() == v2.classes()
+    assert all(a is b for a, b in zip(v1.classes(), v2.classes()))
+    old = build_model(v1, model_id="old")
+    new = build_model(v2, model_id="new", previous=old)
     assert compute_delta(old, new).changes == []
 
 
