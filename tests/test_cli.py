@@ -12,13 +12,17 @@ import re
 import tracemalloc
 import zipfile
 from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bench_cases import write_benchmark
 from conftest import damage_entry, write_jar
 from corpus_fixture import build_fixture, write_graph_csvs
+from jarcompat import analyze
 from jarcompat.analyze import analyze_results
 from jarcompat.classfile import ClassSpec, MethodSpec
 from jarcompat.cli import build_parser, main
@@ -530,6 +534,36 @@ def test_analyze_outputs_match_golden_files(tmp_path, name):
     assert report_files(out) == report_files(ANALYZE_GOLDEN / name)
 
 
+@pytest.mark.parametrize("layout", ["crlf", "quoted comma"])
+def test_analyze_tables_read_with_csv_reader_match_golden_files(tmp_path, monkeypatch, layout):
+    # A CR or a quote sends a table to csv.reader; the reports must not change.
+    results = tmp_path / "in"
+    results.mkdir()
+    upgrades, clients = results_tables()
+    if layout == "quoted comma":
+        clients[0][CLIENT_HEADER.index("client")] = "c0,x:app:1"  # write_csv quotes it
+    write_table(results / "upgrades.csv", UPGRADE_HEADER, upgrades)
+    write_table(results / "clients.csv", CLIENT_HEADER, clients)
+    if layout == "crlf":
+        for table in ("upgrades.csv", "clients.csv"):
+            path = results / table
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    gave_up = []
+    count_split = analyze._count_split
+
+    def recording(*args):
+        counts = count_split(*args)
+        gave_up.append(counts is None)
+        return counts
+
+    monkeypatch.setattr(analyze, "_count_split", recording)
+    out = tmp_path / "out"
+    assert main(["analyze", str(results), "--out", str(out)]) == 0
+    # upgrades.csv, then clients.csv
+    assert gave_up == ([True, True] if layout == "crlf" else [False, True])
+    assert report_files(out) == report_files(ANALYZE_GOLDEN / "results")
+
+
 @pytest.mark.parametrize("inputs", [[], ["results", "--summary", "table5.json"]], ids=["neither", "both"])
 def test_analyze_takes_exactly_one_input(tmp_path, inputs):
     with pytest.raises(SystemExit) as exc:
@@ -594,6 +628,9 @@ def test_analyze_malformed_clients_is_a_data_error(tmp_path, capsys, defect):
     err = capsys.readouterr().err
     assert str(results / "clients.csv") in err
     assert ("detections" in err) == (defect == "no detections column")
+    if defect == "short row":
+        # The header is line 1, so the appended row is line len(clients) + 2.
+        assert f"clients.csv:{len(clients) + 2}: too few cells" in err
     assert "Traceback" not in err
 
 
@@ -646,6 +683,54 @@ def test_analyze_reports_do_not_depend_on_row_order(tmp_path, copies):
     expected = report_files(tmp_path / "canonical-out")
     assert len(expected) == 5
     assert report_files(tmp_path / "shuffled-out") == expected
+
+
+def reference_counts(path: Path, columns: tuple[str, ...]) -> Counter:
+    """What ``_count_cells`` must give: every row after the header through csv.reader."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader)
+        pick = itemgetter(*(header.index(name) for name in columns))
+        try:
+            return Counter(map(pick, filter(None, reader)))
+        except IndexError:
+            raise ValueError(f"{path}:{reader.line_num}: too few cells") from None
+
+
+def outcome(count, path: Path, columns: tuple[str, ...]):
+    try:
+        return count(path, columns)
+    except ValueError as exc:
+        return str(exc)
+
+
+# Cell separators, line ends and blank lines, a quote, characters that
+# str.splitlines also breaks on, a non-ASCII letter, cells and whole rows.
+TABLE_TEXT = st.lists(st.sampled_from([",", '"', "\r", "\n", "\n\n", "\x0b", "\x1c", "\x85", "\u2028",
+                                       "é", "7", "x,y,z\n"]), max_size=40).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eol=st.sampled_from(["\n", "\r\n"]), body=TABLE_TEXT,
+       columns=st.permutations(["a", "b", "c"]).map(lambda names: tuple(names[:2])))
+def test_count_cells_matches_csv_reader(tmp_path_factory, eol, body, columns):
+    path = tmp_path_factory.mktemp("table") / "table.csv"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write("a,b,c" + eol + body)
+    expected = outcome(reference_counts, path, columns)
+    for chunk in (1, 2, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analyze, "_CHUNK", chunk)
+            assert outcome(analyze._count_cells, path, columns) == expected, chunk
+
+
+def test_count_cells_keeps_the_csv_field_limit(tmp_path):
+    # A cell longer than csv.field_size_limit() fails as it does in csv.reader.
+    path = tmp_path / "table.csv"
+    path.write_text("a,b,c\n1,2,3\n" + "x" * (csv.field_size_limit() + 1) + ",2,3\n", encoding="utf-8")
+    for count in (reference_counts, analyze._count_cells):
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            count(path, ("a", "c"))
 
 
 def test_analyze_memory_does_not_grow_with_rows(tmp_path):
