@@ -66,8 +66,10 @@ def _count_cells(path: Path, columns: tuple[str, ...]) -> Counter[tuple[str, ...
     whole table is counted with ``csv.reader``, the reference for quoted or
     CR-terminated tables and for cells it rejects. Both ways skip blank lines,
     as ``csv.DictReader`` does, and name the physical line of a row with too
-    few cells, the header being line 1. A missing file or a file without rows
-    gives no counts.
+    few cells, the header being line 1. Text that is not UTF-8, and a row
+    that ``csv.reader`` rejects, are ValueErrors naming the file, and the
+    line for the latter. A missing file or a file without rows gives no
+    counts.
 
     Rows are counted, never held, so memory depends on the number of distinct
     cell tuples and on ``_CHUNK``, not on the number of rows. A chunk's lines
@@ -80,25 +82,29 @@ def _count_cells(path: Path, columns: tuple[str, ...]) -> Counter[tuple[str, ...
         return Counter()
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            return Counter()
-        position = {name: i for i, name in enumerate(header)}
-        missing = [name for name in columns if name not in position]
-        if missing:
-            raise ValueError(f"{path}: no column {', '.join(missing)}")
-        indices = [position[name] for name in columns]
-        pick = itemgetter(*indices)
-        counts = _count_split(handle, path, reader.line_num, pick, max(indices) + 1)
-        if counts is not None:
-            return counts
-        handle.seek(0)
-        reader = csv.reader(handle)
-        next(reader)
         try:
+            header = next(reader, None)
+            if header is None:
+                return Counter()
+            position = {name: i for i, name in enumerate(header)}
+            missing = [name for name in columns if name not in position]
+            if missing:
+                raise ValueError(f"{path}: no column {', '.join(missing)}")
+            indices = [position[name] for name in columns]
+            pick = itemgetter(*indices)
+            counts = _count_split(handle, path, reader.line_num, pick, max(indices) + 1)
+            if counts is not None:
+                return counts
+            handle.seek(0)
+            reader = csv.reader(handle)
+            next(reader)
             return Counter(map(pick, filter(None, reader)))
         except IndexError:
             raise ValueError(f"{path}:{reader.line_num}: too few cells") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 ({exc.reason})") from None
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _count_split(handle, path: Path, line: int, pick, width: int) -> Counter[tuple[str, ...]] | None:

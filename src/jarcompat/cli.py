@@ -268,7 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jars", default=None)
         p.add_argument("--out", required=True)
         p.set_defaults(func=cmd_corpus)
-    p_run.add_argument("--jobs", type=_jobs, default=None)
+    p_run.add_argument(
+        "--jobs", type=_jobs, default=None, metavar="N",
+        help="worker processes for the libraries that read a JAR; the parent runs the rest "
+        "(default: the CPU count); outputs are byte-identical for every N",
+    )
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--sample", action="append", metavar="LEVEL:CONF:MARGIN")
     p_run.add_argument("--stability-config", default=None)

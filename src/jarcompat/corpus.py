@@ -20,10 +20,8 @@ import csv
 import hashlib
 import json
 import logging
-import os
 import random
 import sys
-import tempfile
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -31,7 +29,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .apimodel import ApiModel, StabilityConfig, build_model
 from .classfile import ClassFormatError, EntryKey, JarContent, NotAZip, RawClass, open_jar
@@ -104,61 +102,63 @@ def _parse_date(text: str, where: str) -> datetime:
         raise SchemaError(f"{where}: bad release_date {text!r}") from exc
 
 
+def _graph_rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """The rows of a graph file after its header that hold a non-blank cell,
+    each with its line number. A wrong header, text that is not UTF-8 and a
+    row that ``csv.reader`` rejects are schema errors naming the file."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            if next(reader, None) != header:
+                raise SchemaError(f"{path}:1: header must be {','.join(header)}")
+            for lineno, row in enumerate(reader, 2):
+                if any(cell.strip() for cell in row):
+                    yield lineno, row
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 ({exc.reason})") from exc
+        except csv.Error as exc:
+            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
 def load_graph(artifacts_path: str | Path, edges_path: str | Path) -> DependencyGraph:
     """Load the two-file graph; duplicate coordinates and bad rows are fatal,
     dangling edges become diagnostics."""
     graph = DependencyGraph()
 
-    with open(artifacts_path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        expected = ["group", "artifact", "version", "release_date", "packaging", "jar_path"]
-        if header != expected:
-            raise SchemaError(f"{artifacts_path}:1: header must be {','.join(expected)}")
-        for lineno, row in enumerate(reader, 2):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            if len(row) != 6:
-                raise SchemaError(f"{artifacts_path}:{lineno}: expected 6 columns, got {len(row)}")
-            group, artifact, version, date, packaging, jar_path = (cell.strip() for cell in row)
-            record = ArtifactRecord(
-                group_id=group,
-                artifact_id=artifact,
-                version=version,
-                release_date=_parse_date(date, f"{artifacts_path}:{lineno}"),
-                packaging=packaging or "jar",
-                jar_path=jar_path or None,
-            )
-            if record.coord in graph.artifacts:
-                raise SchemaError(f"{artifacts_path}:{lineno}: duplicate coordinates {record.coord}")
-            graph.artifacts[record.coord] = record
+    artifacts_header = ["group", "artifact", "version", "release_date", "packaging", "jar_path"]
+    for lineno, row in _graph_rows(artifacts_path, artifacts_header):
+        if len(row) != 6:
+            raise SchemaError(f"{artifacts_path}:{lineno}: expected 6 columns, got {len(row)}")
+        group, artifact, version, date, packaging, jar_path = (cell.strip() for cell in row)
+        record = ArtifactRecord(
+            group_id=group,
+            artifact_id=artifact,
+            version=version,
+            release_date=_parse_date(date, f"{artifacts_path}:{lineno}"),
+            packaging=packaging or "jar",
+            jar_path=jar_path or None,
+        )
+        if record.coord in graph.artifacts:
+            raise SchemaError(f"{artifacts_path}:{lineno}: duplicate coordinates {record.coord}")
+        graph.artifacts[record.coord] = record
 
-    with open(edges_path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["kind", "scope", "from", "to"]:
-            raise SchemaError(f"{edges_path}:1: header must be kind,scope,from,to")
-        for lineno, row in enumerate(reader, 2):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            if len(row) != 4:
-                raise SchemaError(f"{edges_path}:{lineno}: expected 4 columns, got {len(row)}")
-            kind, scope, src, dst = (cell.strip() for cell in row)
-            if kind not in ("DEPENDS", "NEXT"):
-                raise SchemaError(f"{edges_path}:{lineno}: unknown edge kind {kind!r}")
-            if kind == "DEPENDS" and scope not in DEPENDS_SCOPES:
-                raise SchemaError(f"{edges_path}:{lineno}: unknown scope {scope!r}")
-            if src not in graph.artifacts or dst not in graph.artifacts:
-                graph.diagnostics.append(f"{edges_path}:{lineno}: dangling edge {src} -> {dst}")
-                continue
-            if kind == "NEXT":
-                if graph.artifacts[src].library != graph.artifacts[dst].library:
-                    raise SchemaError(
-                        f"{edges_path}:{lineno}: NEXT edge across different libraries"
-                    )
-                graph.next_out.setdefault(src, []).append(dst)
-            else:
-                graph.dependents.setdefault(dst, []).append(GraphEdge(scope, src))
+    for lineno, row in _graph_rows(edges_path, ["kind", "scope", "from", "to"]):
+        if len(row) != 4:
+            raise SchemaError(f"{edges_path}:{lineno}: expected 4 columns, got {len(row)}")
+        kind, scope, src, dst = (cell.strip() for cell in row)
+        if kind not in ("DEPENDS", "NEXT"):
+            raise SchemaError(f"{edges_path}:{lineno}: unknown edge kind {kind!r}")
+        if kind == "DEPENDS" and scope not in DEPENDS_SCOPES:
+            raise SchemaError(f"{edges_path}:{lineno}: unknown scope {scope!r}")
+        if src not in graph.artifacts or dst not in graph.artifacts:
+            graph.diagnostics.append(f"{edges_path}:{lineno}: dangling edge {src} -> {dst}")
+            continue
+        if kind == "NEXT":
+            if graph.artifacts[src].library != graph.artifacts[dst].library:
+                raise SchemaError(f"{edges_path}:{lineno}: NEXT edge across different libraries")
+            graph.next_out.setdefault(src, []).append(dst)
+        else:
+            graph.dependents.setdefault(dst, []).append(GraphEdge(scope, src))
 
     return graph
 
@@ -493,14 +493,12 @@ def run_pipeline(
 ) -> dict:
     """Derive upgrades, compute deltas and detections, and write the datasets.
 
-    Each library is one task (see ``_run_library``), run inline at one job.
-    At ``jobs`` N > 1 the parent is one of N processes: the tasks of
-    libraries with an external client also go to a pool of N - 1 workers,
-    which take them from the back, while the parent walks every task from
-    the front and runs each one that no worker has started. Tasks that open
-    no JAR never go to the pool. Outputs are deterministic for fixed
-    inputs; per-upgrade delta files are keyed by a hash of the two JARs'
-    bytes and the stability config, and reused when already present.
+    Each library is one task (see ``_run_library``). At ``jobs`` N > 1,
+    when more than one task reads a JAR, those tasks go to a pool of N
+    workers (at most one per task) and the parent runs the rest. Outputs
+    are byte-identical for every N; per-upgrade delta files are keyed by a
+    hash of the two JARs' bytes and the stability config, and reused when
+    already present.
     Returns a summary dict (also written to summary.json).
     """
     options = options or PipelineOptions()
@@ -513,25 +511,17 @@ def run_pipeline(
     tasks = [
         _LibraryTask(index.library_slice(library), root, deltas, config) for library in index.chains
     ]
-    # Only a task that reads a JAR is worth a worker's round trip. Workers
-    # and parent meet in the middle. The pool hands a worker one task beyond
-    # the one it runs, too late to cancel; a task runs in the process that
-    # first claims it (see ``_claim``), so the parent need not wait for a
-    # task that a worker holds but has not started, and each task runs once.
+    # Only a task that reads a JAR is worth a worker's round trip.
     reads = [_reads_jars(task) for task in tasks]
-    if options.jobs > 1 and sum(reads) > 1:
-        with tempfile.TemporaryDirectory() as claims, ProcessPoolExecutor(
-            max_workers=min(options.jobs, sum(reads)) - 1
-        ) as pool:
-            futures = [None] * len(tasks)
-            for position in reversed(range(len(tasks))):
-                if reads[position]:
-                    futures[position] = pool.submit(_run_claimed, claims, position, tasks[position])
+    workers = min(options.jobs, sum(reads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [
+                pool.submit(_run_library, task) if read else None for task, read in zip(tasks, reads)
+            ]
             results = [
-                _run_library(task)
-                if future is None or future.cancel() or _claim(claims, position)
-                else future.result()
-                for position, (task, future) in enumerate(zip(tasks, futures))
+                _run_library(task) if future is None else future.result()
+                for task, future in zip(tasks, futures)
             ]
     else:
         results = [_run_library(task) for task in tasks]
@@ -572,25 +562,6 @@ def run_pipeline(
     if options.samples:
         _write_samples(out, client_rows, options)
     return summary
-
-
-def _claim(claims: str, position: int) -> bool:
-    """Take task ``position`` for this process; False when another took it first.
-
-    A claim is a file named after the position in the run's ``claims``
-    directory. Creating it with ``O_EXCL`` is atomic across processes.
-    """
-    try:
-        claim = os.open(os.path.join(claims, str(position)), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return False
-    os.close(claim)
-    return True
-
-
-def _run_claimed(claims: str, position: int, task: _LibraryTask) -> _LibraryResult | None:
-    """In a pool worker: the task's result, or None when the parent took it first."""
-    return _run_library(task) if _claim(claims, position) else None
 
 
 def _reads_jars(task: _LibraryTask) -> bool:

@@ -404,6 +404,28 @@ def test_corpus_schema_error_exit_three(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["derive", "run"])
+@pytest.mark.parametrize("table", ["artifacts", "edges"])
+@pytest.mark.parametrize("defect", ["not utf-8", "over-long cell"])
+def test_corpus_unreadable_graph_file_exit_three(tmp_path, capsys, command, table, defect):
+    artifacts, edges = write_graph_csvs(tmp_path / "fixture")
+    path = {"artifacts": artifacts, "edges": edges}[table]
+    lines = len(path.read_bytes().splitlines())
+    cell = b"\xff" if defect == "not utf-8" else b"x" * 140_000
+    with open(path, "ab") as handle:
+        handle.write(b"g," + cell + b",1.0.0,2010-01-01,jar,\n")
+    out = tmp_path / "o"
+    code = main(["corpus", command, "--artifacts", str(artifacts), "--edges", str(edges), "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    if defect == "not utf-8":
+        assert f"{path}: not UTF-8" in err
+    else:
+        assert f"{path}:{lines + 1}: field larger than field limit" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # The published table 5: sampled and broken clients per level.
 TABLE5 = {
     "levels": {
@@ -725,12 +747,34 @@ def test_count_cells_matches_csv_reader(tmp_path_factory, eol, body, columns):
 
 
 def test_count_cells_keeps_the_csv_field_limit(tmp_path):
-    # A cell longer than csv.field_size_limit() fails as it does in csv.reader.
+    # A cell longer than csv.field_size_limit() fails where csv.reader fails,
+    # as an error that names the file and the line.
     path = tmp_path / "table.csv"
     path.write_text("a,b,c\n1,2,3\n" + "x" * (csv.field_size_limit() + 1) + ",2,3\n", encoding="utf-8")
-    for count in (reference_counts, analyze._count_cells):
-        with pytest.raises(csv.Error, match="field larger than field limit"):
-            count(path, ("a", "c"))
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        reference_counts(path, ("a", "c"))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: field larger than field limit"):
+        analyze._count_cells(path, ("a", "c"))
+
+
+@pytest.mark.parametrize("defect", ["not utf-8", "over-long cell"])
+def test_analyze_unreadable_results_table_is_a_data_error(tmp_path, capsys, defect):
+    upgrades, clients = results_tables()
+    clients[1][0] = "@" if defect == "not utf-8" else "c" * 140_000
+    results = tmp_path / "results"
+    results.mkdir()
+    write_table(results / "upgrades.csv", UPGRADE_HEADER, upgrades)
+    write_table(results / "clients.csv", CLIENT_HEADER, clients)
+    if defect == "not utf-8":  # byte 0xff in the third line
+        table = results / "clients.csv"
+        table.write_bytes(table.read_bytes().replace(b"@", b"\xff"))
+    assert main(["analyze", str(results), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    if defect == "not utf-8":
+        assert f"{results / 'clients.csv'}: not UTF-8" in err
+    else:
+        assert f"{results / 'clients.csv'}:3: field larger than field limit" in err
+    assert "Traceback" not in err
 
 
 def test_analyze_memory_does_not_grow_with_rows(tmp_path):

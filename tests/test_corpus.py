@@ -545,9 +545,14 @@ def test_run_pipeline_pools_only_the_libraries_that_read_a_jar(tmp_path, monkeyp
         handle.write("NEXT,,g.mid:mid:1.0.0,g.mid:mid:1.1.0\n")
     graph = load_graph(artifacts, edges)
     libraries = ["c0:app", "c1:app", "c2:app", "g.lib:lib", "g.mid:mid", "g.two:two"]
-    submitted = []
+    reading = ["g.lib:lib", "g.two:two"]
+    pools, submitted = [], []
 
     class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
         def submit(self, fn, *args):
             submitted.extend(":".join(library) for library in args[-1].index.versions)
             return super().submit(fn, *args)
@@ -559,15 +564,21 @@ def test_run_pipeline_pools_only_the_libraries_that_read_a_jar(tmp_path, monkeyp
     for jobs in (1, 2, 3):
         log = tmp_path / f"runs-{jobs}.txt"
         monkeypatch.setenv(_RUN_LOG, str(log))
+        pools.clear()
         submitted.clear()
         outputs[jobs] = tmp_path / f"jobs-{jobs}"
         run_pipeline(graph, jar_root, outputs[jobs], PipelineOptions(jobs=jobs, samples=samples))
         runs = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
-        # Every task runs exactly once, in the parent or in a worker, and only
-        # tasks that read a JAR are offered to the pool, from the back.
-        assert sorted(library for _, library in runs) == libraries
-        assert submitted == ([] if jobs == 1 else ["g.two:two", "g.lib:lib"])
-        assert {library for pid, library in runs if pid != str(os.getpid())} <= set(submitted)
+        assert sorted(library for _, library in runs) == libraries  # each task runs once
+        in_workers = sorted(library for pid, library in runs if pid != str(os.getpid()))
+        if jobs == 1:
+            assert (pools, submitted, in_workers) == ([], [], [])
+        else:
+            # A pool of one worker per task that reads a JAR, at most jobs,
+            # gets those tasks in task order and runs them; the parent runs
+            # the others.
+            assert pools == [min(jobs, len(reading))]
+            assert submitted == in_workers == reading
     files = snapshot(outputs[1])
     assert b"g.mid:mid:1.0.0,g.mid:mid:1.1.0,no_external_client" in files["exclusions.csv"]
     assert snapshot(outputs[2]) == snapshot(outputs[3]) == files
