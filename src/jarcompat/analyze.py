@@ -15,8 +15,9 @@ import csv
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
-from operator import itemgetter, methodcaller
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
@@ -48,56 +49,117 @@ def significance(p: float) -> str:
     return ""
 
 
-# Characters of a results table read and counted at a time by ``_count_cells``.
-_CHUNK = 64 * 1024
+# Bytes of a results table read and counted at a time by ``_count_columns``.
+_CHUNK = 16 * 1024
+# The bytes ``_count_columns`` deletes to see a chunk's layout: all but the
+# separators, quotes and CRs, so a chunk keeps its layout only if it is
+# nothing but header-width rows that ``csv.reader`` would split the same way.
+_NOT_LAYOUT = bytes(sorted(set(range(256)) - set(b',\n"\r')))
 
 
 def _count_cells(path: Path, columns: tuple[str, ...]) -> Counter[tuple[str, ...]]:
     """How often each tuple of ``columns`` cells (two or more, in that order) occurs in ``path``.
 
-    ``csv.reader`` reads the header, and columns are found by name in it, so
-    others may be absent or in any order. The rows after it are read
-    ``_CHUNK`` characters at a time: the complete lines of each chunk are
-    split on ``","`` and counted, and the partial last line is carried into
-    the next chunk. For text without a quote or a carriage return, which
-    jarcompat's writers never put in these tables, that gives the cells
-    ``csv.reader`` gives. At the first chunk that holds either, or more text
-    than ``csv.field_size_limit()``, the counts so far are dropped and the
-    whole table is counted with ``csv.reader``, the reference for quoted or
-    CR-terminated tables and for cells it rejects. Both ways skip blank lines,
-    as ``csv.DictReader`` does, and name the physical line of a row with too
-    few cells, the header being line 1. Text that is not UTF-8, and a row
-    that ``csv.reader`` rejects, are ValueErrors naming the file, and the
-    line for the latter. A missing file or a file without rows gives no
-    counts.
+    Columns are found by name in the header, so others may be absent or in
+    any order. ``_count_columns`` counts a table split on commas and line
+    ends; where it cannot tell the cells as ``csv.reader`` would, the whole
+    table is counted again with ``csv.reader`` by ``_count_rows``, the
+    reference. A missing file or a file without rows gives no counts.
 
     Rows are counted, never held, so memory depends on the number of distinct
-    cell tuples and on ``_CHUNK``, not on the number of rows. A chunk's lines
-    are held at once. Analyzing the published MDG counts on a 2-vCPU host
-    (12 runs each), 64 KiB chunks raised peak RSS by under 1% over counting
-    with ``csv.reader`` alone; 16 KiB kept it flat but ran no faster, and
-    256 KiB ran slower (median 0.35 s against 0.24 s).
+    cell tuples and on ``_CHUNK``, not on the number of rows. A chunk's cells
+    are held at once. On a 2-vCPU host, the two tables of the published MDG
+    counts (120k upgrades, 50k clients) count in about 92 ms in-process,
+    against 128 ms when each line was split on its own. Analyzing them in 6
+    alternating runs, 64 KiB chunks ran about 4% faster than 16 KiB ones but
+    raised peak RSS by 0.13 MB in every run, so chunks are 16 KiB.
     """
     if not path.exists():
         return Counter()
+    counts = _count_columns(path, columns)
+    return _count_rows(path, columns) if counts is None else counts
+
+
+def _column_indices(path: Path, header: list[str], columns: tuple[str, ...]) -> list[int]:
+    """Where ``columns`` are in ``header``, or a ValueError naming ``path`` and those it lacks."""
+    position = {name: i for i, name in enumerate(header)}
+    missing = [name for name in columns if name not in position]
+    if missing:
+        raise ValueError(f"{path}: no column {', '.join(missing)}")
+    return [position[name] for name in columns]
+
+
+def _count_columns(path: Path, columns: tuple[str, ...]) -> Counter[tuple[str, ...]] | None:
+    """``_count_cells`` over the bytes of ``path``, or None where only
+    ``csv.reader`` can tell its cells.
+
+    The header line is split on ``","``. The rows after it are read
+    ``_CHUNK`` bytes at a time, and the partial last line is carried into
+    the next chunk. The complete lines of a chunk are split once, on commas
+    and line ends alike, and each column is the strided slice of its cells.
+    That gives ``csv.reader``'s cells only where every line holds the
+    header's number of cells and no quote or CR, which one comparison of the
+    chunk's layout checks, and where no line is longer than
+    ``csv.field_size_limit()``. Anything else, a blank line or text that is
+    not UTF-8 included, gives None, so ``csv.reader`` skips, counts or
+    rejects it. Cells are decoded once, in the distinct keys at the end.
+    """
+    limit = csv.field_size_limit()
+    with open(path, "rb") as handle:
+        header = handle.readline(limit + 1)
+        if not header:
+            return Counter()
+        if b'"' in header or b"\r" in header or len(header) > limit:
+            return None
+        try:
+            names = header.rstrip(b"\n").decode("utf-8").split(",")
+        except UnicodeDecodeError:
+            return None
+        indices = _column_indices(path, names, columns)
+        counts: Counter[tuple[bytes, ...]] = Counter()
+        carry = b""
+        for block in iter(partial(handle.read, _CHUNK), b""):
+            text = carry + block
+            if len(text) > limit:
+                return None
+            cut = text.rfind(b"\n") + 1
+            carry = text[cut:]
+            if cut and not _count_lines(counts, text[:cut - 1], len(names), indices):
+                return None
+        if carry and not _count_lines(counts, carry, len(names), indices):
+            return None
+    return Counter({tuple(cell.decode("utf-8") for cell in key): n for key, n in counts.items()})
+
+
+def _count_lines(counts: Counter, lines: bytes, width: int, indices: list[int]) -> bool:
+    """Count the ``indices`` cells of ``lines`` (rows without the last line
+    end) into ``counts``; False unless ``lines`` is UTF-8 and its layout is
+    ``width`` cells a line."""
+    if not lines.isascii():
+        try:
+            lines.decode("utf-8")
+        except UnicodeDecodeError:
+            return False
+    layout = lines.translate(None, _NOT_LAYOUT) + b"\n"
+    if layout != (b"," * (width - 1) + b"\n") * (len(layout) // width):
+        return False
+    cells = lines.replace(b"\n", b",").split(b",")
+    counts.update(zip(*(cells[i::width] for i in indices)))
+    return True
+
+
+def _count_rows(path: Path, columns: tuple[str, ...]) -> Counter[tuple[str, ...]]:
+    """``_count_cells`` through ``csv.reader``, which skips blank lines as
+    ``csv.DictReader`` does. A row with too few cells, a row ``csv.reader``
+    rejects and text that is not UTF-8 are ValueErrors naming the file, and
+    the physical line for the first two, the header being line 1."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
             if header is None:
                 return Counter()
-            position = {name: i for i, name in enumerate(header)}
-            missing = [name for name in columns if name not in position]
-            if missing:
-                raise ValueError(f"{path}: no column {', '.join(missing)}")
-            indices = [position[name] for name in columns]
-            pick = itemgetter(*indices)
-            counts = _count_split(handle, path, reader.line_num, pick, max(indices) + 1)
-            if counts is not None:
-                return counts
-            handle.seek(0)
-            reader = csv.reader(handle)
-            next(reader)
+            pick = itemgetter(*_column_indices(path, header, columns))
             return Counter(map(pick, filter(None, reader)))
         except IndexError:
             raise ValueError(f"{path}:{reader.line_num}: too few cells") from None
@@ -107,39 +169,17 @@ def _count_cells(path: Path, columns: tuple[str, ...]) -> Counter[tuple[str, ...
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def _count_split(handle, path: Path, line: int, pick, width: int) -> Counter[tuple[str, ...]] | None:
-    """The rest of ``handle``, after ``line`` lines, counted by splitting, or
-    None where only ``csv.reader`` can tell the cells: at a quote, a CR, or
-    text longer than its field limit. ``pick`` takes cells below ``width``."""
-    split = methodcaller("split", ",", width)
-    limit = csv.field_size_limit()
-    counts: Counter[tuple[str, ...]] = Counter()
-    carry = ""
-    while True:
-        block = handle.read(_CHUNK)
-        if '"' in block or "\r" in block:
-            return None
-        text = carry + block
-        if len(text) > limit:
-            return None
-        lines = text.split("\n")
-        carry = lines.pop() if block else ""
-        try:
-            counts.update(map(pick, map(split, filter(None, lines))))
-        except IndexError:
-            short = next(i for i, row in enumerate(lines, 1) if row and len(split(row)) < width)
-            raise ValueError(f"{path}:{line + short}: too few cells") from None
-        if not block:
-            return counts
-        line += len(lines)
-
-
 def _cell(convert, text: str, path: Path, column: str):
     """``convert(text)``, or a ValueError that names the file, the column and the cell."""
     try:
         return convert(text)
     except ValueError:
         raise ValueError(f"{path}: bad {column} cell {text!r}") from None
+
+
+def _known_level(text: str) -> None:
+    if text not in LEVEL_ORDER:
+        raise ValueError(text)
 
 
 # A battery's pairwise test takes two levels' data and gives the p-value, the
@@ -222,43 +262,74 @@ def analyze_results(
         if not Path(results_dir).is_dir():
             raise ValueError(f"{results_dir}: no such results directory")
     else:
-        # Each level is {"population": N, "sample": n, "broken": b}.
-        levels = json.loads(Path(summary_json).read_text(encoding="utf-8"))["levels"]
-        unknown = sorted(set(levels) - set(LEVEL_ORDER))
-        if unknown:
-            raise ValueError(
-                f"{summary_json}: unknown level {', '.join(map(repr, unknown))}; "
-                f"levels are {', '.join(LEVEL_ORDER)}"
-            )
+        summary = _read_summary(Path(summary_json))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     narrative = ["# Corpus analysis", ""]
     if summary_json is None:
         _analyze_tables(Path(results_dir), out, narrative)
     else:
-        counts: dict[str, tuple[int, int]] = {}
-        rows = []
-        for level in LEVEL_ORDER:
-            if level in levels:
-                entry = levels[level]
-                broken, sample = int(entry["broken"]), int(entry["sample"])
-                counts[level] = (broken, sample)
-                pct = round(100.0 * broken / sample, 1) if sample else None
-                rows.append([level, int(entry.get("population", 0)), sample, broken, pct])
+        rows = [
+            [level, population, sample, broken, round(100.0 * broken / sample, 1) if sample else None]
+            for level, (population, sample, broken) in summary.items()
+        ]
         write_csv(out / "proportions.csv", ("level", "population", "sample", "broken", "pct_broken"), rows)
-        PROPORTIONS.run(counts, out, narrative)
+        PROPORTIONS.run({level: (broken, sample) for level, (_, sample, broken) in summary.items()}, out, narrative)
     (out / "report.md").write_text("\n".join(narrative) + "\n", encoding="utf-8")
+
+
+def _read_summary(path: Path) -> dict[str, tuple[int, int, int]]:
+    """The (population, sample, broken) counts of each level in a summary
+    JSON, in ``LEVEL_ORDER``. Each level is ``{"population": N, "sample": n,
+    "broken": b}``, where a missing population is 0. Anything else is a
+    ValueError naming the file, and the level and field where there is one."""
+    try:
+        document = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 ({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON ({exc})") from None
+    levels = document.get("levels") if isinstance(document, dict) else None
+    if not isinstance(levels, dict):
+        raise ValueError(f'{path}: no "levels" object')
+    unknown = sorted(set(levels) - set(LEVEL_ORDER))
+    if unknown:
+        raise ValueError(
+            f"{path}: unknown level {', '.join(map(repr, unknown))}; levels are {', '.join(LEVEL_ORDER)}"
+        )
+    summary = {}
+    for level in LEVEL_ORDER:
+        if level not in levels:
+            continue
+        entry = levels[level]
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: level {level!r} is not an object")
+        counts = []
+        for field in ("population", "sample", "broken"):
+            if field not in entry and field != "population":
+                raise ValueError(f"{path}: level {level!r} has no {field}")
+            value = entry.get(field, 0)
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{path}: level {level!r} {field} {json.dumps(value)} is not a count")
+            counts.append(value)
+        population, sample, broken = counts
+        if broken > sample:
+            raise ValueError(f"{path}: level {level!r} broken {broken} exceeds sample {sample}")
+        summary[level] = (population, sample, broken)
+    return summary
 
 
 def _analyze_tables(results: Path, out: Path, narrative: list[str]) -> None:
     """The breaking ratios from ``upgrades.csv`` and both batteries from ``clients.csv``."""
-    upgrades = _count_cells(results / "upgrades.csv", ("level", "breaking", "year"))
-    clients = _count_cells(results / "clients.csv", ("level", "broken", "detections"))
+    upgrades_csv, clients_csv = results / "upgrades.csv", results / "clients.csv"
+    upgrades = _count_cells(upgrades_csv, ("level", "breaking", "year"))
+    clients = _count_cells(clients_csv, ("level", "broken", "detections"))
 
     if upgrades:
         cells: Counter[tuple[str, bool, int]] = Counter()
         for (level, breaking, year), n in upgrades.items():
-            cells[level, breaking == "true", _cell(int, year, results / "upgrades.csv", "year")] += n
+            _cell(_known_level, level, upgrades_csv, "level")
+            cells[level, breaking == "true", _cell(int, year, upgrades_csv, "year")] += n
         levels = breaking_ratio(cells, "level")
         for file_name, table in (("q1_ratios.csv", levels), ("q2_trend.csv", breaking_ratio(cells, "year_level"))):
             write_csv(out / file_name, RATIO_COLUMNS, [[r[c] for c in RATIO_COLUMNS] for r in table])
@@ -273,12 +344,13 @@ def _analyze_tables(results: Path, out: Path, narrative: list[str]) -> None:
         broken: Counter[str] = Counter()
         values: dict[str, list[float]] = {}
         for (level, verdict, detections), n in clients.items():
+            _cell(_known_level, level, clients_csv, "level")
             if verdict in ("true", "false"):
                 sampled[level] += n
             if verdict == "true":
                 broken[level] += n
                 # The rank tests depend only on the multiset of values.
-                value = _cell(float, detections, results / "clients.csv", "detections")
+                value = _cell(float, detections, clients_csv, "detections")
                 values.setdefault(level, []).extend([value] * n)
         PROPORTIONS.run({level: (broken[level], n) for level, n in sampled.items()}, out, narrative)
         DETECTIONS.run(values, out, narrative)

@@ -196,7 +196,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         analyze_results(args.results_dir, args.out, args.summary)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"analyze: {exc}") from exc
     return EXIT_OK
 

@@ -571,14 +571,14 @@ def test_analyze_tables_read_with_csv_reader_match_golden_files(tmp_path, monkey
             path = results / table
             path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     gave_up = []
-    count_split = analyze._count_split
+    count_columns = analyze._count_columns
 
     def recording(*args):
-        counts = count_split(*args)
+        counts = count_columns(*args)
         gave_up.append(counts is None)
         return counts
 
-    monkeypatch.setattr(analyze, "_count_split", recording)
+    monkeypatch.setattr(analyze, "_count_columns", recording)
     out = tmp_path / "out"
     assert main(["analyze", str(results), "--out", str(out)]) == 0
     # upgrades.csv, then clients.csv
@@ -609,6 +609,46 @@ def test_analyze_summary_with_an_unknown_level_is_a_data_error(tmp_path, capsys)
     assert main(["analyze", "--summary", str(summary), "--out", str(tmp_path / "out")]) == 3
     assert "'Major'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, error", [
+    (b"\xff{}", "not UTF-8 (invalid start byte)"),
+    (b'{"levels": {', "not JSON (Expecting property name"),
+    (b"[]", 'no "levels" object'),
+    (b"{}", 'no "levels" object'),
+    (b'{"levels": []}', 'no "levels" object'),
+    (b'{"levels": {"major": 5}}', "level 'major' is not an object"),
+    (b'{"levels": {"major": {"sample": 10}}}', "level 'major' has no broken"),
+    (b'{"levels": {"major": {"sample": "10", "broken": 1}}}', "level 'major' sample \"10\" is not a count"),
+    (b'{"levels": {"minor": {"sample": 10, "broken": 1.5}}}', "level 'minor' broken 1.5 is not a count"),
+    (b'{"levels": {"patch": {"sample": 10, "broken": true}}}', "level 'patch' broken true is not a count"),
+    (b'{"levels": {"dev": {"population": -1, "sample": 3, "broken": 1}}}', "level 'dev' population -1 is not a count"),
+    (b'{"levels": {"dev": {"population": 9, "sample": 3, "broken": 5}}}', "level 'dev' broken 5 exceeds sample 3"),
+], ids=["not utf-8", "not json", "list", "no levels", "levels list", "entry not object", "no broken",
+        "string count", "float count", "bool count", "negative count", "broken over sample"])
+def test_analyze_bad_summary_is_a_data_error(tmp_path, capsys, text, error):
+    summary = tmp_path / "counts.json"
+    summary.write_bytes(text)
+    assert main(["analyze", "--summary", str(summary), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"{summary}: {error}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("table, header", [("upgrades.csv", UPGRADE_HEADER), ("clients.csv", CLIENT_HEADER)])
+def test_analyze_unknown_level_cell_is_a_data_error(tmp_path, capsys, table, header):
+    # Counted as its own level, "Major" would add to the totals but to no level's row.
+    upgrades, clients = results_tables()
+    {"upgrades.csv": upgrades, "clients.csv": clients}[table][0][header.index("level")] = "Major"
+    results = tmp_path / "results"
+    results.mkdir()
+    write_table(results / "upgrades.csv", UPGRADE_HEADER, upgrades)
+    write_table(results / "clients.csv", CLIENT_HEADER, clients)
+    assert main(["analyze", str(results), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"{results / table}: bad level cell 'Major'" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("verdict", ["true", "false"])
@@ -744,6 +784,56 @@ def test_count_cells_matches_csv_reader(tmp_path_factory, eol, body, columns):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(analyze, "_CHUNK", chunk)
             assert outcome(analyze._count_cells, path, columns) == expected, chunk
+
+
+# Cells that make header-width rows: characters of two, three and four
+# UTF-8 bytes, which straddle chunk edges, NUL, and characters that
+# str.splitlines breaks on.
+CELL = st.text(st.sampled_from(["\u00e9", "\u20ac", "\U0001f600", "\x00", "\x85", "\u2028", "0", "7"]), max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.lists(CELL, min_size=3, max_size=3), min_size=1, max_size=12),
+       columns=st.permutations(["a", "b", "c"]).map(lambda names: tuple(names[:2])),
+       last_line_ended=st.booleans(), defect=st.sampled_from(["short", "long", "blank"]), at=st.integers(0, 12))
+def test_count_columns_splits_header_width_tables(tmp_path_factory, rows, columns, last_line_ended, defect, at):
+    def table(lines: list[str], ended: bool) -> Path:
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        path.write_bytes(("a,b,c\n" + "\n".join(lines) + "\n" * ended).encode("utf-8"))
+        return path
+
+    lines = [",".join(row) for row in rows]
+    at %= len(lines)
+    damaged = list(lines)
+    if defect == "short":
+        damaged[at] = ",".join(rows[at][:2])
+    elif defect == "long":
+        damaged[at] += ","
+    else:
+        damaged.insert(at, "")
+    # A blank last line needs its line end, or it is no line at all.
+    clean, bad = table(lines, last_line_ended), table(damaged, last_line_ended or defect == "blank")
+    expected, expected_bad = reference_counts(clean, columns), outcome(reference_counts, bad, columns)
+    for chunk in (1, 2, 7, analyze._CHUNK):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analyze, "_CHUNK", chunk)
+            counts = analyze._count_columns(clean, columns)
+            assert counts is not None and counts == expected, chunk
+            assert analyze._count_columns(bad, columns) is None, chunk
+            assert outcome(analyze._count_cells, bad, columns) == expected_bad, chunk
+
+
+@pytest.mark.parametrize("table, columns", [
+    ("upgrades.csv", ("level", "breaking", "year")),
+    ("clients.csv", ("level", "broken", "detections")),
+])
+def test_count_columns_splits_the_golden_results_tables(table, columns):
+    # corpus run's own tables must never fall back to csv.reader.
+    paths = sorted((Path(__file__).parent / "golden" / "corpus_run").glob(f"*/{table}"))
+    assert len(paths) == 2
+    for path in paths:
+        counts = analyze._count_columns(path, columns)
+        assert counts is not None and counts == reference_counts(path, columns), path
 
 
 def test_count_cells_keeps_the_csv_field_limit(tmp_path):
