@@ -11,17 +11,20 @@ checks published tables without the underlying corpus.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import multiprocessing
+import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
+from itertools import combinations, starmap
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
-from .corpus import write_csv
+from .corpus import usable_cpus, write_csv
 from .stats import (
     DegenerateTable,
     LEVEL_ORDER,
@@ -49,35 +52,40 @@ def significance(p: float) -> str:
     return ""
 
 
-# Bytes of a results table read and counted at a time by ``_count_columns``.
+# Bytes of a results table read and counted at a time by ``_count_range``.
 _CHUNK = 16 * 1024
-# The bytes ``_count_columns`` deletes to see a chunk's layout: all but the
+# The bytes ``_count_lines`` deletes to see a chunk's layout: all but the
 # separators, quotes and CRs, so a chunk keeps its layout only if it is
 # nothing but header-width rows that ``csv.reader`` would split the same way.
 _NOT_LAYOUT = bytes(sorted(set(range(256)) - set(b',\n"\r')))
+# The fewest bytes of both tables' bodies per range. On a 2-vCPU host a
+# forked counter costs about 5 ms and one process counts about 9 ms per MiB;
+# two ranges first beat one at 1.5 to 2 MiB of bodies (medians of 40 counts).
+_RANGE_BYTES = 1 << 20
 
 
-def _count_cells(path: Path, columns: tuple[str, ...]) -> Counter[tuple[str, ...]]:
-    """How often each tuple of ``columns`` cells (two or more, in that order) occurs in ``path``.
+def _count_cells(tables: list[tuple[Path, tuple[str, ...]]]) -> list[Counter[tuple[str, ...]]]:
+    """How often each tuple of ``columns`` cells (two or more, in that order)
+    occurs in each ``(path, columns)`` table.
 
     Columns are found by name in the header, so others may be absent or in
-    any order. ``_count_columns`` counts a table split on commas and line
-    ends; where it cannot tell the cells as ``csv.reader`` would, the whole
-    table is counted again with ``csv.reader`` by ``_count_rows``, the
+    any order. ``_count_columns`` counts the tables split on commas and line
+    ends; a table whose cells it cannot tell as ``csv.reader`` would is
+    counted again, whole, with ``csv.reader`` by ``_count_rows``, the
     reference. A missing file or a file without rows gives no counts.
 
     Rows are counted, never held, so memory depends on the number of distinct
     cell tuples and on ``_CHUNK``, not on the number of rows. A chunk's cells
     are held at once. On a 2-vCPU host, the two tables of the published MDG
-    counts (120k upgrades, 50k clients) count in about 92 ms in-process,
-    against 128 ms when each line was split on its own. Analyzing them in 6
-    alternating runs, 64 KiB chunks ran about 4% faster than 16 KiB ones but
-    raised peak RSS by 0.13 MB in every run, so chunks are 16 KiB.
+    counts (120k upgrades, 50k clients, 13 MiB) count in-process in about
+    70 ms in two ranges, against 100-140 ms in one (medians of 30 counts, 5
+    runs each).
     """
-    if not path.exists():
-        return Counter()
-    counts = _count_columns(path, columns)
-    return _count_rows(path, columns) if counts is None else counts
+    counts = _count_columns(tables)
+    for t, table in enumerate(tables):
+        if counts[t] is None:
+            counts[t] = _count_rows(*table)
+    return counts
 
 
 def _column_indices(path: Path, header: list[str], columns: tuple[str, ...]) -> list[int]:
@@ -89,46 +97,162 @@ def _column_indices(path: Path, header: list[str], columns: tuple[str, ...]) -> 
     return [position[name] for name in columns]
 
 
-def _count_columns(path: Path, columns: tuple[str, ...]) -> Counter[tuple[str, ...]] | None:
-    """``_count_cells`` over the bytes of ``path``, or None where only
-    ``csv.reader`` can tell its cells.
+def _count_columns(tables: list[tuple[Path, tuple[str, ...]]]) -> list[Counter[tuple[str, ...]] | None]:
+    """``_count_cells`` of each table over its bytes, or None for a table
+    whose cells only ``csv.reader`` can tell.
 
-    The header line is split on ``","``. The rows after it are read
-    ``_CHUNK`` bytes at a time, and the partial last line is carried into
-    the next chunk. The complete lines of a chunk are split once, on commas
-    and line ends alike, and each column is the strided slice of its cells.
-    That gives ``csv.reader``'s cells only where every line holds the
-    header's number of cells and no quote or CR, which one comparison of the
-    chunk's layout checks, and where no line is longer than
-    ``csv.field_size_limit()``. Anything else, a blank line or text that is
-    not UTF-8 included, gives None, so ``csv.reader`` skips, counts or
-    rejects it. Cells are decoded once, in the distinct keys at the end.
+    The body of each table is cut into n ranges (see ``_split``): one per
+    CPU this process may run on, but none under ``_RANGE_BYTES`` of both
+    bodies, and one where the platform cannot move a process onto a CPU.
+    Range k of every table is one job (see ``_count_jobs``). A table gives
+    None if its header or any of its ranges does; else the bytes-keyed
+    counts of its ranges are summed, and the distinct keys decoded once.
     """
+    spans = [_body(*table) for table in tables]
+    size = sum(span[4] - span[3] for span in spans if span)
+    n = usable_cpus() if hasattr(os, "sched_getaffinity") else 1
+    while n > 1 and n * _RANGE_BYTES > size:
+        n -= 1
+    ranges = [span and _split(span, n) for span in spans]
+    # Job k holds range k of each table that has ranges, in table order.
+    parts = iter(zip(*_count_jobs(list(zip(*filter(None, ranges))))))
+    counts = []
+    for r in ranges:
+        results = next(parts) if r else [None]
+        if None in results:
+            counts.append(None)
+        else:
+            total = sum(results, Counter())
+            counts.append(Counter({tuple(c.decode("utf-8") for c in key): m for key, m in total.items()}))
+    return counts
+
+
+def _body(path: Path, columns: tuple[str, ...]) -> tuple | None:
+    """``(path, header width, column indices, start, end)``, the bytes of
+    the table after its header line, or None where the header is for
+    ``csv.reader`` alone: one with a quote or CR, longer than
+    ``csv.field_size_limit()`` or not UTF-8. A missing or empty file has
+    no bytes."""
+    if not path.exists() or not path.stat().st_size:
+        return path, 0, [], 0, 0
     limit = csv.field_size_limit()
     with open(path, "rb") as handle:
         header = handle.readline(limit + 1)
-        if not header:
-            return Counter()
-        if b'"' in header or b"\r" in header or len(header) > limit:
-            return None
-        try:
-            names = header.rstrip(b"\n").decode("utf-8").split(",")
-        except UnicodeDecodeError:
-            return None
-        indices = _column_indices(path, names, columns)
-        counts: Counter[tuple[bytes, ...]] = Counter()
-        carry = b""
-        for block in iter(partial(handle.read, _CHUNK), b""):
-            text = carry + block
+        end = os.fstat(handle.fileno()).st_size
+    if b'"' in header or b"\r" in header or len(header) > limit:
+        return None
+    try:
+        names = header.rstrip(b"\n").decode("utf-8").split(",")
+    except UnicodeDecodeError:
+        return None
+    return path, len(names), _column_indices(path, names, columns), len(header), end
+
+
+def _split(span: tuple, n: int) -> list[tuple]:
+    """``span`` cut into n spans that each begin a line, some maybe empty.
+    Each cut is the first line start at or after an n-th of ``span``, found
+    reading ``_CHUNK`` bytes at a time, so a long line is never read whole."""
+    path, width, indices, start, end = span
+    if start == end:
+        return [span] * n
+    cuts = [start]
+    with open(path, "rb") as handle:
+        for k in range(1, n):
+            at = max(cuts[-1], start + (end - start) * k // n)
+            handle.seek(at)
+            for block in iter(partial(handle.read, _CHUNK), b""):
+                found = block.find(b"\n")
+                if found >= 0:
+                    at += found + 1
+                    break
+                at += len(block)
+            cuts.append(min(at, end))
+    cuts.append(end)
+    return [(path, width, indices, cuts[k], cuts[k + 1]) for k in range(n)]
+
+
+def _count_jobs(jobs: list[tuple]) -> list[list[Counter | None]]:
+    """``_count_job`` of each job: job 0 in this process, and each other one
+    in a process forked for it, which has ended when this returns. These
+    are bare processes: the two threads of a ``ProcessPoolExecutor`` raised
+    the peak RSS of ``analyze`` by about 0.12 MB."""
+    if len(jobs) < 2:
+        return [list(starmap(_count_range, job)) for job in jobs]
+    context = multiprocessing.get_context("fork")
+    workers, results = [], []
+    try:
+        for k, job in enumerate(jobs[1:], 1):
+            receive, send = context.Pipe(duplex=False)
+            worker = context.Process(target=_send_job, args=(k, job, send))
+            worker.start()
+            workers.append((worker, receive))
+            send.close()
+        results.append(_count_job(0, jobs[0]))
+        results += [receive.recv() for _, receive in workers]
+    finally:
+        for worker, receive in workers:
+            receive.close()  # so that a worker still sending fails instead of blocking
+            worker.join()
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
+
+
+def _send_job(k: int, job: tuple, send) -> None:
+    """``_count_job`` in a forked process; its result, or the exception it raised, goes to ``send``."""
+    try:
+        result = _count_job(k, job)
+    except Exception as exc:  # raised again by the parent
+        result = exc
+    send.send(result)
+
+
+def _count_job(k: int, job: tuple) -> list[Counter | None]:
+    """``_count_range`` of each span of ``job``, after moving this process
+    onto the k-th CPU it may run on and then allowing every one again, so
+    nothing stays pinned. Without the move, forked counters were seen to
+    share their parent's CPU for up to a second while another CPU idled. A
+    move the system refuses is skipped."""
+    cpus = sorted(os.sched_getaffinity(0))
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, cpus[k:k + 1])
+        os.sched_setaffinity(0, cpus)
+    return list(starmap(_count_range, job))
+
+
+def _count_range(path: Path, width: int, indices: list[int], start: int, end: int) -> Counter | None:
+    """The bytes-keyed ``_count_cells`` of the rows from ``start`` to ``end``
+    of ``path``, or None where only ``csv.reader`` can tell their cells.
+
+    The rows are read ``_CHUNK`` bytes at a time, and the partial last line
+    is carried into the next chunk. The complete lines of a chunk are split
+    once, on commas and line ends alike, and each column is the strided
+    slice of its cells. That gives ``csv.reader``'s cells only where every
+    line holds ``width`` cells and no quote or CR, which one comparison of
+    the chunk's layout checks, and where no line is longer than
+    ``csv.field_size_limit()``. Anything else, a blank line or text that is
+    not UTF-8 included, gives None, so ``csv.reader`` skips, counts or
+    rejects it.
+    """
+    counts: Counter[tuple[bytes, ...]] = Counter()
+    if start == end:
+        return counts
+    limit = csv.field_size_limit()
+    carry = b""
+    with open(path, "rb") as handle:
+        handle.seek(start)
+        for at in range(start, end, _CHUNK):
+            text = carry + handle.read(min(_CHUNK, end - at))
             if len(text) > limit:
                 return None
             cut = text.rfind(b"\n") + 1
             carry = text[cut:]
-            if cut and not _count_lines(counts, text[:cut - 1], len(names), indices):
+            if cut and not _count_lines(counts, text[:cut - 1], width, indices):
                 return None
-        if carry and not _count_lines(counts, carry, len(names), indices):
-            return None
-    return Counter({tuple(cell.decode("utf-8") for cell in key): n for key, n in counts.items()})
+    if carry and not _count_lines(counts, carry, width, indices):
+        return None
+    return counts
 
 
 def _count_lines(counts: Counter, lines: bytes, width: int, indices: list[int]) -> bool:
@@ -149,10 +273,11 @@ def _count_lines(counts: Counter, lines: bytes, width: int, indices: list[int]) 
 
 
 def _count_rows(path: Path, columns: tuple[str, ...]) -> Counter[tuple[str, ...]]:
-    """``_count_cells`` through ``csv.reader``, which skips blank lines as
-    ``csv.DictReader`` does. A row with too few cells, a row ``csv.reader``
-    rejects and text that is not UTF-8 are ValueErrors naming the file, and
-    the physical line for the first two, the header being line 1."""
+    """``_count_cells`` of one table through ``csv.reader``, which skips
+    blank lines as ``csv.DictReader`` does. A row with too few cells, a row
+    ``csv.reader`` rejects and text that is not UTF-8 are ValueErrors naming
+    the file, and the physical line for the first two, the header being
+    line 1."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -173,13 +298,15 @@ def _cell(convert, text: str, path: Path, column: str):
     """``convert(text)``, or a ValueError that names the file, the column and the cell."""
     try:
         return convert(text)
-    except ValueError:
+    except (KeyError, ValueError):
         raise ValueError(f"{path}: bad {column} cell {text!r}") from None
 
 
-def _known_level(text: str) -> None:
-    if text not in LEVEL_ORDER:
-        raise ValueError(text)
+_LEVELS = dict(zip(LEVEL_ORDER, LEVEL_ORDER))
+_BREAKING = {"true": True, "false": False}
+# corpus run leaves ``broken`` empty for a client whose JAR it could not
+# read, which no battery counts.
+_BROKEN = {**_BREAKING, "": None}
 
 
 # A battery's pairwise test takes two levels' data and gives the p-value, the
@@ -261,13 +388,14 @@ def analyze_results(
     if summary_json is None:
         if not Path(results_dir).is_dir():
             raise ValueError(f"{results_dir}: no such results directory")
+        upgrades, clients = _read_tables(Path(results_dir))
     else:
         summary = _read_summary(Path(summary_json))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     narrative = ["# Corpus analysis", ""]
     if summary_json is None:
-        _analyze_tables(Path(results_dir), out, narrative)
+        _write_tables(upgrades, clients, out, narrative)
     else:
         rows = [
             [level, population, sample, broken, round(100.0 * broken / sample, 1) if sample else None]
@@ -319,17 +447,35 @@ def _read_summary(path: Path) -> dict[str, tuple[int, int, int]]:
     return summary
 
 
-def _analyze_tables(results: Path, out: Path, narrative: list[str]) -> None:
-    """The breaking ratios from ``upgrades.csv`` and both batteries from ``clients.csv``."""
+def _read_tables(results: Path) -> tuple[Counter, Counter]:
+    """The converted cell counts of ``upgrades.csv``, keyed (level, breaking,
+    year), and of ``clients.csv``, keyed (level, broken, detections), where
+    an unreadable client's ``broken`` is None and only a broken client's
+    detections are read. A cell that does not convert is a ValueError that
+    names the file, the column and the cell."""
     upgrades_csv, clients_csv = results / "upgrades.csv", results / "clients.csv"
-    upgrades = _count_cells(upgrades_csv, ("level", "breaking", "year"))
-    clients = _count_cells(clients_csv, ("level", "broken", "detections"))
+    upgrades, clients = _count_cells([
+        (upgrades_csv, ("level", "breaking", "year")),
+        (clients_csv, ("level", "broken", "detections")),
+    ])
+    cells: Counter[tuple[str, bool, int]] = Counter()
+    for (level, breaking, year), n in upgrades.items():
+        cells[
+            _cell(_LEVELS.__getitem__, level, upgrades_csv, "level"),
+            _cell(_BREAKING.__getitem__, breaking, upgrades_csv, "breaking"),
+            _cell(int, year, upgrades_csv, "year"),
+        ] += n
+    verdicts: Counter[tuple[str, bool | None, float | None]] = Counter()
+    for (level, broken, detections), n in clients.items():
+        level = _cell(_LEVELS.__getitem__, level, clients_csv, "level")
+        broken = _cell(_BROKEN.__getitem__, broken, clients_csv, "broken")
+        verdicts[level, broken, _cell(float, detections, clients_csv, "detections") if broken else None] += n
+    return cells, verdicts
 
-    if upgrades:
-        cells: Counter[tuple[str, bool, int]] = Counter()
-        for (level, breaking, year), n in upgrades.items():
-            _cell(_known_level, level, upgrades_csv, "level")
-            cells[level, breaking == "true", _cell(int, year, upgrades_csv, "year")] += n
+
+def _write_tables(cells: Counter, clients: Counter, out: Path, narrative: list[str]) -> None:
+    """The breaking ratios from the upgrade counts and both batteries from the client counts."""
+    if cells:
         levels = breaking_ratio(cells, "level")
         for file_name, table in (("q1_ratios.csv", levels), ("q2_trend.csv", breaking_ratio(cells, "year_level"))):
             write_csv(out / file_name, RATIO_COLUMNS, [[r[c] for c in RATIO_COLUMNS] for r in table])
@@ -343,14 +489,12 @@ def _analyze_tables(results: Path, out: Path, narrative: list[str]) -> None:
         sampled: Counter[str] = Counter()
         broken: Counter[str] = Counter()
         values: dict[str, list[float]] = {}
-        for (level, verdict, detections), n in clients.items():
-            _cell(_known_level, level, clients_csv, "level")
-            if verdict in ("true", "false"):
+        for (level, verdict, value), n in clients.items():
+            if verdict is not None:
                 sampled[level] += n
-            if verdict == "true":
+            if verdict:
                 broken[level] += n
                 # The rank tests depend only on the multiset of values.
-                value = _cell(float, detections, clients_csv, "detections")
                 values.setdefault(level, []).extend([value] * n)
         PROPORTIONS.run({level: (broken[level], n) for level, n in sampled.items()}, out, narrative)
         DETECTIONS.run(values, out, narrative)

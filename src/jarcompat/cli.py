@@ -26,6 +26,7 @@ from .corpus import (
     index_graph,
     load_graph,
     run_pipeline,
+    usable_cpus,
     write_csv,
     write_exclusions,
 )
@@ -183,7 +184,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     options = PipelineOptions(
-        jobs=args.jobs if args.jobs is not None else os.cpu_count() or 1,
+        jobs=args.jobs if args.jobs is not None else usable_cpus(),
         seed=args.seed,
         samples=tuple(_parse_sample_spec(spec) for spec in args.sample or ()),
         stability_config=_load_config(args.stability_config),
@@ -271,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--jobs", type=_jobs, default=None, metavar="N",
         help="worker processes for the libraries that read a JAR; the parent runs the rest "
-        "(default: the CPU count); outputs are byte-identical for every N",
+        "(default: the CPUs this process may run on); outputs are byte-identical for every N",
     )
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--sample", action="append", metavar="LEVEL:CONF:MARGIN")

@@ -20,6 +20,7 @@ import csv
 import hashlib
 import json
 import logging
+import os
 import random
 import sys
 from collections import Counter
@@ -679,6 +680,14 @@ def _upgrade_delta(upgrade: Upgrade, probe: _JarProbe, deltas: Path) -> Delta:
     payload["inputHash"] = input_hash
     delta_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return delta
+
+
+def usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity set where the
+    platform has one, else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -7,8 +7,12 @@ import csv
 import io
 import itertools
 import json
+import multiprocessing
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 import zipfile
 from collections import Counter
@@ -26,7 +30,7 @@ from jarcompat import analyze
 from jarcompat.analyze import analyze_results
 from jarcompat.classfile import ClassSpec, MethodSpec
 from jarcompat.cli import build_parser, main
-from jarcompat.corpus import write_csv
+from jarcompat.corpus import usable_cpus, write_csv
 from jarcompat.stats import LEVEL_ORDER
 
 HANDLER_V1 = ClassSpec(
@@ -514,6 +518,26 @@ def report_files(out) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
+def record_fallbacks(monkeypatch) -> list[str]:
+    """The names of the tables ``analyze`` counts with ``csv.reader`` from now on, in order."""
+    fell_back = []
+    count_rows = analyze._count_rows
+
+    def recording(path, columns):
+        fell_back.append(path.name)
+        return count_rows(path, columns)
+
+    monkeypatch.setattr(analyze, "_count_rows", recording)
+    return fell_back
+
+
+def count_in_ranges(monkeypatch, n: int) -> None:
+    """Have ``analyze`` cut its tables into ``n`` ranges, whatever their size and the host's CPUs.
+    Forked counters inherit both patches."""
+    monkeypatch.setattr(analyze, "_RANGE_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 def test_analyze_reads_columns_by_name(tmp_path):
     upgrades, clients = results_tables()
     canonical = tmp_path / "canonical"
@@ -570,19 +594,10 @@ def test_analyze_tables_read_with_csv_reader_match_golden_files(tmp_path, monkey
         for table in ("upgrades.csv", "clients.csv"):
             path = results / table
             path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    gave_up = []
-    count_columns = analyze._count_columns
-
-    def recording(*args):
-        counts = count_columns(*args)
-        gave_up.append(counts is None)
-        return counts
-
-    monkeypatch.setattr(analyze, "_count_columns", recording)
+    fell_back = record_fallbacks(monkeypatch)
     out = tmp_path / "out"
     assert main(["analyze", str(results), "--out", str(out)]) == 0
-    # upgrades.csv, then clients.csv
-    assert gave_up == ([True, True] if layout == "crlf" else [False, True])
+    assert fell_back == (["upgrades.csv", "clients.csv"] if layout == "crlf" else ["clients.csv"])
     assert report_files(out) == report_files(ANALYZE_GOLDEN / "results")
 
 
@@ -649,6 +664,7 @@ def test_analyze_unknown_level_cell_is_a_data_error(tmp_path, capsys, table, hea
     err = capsys.readouterr().err
     assert f"{results / table}: bad level cell 'Major'" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("verdict", ["true", "false"])
@@ -715,6 +731,27 @@ def test_analyze_bad_number_names_file_column_and_value(tmp_path, capsys, table,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("table, header, column, bad", [
+    ("upgrades.csv", UPGRADE_HEADER, "breaking", "TRUE"),
+    ("upgrades.csv", UPGRADE_HEADER, "breaking", ""),
+    ("clients.csv", CLIENT_HEADER, "broken", "TRUE"),
+    ("clients.csv", CLIENT_HEADER, "broken", "yes"),
+])
+def test_analyze_bad_verdict_cell_is_a_data_error(tmp_path, capsys, table, header, column, bad):
+    # Taken as false or dropped, such a cell would change the ratios without a word.
+    upgrades, clients = results_tables()
+    {"upgrades.csv": upgrades, "clients.csv": clients}[table][0][header.index(column)] = bad
+    results = tmp_path / "results"
+    results.mkdir()
+    write_table(results / "upgrades.csv", UPGRADE_HEADER, upgrades)
+    write_table(results / "clients.csv", CLIENT_HEADER, clients)
+    assert main(["analyze", str(results), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"{results / table}: bad {column} cell {bad!r}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_header_only_upgrades_is_like_none(tmp_path):
     _, clients = results_tables()
     without = tmp_path / "without"
@@ -745,6 +782,16 @@ def test_analyze_reports_do_not_depend_on_row_order(tmp_path, copies):
     expected = report_files(tmp_path / "canonical-out")
     assert len(expected) == 5
     assert report_files(tmp_path / "shuffled-out") == expected
+
+
+def count_cells(path: Path, columns: tuple[str, ...]) -> Counter:
+    """``analyze._count_cells`` of one table."""
+    return analyze._count_cells([(path, columns)])[0]
+
+
+def count_columns(path: Path, columns: tuple[str, ...]) -> Counter | None:
+    """``analyze._count_columns`` of one table."""
+    return analyze._count_columns([(path, columns)])[0]
 
 
 def reference_counts(path: Path, columns: tuple[str, ...]) -> Counter:
@@ -783,7 +830,7 @@ def test_count_cells_matches_csv_reader(tmp_path_factory, eol, body, columns):
     for chunk in (1, 2, 7):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(analyze, "_CHUNK", chunk)
-            assert outcome(analyze._count_cells, path, columns) == expected, chunk
+            assert outcome(count_cells, path, columns) == expected, chunk
 
 
 # Cells that make header-width rows: characters of two, three and four
@@ -817,10 +864,10 @@ def test_count_columns_splits_header_width_tables(tmp_path_factory, rows, column
     for chunk in (1, 2, 7, analyze._CHUNK):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(analyze, "_CHUNK", chunk)
-            counts = analyze._count_columns(clean, columns)
+            counts = count_columns(clean, columns)
             assert counts is not None and counts == expected, chunk
-            assert analyze._count_columns(bad, columns) is None, chunk
-            assert outcome(analyze._count_cells, bad, columns) == expected_bad, chunk
+            assert count_columns(bad, columns) is None, chunk
+            assert outcome(count_cells, bad, columns) == expected_bad, chunk
 
 
 @pytest.mark.parametrize("table, columns", [
@@ -832,7 +879,7 @@ def test_count_columns_splits_the_golden_results_tables(table, columns):
     paths = sorted((Path(__file__).parent / "golden" / "corpus_run").glob(f"*/{table}"))
     assert len(paths) == 2
     for path in paths:
-        counts = analyze._count_columns(path, columns)
+        counts = count_columns(path, columns)
         assert counts is not None and counts == reference_counts(path, columns), path
 
 
@@ -844,7 +891,98 @@ def test_count_cells_keeps_the_csv_field_limit(tmp_path):
     with pytest.raises(csv.Error, match="field larger than field limit"):
         reference_counts(path, ("a", "c"))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: field larger than field limit"):
-        analyze._count_cells(path, ("a", "c"))
+        count_cells(path, ("a", "c"))
+
+
+# Rows of header width and blank lines, so that cuts fall next to both.
+RANGE_LINES = st.lists(st.sampled_from(["x,y,z", "\u00e9,7,\u20ac", "1,,3", ""]), max_size=30)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lines=RANGE_LINES, last_line_ended=st.booleans(), chunk=st.sampled_from([1, 3, 16 * 1024]),
+       columns=st.permutations(["a", "b", "c"]).map(lambda names: tuple(names[:2])))
+def test_count_cells_over_ranges_matches_csv_reader(tmp_path_factory, lines, last_line_ended, chunk, columns):
+    path = tmp_path_factory.mktemp("table") / "table.csv"
+    path.write_bytes(("a,b,c\n" + "\n".join(lines) + "\n" * last_line_ended).encode("utf-8"))
+    expected = reference_counts(path, columns)
+    serial = count_columns(path, columns)
+    for n in (1, 2, 3, 5):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analyze, "_CHUNK", chunk)
+            count_in_ranges(patch, n)
+            fell_back = record_fallbacks(patch)
+            assert count_cells(path, columns) == expected, n
+            # A blank line sends the table to csv.reader, in whichever range it is.
+            assert fell_back == ([] if serial is not None else ["table.csv"]), n
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("defect", ["quote", "cr"])
+def test_a_defect_in_a_later_range_sends_the_whole_table_to_csv_reader(tmp_path, monkeypatch, defect, n):
+    results = tmp_path / "in"
+    analyze_input(results, "results")
+    path = results / "clients.csv"
+    data = path.read_bytes()
+    last = data.rindex(b"\n", 0, -1) + 1
+    # Quoting the last row's first cell or ending it with CRLF leaves csv.reader's cells as they were.
+    data = data[:last] + b'"' + data[last:].replace(b",", b'",', 1) if defect == "quote" else data[:-1] + b"\r\n"
+    path.write_bytes(data)
+    count_in_ranges(monkeypatch, n)
+    ranges = analyze._split(analyze._body(path, ("level", "broken", "detections")), n)
+    # Range 0 holds rows, and only the last range holds the defect.
+    assert ranges[0][3] < ranges[0][4] <= ranges[-1][3] <= max(data.find(b'"'), data.find(b"\r"))
+    fell_back = record_fallbacks(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["analyze", str(results), "--out", str(out)]) == 0
+    assert fell_back == ["clients.csv"]
+    assert report_files(out) == report_files(ANALYZE_GOLDEN / "results")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("name", ["results", "summary"])
+def test_analyze_golden_files_with_tables_counted_in_ranges(tmp_path, monkeypatch, name, n):
+    count_in_ranges(monkeypatch, n)
+    jobs = []
+    count_jobs = analyze._count_jobs
+    monkeypatch.setattr(analyze, "_count_jobs", lambda js: jobs.append(len(js)) or count_jobs(js))
+    out = tmp_path / "out"
+    assert main(["analyze", *analyze_input(tmp_path / "in", name), "--out", str(out)]) == 0
+    assert jobs == ([n] if name == "results" else [])
+    assert report_files(out) == report_files(ANALYZE_GOLDEN / name)
+    assert multiprocessing.active_children() == []
+
+
+def test_analyze_of_tables_over_the_range_size_warns_of_nothing_in_dev_mode(tmp_path):
+    # Each table is larger than _RANGE_BYTES, so on two or more CPUs they are
+    # counted on a fork pool, in a process where unclosed files and pipes warn.
+    results = tmp_path / "in"
+    analyze_input(results, "results")
+    for table in ("upgrades.csv", "clients.csv"):
+        header, body = (results / table).read_bytes().split(b"\n", 1)
+        (results / table).write_bytes(header + b"\n" + body * (analyze._RANGE_BYTES // len(body) + 1))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "jarcompat.cli",
+         "analyze", str(results), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(Path(analyze.__file__).parents[1])),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_jobs_default_to_the_cpus_this_process_may_run_on(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 4, 6}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert usable_cpus() == 3
+    jobs = []
+    monkeypatch.setattr("jarcompat.cli.run_pipeline", lambda graph, root, out, options: jobs.append(options.jobs) or {})
+    artifacts, edges, _ = build_fixture(tmp_path / "fixture")
+    assert main(["corpus", "run", "--artifacts", str(artifacts), "--edges", str(edges),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert jobs == [3]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert usable_cpus() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert usable_cpus() == 1
 
 
 @pytest.mark.parametrize("defect", ["not utf-8", "over-long cell"])
