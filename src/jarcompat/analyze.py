@@ -18,8 +18,7 @@ import multiprocessing
 import os
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
-from itertools import combinations, starmap
+from itertools import combinations
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable
@@ -54,13 +53,13 @@ def significance(p: float) -> str:
 
 # Bytes of a results table read and counted at a time by ``_count_range``.
 _CHUNK = 16 * 1024
-# The bytes ``_count_lines`` deletes to see a chunk's layout: all but the
+# The bytes ``_count_range`` deletes to see a chunk's layout: all but the
 # separators, quotes and CRs, so a chunk keeps its layout only if it is
 # nothing but header-width rows that ``csv.reader`` would split the same way.
 _NOT_LAYOUT = bytes(sorted(set(range(256)) - set(b',\n"\r')))
-# The fewest bytes of both tables' bodies per range. On a 2-vCPU host a
-# forked counter costs about 5 ms and one process counts about 9 ms per MiB;
-# two ranges first beat one at 1.5 to 2 MiB of bodies (medians of 40 counts).
+# The fewest bytes of both tables per range. On a 2-vCPU host a forked
+# counter costs about 5 ms and one process counts about 9 ms per MiB; two
+# ranges first beat one at 1.5 to 2 MiB of tables (medians of 40 counts).
 _RANGE_BYTES = 1 << 20
 
 
@@ -69,22 +68,53 @@ def _count_cells(tables: list[tuple[Path, tuple[str, ...]]]) -> list[Counter[tup
     occurs in each ``(path, columns)`` table.
 
     Columns are found by name in the header, so others may be absent or in
-    any order. ``_count_columns`` counts the tables split on commas and line
-    ends; a table whose cells it cannot tell as ``csv.reader`` would is
-    counted again, whole, with ``csv.reader`` by ``_count_rows``, the
-    reference. A missing file or a file without rows gives no counts.
+    any order. A missing file or a file without rows gives no counts. Rows
+    are counted, never held, so memory depends on the number of distinct
+    cell tuples and on ``_CHUNK``, not on the number of rows. A chunk's
+    cells are held at once.
 
-    Rows are counted, never held, so memory depends on the number of distinct
-    cell tuples and on ``_CHUNK``, not on the number of rows. A chunk's cells
-    are held at once. On a 2-vCPU host, the two tables of the published MDG
-    counts (120k upgrades, 50k clients, 13 MiB) count in-process in about
-    70 ms in two ranges, against 100-140 ms in one (medians of 30 counts, 5
-    runs each).
+    The rows of each table are cut into n line-aligned ranges (``_ranges``):
+    one per CPU this process may run on, but none under ``_RANGE_BYTES`` of
+    both files, and one where the platform cannot move a process onto a
+    CPU. Range k of every table is job k. Job 0 runs in this process, and
+    each other job in a bare process forked for it, which sends its counts
+    back over a pipe and has ended when this returns; the two threads of a
+    ``ProcessPoolExecutor`` raised the peak RSS of ``analyze`` by about
+    0.12 MB. Each job first moves its process onto the k-th CPU it may run
+    on and then allows every one again, so nothing stays pinned: without
+    the move, forked counters were seen to share their parent's CPU for up
+    to a second while another CPU idled.
+
+    ``_count_range`` reads a range ``_CHUNK`` bytes at a time and carries
+    the partial last line into the next chunk; the last chunk takes the
+    range's unterminated last line with it. The lines of a chunk are split
+    once, on commas and line ends alike, and each column is the strided
+    slice of its cells. That gives ``csv.reader``'s cells only where every
+    line holds the header's number of cells and no quote or CR, which one
+    comparison of the chunk's layout checks, where the text is UTF-8 and
+    where no line is longer than ``csv.field_size_limit()``. A table whose
+    header or any range fails these checks, a blank line included, is
+    counted again, whole, by ``_count_rows``, the ``csv.reader`` reference,
+    which skips, counts or rejects what they refused. Otherwise the
+    bytes-keyed counts of its ranges are summed, and the distinct keys
+    decoded once.
+
+    On a 2-vCPU host, the two tables of the published MDG counts (120k
+    upgrades, 50k clients, 13 MiB) count in-process in about 70 ms in two
+    ranges, against 100-140 ms in one (medians of 30 counts, 5 runs each).
     """
-    counts = _count_columns(tables)
-    for t, table in enumerate(tables):
-        if counts[t] is None:
-            counts[t] = _count_rows(*table)
+    n = usable_cpus() if hasattr(os, "sched_getaffinity") else 1
+    size = sum(path.stat().st_size for path, _ in tables if path.exists())
+    while n > 1 and n * _RANGE_BYTES > size:
+        n -= 1
+    jobs = list(zip(*(_ranges(*table, n) for table in tables)))
+    counts = []
+    for table, parts in zip(tables, zip(*_count_jobs(jobs))):
+        if None in parts:
+            counts.append(_count_rows(*table))
+        else:
+            total = sum(parts, Counter())
+            counts.append(Counter({tuple(c.decode("utf-8") for c in key): m for key, m in total.items()}))
     return counts
 
 
@@ -97,93 +127,48 @@ def _column_indices(path: Path, header: list[str], columns: tuple[str, ...]) -> 
     return [position[name] for name in columns]
 
 
-def _count_columns(tables: list[tuple[Path, tuple[str, ...]]]) -> list[Counter[tuple[str, ...]] | None]:
-    """``_count_cells`` of each table over its bytes, or None for a table
-    whose cells only ``csv.reader`` can tell.
-
-    The body of each table is cut into n ranges (see ``_split``): one per
-    CPU this process may run on, but none under ``_RANGE_BYTES`` of both
-    bodies, and one where the platform cannot move a process onto a CPU.
-    Range k of every table is one job (see ``_count_jobs``). A table gives
-    None if its header or any of its ranges does; else the bytes-keyed
-    counts of its ranges are summed, and the distinct keys decoded once.
-    """
-    spans = [_body(*table) for table in tables]
-    size = sum(span[4] - span[3] for span in spans if span)
-    n = usable_cpus() if hasattr(os, "sched_getaffinity") else 1
-    while n > 1 and n * _RANGE_BYTES > size:
-        n -= 1
-    ranges = [span and _split(span, n) for span in spans]
-    # Job k holds range k of each table that has ranges, in table order.
-    parts = iter(zip(*_count_jobs(list(zip(*filter(None, ranges))))))
-    counts = []
-    for r in ranges:
-        results = next(parts) if r else [None]
-        if None in results:
-            counts.append(None)
-        else:
-            total = sum(results, Counter())
-            counts.append(Counter({tuple(c.decode("utf-8") for c in key): m for key, m in total.items()}))
-    return counts
-
-
-def _body(path: Path, columns: tuple[str, ...]) -> tuple | None:
-    """``(path, header width, column indices, start, end)``, the bytes of
-    the table after its header line, or None where the header is for
-    ``csv.reader`` alone: one with a quote or CR, longer than
-    ``csv.field_size_limit()`` or not UTF-8. A missing or empty file has
-    no bytes."""
-    if not path.exists() or not path.stat().st_size:
-        return path, 0, [], 0, 0
+def _ranges(path: Path, columns: tuple[str, ...], n: int) -> list[tuple | None]:
+    """The rows of a table after its header as n spans ``(path, header
+    width, column indices, start, end)`` that each begin a line, some maybe
+    empty; or n Nones where the header is for ``csv.reader`` alone: one with
+    a quote or CR, longer than ``csv.field_size_limit()`` or not UTF-8.
+    Cut k ends the line at the k-th n-th of the rows' bytes, read at most
+    ``csv.field_size_limit()`` bytes on, so a longer line is never read
+    whole and the range it ends fails that limit."""
+    empty = [(path, 0, [], 0, 0)] * n
+    if not path.exists():
+        return empty
     limit = csv.field_size_limit()
     with open(path, "rb") as handle:
         header = handle.readline(limit + 1)
-        end = os.fstat(handle.fileno()).st_size
-    if b'"' in header or b"\r" in header or len(header) > limit:
-        return None
-    try:
-        names = header.rstrip(b"\n").decode("utf-8").split(",")
-    except UnicodeDecodeError:
-        return None
-    return path, len(names), _column_indices(path, names, columns), len(header), end
-
-
-def _split(span: tuple, n: int) -> list[tuple]:
-    """``span`` cut into n spans that each begin a line, some maybe empty.
-    Each cut is the first line start at or after an n-th of ``span``, found
-    reading ``_CHUNK`` bytes at a time, so a long line is never read whole."""
-    path, width, indices, start, end = span
-    if start == end:
-        return [span] * n
-    cuts = [start]
-    with open(path, "rb") as handle:
+        if not header:
+            return empty
+        if b'"' in header or b"\r" in header or len(header) > limit:
+            return [None] * n
+        try:
+            names = header.rstrip(b"\n").decode("utf-8").split(",")
+        except UnicodeDecodeError:
+            return [None] * n
+        indices = _column_indices(path, names, columns)
+        start, end = len(header), os.fstat(handle.fileno()).st_size
+        cuts = [start]
         for k in range(1, n):
-            at = max(cuts[-1], start + (end - start) * k // n)
-            handle.seek(at)
-            for block in iter(partial(handle.read, _CHUNK), b""):
-                found = block.find(b"\n")
-                if found >= 0:
-                    at += found + 1
-                    break
-                at += len(block)
-            cuts.append(min(at, end))
+            handle.seek(max(cuts[-1], start + (end - start) * k // n))
+            handle.readline(limit + 1)
+            cuts.append(min(handle.tell(), end))
     cuts.append(end)
-    return [(path, width, indices, cuts[k], cuts[k + 1]) for k in range(n)]
+    return [(path, len(names), indices, cuts[k], cuts[k + 1]) for k in range(n)]
 
 
 def _count_jobs(jobs: list[tuple]) -> list[list[Counter | None]]:
     """``_count_job`` of each job: job 0 in this process, and each other one
-    in a process forked for it, which has ended when this returns. These
-    are bare processes: the two threads of a ``ProcessPoolExecutor`` raised
-    the peak RSS of ``analyze`` by about 0.12 MB."""
-    if len(jobs) < 2:
-        return [list(starmap(_count_range, job)) for job in jobs]
-    context = multiprocessing.get_context("fork")
+    in a process forked for it, which has ended when this returns."""
     workers, results = [], []
     try:
         for k, job in enumerate(jobs[1:], 1):
+            context = multiprocessing.get_context("fork")
             receive, send = context.Pipe(duplex=False)
-            worker = context.Process(target=_send_job, args=(k, job, send))
+            worker = context.Process(target=_count_job, args=(k, job, send))
             worker.start()
             workers.append((worker, receive))
             send.close()
@@ -199,42 +184,28 @@ def _count_jobs(jobs: list[tuple]) -> list[list[Counter | None]]:
     return results
 
 
-def _send_job(k: int, job: tuple, send) -> None:
-    """``_count_job`` in a forked process; its result, or the exception it raised, goes to ``send``."""
+def _count_job(k: int, job: tuple, send=None) -> list[Counter | None] | Exception:
+    """``_count_range`` of each span of ``job`` (None for a span that is
+    None), or the exception it raised, after moving this process onto the
+    k-th CPU it may run on and back, where the platform can; a move the
+    system refuses is skipped. A forked process also sends it to ``send``."""
     try:
-        result = _count_job(k, job)
-    except Exception as exc:  # raised again by the parent
+        if hasattr(os, "sched_getaffinity"):
+            cpus = sorted(os.sched_getaffinity(0))
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, cpus[k:k + 1])
+                os.sched_setaffinity(0, cpus)
+        result = [span and _count_range(*span) for span in job]
+    except Exception as exc:  # raised again by _count_jobs
         result = exc
-    send.send(result)
-
-
-def _count_job(k: int, job: tuple) -> list[Counter | None]:
-    """``_count_range`` of each span of ``job``, after moving this process
-    onto the k-th CPU it may run on and then allowing every one again, so
-    nothing stays pinned. Without the move, forked counters were seen to
-    share their parent's CPU for up to a second while another CPU idled. A
-    move the system refuses is skipped."""
-    cpus = sorted(os.sched_getaffinity(0))
-    with contextlib.suppress(OSError):
-        os.sched_setaffinity(0, cpus[k:k + 1])
-        os.sched_setaffinity(0, cpus)
-    return list(starmap(_count_range, job))
+    if send is not None:
+        send.send(result)
+    return result
 
 
 def _count_range(path: Path, width: int, indices: list[int], start: int, end: int) -> Counter | None:
     """The bytes-keyed ``_count_cells`` of the rows from ``start`` to ``end``
-    of ``path``, or None where only ``csv.reader`` can tell their cells.
-
-    The rows are read ``_CHUNK`` bytes at a time, and the partial last line
-    is carried into the next chunk. The complete lines of a chunk are split
-    once, on commas and line ends alike, and each column is the strided
-    slice of its cells. That gives ``csv.reader``'s cells only where every
-    line holds ``width`` cells and no quote or CR, which one comparison of
-    the chunk's layout checks, and where no line is longer than
-    ``csv.field_size_limit()``. Anything else, a blank line or text that is
-    not UTF-8 included, gives None, so ``csv.reader`` skips, counts or
-    rejects it.
-    """
+    of ``path``, or None where only ``csv.reader`` can tell their cells."""
     counts: Counter[tuple[bytes, ...]] = Counter()
     if start == end:
         return counts
@@ -246,30 +217,22 @@ def _count_range(path: Path, width: int, indices: list[int], start: int, end: in
             text = carry + handle.read(min(_CHUNK, end - at))
             if len(text) > limit:
                 return None
-            cut = text.rfind(b"\n") + 1
+            cut = text.rfind(b"\n") + 1 if at + _CHUNK < end else len(text)
             carry = text[cut:]
-            if cut and not _count_lines(counts, text[:cut - 1], width, indices):
+            if not cut:
+                continue
+            lines = text[:cut].removesuffix(b"\n")
+            if not lines.isascii():
+                try:
+                    lines.decode("utf-8")
+                except UnicodeDecodeError:
+                    return None
+            layout = lines.translate(None, _NOT_LAYOUT) + b"\n"
+            if layout != (b"," * (width - 1) + b"\n") * (len(layout) // width):
                 return None
-    if carry and not _count_lines(counts, carry, width, indices):
-        return None
+            cells = lines.replace(b"\n", b",").split(b",")
+            counts.update(zip(*(cells[i::width] for i in indices)))
     return counts
-
-
-def _count_lines(counts: Counter, lines: bytes, width: int, indices: list[int]) -> bool:
-    """Count the ``indices`` cells of ``lines`` (rows without the last line
-    end) into ``counts``; False unless ``lines`` is UTF-8 and its layout is
-    ``width`` cells a line."""
-    if not lines.isascii():
-        try:
-            lines.decode("utf-8")
-        except UnicodeDecodeError:
-            return False
-    layout = lines.translate(None, _NOT_LAYOUT) + b"\n"
-    if layout != (b"," * (width - 1) + b"\n") * (len(layout) // width):
-        return False
-    cells = lines.replace(b"\n", b",").split(b",")
-    counts.update(zip(*(cells[i::width] for i in indices)))
-    return True
 
 
 def _count_rows(path: Path, columns: tuple[str, ...]) -> Counter[tuple[str, ...]]:

@@ -46,11 +46,6 @@ ACC_PROTECTED = 0x0004
 ACC_STATIC = 0x0008
 ACC_FINAL = 0x0010
 ACC_SUPER = 0x0020
-ACC_SYNCHRONIZED = 0x0020
-ACC_VOLATILE = 0x0040
-ACC_BRIDGE = 0x0040
-ACC_TRANSIENT = 0x0080
-ACC_VARARGS = 0x0080
 ACC_NATIVE = 0x0100
 ACC_INTERFACE = 0x0200
 ACC_ABSTRACT = 0x0400

@@ -105,16 +105,17 @@ def _parse_date(text: str, where: str) -> datetime:
 
 def _graph_rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """The rows of a graph file after its header that hold a non-blank cell,
-    each with its line number. A wrong header, text that is not UTF-8 and a
-    row that ``csv.reader`` rejects are schema errors naming the file."""
+    each with the physical line it ends on. A wrong header, text that is not
+    UTF-8 and a row that ``csv.reader`` rejects are schema errors naming the
+    file."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             if next(reader, None) != header:
                 raise SchemaError(f"{path}:1: header must be {','.join(header)}")
-            for lineno, row in enumerate(reader, 2):
+            for row in reader:
                 if any(cell.strip() for cell in row):
-                    yield lineno, row
+                    yield reader.line_num, row
         except UnicodeDecodeError as exc:
             raise SchemaError(f"{path}: not UTF-8 ({exc.reason})") from exc
         except csv.Error as exc:
@@ -665,20 +666,27 @@ def _open_client(path: Path | None) -> JarContent | None:
 
 
 def _upgrade_delta(upgrade: Upgrade, probe: _JarProbe, deltas: Path) -> Delta:
-    """The delta file's content when its input hash still matches, else a new delta, written."""
+    """The delta file's content when it reads back as a delta whose input
+    hash still matches, else a new delta, written to a temporary file that
+    then replaces the delta file, so that a killed run leaves no partial one."""
     delta_path = deltas / _delta_filename(upgrade)
     rec1, rec2 = upgrade.rec1, upgrade.rec2
     input_hash = _input_hash(probe.jars[rec1.coord], probe.jars[rec2.coord], probe.config)
     if delta_path.exists():
-        payload = json.loads(delta_path.read_text(encoding="utf-8"))
-        if payload.get("inputHash") == input_hash:
-            return Delta.from_dict(payload)
+        try:
+            payload = json.loads(delta_path.read_text(encoding="utf-8"))
+            if payload.get("inputHash") == input_hash:
+                return Delta.from_dict(payload)
+        except (ValueError, KeyError, TypeError, AttributeError):
+            pass  # not a delta, such as a file cut short: computed again
     # v1's model first, so that v2's is built from it.
     old = probe.model(rec1)
     delta = compute_delta(old, probe.model(rec2))
     payload = delta.to_dict()
     payload["inputHash"] = input_hash
-    delta_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    temporary = delta_path.with_name(delta_path.name + ".tmp")
+    temporary.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    os.replace(temporary, delta_path)
     return delta
 
 

@@ -430,6 +430,24 @@ def test_corpus_unreadable_graph_file_exit_three(tmp_path, capsys, command, tabl
     assert not out.exists()
 
 
+def test_corpus_run_recomputes_a_delta_file_cut_short(tmp_path):
+    # A run killed while writing a delta file can leave part of it behind.
+    artifacts, edges, jar_root = build_fixture(tmp_path / "fixture")
+    out = tmp_path / "results"
+    command = ["corpus", "run", "--artifacts", str(artifacts), "--edges", str(edges),
+               "--jars", str(jar_root), "--out", str(out), "--jobs", "1"]
+
+    def files() -> dict[str, bytes]:
+        return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    assert main(command) == 0
+    cold = files()
+    cut = sorted((out / "deltas").glob("*.json"))[0]
+    cut.write_bytes(cut.read_bytes()[:100])
+    assert main(command) == 0
+    assert files() == cold
+
+
 # The published table 5: sampled and broken clients per level.
 TABLE5 = {
     "levels": {
@@ -790,8 +808,10 @@ def count_cells(path: Path, columns: tuple[str, ...]) -> Counter:
 
 
 def count_columns(path: Path, columns: tuple[str, ...]) -> Counter | None:
-    """``analyze._count_columns`` of one table."""
-    return analyze._count_columns([(path, columns)])[0]
+    """``analyze._count_cells`` of one table over its bytes, or None where it falls back to csv.reader."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analyze, "_count_rows", lambda path, columns: None)
+        return count_cells(path, columns)
 
 
 def reference_counts(path: Path, columns: tuple[str, ...]) -> Counter:
@@ -928,7 +948,7 @@ def test_a_defect_in_a_later_range_sends_the_whole_table_to_csv_reader(tmp_path,
     data = data[:last] + b'"' + data[last:].replace(b",", b'",', 1) if defect == "quote" else data[:-1] + b"\r\n"
     path.write_bytes(data)
     count_in_ranges(monkeypatch, n)
-    ranges = analyze._split(analyze._body(path, ("level", "broken", "detections")), n)
+    ranges = analyze._ranges(path, ("level", "broken", "detections"), n)
     # Range 0 holds rows, and only the last range holds the defect.
     assert ranges[0][3] < ranges[0][4] <= ranges[-1][3] <= max(data.find(b'"'), data.find(b"\r"))
     fell_back = record_fallbacks(monkeypatch)
@@ -950,6 +970,26 @@ def test_analyze_golden_files_with_tables_counted_in_ranges(tmp_path, monkeypatc
     assert jobs == ([n] if name == "results" else [])
     assert report_files(out) == report_files(ANALYZE_GOLDEN / name)
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("name", ["results", "summary"])
+def test_analyze_golden_files_where_processes_cannot_be_placed_on_cpus(tmp_path, monkeypatch, name):
+    # Without os.sched_getaffinity, as off Linux, the tables are counted in one
+    # range in this process, whatever their size and the machine's CPUs.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(analyze, "_RANGE_BYTES", 0)
+    moves = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: moves.append(cpus), raising=False)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    jobs = []
+    count_jobs = analyze._count_jobs
+    monkeypatch.setattr(analyze, "_count_jobs", lambda js: jobs.append(len(js)) or count_jobs(js))
+    out = tmp_path / "out"
+    assert main(["analyze", *analyze_input(tmp_path / "in", name), "--out", str(out)]) == 0
+    assert jobs == ([1] if name == "results" else [])
+    assert moves == []
+    assert report_files(out) == report_files(ANALYZE_GOLDEN / name)
 
 
 def test_analyze_of_tables_over_the_range_size_warns_of_nothing_in_dev_mode(tmp_path):

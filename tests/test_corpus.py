@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -73,6 +74,23 @@ def test_load_graph_bad_header(tmp_path):
     edges = tmp_path / "edges.csv"
     edges.write_text("kind,scope,from,to\n", encoding="utf-8")
     with pytest.raises(SchemaError):
+        load_graph(artifacts, edges)
+
+
+def test_load_graph_errors_name_the_physical_line(tmp_path):
+    # A quoted cell over two lines puts the fifth row on line 6.
+    artifacts = tmp_path / "a2.csv"
+    artifacts.write_text(
+        "group,artifact,version,release_date,packaging,jar_path\n"
+        'g,a,1.0.0,2010-01-01,jar,"a\nb.jar"\n'
+        "g,a,1.1.0,2010-02-01,jar,\n"
+        "g,a,1.2.0,2010-03-01,jar,\n"
+        "g,a,1.3.0,20x0-04-01,jar,\n",
+        encoding="utf-8",
+    )
+    edges = tmp_path / "edges.csv"
+    edges.write_text("kind,scope,from,to\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(artifacts))}:6: bad release_date"):
         load_graph(artifacts, edges)
 
 

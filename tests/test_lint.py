@@ -1,0 +1,42 @@
+"""Source checks that hold for the whole tree."""
+
+from __future__ import annotations
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def module_level_names(tree: ast.Module) -> list[tuple[str, int]]:
+    """Each function, class and assigned name defined at the top of a module, with its line."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [(n.id, n.lineno) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names
+
+
+def test_every_module_level_name_in_the_package_is_named_elsewhere():
+    # An unused helper is code that no caller keeps honest. A name counts as
+    # used when any line of src/, tests/ or perfbench/ other than the one
+    # defining it names it as a whole word. Dunder names such as __all__ are
+    # read by Python and its tools, not by a line that names them.
+    lines: dict[tuple[Path, int], set[str]] = {}
+    for directory in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+                lines[path, number] = set(re.findall(r"\w+", line))
+    naming = Counter(word for words in lines.values() for word in words)
+    unused = []
+    for path in sorted((ROOT / "src" / "jarcompat").rglob("*.py")):
+        for name, number in module_level_names(ast.parse(path.read_text(encoding="utf-8"))):
+            others = naming[name] - (name in lines[path, number])
+            if not others and not re.fullmatch(r"__\w+__", name):
+                unused.append(f"{path.relative_to(ROOT)}:{number}: {name}")
+    assert unused == []
