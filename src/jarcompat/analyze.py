@@ -11,10 +11,8 @@ checks published tables without the underlying corpus.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
-import multiprocessing
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -23,7 +21,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
-from .corpus import usable_cpus, write_csv
+from .corpus import run_forked, usable_cpus, write_csv
 from .stats import (
     DegenerateTable,
     LEVEL_ORDER,
@@ -76,14 +74,11 @@ def _count_cells(tables: list[tuple[Path, tuple[str, ...]]]) -> list[Counter[tup
     The rows of each table are cut into n line-aligned ranges (``_ranges``):
     one per CPU this process may run on, but none under ``_RANGE_BYTES`` of
     both files, and one where the platform cannot move a process onto a
-    CPU. Range k of every table is job k. Job 0 runs in this process, and
-    each other job in a bare process forked for it, which sends its counts
-    back over a pipe and has ended when this returns; the two threads of a
-    ``ProcessPoolExecutor`` raised the peak RSS of ``analyze`` by about
-    0.12 MB. Each job first moves its process onto the k-th CPU it may run
-    on and then allows every one again, so nothing stays pinned: without
-    the move, forked counters were seen to share their parent's CPU for up
-    to a second while another CPU idled.
+    CPU. Range k of every table is job k, which ``run_forked`` runs in
+    process k: job 0 in this process and each other job in a process forked
+    for it and placed on a CPU of its own. Without that placement, forked
+    counters were seen to share their parent's CPU for up to a second while
+    another CPU idled.
 
     ``_count_range`` reads a range ``_CHUNK`` bytes at a time and carries
     the partial last line into the next chunk; the last chunk takes the
@@ -161,46 +156,9 @@ def _ranges(path: Path, columns: tuple[str, ...], n: int) -> list[tuple | None]:
 
 
 def _count_jobs(jobs: list[tuple]) -> list[list[Counter | None]]:
-    """``_count_job`` of each job: job 0 in this process, and each other one
-    in a process forked for it, which has ended when this returns."""
-    workers, results = [], []
-    try:
-        for k, job in enumerate(jobs[1:], 1):
-            context = multiprocessing.get_context("fork")
-            receive, send = context.Pipe(duplex=False)
-            worker = context.Process(target=_count_job, args=(k, job, send))
-            worker.start()
-            workers.append((worker, receive))
-            send.close()
-        results.append(_count_job(0, jobs[0]))
-        results += [receive.recv() for _, receive in workers]
-    finally:
-        for worker, receive in workers:
-            receive.close()  # so that a worker still sending fails instead of blocking
-            worker.join()
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    return results
-
-
-def _count_job(k: int, job: tuple, send=None) -> list[Counter | None] | Exception:
-    """``_count_range`` of each span of ``job`` (None for a span that is
-    None), or the exception it raised, after moving this process onto the
-    k-th CPU it may run on and back, where the platform can; a move the
-    system refuses is skipped. A forked process also sends it to ``send``."""
-    try:
-        if hasattr(os, "sched_getaffinity"):
-            cpus = sorted(os.sched_getaffinity(0))
-            with contextlib.suppress(OSError):
-                os.sched_setaffinity(0, cpus[k:k + 1])
-                os.sched_setaffinity(0, cpus)
-        result = [span and _count_range(*span) for span in job]
-    except Exception as exc:  # raised again by _count_jobs
-        result = exc
-    if send is not None:
-        send.send(result)
-    return result
+    """``_count_range`` of each span of each job (None for a span that is
+    None), job k in process k of ``run_forked``."""
+    return run_forked(len(jobs), lambda k: [span and _count_range(*span) for span in jobs[k]])
 
 
 def _count_range(path: Path, width: int, indices: list[int], start: int, end: int) -> Counter | None:

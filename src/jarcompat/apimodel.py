@@ -326,6 +326,14 @@ def build_model(
         model.types[name] = cls
 
     reuse_labels = previous is not None and previous.config == config
+    if reuse_labels:
+        # The previous labels of every member whose type is built from the
+        # same class; those of the others are dropped, then made below.
+        model.member_stability = dict(previous.member_stability)
+        for name, decl in previous.types.items():
+            if model.types.get(name) is not decl:
+                for member in decl.members:
+                    model.member_stability.pop(member.ref, None)
     # Outer types label before nested ones: sort by name length of the '$' chain.
     for name in sorted(model.types, key=lambda n: (n.count("$"), n)):
         decl = model.types[name]
@@ -340,10 +348,7 @@ def build_model(
         else:
             type_label = classify_type_stability(decl, config, enclosing_label)
         model.type_stability[name] = type_label
-        if shared and previous.type_stability[name] == type_label:
-            for member in decl.members:
-                model.member_stability[member.ref] = previous.member_stability[member.ref]
-        else:
+        if not (shared and previous.type_stability[name] == type_label):
             for member in decl.members:
                 model.member_stability[member.ref] = classify_member_stability(
                     member, config, type_label

@@ -1,11 +1,14 @@
 """Class-file and JAR parsing.
 
-``open_jar`` reads an archive from disk once. ``zipfile`` parses its central
-directory; each class entry is then read straight from the archive's bytes,
-with the checks ``zipfile`` makes when it reads a member (local header
-signature and name, flags, compression method, size and CRC-32), raising
-the same exceptions. A local name that does not decode counts as a name
-mismatch. Only stored and deflated entries are read, as the JVM reads JARs.
+``open_jar`` reads an archive from disk once. Its central directory is read
+in one ``struct`` pass over those bytes, with the checks ``zipfile`` makes
+there; ``zipfile`` still reads it where the archive has a comment, a ZIP64
+end locator or extra field, or a NUL in a name (``_central_directory``).
+Each class entry is then read straight from the archive's bytes, with the
+checks ``zipfile`` makes when it reads a member (local header signature and
+name, flags, compression method, size and CRC-32), raising the same
+exceptions. A local name that does not decode counts as a name mismatch.
+Only stored and deflated entries are read, as the JVM reads JARs.
 
 ``parse_class`` decodes a class file in one pass of offsets over its bytes:
 one bounds check per structure, then precompiled ``struct`` layouts read in
@@ -22,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import io
 import struct
+import sys
 import zipfile
 import zlib
 from pathlib import Path
@@ -522,12 +526,101 @@ _ENCRYPTED = 0x1  # bit 0
 _COMPRESSED_PATCH = 0x20  # bit 5
 _STRONG_ENCRYPTION = 0x40  # bit 6
 
+# The end of central directory record without a comment, and what
+# ``_central_directory`` reads of it: the directory's size and offset.
+_END_SIZE = 22
+_END_SIGNATURE = b"PK\x05\x06"
+_END_SIZES = struct.Struct("<LL")
+_ZIP64_LOCATOR_SIZE = 20
+_ZIP64_LOCATOR_SIGNATURE = b"PK\x06\x07"
+# A central directory record up to its name: signature, version needed to
+# extract, flags, compression method, CRC-32, both sizes, the lengths of the
+# name, extra field and comment, and the local header's offset.
+_DIRECTORY_RECORD = struct.Struct("<4s2xB1xHH4xLLLHHH8xL")
+_DIRECTORY_SIGNATURE = b"PK\x01\x02"
+_EXTRA_HEAD = struct.Struct("<HH")
+_ZIP64_EXTRA = 0x0001
+_MAX_EXTRACT_VERSION = 63  # zipfile's: ZIP64, bzip2 and LZMA
 
-def _entry_data(raw: bytes, info: zipfile.ZipInfo) -> bytes:
+# One member as ``open_jar`` reads it: its name, with everything from a NUL
+# on cut off as ``zipfile`` does, its name as stored, flags, compression
+# method, CRC-32, stored and full size, and local header offset.
+_Member = tuple[str, str, int, int, int, int, int, int]
+
+
+def _central_directory(raw: bytes) -> list[_Member]:
+    """The members that ``zipfile.ZipFile(...).infolist()`` lists for the
+    archive ``raw``, in order, with the errors it raises there.
+
+    An archive whose end record is its last 22 bytes is read here, in one
+    pass of ``struct`` over ``raw``, with the checks ``zipfile`` makes:
+    signatures and bounds, a walk of the declared directory size rather
+    than of the record count, version needed to extract, name decoding,
+    a walk of each extra field, and the offset correction for bytes
+    prepended to the archive. ``zipfile`` reads the rest: an archive with a
+    comment or a ZIP64 end locator, or with a ZIP64 extra field or a NUL in
+    a name, where it rewrites the sizes and names."""
+    end = len(raw) - _END_SIZE
+    locator = end - _ZIP64_LOCATOR_SIZE
+    if (
+        locator < 0  # zipfile would look for the locator at offset 0
+        or raw[end : end + 4] != _END_SIGNATURE
+        or raw[-2:] != b"\0\0"  # the comment's length
+        or raw[locator : locator + 4] == _ZIP64_LOCATOR_SIGNATURE
+    ):
+        return _listed_by_zipfile(raw)
+    directory_size, directory_offset = _END_SIZES.unpack_from(raw, end + 12)
+    start = end - directory_size
+    if start < 0:
+        raise zipfile.BadZipFile("Bad offset for central directory")
+    concat = start - directory_offset
+    members: list[_Member] = []
+    pos = start
+    while pos < end:
+        if pos + _DIRECTORY_RECORD.size > end:
+            raise zipfile.BadZipFile("Truncated central directory")
+        (signature, version, flags, method, crc, packed_size, file_size,
+         name_length, extra_length, comment_length, offset) = _DIRECTORY_RECORD.unpack_from(raw, pos)
+        if signature != _DIRECTORY_SIGNATURE:
+            raise zipfile.BadZipFile("Bad magic number for central directory")
+        # A record's fields may run past the directory's declared end, as
+        # the last one read; zipfile then reads what is left of them.
+        name_start = pos + _DIRECTORY_RECORD.size
+        extra_start = name_start + name_length
+        name_bytes = raw[name_start : min(extra_start, end)]
+        if b"\0" in name_bytes:
+            return _listed_by_zipfile(raw)
+        name = name_bytes.decode("utf-8" if flags & _UTF8_NAME or name_bytes.isascii() else "cp437")
+        if version > _MAX_EXTRACT_VERSION:
+            raise NotImplementedError(f"zip file version {version / 10:.1f}")
+        field, extra_end = extra_start, min(extra_start + extra_length, end)
+        while field + 4 <= extra_end:
+            kind, length = _EXTRA_HEAD.unpack_from(raw, field)
+            field += 4 + length
+            if field > extra_end:
+                raise zipfile.BadZipFile(f"Corrupt extra field {kind:04x} (size={length})")
+            if kind == _ZIP64_EXTRA:
+                return _listed_by_zipfile(raw)
+        members.append((name, name, flags, method, crc, packed_size, file_size, offset + concat))
+        pos = extra_start + extra_length + comment_length
+    return members
+
+
+def _listed_by_zipfile(raw: bytes) -> list[_Member]:
+    """``_central_directory`` of ``raw`` as ``zipfile`` reads it."""
+    with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+        return [
+            (info.filename, info.orig_filename, info.flag_bits, info.compress_type, info.CRC,
+             info.compress_size, info.file_size, info.header_offset)
+            for info in archive.infolist()
+        ]
+
+
+def _entry_data(raw: bytes, member: _Member) -> bytes:
     """The stored bytes of one member of the archive ``raw``, after the checks
     ``zipfile`` makes on its local header, with the same exceptions. They may
     end before the declared compressed size; ``_inflate`` judges that."""
-    offset = info.header_offset
+    name, stored_name, flag_bits, _, _, packed_size, _, offset = member
     if offset < 0 or offset + _LOCAL_HEADER.size > len(raw):
         raise zipfile.BadZipFile("Truncated file header")
     signature, flags, name_length, extra_length = _LOCAL_HEADER.unpack_from(raw, offset)
@@ -535,52 +628,60 @@ def _entry_data(raw: bytes, info: zipfile.ZipInfo) -> bytes:
         raise zipfile.BadZipFile("Bad magic number for file header")
     start = offset + _LOCAL_HEADER.size + name_length
     local_name = raw[start - name_length : start]
-    if info.flag_bits & _COMPRESSED_PATCH:
+    if flag_bits & _COMPRESSED_PATCH:
         raise NotImplementedError("compressed patched data (flag bit 5)")
-    if info.flag_bits & _STRONG_ENCRYPTION:
+    if flag_bits & _STRONG_ENCRYPTION:
         raise NotImplementedError("strong encryption (flag bit 6)")
     # ASCII reads the same in both encodings, and decodes fastest as UTF-8.
     encoding = "utf-8" if flags & _UTF8_NAME or local_name.isascii() else "cp437"
     try:
-        same_name = local_name.decode(encoding) == info.orig_filename
+        same_name = local_name.decode(encoding) == stored_name
     except UnicodeDecodeError:
         same_name = False
     if not same_name:
         raise zipfile.BadZipFile(
-            f"File name in directory {info.orig_filename!r} and header {local_name!r} differ."
+            f"File name in directory {stored_name!r} and header {local_name!r} differ."
         )
-    if info.flag_bits & _ENCRYPTED:
-        raise RuntimeError(f"File {info.filename!r} is encrypted, password required for extraction")
+    if flag_bits & _ENCRYPTED:
+        raise RuntimeError(f"File {name!r} is encrypted, password required for extraction")
     start += extra_length
-    return raw[start : start + info.compress_size]
+    return raw[start : start + packed_size]
 
 
-def _inflate(packed: bytes, info: zipfile.ZipInfo) -> bytes:
+def _inflate(packed: bytes, member: _Member) -> bytes:
     """The content of a member from its stored bytes ``packed``, read as
     ``zipfile`` reads a member, with its size and CRC-32 checks."""
-    size, packed_size = info.file_size, info.compress_size
+    name, _, _, method, crc, packed_size, size, _ = member
     # As in zipfile, data that the file cuts short is an EOFError unless what
     # is there already yields the declared size or ends the deflate stream.
     if packed_size and not packed:
         raise EOFError
-    if info.compress_type == zipfile.ZIP_STORED:
+    if method == zipfile.ZIP_STORED:
         if len(packed) < min(packed_size, size):
             raise EOFError
         data = packed[:size]
-    elif info.compress_type == zipfile.ZIP_DEFLATED:
+    elif method == zipfile.ZIP_DEFLATED:
         inflater = zlib.decompressobj(-15)
-        # At most the declared size is inflated; zlib reads a limit of 0 as none.
-        data = inflater.decompress(packed, size or 1)[:size]
+        # At most the declared size is inflated; zlib reads a limit of 0 as
+        # none, and takes none over sys.maxsize, which a ZIP64 size can be.
+        data = inflater.decompress(packed, min(size, sys.maxsize) or 1)[:size]
         if len(data) < size:
             if not inflater.eof and len(packed) < packed_size:
                 raise EOFError
             data += inflater.flush()
     else:
-        raise NotImplementedError(f"compression type {info.compress_type}")
-    if zlib.crc32(data) != info.CRC:
-        raise zipfile.BadZipFile(f"Bad CRC-32 for file {info.filename!r}")
+        raise NotImplementedError(f"compression type {method}")
+    if zlib.crc32(data) != crc:
+        raise zipfile.BadZipFile(f"Bad CRC-32 for file {name!r}")
     return data
 
+
+# What reading the central directory raises, whoever reads it: a damaged
+# directory or end record (BadZipFile), a version needed to extract that
+# zipfile does not implement (NotImplementedError), a UTF-8-flagged name
+# that is not UTF-8 (UnicodeDecodeError, a ValueError); and what reading the
+# file raises (OSError).
+_UNREADABLE_DIRECTORY = (zipfile.BadZipFile, NotImplementedError, ValueError, OSError)
 
 # What reading one entry of an opened archive raises: a bad CRC-32 or local
 # header (BadZipFile), a corrupt deflate stream (zlib.error), data that ends
@@ -617,9 +718,8 @@ def open_jar(
     """
     try:
         raw = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
-        with zipfile.ZipFile(io.BytesIO(raw)) as archive:
-            infos = archive.infolist()
-    except (zipfile.BadZipFile, OSError) as exc:
+        members = _central_directory(raw)
+    except _UNREADABLE_DIRECTORY as exc:
         raise NotAZip(f"{source}: {exc}") from exc
 
     parsed = {} if parsed is None else parsed
@@ -627,28 +727,28 @@ def open_jar(
         source=str(source) if isinstance(source, (str, Path)) else "",
         sha256=hashlib.sha256(raw).hexdigest(),
     )
-    for info in infos:
-        if info.is_dir():
+    for member in members:
+        name, _, _, method, crc, packed_size, size, _ = member
+        if name.endswith("/"):  # a directory
             continue
-        name = info.filename
         if not name.endswith(".class") or name.endswith("module-info.class"):
             content.non_class_entries += 1
             continue
         try:
-            packed = _entry_data(raw, info)
+            packed = _entry_data(raw, member)
             # Matched on the whole stored bytes: the directory's CRC and
             # sizes could collide.
-            key = (info.compress_type, info.compress_size, info.file_size, info.CRC, packed)
+            key = (method, packed_size, size, crc, packed)
             cls = parsed.get(key)
             if cls is None:
-                data = _inflate(packed, info)
+                data = _inflate(packed, member)
         except _DAMAGED_ENTRY as exc:
             failure = (name, f"{type(exc).__name__}: {exc}")
             content.parse_failures.append(failure)
             content.damaged_entries.append(failure)
             continue
         if cls is None:
-            plain = (zipfile.ZIP_STORED, len(data), len(data), info.CRC, data)
+            plain = (zipfile.ZIP_STORED, len(data), len(data), crc, data)
             cls = parsed.get(plain)
             if cls is None:
                 try:

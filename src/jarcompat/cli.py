@@ -215,7 +215,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _jobs(text: str) -> int:
-    """argparse type of ``--jobs``: a whole number of worker processes, at least 1."""
+    """argparse type of ``--jobs``: a whole number of processes, at least 1."""
     try:
         jobs = int(text)
     except ValueError:
@@ -271,8 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_corpus)
     p_run.add_argument(
         "--jobs", type=_jobs, default=None, metavar="N",
-        help="worker processes for the libraries that read a JAR; the parent runs the rest "
-        "(default: the CPUs this process may run on); outputs are byte-identical for every N",
+        help="processes, this one included, for the libraries that read a JAR; this one runs "
+        "the rest, and only one process runs off Linux (default: the CPUs this process may "
+        "run on); outputs are byte-identical for every N",
     )
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--sample", action="append", metavar="LEVEL:CONF:MARGIN")

@@ -316,12 +316,14 @@ class _DeltaBuilder:
             new_params.setdefault((m_name, parameter_part(m_desc)), []).append(eff)
 
         for key in sorted(old_methods):
-            m_name, m_desc = key
             eff_old = old_methods[key]
+            eff_new = new_methods.get(key)
+            if eff_new is not None and eff_new.decl is eff_old.decl:
+                continue  # one declaration, so no flag or exception differs
+            m_name, m_desc = key
             label = _label_of(eff_old, self.old)
             host_ref = member_ref(name, m_name, m_desc)
             inherited = eff_old.inherited_from if eff_old.inherited_from != name else None
-            eff_new = new_methods.get(key)
             if eff_new is None:
                 replacement = [
                     eff
@@ -382,10 +384,12 @@ class _DeltaBuilder:
 
         for f_name in sorted(old_fields):
             eff_old = old_fields[f_name]
+            eff_new = new_fields.get(f_name)
+            if eff_new is not None and eff_new.decl is eff_old.decl:
+                continue  # one declaration: equal flags, and a constant equals itself
             label = _label_of(eff_old, self.old)
             host_ref = member_ref(name, f_name, eff_old.decl.descriptor)
             inherited = eff_old.inherited_from if eff_old.inherited_from != name else None
-            eff_new = new_fields.get(f_name)
             if eff_new is None:
                 self.emit(BcKind.FIELD_REMOVED, host_ref, label, inherited)
                 continue

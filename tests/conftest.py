@@ -56,6 +56,18 @@ def misfile_entry(jar: bytes, name: str, field: str) -> bytes:
     return jar[:last] + b"_" + jar[last + 1 :]
 
 
+def refuse_directory(jar: bytes, defect: str) -> bytes:
+    """``jar`` with a first central directory record that ``zipfile`` refuses:
+    one that needs version 6.4 to extract (``defect="version"``), or one
+    whose name begins with byte 0x80 under the UTF-8 flag (``"name"``)."""
+    record = jar.index(b"PK\x01\x02")
+    if defect == "version":
+        return jar[: record + 6] + b"\x40" + jar[record + 7 :]
+    assert defect == "name"
+    flags = struct.unpack_from("<H", jar, record + 8)[0] | 0x800
+    return jar[: record + 8] + struct.pack("<H", flags) + jar[record + 10 : record + 46] + b"\x80" + jar[record + 47 :]
+
+
 def write_jar(path: Path, specs: list[ClassSpec], extra: dict[str, bytes] | None = None) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(jar_bytes(specs, extra))

@@ -617,6 +617,126 @@ def test_open_jar_agrees_with_zipfile_on_every_changed_local_header_byte(
         assert refused
 
 
+# A cp437 name: zipfile writes every non-ASCII name as UTF-8, so the entry
+# is written under a placeholder of the same length, which is then replaced.
+_CP437_NAME, _CP437_PLACEHOLDER = "p/Ça.class", "p/Xa.class"
+_VARIATIONS = ("comment", "prefix", "directory", "cafe", "force_zip64", "zip64_extra", "zip64_end")
+
+
+def _variant_jar(variations: set[str]) -> bytes:
+    """A JAR with a UTF-8 and a cp437 name and deflated and stored entries,
+    and each of ``variations``: an archive ``comment``, bytes before the
+    archive (``prefix``), a ``directory`` entry, the 0xCAFE extra field that
+    the JDK jar tool writes on the first entry (``cafe``), an entry written
+    with ``force_zip64=True``, an entry whose directory record keeps its
+    size in a ZIP64 extra field (``zip64_extra``), as for a member over
+    4 GiB, and a ZIP64 end record and locator before the end record
+    (``zip64_end``), as for an archive of over 65,535 entries."""
+    buffer = io.BytesIO()
+    z_size = len(write_class(ClassSpec("p.C2")))
+    with zipfile.ZipFile(buffer, "w") as archive:
+        if "directory" in variations:
+            archive.writestr("p/", b"")
+        entries = [
+            ("p/Café.class", zipfile.ZIP_DEFLATED, b"\xfe\xca\x00\x00" if "cafe" in variations else b""),
+            (_CP437_PLACEHOLDER, zipfile.ZIP_STORED, b""),
+            ("p/Z.class", zipfile.ZIP_DEFLATED,
+             struct.pack("<HHQ", 1, 8, z_size) if "zip64_extra" in variations else b""),
+        ]
+        for index, (name, compression, extra) in enumerate(entries):
+            info = zipfile.ZipInfo(name, (1980, 1, 1, 0, 0, 0))
+            info.compress_type = compression
+            info.extra = extra
+            archive.writestr(info, write_class(ClassSpec(f"p.C{index}")))
+        if "force_zip64" in variations:
+            info = zipfile.ZipInfo("p/Big.class", (1980, 1, 1, 0, 0, 0))
+            with archive.open(info, "w", force_zip64=True) as handle:
+                handle.write(write_class(ClassSpec("p.Big")))
+        if "comment" in variations:
+            archive.comment = b"built for the property below"
+    jar = buffer.getvalue().replace(_CP437_PLACEHOLDER.encode(), _CP437_NAME.encode("cp437"))
+    if "zip64_extra" in variations:
+        # The size field of p/Z.class's directory record says "see ZIP64".
+        record = jar.rindex(b"p/Z.class") - 46
+        jar = jar[: record + 24] + b"\xff\xff\xff\xff" + jar[record + 28 :]
+    if "zip64_end" in variations:
+        end = jar.rindex(b"PK\x05\x06")
+        _, _, _, on_disk, total, size, offset, _ = struct.unpack_from("<4s4H2LH", jar, end)
+        record64 = struct.pack("<4sQ2H2L4Q", b"PK\x06\x06", 44, 45, 45, 0, 0, on_disk, total, size, offset)
+        locator = struct.pack("<4sLQL", b"PK\x06\x07", 0, end, 1)
+        jar = jar[:end] + record64 + locator + jar[end:]
+    return (b"#!/bin/sh\nexec java -jar \"$0\"\n" if "prefix" in variations else b"") + jar
+
+
+def _zipfile_members(jar: bytes) -> list[tuple] | None:
+    """Each member's name, stored name, flags, method, CRC-32, sizes and local
+    header offset as ``zipfile`` lists them, or None where it raises."""
+    try:
+        infos = zipfile.ZipFile(io.BytesIO(jar)).infolist()
+    except Exception:
+        return None
+    return [
+        (i.filename, i.orig_filename, i.flag_bits, i.compress_type, i.CRC, i.compress_size,
+         i.file_size, i.header_offset)
+        for i in infos
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.sampled_from(_VARIATIONS)), st.integers(1, 254))
+def test_open_jar_reads_the_central_directory_as_zipfile_does(variations, flip):
+    jar = _variant_jar(variations)
+    classes = {name: entry for name, *entry in _zipfile_members(jar) if name.endswith(".class")}
+    assert list(classes) == ["p/Café.class", _CP437_NAME, "p/Z.class"] + ["p/Big.class"] * ("force_zip64" in variations)
+    assert classes["p/Café.class"][1] & 0x800 and not classes[_CP437_NAME][1] & 0x800
+    assert classes["p/Z.class"][5] == len(write_class(ClassSpec("p.C2")))
+    assert len(open_jar(io.BytesIO(jar)).entries) == len(classes)
+    start = zipfile.ZipFile(io.BytesIO(jar)).start_dir
+    # Each byte from the central directory on (the directory, any ZIP64 end
+    # records, the end record and the comment) changed, then the archive cut
+    # at each of those bytes.
+    variants = [
+        jar[:pos] + bytes((jar[pos] ^ change,)) + jar[pos + 1 :]
+        for pos in range(start, len(jar))
+        for change in {0xFF, flip}
+    ] + [jar[:cut] for cut in range(start, len(jar))]
+    parsed: dict = {}
+    refused = 0
+    for variant in variants:
+        expected = _zipfile_members(variant)
+        if expected is None:
+            refused += 1
+            with pytest.raises(NotAZip):
+                open_jar(io.BytesIO(variant), parsed)
+        else:
+            assert parser._central_directory(variant) == expected
+            open_jar(io.BytesIO(variant), parsed)
+    assert 0 < refused < len(variants)
+
+
+def test_open_jar_reads_an_entry_of_a_size_past_memory_as_zipfile_does(read_by_open_jar):
+    jar = _variant_jar({"zip64_extra"})
+    extra = jar.rindex(b"p/Z.class") + len("p/Z.class")
+    # p/Z.class's ZIP64 size is now 2**63 bytes, more than a buffer can hold.
+    # Its deflate stream ends first, with the right CRC-32, so it reads whole.
+    jar = jar[: extra + 4] + struct.pack("<Q", 1 << 63) + jar[extra + 12 :]
+    assert zipfile.ZipFile(io.BytesIO(jar)).getinfo("p/Z.class").file_size == 1 << 63
+    expected = _read_by_zipfile(jar)
+    assert None not in expected.values()
+    assert read_by_open_jar(jar) == expected
+
+
+def test_open_jar_counts_an_entry_without_a_name_as_other_content():
+    jar = jar_bytes([ClassSpec("p.A")], extra={"x": b"data"})
+    record = jar.rindex(b"PK\x01\x02")
+    # x's directory record: no name, and its one name byte read as extra field.
+    jar = jar[: record + 28] + struct.pack("<HH", 0, 1) + jar[record + 32 :]
+    assert [info.filename for info in zipfile.ZipFile(io.BytesIO(jar)).infolist()] == ["p/A.class", ""]
+    content = open_jar(io.BytesIO(jar))
+    assert [name for name, _ in content.entries] == ["p/A.class"]
+    assert content.non_class_entries == 1
+
+
 def test_require_intact_passes_a_class_that_does_not_parse():
     content = jar_content([ClassSpec("p.B")], extra={"p/Bad.class": b"\x00\x01\x02\x03"})
     assert len(content.parse_failures) == 1 and not content.damaged_entries

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bench_cases import write_benchmark
-from conftest import damage_entry, write_jar
+from conftest import damage_entry, refuse_directory, write_jar
 from corpus_fixture import build_fixture, write_graph_csvs
 from jarcompat import analyze
 from jarcompat.analyze import analyze_results
@@ -266,6 +266,26 @@ def test_corpus_run_counts_a_corrupt_client_jar_as_missing(tmp_path, caplog):
     assert outputs["corrupt"] == outputs["damaged"] == outputs["deleted"]
     assert b"org.fw:mock:1.0.0,compile,javax.servlet:servlet-api,3.0.1,3.1.0,minor,,0\n" in outputs["corrupt"][0]
     assert "mock-1.0.0.jar" in caplog.text
+
+
+@pytest.mark.parametrize("defect", ["version", "name"], ids=["extract-version-6.4", "utf8-flag-on-a-name-not-in-utf8"])
+def test_a_jar_whose_central_directory_zipfile_refuses_costs_one_row(tmp_path, jars, capsys, defect):
+    artifacts, edges, jar_root = build_fixture(tmp_path / "fixture")
+    for name in ("mock-1.0.0.jar", "servlet-api-4.0.1.jar"):
+        (jar_root / name).write_bytes(refuse_directory((jar_root / name).read_bytes(), defect))
+    out = tmp_path / "out"
+    assert main(["corpus", "run", "--artifacts", str(artifacts), "--edges", str(edges),
+                 "--jars", str(jar_root), "--out", str(out), "--jobs", "1"]) == 0
+    # The client keeps its row, without a verdict; the library pair is excluded.
+    clients = (out / "clients.csv").read_text(encoding="utf-8")
+    assert "org.fw:mock:1.0.0,compile,javax.servlet:servlet-api,3.0.1,3.1.0,minor,,0\n" in clients
+    exclusions = (out / "exclusions.csv").read_text(encoding="utf-8")
+    assert "pair,javax.servlet:servlet-api:4.0.0,javax.servlet:servlet-api:4.0.1,unreadable_jar\n" in exclusions
+    bad = tmp_path / "bad.jar"
+    bad.write_bytes(refuse_directory(jars["v2"].read_bytes(), defect))
+    assert main(["delta", str(jars["v1"]), str(bad)]) == 3
+    assert main(["detect", str(jars["v1"]), str(bad), str(jars["client"])]) == 3
+    assert capsys.readouterr().err.count("bad.jar") == 2
 
 
 def test_corpus_run_reads_each_library_jar_once(tmp_path, monkeypatch):

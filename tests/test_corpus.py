@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import re
+import subprocess
+import sys
+import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ from conftest import damage_entry, jar_bytes, misfile_entry, write_jar
 from corpus_fixture import build_fixture, build_two_library_fixture, write_graph_csvs
 from jarcompat import corpus, delta
 from jarcompat.classfile import ClassSpec, MethodSpec, parser, write_class
+from jarcompat.cli import main
 from jarcompat.corpus import (
     PipelineOptions,
     SchemaError,
@@ -539,8 +543,9 @@ def test_run_pipeline_parses_each_distinct_class_once_per_library(tmp_path, monk
     ]
 
 
-# Pool workers are other processes, so each library task run appends its
-# process id and library to the file this variable names.
+# Forked processes cannot report back through the test's memory, so each
+# library task run appends its process id and library to the file this
+# variable names.
 _RUN_LOG = "JARCOMPAT_TEST_RUN_LOG"
 _original_run_library = corpus._run_library
 
@@ -564,42 +569,121 @@ def test_run_pipeline_pools_only_the_libraries_that_read_a_jar(tmp_path, monkeyp
     graph = load_graph(artifacts, edges)
     libraries = ["c0:app", "c1:app", "c2:app", "g.lib:lib", "g.mid:mid", "g.two:two"]
     reading = ["g.lib:lib", "g.two:two"]
-    pools, submitted = [], []
-
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-        def submit(self, fn, *args):
-            submitted.extend(":".join(library) for library in args[-1].index.versions)
-            return super().submit(fn, *args)
-
-    monkeypatch.setattr(corpus, "ProcessPoolExecutor", RecordingPool)
+    forks = []
+    run_forked = corpus.run_forked
+    monkeypatch.setattr(corpus, "run_forked", lambda n, work: forks.append(n) or run_forked(n, work))
     monkeypatch.setattr(corpus, "_run_library", _logged_run_library)
     samples = (("all", 0.95, 0.05),)
     outputs = {}
     for jobs in (1, 2, 3):
         log = tmp_path / f"runs-{jobs}.txt"
         monkeypatch.setenv(_RUN_LOG, str(log))
-        pools.clear()
-        submitted.clear()
+        forks.clear()
         outputs[jobs] = tmp_path / f"jobs-{jobs}"
         run_pipeline(graph, jar_root, outputs[jobs], PipelineOptions(jobs=jobs, samples=samples))
         runs = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
         assert sorted(library for _, library in runs) == libraries  # each task runs once
-        in_workers = sorted(library for pid, library in runs if pid != str(os.getpid()))
+        parent = str(os.getpid())
         if jobs == 1:
-            assert (pools, submitted, in_workers) == ([], [], [])
+            assert forks == [] and {pid for pid, _ in runs} == {parent}
         else:
-            # A pool of one worker per task that reads a JAR, at most jobs,
-            # gets those tasks in task order and runs them; the parent runs
-            # the others.
-            assert pools == [min(jobs, len(reading))]
-            assert submitted == in_workers == reading
+            # The tasks that read no JAR run here first, in task order. This
+            # process and at most one forked process per task that reads a
+            # JAR, jobs in all, then share the others.
+            assert runs[:4] == [[parent, library] for library in libraries if library not in reading]
+            assert forks == [min(jobs, len(reading))]
+            assert len({pid for pid, _ in runs} - {parent}) <= min(jobs, len(reading)) - 1
     files = snapshot(outputs[1])
     assert b"g.mid:mid:1.0.0,g.mid:mid:1.1.0,no_external_client" in files["exclusions.csv"]
     assert snapshot(outputs[2]) == snapshot(outputs[3]) == files
+
+
+def test_forked_process_k_moves_onto_the_kth_cpu_and_back(tmp_path, monkeypatch):
+    # Forked processes inherit both patches and log each move to a file.
+    moves = tmp_path / "moves.txt"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {6, 1, 4}, raising=False)
+
+    def record(pid, cpus):
+        with open(moves, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()} {sorted(cpus)}\n")
+
+    monkeypatch.setattr(os, "sched_setaffinity", record, raising=False)
+    processes = corpus.run_forked(3, lambda k: (k, os.getpid()))
+    assert [k for k, _ in processes] == [0, 1, 2]
+    assert processes[0][1] == os.getpid() and len({pid for _, pid in processes}) == 3
+    logged: dict[str, list[str]] = {}
+    for line in moves.read_text(encoding="utf-8").splitlines():
+        pid, cpus = line.split(" ", 1)
+        logged.setdefault(pid, []).append(cpus)
+    assert logged == {
+        str(pid): [str([cpu]), "[1, 4, 6]"] for cpu, (_, pid) in zip((1, 4, 6), processes)
+    }
+    assert multiprocessing.active_children() == []
+
+
+def test_shared_tasks_are_each_taken_once(monkeypatch):
+    # More processes than this host's CPUs take tasks that end at once, so
+    # an update of the shared count that got lost would run a task twice or
+    # drop it.
+    monkeypatch.setattr(corpus, "_run_library", lambda task: task)
+    done = corpus._run_shared(list(range(3000)), 4)
+    assert sorted(i for i, _ in done) == list(range(3000))
+    assert all(i == task for i, task in done)
+    assert multiprocessing.active_children() == []
+
+
+def test_corpus_run_forks_nothing_where_processes_cannot_be_placed_on_cpus(tmp_path, monkeypatch):
+    # Both libraries read a JAR, so with os.sched_getaffinity, as on Linux,
+    # --jobs 4 would fork one process.
+    artifacts, edges, jar_root = build_two_library_fixture(tmp_path / "fixture")
+    common = ["--artifacts", str(artifacts), "--edges", str(edges), "--jars", str(jar_root)]
+    assert main(["corpus", "run", *common, "--out", str(tmp_path / "one"), "--jobs", "1"]) == 0
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    assert main(["corpus", "run", *common, "--out", str(tmp_path / "four"), "--jobs", "4"]) == 0
+    assert snapshot(tmp_path / "four") == snapshot(tmp_path / "one")
+
+
+def test_a_task_that_raises_in_a_forked_process_raises_here(tmp_path, monkeypatch):
+    # This process holds its first task that reads a JAR until a forked
+    # process has taken the other one, which then raises there.
+    graph, jar_root, _ = _reuse_graph(tmp_path)
+    parent = os.getpid()
+    taken = tmp_path / "taken"
+
+    def run_library(task):
+        if not corpus._reads_jars(task):
+            return _original_run_library(task)
+        if os.getpid() != parent:
+            taken.touch()
+            raise RuntimeError(f"library task failed in process {os.getpid()}")
+        for _ in range(1000):
+            if taken.exists():
+                break
+            time.sleep(0.01)
+        return _original_run_library(task)
+
+    monkeypatch.setattr(corpus, "_run_library", run_library)
+    with pytest.raises(RuntimeError, match="library task failed in process") as raised:
+        run_pipeline(graph, jar_root, tmp_path / "out", PipelineOptions(jobs=2))
+    assert str(parent) not in str(raised.value)
+    # The forked process's traceback comes along, down to the raise.
+    assert 'raise RuntimeError(f"library task failed' in str(raised.value.__cause__)
+    assert multiprocessing.active_children() == []
+
+
+def test_corpus_run_on_forked_processes_warns_of_nothing_in_dev_mode(tmp_path):
+    # Both libraries read a JAR, so on two or more CPUs one process is
+    # forked, in a process where unclosed files and pipes warn.
+    artifacts, edges, jar_root = build_two_library_fixture(tmp_path / "fixture")
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "jarcompat.cli",
+         "corpus", "run", "--artifacts", str(artifacts), "--edges", str(edges),
+         "--jars", str(jar_root), "--out", str(tmp_path / "out"), "--jobs", "2"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(Path(corpus.__file__).parents[1])),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_run_pipeline_drops_each_model_after_its_last_upgrade(tmp_path, monkeypatch):
