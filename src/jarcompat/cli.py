@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -49,10 +48,6 @@ class DataError(Exception):
 
 
 def _load_config(path: str | None) -> StabilityConfig:
-    if path is None:
-        env_path = os.environ.get("JARCOMPAT_CONFIG")
-        if env_path:
-            path = env_path
     if path is None:
         return StabilityConfig()
     try:
@@ -271,9 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_corpus)
     p_run.add_argument(
         "--jobs", type=_jobs, default=None, metavar="N",
-        help="processes, this one included, for the libraries that read a JAR; this one runs "
-        "the rest, and only one process runs off Linux (default: the CPUs this process may "
-        "run on); outputs are byte-identical for every N",
+        help="processes, this one included, that share one queue of library tasks, never more "
+        "than there are libraries; only one process runs off Linux (default: the CPUs this "
+        "process may run on); outputs are byte-identical for every N",
     )
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--sample", action="append", metavar="LEVEL:CONF:MARGIN")

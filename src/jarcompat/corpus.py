@@ -127,8 +127,8 @@ def _graph_rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list
 
 
 def load_graph(artifacts_path: str | Path, edges_path: str | Path) -> DependencyGraph:
-    """Load the two-file graph; duplicate coordinates and bad rows are fatal,
-    dangling edges become diagnostics."""
+    """Load the two-file graph; duplicate coordinates, bad rows and a NEXT
+    cycle are fatal, dangling edges become diagnostics."""
     graph = DependencyGraph()
 
     artifacts_header = ["group", "artifact", "version", "release_date", "packaging", "jar_path"]
@@ -166,7 +166,34 @@ def load_graph(artifacts_path: str | Path, edges_path: str | Path) -> Dependency
         else:
             graph.dependents.setdefault(dst, []).append(GraphEdge(scope, src))
 
+    cycle = _next_cycle(graph.next_out)
+    if cycle is not None:
+        raise SchemaError(f"{edges_path}: NEXT edges form a cycle through {cycle}")
     return graph
+
+
+def _next_cycle(next_out: dict[str, list[str]]) -> str | None:
+    """A coordinate on a cycle of NEXT edges, a self-loop included, or None.
+    ``_chains`` walks each history from its roots, which need not reach a
+    cycle, so a cycle's versions would drop out of every output."""
+    done: set[str] = set()
+    for start in next_out:
+        if start in done:
+            continue
+        path, on_path = [(start, iter(next_out[start]))], {start}
+        while path:
+            coord, successors = path[-1]
+            successor = next(successors, None)
+            if successor is None:
+                path.pop()
+                on_path.remove(coord)
+                done.add(coord)
+            elif successor in on_path:
+                return successor
+            elif successor not in done:
+                path.append((successor, iter(next_out.get(successor, ()))))
+                on_path.add(successor)
+    return None
 
 
 class _JarProbe:
@@ -179,10 +206,13 @@ class _JarProbe:
     across versions is parsed once and the models of two versions hold the
     same ``RawClass`` for it. Each model is built from the
     last one still held, so it reuses that model's work on the classes they
-    share (see ``build_model``). A probe serves one library.
+    share (see ``build_model``). A probe serves the one library it names.
     """
 
-    def __init__(self, jar_root: Path | None, config: StabilityConfig) -> None:
+    def __init__(
+        self, library: tuple[str, str], jar_root: Path | None, config: StabilityConfig
+    ) -> None:
+        self.library = library
         self.jar_root = jar_root
         self.config = config
         self.jars: dict[str, JarContent | str] = {}
@@ -228,34 +258,13 @@ class _JarProbe:
 class GraphIndex:
     """What derivation reads from a graph, computed once per run.
 
-    ``versions`` holds each library's artifacts by coordinate, ``chains``
-    its maximal NEXT paths, and ``positions`` each coordinate's index along
-    the chains of its library.
+    ``chains`` holds each library's maximal NEXT paths, and ``positions``
+    each coordinate's index along the chains of its library.
     """
 
     graph: DependencyGraph
-    versions: dict[tuple[str, str], dict[str, ArtifactRecord]]
     chains: dict[tuple[str, str], list[list[ArtifactRecord]]]
     positions: dict[str, int]
-
-    def library_slice(self, library: tuple[str, str]) -> "GraphIndex":
-        """The part of the index one library reads: its versions and chains,
-        the edges of their dependents, and those dependents' records."""
-        versions = self.versions[library]
-        artifacts = dict(versions)
-        dependents: dict[str, list[GraphEdge]] = {}
-        for coord in versions:
-            edges = self.graph.dependents.get(coord)
-            if edges:
-                dependents[coord] = edges
-                for edge in edges:
-                    artifacts[edge.src] = self.graph.artifacts[edge.src]
-        return GraphIndex(
-            graph=DependencyGraph(artifacts=artifacts, dependents=dependents),
-            versions={library: versions},
-            chains={library: self.chains[library]},
-            positions={c: self.positions[c] for c in artifacts if c in self.positions},
-        )
 
 
 def index_graph(graph: DependencyGraph) -> GraphIndex:
@@ -269,42 +278,37 @@ def index_graph(graph: DependencyGraph) -> GraphIndex:
         for chain in library_chains:
             for index, record in enumerate(chain):
                 positions[record.coord] = index
-    return GraphIndex(graph, versions, chains, positions)
+    return GraphIndex(graph, chains, positions)
 
 
 def _chains(
     versions: dict[str, ArtifactRecord], next_out: dict[str, list[str]]
 ) -> list[list[ArtifactRecord]]:
-    """Maximal NEXT paths for one library, one per root (plus one per branch)."""
+    """Maximal NEXT paths for one library, one per root (plus one per branch).
+    ``load_graph`` rejects NEXT cycles, so every version lies on a path
+    from a root."""
+    # A NEXT edge listed twice is one successor: walked twice, it would
+    # double every chain through it.
     successors = {
-        coord: sorted(d for d in next_out.get(coord, []) if d in versions)
+        coord: sorted({d for d in next_out.get(coord, []) if d in versions})
         for coord in versions
     }
     has_predecessor = {d for dsts in successors.values() for d in dsts}
     roots = sorted(coord for coord in versions if coord not in has_predecessor)
-    if not roots and versions:  # pure cycle; break it at the smallest coord
-        roots = [min(versions)]
 
     chains: list[list[ArtifactRecord]] = []
-    pending: list[tuple[str, list[ArtifactRecord], set[str]]] = [
-        (root, [], set()) for root in roots
-    ]
+    pending: list[tuple[str, list[ArtifactRecord]]] = [(root, []) for root in roots]
     while pending:
-        start, prefix, seen = pending.pop()
+        start, prefix = pending.pop()
         # A branched history (maintenance release) walks each branch as a
         # full path including the shared prefix, so pairs across the branch
         # point are not lost; duplicates are removed downstream.
         chain = list(prefix) + [versions[start]]
-        seen = set(seen) | {start}
         current = start
-        while True:
-            nexts = [n for n in successors.get(current, []) if n not in seen]
-            if not nexts:
-                break
-            for extra in nexts[1:]:
-                pending.append((extra, list(chain), set(seen)))
-            current = nexts[0]
-            seen.add(current)
+        while successors[current]:
+            for extra in successors[current][1:]:
+                pending.append((extra, list(chain)))
+            current = successors[current][0]
             chain.append(versions[current])
         chains.append(chain)
     return sorted(chains, key=lambda c: c[0].coord)
@@ -332,9 +336,10 @@ def derive_upgrades(
     candidate endpoints; each gets one ``version`` row and is skipped when
     pairing neighbours. Every other candidate pair is emitted or gets one
     ``pair`` row. Version rows come first, by coordinate, then pair rows by
-    (group, artifact, v1, v2). Each library's JARs are read through a fresh
-    probe, unless the caller passes its own ``probe`` (which then supplies the
-    JAR root) for an index of one library, to keep the JARs the filters read.
+    (group, artifact, v1, v2). Every library is derived, each reading its
+    JARs through a fresh probe, unless the caller passes a ``probe``: then
+    only the probe's library is derived, its JARs are read from the probe's
+    JAR root, and the probe keeps the JARs the filters read.
     """
     root = Path(jar_root) if jar_root is not None else None
     upgrades: list[Upgrade] = []
@@ -342,8 +347,8 @@ def derive_upgrades(
     excluded: list[tuple[tuple[str, ...], list]] = []
     seen_pairs: set[tuple[str, str]] = set()
 
-    for library in sorted(index.chains):
-        library_probe = probe or _JarProbe(root, StabilityConfig())
+    for library in [probe.library] if probe is not None else sorted(index.chains):
+        library_probe = probe or _JarProbe(library, root, StabilityConfig())
         for chain in index.chains[library]:
             compliant: list[tuple[ArtifactRecord, Version]] = []
             for record in chain:
@@ -475,7 +480,8 @@ def _delta_filename(upgrade: Upgrade) -> str:
 
 @dataclass
 class _LibraryTask:
-    index: GraphIndex  # the library's slice
+    library: tuple[str, str]
+    index: GraphIndex  # the run's, read by every task
     jar_root: Path | None
     deltas: Path
     config: StabilityConfig
@@ -499,14 +505,13 @@ def run_pipeline(
 ) -> dict:
     """Derive upgrades, compute deltas and detections, and write the datasets.
 
-    Each library is one task (see ``_run_library``). At ``jobs`` N > 1,
-    when more than one task reads a JAR, this process first runs the tasks
-    that read none; then it and N - 1 processes forked for the purpose (at
-    most one per task that reads a JAR) share those tasks (``_run_shared``).
-    Where the platform cannot place a process on a CPU, every task runs in
-    this process. Outputs are byte-identical for every N; per-upgrade delta
-    files are keyed by a hash of the two JARs' bytes and the stability
-    config, and reused when already present.
+    Each library is one task (see ``_run_library``), and every task goes
+    through one queue in (group, artifact) order, shared by ``jobs``
+    processes, this one included, but never more processes than tasks
+    (``_run_shared``). Where the platform cannot place a process on a CPU,
+    every task runs in this process. Outputs are byte-identical for every
+    ``jobs``; per-upgrade delta files are keyed by a hash of the two JARs'
+    bytes and the stability config, and reused when already present.
     Returns a summary dict (also written to summary.json).
     """
     options = options or PipelineOptions()
@@ -516,22 +521,12 @@ def run_pipeline(
     root = Path(jar_root) if jar_root is not None else None
     config = options.stability_config or StabilityConfig()
     index = index_graph(graph)
-    tasks = [
-        _LibraryTask(index.library_slice(library), root, deltas, config) for library in index.chains
-    ]
-    # Only a task that reads a JAR is worth a process of its own.
-    reads = [_reads_jars(task) for task in tasks]
-    workers = min(options.jobs, sum(reads)) if hasattr(os, "sched_getaffinity") else 1
-    if workers > 1:
-        results = [None if read else _run_library(task) for task, read in zip(tasks, reads)]
-        shared = [i for i, read in enumerate(reads) if read]
-        for i, result in _run_shared([tasks[i] for i in shared], workers):
-            results[shared[i]] = result
-    else:
-        results = [_run_library(task) for task in tasks]
-
-    # Results arrive in (group, artifact) order, the order of upgrades.csv
+    tasks = [_LibraryTask(library, index, root, deltas, config) for library in index.chains]
+    workers = max(1, min(options.jobs, len(tasks))) if hasattr(os, "sched_getaffinity") else 1
+    # Put back in task order, (group, artifact), the order of upgrades.csv
     # and of the excluded pairs.
+    results = [result for _, result in sorted(_run_shared(tasks, workers), key=itemgetter(0))]
+
     upgrade_rows: list[list] = []
     exclusion_rows: list[list] = []
     client_rows: list[list] = []
@@ -568,29 +563,20 @@ def run_pipeline(
     return summary
 
 
-def _reads_jars(task: _LibraryTask) -> bool:
-    """False when no version of the library has an external client: then
-    every pair is excluded before its JARs are opened."""
-    graph = task.index.graph
-    return any(
-        _external_clients(graph, record)
-        for versions in task.index.versions.values()
-        for record in versions.values()
-    )
-
-
 # The count of tasks taken, shared by the processes of ``_run_shared``.
 _TAKEN = struct.Struct("=Q")
 
 
 def _run_shared(tasks: list[_LibraryTask], workers: int) -> list[tuple[int, _LibraryResult]]:
     """The index and result of each task, run by ``workers`` processes
-    (``run_forked``) that each take the next task not yet taken until none
-    is left. The count of tasks taken sits in 8 bytes of anonymous shared
-    memory, read and moved on under one lock; ``multiprocessing.Value``
-    would import ctypes, which raised the peak RSS of ``corpus run`` by
-    about 0.28 MB."""
-    lock = multiprocessing.get_context("fork").Lock()
+    (``run_forked``: this one and ``workers`` - 1 forked ones, which get the
+    tasks through the fork) that each take the next task not yet taken, in
+    list order, until none is left. The count of tasks taken sits in 8
+    bytes of anonymous shared memory, read and moved on under one lock;
+    ``multiprocessing.Value`` would import ctypes, which raised the peak RSS
+    of ``corpus run`` by about 0.28 MB. The lock is a fork-context one, made
+    only where a process is forked, so one worker needs no ``fork``."""
+    lock = multiprocessing.get_context("fork").Lock() if workers > 1 else contextlib.nullcontext()
     with mmap.mmap(-1, _TAKEN.size) as taken:
 
         def work(k: int) -> list[tuple[int, _LibraryResult]]:
@@ -614,7 +600,7 @@ def _run_library(task: _LibraryTask) -> _LibraryResult:
     back sorted by version; client and detection rows keep the order in
     which the upgrades were derived.
     """
-    probe = _JarProbe(task.jar_root, task.config)
+    probe = _JarProbe(task.library, task.jar_root, task.config)
     upgrades, exclusion_rows = derive_upgrades(task.index, probe=probe)
     # Selection has opened every JAR an upgrade reads, so the memo is spent.
     # A JAR's content and model, with the parsed classes the model keeps for

@@ -450,6 +450,20 @@ def test_corpus_unreadable_graph_file_exit_three(tmp_path, capsys, command, tabl
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["derive", "run"])
+def test_corpus_next_cycle_exit_three(tmp_path, capsys, command):
+    artifacts, edges = write_graph_csvs(tmp_path / "fixture")
+    with open(edges, "a", encoding="utf-8") as handle:
+        handle.write("NEXT,,org.fw:multi:1.2.0,org.fw:multi:1.0.0\n")
+    out = tmp_path / "o"
+    code = main(["corpus", command, "--artifacts", str(artifacts), "--edges", str(edges), "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"{edges}: NEXT edges form a cycle through org.fw:multi:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_corpus_run_recomputes_a_delta_file_cut_short(tmp_path):
     # A run killed while writing a delta file can leave part of it behind.
     artifacts, edges, jar_root = build_fixture(tmp_path / "fixture")

@@ -106,6 +106,135 @@ def test_load_graph_dangling_edge_is_diagnostic(tmp_path):
     assert len(graph.diagnostics) == 1
 
 
+@pytest.mark.parametrize("cycle", [
+    [("2.0.0-rc1", "2.0.0"), ("2.0.0", "2.1.0"), ("2.1.0", "2.0.0-rc1")],
+    [("2.0.0", "2.0.0")],
+])
+def test_load_graph_rejects_a_next_cycle(tmp_path, cycle):
+    # No root reaches the versions of a cycle, so derivation would leave
+    # them out of every output instead of accounting for each.
+    versions = ["1.0.0", "1.1.0", *sorted({v for edge in cycle for v in edge})]
+    rows = [("g", "lib", v, "2011-01-01", "jar", "") for v in versions]
+    edge_rows = [("NEXT", "", f"g:lib:{a}", f"g:lib:{b}") for a, b in [("1.0.0", "1.1.0"), *cycle]]
+    artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows)
+    with pytest.raises(SchemaError) as raised:
+        load_graph(artifacts, edges)
+    message = str(raised.value)
+    assert message.startswith(f"{edges}: NEXT edges form a cycle through g:lib:")
+    assert message.rsplit(":", 1)[1] in {v for edge in cycle for v in edge}
+
+
+def test_a_next_edge_listed_twice_is_walked_once(tmp_path):
+    # Each edge of a 12-version history listed twice once made 2**11 chains.
+    versions = [f"1.{i}.0" for i in range(12)]
+    rows = [("g", "lib", v, "2011-01-01", "jar", "") for v in versions]
+    edge_rows = [("NEXT", "", f"g:lib:{a}", f"g:lib:{b}") for a, b in zip(versions, versions[1:])]
+    artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows * 2)
+    index = index_graph(load_graph(artifacts, edges))
+    assert [[r.version for r in chain] for chain in index.chains[("g", "lib")]] == [versions]
+    _, exclusions = derive_upgrades(index)
+    assert pair_reasons(exclusions) == ["no_external_client"] * 11
+
+
+def _branched_graph(root: Path) -> tuple:
+    """g:lib's NEXT history branches after 1.1.0 into 1.1.1 (a maintenance
+    release without a JAR), 1.2.0-rc1 and 2.0.0, and 1.2.0-rc1 branches on
+    into 1.2.0 and 1.3.0. The client c:app branches after 1.0.0 into 2.0.0
+    and the later-released 1.0.1, which both use lib 1.1.0. Returns the
+    graph and the JAR root."""
+    api = MethodSpec("a")
+    calls_a = MethodSpec("run", calls=(("p.Api", "a", "()V"),))
+    jars = {
+        "lib-1.0.0.jar": [ClassSpec("p.Api", methods=(api,))],
+        "lib-1.1.0.jar": [ClassSpec("p.Api", methods=(api, MethodSpec("b")))],
+        "lib-1.2.0.jar": [ClassSpec("p.Api", methods=(api, MethodSpec("b"), MethodSpec("c")))],
+        "lib-1.3.0.jar": [ClassSpec("p.Api", methods=(api, MethodSpec("b"), MethodSpec("d")))],
+        "lib-2.0.0.jar": [ClassSpec("p.Api", methods=(MethodSpec("b"),))],
+        "app-1.0.0.jar": [ClassSpec("c.App", methods=(calls_a,))],
+        "app-1.0.1.jar": [ClassSpec("c.App", methods=(calls_a,))],
+        "app-2.0.0.jar": [ClassSpec("c.App", methods=(calls_a,))],
+    }
+    jar_root = root / "jars"
+    for name, specs in jars.items():
+        write_jar(jar_root / name, specs)
+    rows = [
+        ("g", "lib", "1.0.0", "2011-01-01", "jar", "lib-1.0.0.jar"),
+        ("g", "lib", "1.1.0", "2012-01-01", "jar", "lib-1.1.0.jar"),
+        ("g", "lib", "1.1.1", "2013-06-01", "jar", ""),
+        ("g", "lib", "1.2.0-rc1", "2012-06-01", "jar", ""),
+        ("g", "lib", "1.2.0", "2013-01-01", "jar", "lib-1.2.0.jar"),
+        ("g", "lib", "1.3.0", "2014-01-01", "jar", "lib-1.3.0.jar"),
+        ("g", "lib", "2.0.0", "2015-01-01", "jar", "lib-2.0.0.jar"),
+        ("c", "app", "1.0.0", "2011-06-01", "jar", "app-1.0.0.jar"),
+        ("c", "app", "2.0.0", "2012-06-01", "jar", "app-2.0.0.jar"),
+        ("c", "app", "1.0.1", "2013-06-01", "jar", "app-1.0.1.jar"),
+    ]
+    edge_rows = [
+        ("NEXT", "", "g:lib:1.0.0", "g:lib:1.1.0"),
+        ("NEXT", "", "g:lib:1.1.0", "g:lib:2.0.0"),
+        ("NEXT", "", "g:lib:1.1.0", "g:lib:1.1.1"),
+        ("NEXT", "", "g:lib:1.1.0", "g:lib:1.2.0-rc1"),
+        ("NEXT", "", "g:lib:1.2.0-rc1", "g:lib:1.2.0"),
+        ("NEXT", "", "g:lib:1.2.0-rc1", "g:lib:1.3.0"),
+        ("NEXT", "", "c:app:1.0.0", "c:app:2.0.0"),
+        ("NEXT", "", "c:app:1.0.0", "c:app:1.0.1"),
+        ("DEPENDS", "compile", "c:app:1.0.0", "g:lib:1.0.0"),
+        ("DEPENDS", "compile", "c:app:2.0.0", "g:lib:1.1.0"),
+        ("DEPENDS", "compile", "c:app:1.0.1", "g:lib:1.1.0"),
+    ]
+    return load_graph(*write_graph_csvs(root, artifact_rows=rows, edge_rows=edge_rows)), jar_root
+
+
+def test_derive_upgrades_walks_every_branch_of_a_next_history(tmp_path):
+    graph, jar_root = _branched_graph(tmp_path)
+    index = index_graph(graph)
+    upgrades, exclusions = derive_upgrades(index, jar_root)
+    # 1.0.0 -> 1.1.0 lies on all four of lib's chains and is emitted once;
+    # the qualified 1.2.0-rc1 is skipped, so 1.1.0 pairs with 1.2.0 and 1.3.0.
+    assert sorted((u.v1.raw, u.v2.raw, u.level.value) for u in upgrades) == [
+        ("1.0.0", "1.1.0", "minor"),
+        ("1.1.0", "1.2.0", "minor"),
+        ("1.1.0", "1.3.0", "minor"),
+        ("1.1.0", "2.0.0", "major"),
+    ]
+    assert exclusions == [
+        ["version", "g:lib:1.2.0-rc1", "", "qualified"],
+        ["pair", "c:app:1.0.0", "c:app:1.0.1", "no_external_client"],
+        ["pair", "c:app:1.0.0", "c:app:2.0.0", "no_external_client"],
+        ["pair", "g:lib:1.1.0", "g:lib:1.1.1", "jar_unavailable"],
+    ]
+    # c:app's 2.0.0 and 1.0.1 stand at the same place on their branches,
+    # so the later release date picks 1.0.1.
+    chosen = {(u.v1.raw, u.v2.raw): [e.src for e in derive_clients(u, index)] for u in upgrades}
+    assert chosen == {
+        ("1.0.0", "1.1.0"): ["c:app:1.0.0"],
+        ("1.1.0", "1.2.0"): ["c:app:1.0.1"],
+        ("1.1.0", "1.3.0"): ["c:app:1.0.1"],
+        ("1.1.0", "2.0.0"): ["c:app:1.0.1"],
+    }
+
+    outputs = {}
+    for jobs in (1, 2):
+        outputs[jobs] = tmp_path / f"jobs-{jobs}"
+        run_pipeline(graph, jar_root, outputs[jobs], PipelineOptions(jobs=jobs))
+    files = snapshot(outputs[1])
+    assert snapshot(outputs[2]) == files
+    assert files["upgrades.csv"].decode().splitlines()[1:] == [
+        "g,lib,1.0.0,1.1.0,minor,2012,false,false,0,0,deltas/g__lib__1.0.0__1.1.0.json",
+        "g,lib,1.1.0,1.2.0,minor,2013,false,false,0,0,deltas/g__lib__1.1.0__1.2.0.json",
+        "g,lib,1.1.0,1.3.0,minor,2014,false,false,0,0,deltas/g__lib__1.1.0__1.3.0.json",
+        "g,lib,1.1.0,2.0.0,major,2015,true,true,1,1,deltas/g__lib__1.1.0__2.0.0.json",
+    ]
+    # Client rows that share library, v1 and client keep the order in which
+    # the chain walk derived their upgrades.
+    assert files["clients.csv"].decode().splitlines()[1:] == [
+        "c:app:1.0.0,compile,g:lib,1.0.0,1.1.0,minor,false,0",
+        "c:app:1.0.1,compile,g:lib,1.1.0,2.0.0,major,true,1",
+        "c:app:1.0.1,compile,g:lib,1.1.0,1.2.0,minor,false,0",
+        "c:app:1.0.1,compile,g:lib,1.1.0,1.3.0,minor,false,0",
+    ]
+
+
 def test_derive_upgrades_fig_fixture(fig_graph):
     graph, jar_root = fig_graph
     upgrades, exclusions = derive_upgrades(index_graph(graph), jar_root)
@@ -551,13 +680,12 @@ _original_run_library = corpus._run_library
 
 
 def _logged_run_library(task):
-    (library,) = task.index.versions
     with open(os.environ[_RUN_LOG], "a", encoding="utf-8") as log:
-        log.write(f"{os.getpid()} {':'.join(library)}\n")
+        log.write(f"{os.getpid()} {':'.join(task.library)}\n")
     return _original_run_library(task)
 
 
-def test_run_pipeline_pools_only_the_libraries_that_read_a_jar(tmp_path, monkeypatch):
+def test_run_pipeline_shares_every_library_task_between_the_processes(tmp_path, monkeypatch):
     _, jar_root, _ = _reuse_graph(tmp_path)
     # g.mid has a version pair but no client, so it opens no JAR, and the
     # client libraries c0-c2 have one version each.
@@ -568,7 +696,6 @@ def test_run_pipeline_pools_only_the_libraries_that_read_a_jar(tmp_path, monkeyp
         handle.write("NEXT,,g.mid:mid:1.0.0,g.mid:mid:1.1.0\n")
     graph = load_graph(artifacts, edges)
     libraries = ["c0:app", "c1:app", "c2:app", "g.lib:lib", "g.mid:mid", "g.two:two"]
-    reading = ["g.lib:lib", "g.two:two"]
     forks = []
     run_forked = corpus.run_forked
     monkeypatch.setattr(corpus, "run_forked", lambda n, work: forks.append(n) or run_forked(n, work))
@@ -583,16 +710,14 @@ def test_run_pipeline_pools_only_the_libraries_that_read_a_jar(tmp_path, monkeyp
         run_pipeline(graph, jar_root, outputs[jobs], PipelineOptions(jobs=jobs, samples=samples))
         runs = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
         assert sorted(library for _, library in runs) == libraries  # each task runs once
-        parent = str(os.getpid())
-        if jobs == 1:
-            assert forks == [] and {pid for pid, _ in runs} == {parent}
-        else:
-            # The tasks that read no JAR run here first, in task order. This
-            # process and at most one forked process per task that reads a
-            # JAR, jobs in all, then share the others.
-            assert runs[:4] == [[parent, library] for library in libraries if library not in reading]
-            assert forks == [min(jobs, len(reading))]
-            assert len({pid for pid, _ in runs} - {parent}) <= min(jobs, len(reading)) - 1
+        # Every task, whether or not it reads a JAR, goes through the one
+        # queue: this process and jobs - 1 forked ones take them in task order.
+        assert forks == [min(jobs, len(libraries))]
+        pids = {pid for pid, _ in runs}
+        assert len(pids - {str(os.getpid())}) <= jobs - 1
+        for pid in pids:
+            taken = [library for run_pid, library in runs if run_pid == pid]
+            assert taken == sorted(taken)
     files = snapshot(outputs[1])
     assert b"g.mid:mid:1.0.0,g.mid:mid:1.1.0,no_external_client" in files["exclusions.csv"]
     assert snapshot(outputs[2]) == snapshot(outputs[3]) == files
@@ -652,7 +777,7 @@ def test_a_task_that_raises_in_a_forked_process_raises_here(tmp_path, monkeypatc
     taken = tmp_path / "taken"
 
     def run_library(task):
-        if not corpus._reads_jars(task):
+        if task.library not in {("g.lib", "lib"), ("g.two", "two")}:
             return _original_run_library(task)
         if os.getpid() != parent:
             taken.touch()
@@ -789,7 +914,7 @@ def pinned_text(root: Path) -> dict[str, str]:
     return files
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("jobs", [1, 2, 3])
 @pytest.mark.parametrize("name, build", [
     ("fixture", build_fixture),
     ("two_libraries", build_two_library_fixture),

@@ -40,3 +40,21 @@ def test_every_module_level_name_in_the_package_is_named_elsewhere():
             if not others and not re.fullmatch(r"__\w+__", name):
                 unused.append(f"{path.relative_to(ROOT)}:{number}: {name}")
     assert unused == []
+
+
+def test_no_module_in_the_package_reads_the_environment():
+    # Every setting comes from the command line, so a command's result
+    # depends on its arguments and inputs alone, never on a variable its
+    # caller may not know is set.
+    reading = {"environ", "environb", "getenv", "getenvb"}
+    reads = []
+    for path in sorted((ROOT / "src" / "jarcompat").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr] if isinstance(node.value, ast.Name) and node.value.id == "os" else []
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            reads += [f"{path.relative_to(ROOT)}:{node.lineno}: os.{n}" for n in names if n in reading]
+    assert reads == []
