@@ -151,9 +151,12 @@ def _parse_sample_spec(text: str) -> tuple[str, float, float]:
     if level not in ("all", "major", "minor", "patch", "dev"):
         raise DataError(f"unknown sample level {level!r}")
     try:
-        return level, float(confidence), float(margin)
+        confidence, margin = float(confidence), float(margin)
+        if not (0.0 < confidence < 1.0 and 0.0 < margin < 1.0):  # NaN fails too
+            raise ValueError("confidence and margin must be in (0, 1)")
     except ValueError as exc:
         raise DataError(f"bad sample spec {text!r}: {exc}") from exc
+    return level, confidence, margin
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
@@ -171,8 +174,9 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         write_csv(
             out / "upgrades.csv",
             UPGRADE_COLUMNS[: UPGRADE_COLUMNS.index("level") + 1],
+            # corpus run's order: by library, then by version
             [[u.rec1.group_id, u.rec1.artifact_id, u.v1.raw, u.v2.raw, u.level.value]
-             for u in upgrades],
+             for u in sorted(upgrades, key=lambda u: (u.rec1.library, u.v1.key(), u.v2.key()))],
         )
         write_exclusions(out / "exclusions.csv", exclusion_rows)
         log.info("derived %d upgrades, %d exclusion rows", len(upgrades), len(exclusion_rows))

@@ -174,8 +174,8 @@ def load_graph(artifacts_path: str | Path, edges_path: str | Path) -> Dependency
 
 def _next_cycle(next_out: dict[str, list[str]]) -> str | None:
     """A coordinate on a cycle of NEXT edges, a self-loop included, or None.
-    ``_chains`` walks each history from its roots, which need not reach a
-    cycle, so a cycle's versions would drop out of every output."""
+    ``index_graph`` walks each history from its roots, which need not reach
+    a cycle, so a cycle's versions would drop out of every output."""
     done: set[str] = set()
     for start in next_out:
         if start in done:
@@ -258,60 +258,43 @@ class _JarProbe:
 class GraphIndex:
     """What derivation reads from a graph, computed once per run.
 
-    ``chains`` holds each library's maximal NEXT paths, and ``positions``
-    each coordinate's index along the chains of its library.
+    ``versions`` holds the coordinates of each library's versions in walk
+    order, every version after its NEXT predecessors; ``successors`` the
+    distinct NEXT successors of each coordinate that has any, by coordinate;
+    and ``positions`` the length of the longest NEXT path that ends at each
+    coordinate.
     """
 
     graph: DependencyGraph
-    chains: dict[tuple[str, str], list[list[ArtifactRecord]]]
+    versions: dict[tuple[str, str], list[str]]
+    successors: dict[str, list[str]]
     positions: dict[str, int]
 
 
 def index_graph(graph: DependencyGraph) -> GraphIndex:
-    """Group the artifacts by library and walk each library's chains once."""
-    versions: dict[tuple[str, str], dict[str, ArtifactRecord]] = {}
-    for record in graph.artifacts.values():
-        versions.setdefault(record.library, {})[record.coord] = record
-    chains = {library: _chains(versions[library], graph.next_out) for library in sorted(versions)}
+    """Walk the NEXT DAG once, by Kahn's algorithm with a stack: the roots go
+    in by (group, artifact), then by coordinate, and a version goes in once
+    its last predecessor is out, its successors taken by coordinate. So each
+    library's versions come out together, and each NEXT chain runs from its
+    root to its end before the next root's. ``load_graph`` rejects NEXT
+    cycles, so the walk reaches every version."""
+    # A NEXT edge listed twice is one successor.
+    successors = {coord: sorted(set(dsts)) for coord, dsts in graph.next_out.items()}
+    waiting = Counter(dst for dsts in successors.values() for dst in dsts)
+    roots = (coord for coord in graph.artifacts if not waiting[coord])
+    stack = sorted(roots, key=lambda coord: (graph.artifacts[coord].library, coord), reverse=True)
+    versions: dict[tuple[str, str], list[str]] = {}
     positions: dict[str, int] = {}
-    for library_chains in chains.values():
-        for chain in library_chains:
-            for index, record in enumerate(chain):
-                positions[record.coord] = index
-    return GraphIndex(graph, chains, positions)
-
-
-def _chains(
-    versions: dict[str, ArtifactRecord], next_out: dict[str, list[str]]
-) -> list[list[ArtifactRecord]]:
-    """Maximal NEXT paths for one library, one per root (plus one per branch).
-    ``load_graph`` rejects NEXT cycles, so every version lies on a path
-    from a root."""
-    # A NEXT edge listed twice is one successor: walked twice, it would
-    # double every chain through it.
-    successors = {
-        coord: sorted({d for d in next_out.get(coord, []) if d in versions})
-        for coord in versions
-    }
-    has_predecessor = {d for dsts in successors.values() for d in dsts}
-    roots = sorted(coord for coord in versions if coord not in has_predecessor)
-
-    chains: list[list[ArtifactRecord]] = []
-    pending: list[tuple[str, list[ArtifactRecord]]] = [(root, []) for root in roots]
-    while pending:
-        start, prefix = pending.pop()
-        # A branched history (maintenance release) walks each branch as a
-        # full path including the shared prefix, so pairs across the branch
-        # point are not lost; duplicates are removed downstream.
-        chain = list(prefix) + [versions[start]]
-        current = start
-        while successors[current]:
-            for extra in successors[current][1:]:
-                pending.append((extra, list(chain)))
-            current = successors[current][0]
-            chain.append(versions[current])
-        chains.append(chain)
-    return sorted(chains, key=lambda c: c[0].coord)
+    while stack:
+        coord = stack.pop()
+        versions.setdefault(graph.artifacts[coord].library, []).append(coord)
+        position = positions.setdefault(coord, 0) + 1
+        for dst in reversed(successors.get(coord, ())):
+            positions[dst] = max(positions.get(dst, 0), position)
+            waiting[dst] -= 1
+            if not waiting[dst]:
+                stack.append(dst)
+    return GraphIndex(graph, versions, successors, positions)
 
 
 def _external_clients(graph: DependencyGraph, record: ArtifactRecord) -> list[GraphEdge]:
@@ -334,45 +317,50 @@ def derive_upgrades(
 
     Versions that are qualified, date-like, or unparseable never become
     candidate endpoints; each gets one ``version`` row and is skipped when
-    pairing neighbours. Every other candidate pair is emitted or gets one
-    ``pair`` row. Version rows come first, by coordinate, then pair rows by
-    (group, artifact, v1, v2). Every library is derived, each reading its
-    JARs through a fresh probe, unless the caller passes a ``probe``: then
-    only the probe's library is derived, its JARs are read from the probe's
-    JAR root, and the probe keeps the JARs the filters read.
+    pairing neighbours: each compliant v1 pairs with the compliant versions
+    it reaches through skipped ones, found back to front along the walk, in
+    walk order of v1 and then by coordinate. Each candidate pair is emitted
+    or gets one ``pair`` row. Version rows come first, by coordinate, then
+    pair rows by (group, artifact, v1, v2). Every library is derived, each
+    reading its JARs through a fresh probe, unless the caller passes a
+    ``probe``: then only the probe's library is derived, its JARs are read
+    from the probe's JAR root, and the probe keeps the JARs the filters read.
     """
     root = Path(jar_root) if jar_root is not None else None
+    artifacts = index.graph.artifacts
     upgrades: list[Upgrade] = []
-    skipped: dict[str, str] = {}
+    skipped: list[list] = []
     excluded: list[tuple[tuple[str, ...], list]] = []
-    seen_pairs: set[tuple[str, str]] = set()
 
-    for library in [probe.library] if probe is not None else sorted(index.chains):
+    for library in [probe.library] if probe is not None else index.versions:
         library_probe = probe or _JarProbe(library, root, StabilityConfig())
-        for chain in index.chains[library]:
-            compliant: list[tuple[ArtifactRecord, Version]] = []
-            for record in chain:
-                try:
-                    version = parse_version(record.version)
-                    skip = version.noncompliance_reason
-                except Unparseable:
-                    skip = "unparseable"
-                if skip is None:
-                    compliant.append((record, version))
-                else:
-                    skipped.setdefault(record.coord, skip)
+        walk = index.versions[library]
+        compliant: dict[str, Version] = {}  # in walk order
+        for coord in walk:
+            try:
+                version = parse_version(artifacts[coord].version)
+                skip = version.noncompliance_reason
+            except Unparseable:
+                skip = "unparseable"
+            if skip is None:
+                compliant[coord] = version
+            else:
+                skipped.append(["version", coord, "", skip])
 
-            for (rec1, v1), (rec2, v2) in zip(compliant, compliant[1:]):
-                if (rec1.coord, rec2.coord) in seen_pairs:
-                    continue
-                seen_pairs.add((rec1.coord, rec2.coord))
-                selected = _select(index.graph, library_probe, rec1, rec2, v1, v2)
+        reaches: dict[str, set[str]] = {}
+        for coord in reversed(walk):
+            reaches[coord] = set().union(
+                *({dst} if dst in compliant else reaches[dst] for dst in index.successors.get(coord, ()))
+            )
+        for coord1, v1 in compliant.items():
+            for coord2 in sorted(reaches[coord1]):
+                v2 = compliant[coord2]
+                selected = _select(index.graph, library_probe, artifacts[coord1], artifacts[coord2], v1, v2)
                 if isinstance(selected, Upgrade):
                     upgrades.append(selected)
                 else:
-                    row = ["pair", rec1.coord, rec2.coord, selected]
-                    excluded.append(((*library, v1.raw, v2.raw), row))
-    rows = [["version", coord, "", reason] for coord, reason in sorted(skipped.items())]
+                    excluded.append(((*library, v1.raw, v2.raw), ["pair", coord1, coord2, selected]))
+    rows = sorted(skipped, key=itemgetter(1))
     rows += [row for _, row in sorted(excluded, key=itemgetter(0))]
     return upgrades, rows
 
@@ -417,7 +405,7 @@ def derive_clients(upgrade: Upgrade, index: GraphIndex) -> list[GraphEdge]:
     best: dict[tuple[str, str], tuple[tuple, GraphEdge]] = {}
     for edge in upgrade.clients:
         client = artifacts[edge.src]
-        rank = (index.positions.get(edge.src, -1), client.release_date, client.version)
+        rank = (index.positions[edge.src], client.release_date, client.version)
         if client.library not in best or rank > best[client.library][0]:
             best[client.library] = (rank, edge)
     return [edge for _, edge in sorted(best.values(), key=lambda item: item[1].src)]
@@ -448,10 +436,10 @@ def _columns(table: tuple[str, ...], *names: str) -> itemgetter:
 
 # Client and detection rows sort by the "group:artifact" string, which orders
 # libraries differently from the (group, artifact) tuples tasks run in.
-_CLIENT_ORDER = _columns(CLIENT_COLUMNS, "library", "v1", "client")
+_CLIENT_ORDER = _columns(CLIENT_COLUMNS, "library", "v1", "client", "v2")
 _DETECTION_ORDER = _columns(
     DETECTION_COLUMNS,
-    "library", "v1", "client", "clientElement", "libraryElement", "bcKind", "useKind",
+    "library", "v1", "client", "clientElement", "libraryElement", "bcKind", "useKind", "v2",
 )
 _UPGRADE_LEVEL = _columns(UPGRADE_COLUMNS, "level")
 _EXCLUSION_STAGE_REASON = _columns(EXCLUSION_COLUMNS, "stage", "reason")
@@ -521,7 +509,7 @@ def run_pipeline(
     root = Path(jar_root) if jar_root is not None else None
     config = options.stability_config or StabilityConfig()
     index = index_graph(graph)
-    tasks = [_LibraryTask(library, index, root, deltas, config) for library in index.chains]
+    tasks = [_LibraryTask(library, index, root, deltas, config) for library in index.versions]
     workers = max(1, min(options.jobs, len(tasks))) if hasattr(os, "sched_getaffinity") else 1
     # Put back in task order, (group, artifact), the order of upgrades.csv
     # and of the excluded pairs.

@@ -143,7 +143,7 @@ def build_fixture(root: Path) -> tuple[Path, Path, Path]:
 # tuples, as "group:artifact" strings and as versions: ("org.lib1", "lib1")
 # comes first as a tuple, "org.lib10:lib10" first as a string, and 1.9.0
 # precedes 1.10.0 only as a version. lib10 has two NEXT chains; the chain
-# rooted at 1.10.5 is walked first, although its upgrade sorts last.
+# rooted at 1.10.5 comes first in the walk, although its upgrade sorts last.
 TWO_LIBRARY_ROWS = [
     ("org.lib1", "lib1", "1.9.0", "2015-01-01", "jar", "lib1-1.9.0.jar"),
     ("org.lib1", "lib1", "1.10.0", "2015-06-01", "jar", "lib1-1.10.0.jar"),

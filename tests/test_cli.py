@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from bench_cases import write_benchmark
 from conftest import damage_entry, refuse_directory, write_jar
-from corpus_fixture import build_fixture, write_graph_csvs
+from corpus_fixture import build_fixture, build_two_library_fixture, write_graph_csvs
 from jarcompat import analyze
 from jarcompat.analyze import analyze_results
 from jarcompat.classfile import ClassSpec, MethodSpec
@@ -245,6 +245,38 @@ def test_corpus_derive_exclusions_match_run(tmp_path):
     derived = (tmp_path / "derived" / "exclusions.csv").read_bytes()
     assert derived.count(b"\n") > 1
     assert derived == (tmp_path / "ran" / "exclusions.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "build", [build_fixture, build_two_library_fixture], ids=["fixture", "two_libraries"]
+)
+def test_corpus_derive_upgrades_match_run_in_run_order(tmp_path, build):
+    # On the two-library fixture, org.lib10's walk reaches 1.10.5 -> 1.11.0
+    # before 1.9.0 -> 1.10.0; both files put them in version order.
+    artifacts, edges, jar_root = build(tmp_path / "fixture")
+    common = ["--artifacts", str(artifacts), "--edges", str(edges), "--jars", str(jar_root)]
+    assert main(["corpus", "derive", *common, "--out", str(tmp_path / "derived")]) == 0
+    assert main(["corpus", "run", *common, "--out", str(tmp_path / "ran"), "--jobs", "1"]) == 0
+    with open(tmp_path / "derived" / "upgrades.csv", newline="", encoding="utf-8") as handle:
+        derived = list(csv.reader(handle))
+    with open(tmp_path / "ran" / "upgrades.csv", newline="", encoding="utf-8") as handle:
+        ran = [row[:5] for row in csv.reader(handle)]
+    assert len(derived) > 3
+    assert derived == ran
+
+
+@pytest.mark.parametrize("spec", ["all:1.5:0.05", "all:0.95:0", "major:0.95:nan", "minor:nan:0.05",
+                                  "all:1:0.05", "patch:0.95:-0.1"])
+def test_corpus_run_rejects_a_sample_confidence_or_margin_outside_zero_to_one(tmp_path, capsys, spec):
+    artifacts, edges, jar_root = build_fixture(tmp_path / "fixture")
+    out = tmp_path / "o"
+    code = main(["corpus", "run", "--artifacts", str(artifacts), "--edges", str(edges),
+                 "--jars", str(jar_root), "--out", str(out), "--jobs", "1", "--sample", spec])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"bad sample spec {spec!r}: confidence and margin must be in (0, 1)" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_corpus_run_counts_a_corrupt_client_jar_as_missing(tmp_path, caplog):

@@ -10,9 +10,12 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from datetime import datetime
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import damage_entry, jar_bytes, misfile_entry, write_jar
 from corpus_fixture import build_fixture, build_two_library_fixture, write_graph_csvs
@@ -20,6 +23,7 @@ from jarcompat import corpus, delta
 from jarcompat.classfile import ClassSpec, MethodSpec, parser, write_class
 from jarcompat.cli import main
 from jarcompat.corpus import (
+    DependencyGraph,
     PipelineOptions,
     SchemaError,
     derive_clients,
@@ -28,7 +32,7 @@ from jarcompat.corpus import (
     load_graph,
     run_pipeline,
 )
-from jarcompat.semver import SemverLevel
+from jarcompat.semver import SemverLevel, Unparseable, parse_version
 
 
 def pair_reasons(exclusions: list[list]) -> list[str]:
@@ -131,7 +135,8 @@ def test_a_next_edge_listed_twice_is_walked_once(tmp_path):
     edge_rows = [("NEXT", "", f"g:lib:{a}", f"g:lib:{b}") for a, b in zip(versions, versions[1:])]
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows * 2)
     index = index_graph(load_graph(artifacts, edges))
-    assert [[r.version for r in chain] for chain in index.chains[("g", "lib")]] == [versions]
+    assert index.versions[("g", "lib")] == [f"g:lib:{v}" for v in versions]
+    assert index.successors["g:lib:1.0.0"] == ["g:lib:1.1.0"]
     _, exclusions = derive_upgrades(index)
     assert pair_reasons(exclusions) == ["no_external_client"] * 11
 
@@ -189,8 +194,9 @@ def test_derive_upgrades_walks_every_branch_of_a_next_history(tmp_path):
     graph, jar_root = _branched_graph(tmp_path)
     index = index_graph(graph)
     upgrades, exclusions = derive_upgrades(index, jar_root)
-    # 1.0.0 -> 1.1.0 lies on all four of lib's chains and is emitted once;
-    # the qualified 1.2.0-rc1 is skipped, so 1.1.0 pairs with 1.2.0 and 1.3.0.
+    # 1.0.0 -> 1.1.0 lies on all four of lib's maximal NEXT paths and is
+    # emitted once; the qualified 1.2.0-rc1 is skipped, so 1.1.0 pairs with
+    # 1.2.0 and 1.3.0.
     assert sorted((u.v1.raw, u.v2.raw, u.level.value) for u in upgrades) == [
         ("1.0.0", "1.1.0", "minor"),
         ("1.1.0", "1.2.0", "minor"),
@@ -225,13 +231,163 @@ def test_derive_upgrades_walks_every_branch_of_a_next_history(tmp_path):
         "g,lib,1.1.0,1.3.0,minor,2014,false,false,0,0,deltas/g__lib__1.1.0__1.3.0.json",
         "g,lib,1.1.0,2.0.0,major,2015,true,true,1,1,deltas/g__lib__1.1.0__2.0.0.json",
     ]
-    # Client rows that share library, v1 and client keep the order in which
-    # the chain walk derived their upgrades.
+    # Client rows that share library, v1 and client sort by v2, whatever
+    # order the walk derived their upgrades in.
     assert files["clients.csv"].decode().splitlines()[1:] == [
         "c:app:1.0.0,compile,g:lib,1.0.0,1.1.0,minor,false,0",
-        "c:app:1.0.1,compile,g:lib,1.1.0,2.0.0,major,true,1",
         "c:app:1.0.1,compile,g:lib,1.1.0,1.2.0,minor,false,0",
         "c:app:1.0.1,compile,g:lib,1.1.0,1.3.0,minor,false,0",
+        "c:app:1.0.1,compile,g:lib,1.1.0,2.0.0,major,true,1",
+    ]
+
+
+def test_a_merged_client_history_ranks_versions_by_longest_next_path(tmp_path):
+    # c:app's NEXT history splits after 1.0.0 and joins again at 2.0.0: a
+    # long branch through 1.0.1 and 1.0.2 and a short one through 1.1.0.
+    # 2.0.0 follows 1.0.2 in NEXT order, so it is chosen over the later
+    # released 1.0.2, whichever branch is walked last.
+    lib = [ClassSpec("p.Api", methods=(MethodSpec("a"),))]
+    app = [ClassSpec("c.App", methods=(MethodSpec("run", calls=(("p.Api", "a", "()V"),)),))]
+    jar_root = tmp_path / "jars"
+    for name, specs in {"lib-1.0.0.jar": lib, "lib-1.1.0.jar": lib, "app.jar": app}.items():
+        write_jar(jar_root / name, specs)
+    rows = [
+        ("g", "lib", "1.0.0", "2011-01-01", "jar", "lib-1.0.0.jar"),
+        ("g", "lib", "1.1.0", "2012-01-01", "jar", "lib-1.1.0.jar"),
+        *(("c", "app", v, date, "jar", "app.jar") for v, date in [
+            ("1.0.0", "2011-02-01"), ("1.0.1", "2011-03-01"), ("1.1.0", "2011-04-01"),
+            ("2.0.0", "2011-05-01"), ("1.0.2", "2011-06-01"),
+        ]),
+    ]
+    next_edges = [("1.0.0", "1.0.1"), ("1.0.1", "1.0.2"), ("1.0.2", "2.0.0"),
+                  ("1.0.0", "1.1.0"), ("1.1.0", "2.0.0")]
+    edge_rows = [
+        ("NEXT", "", "g:lib:1.0.0", "g:lib:1.1.0"),
+        *(("NEXT", "", f"c:app:{a}", f"c:app:{b}") for a, b in next_edges),
+        ("DEPENDS", "compile", "c:app:2.0.0", "g:lib:1.0.0"),
+        ("DEPENDS", "compile", "c:app:1.0.2", "g:lib:1.0.0"),
+    ]
+    graph = load_graph(*write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows))
+    index = index_graph(graph)
+    assert {coord: index.positions[coord] for coord in graph.artifacts if coord.startswith("c:")} == {
+        "c:app:1.0.0": 0, "c:app:1.0.1": 1, "c:app:1.1.0": 1, "c:app:2.0.0": 3, "c:app:1.0.2": 2,
+    }
+    assert index.versions[("c", "app")] == [
+        "c:app:1.0.0", "c:app:1.0.1", "c:app:1.0.2", "c:app:1.1.0", "c:app:2.0.0",
+    ]
+    (upgrade,), _ = derive_upgrades(index, jar_root)
+    assert [edge.src for edge in derive_clients(upgrade, index)] == ["c:app:2.0.0"]
+
+
+def _diamonds(count: int) -> DependencyGraph:
+    """One library whose NEXT history is ``count`` diamonds in a row: 1.i.0
+    branches into 1.i.1 and 1.i.2, which both lead to 1.(i+1).0. It has
+    2**count maximal NEXT paths and 4 * count candidate pairs."""
+    graph = DependencyGraph()
+    for i in range(count + 1):
+        for patch in (0, 1, 2) if i < count else (0,):
+            record = corpus.ArtifactRecord("g", "lib", f"1.{i}.{patch}", datetime(2011, 1, 1), "jar", None)
+            graph.artifacts[record.coord] = record
+    for i in range(count):
+        graph.next_out[f"g:lib:1.{i}.0"] = [f"g:lib:1.{i}.1", f"g:lib:1.{i}.2"]
+        for patch in (1, 2):
+            graph.next_out[f"g:lib:1.{i}.{patch}"] = [f"g:lib:1.{i + 1}.0"]
+    return graph
+
+
+def test_twenty_diamonds_derive_in_under_a_second():
+    graph = _diamonds(20)
+    started = time.perf_counter()
+    upgrades, exclusions = derive_upgrades(index_graph(graph))
+    elapsed = time.perf_counter() - started
+    assert upgrades == []
+    assert pair_reasons(exclusions) == ["no_external_client"] * 80
+    assert elapsed < 1.0
+
+
+def test_derivation_parses_each_version_once(monkeypatch):
+    # 1.0.0 lies on all 2**12 maximal NEXT paths, and is parsed once.
+    graph = _diamonds(12)
+    calls = Counter()
+
+    def counting(text):
+        calls[text] += 1
+        return parse_version(text)
+
+    monkeypatch.setattr(corpus, "parse_version", counting)
+    derive_upgrades(index_graph(graph))
+    assert calls == Counter(record.version for record in graph.artifacts.values())
+
+
+def _chain_walk(graph: DependencyGraph) -> tuple[set[tuple[str, str]], dict[str, str], dict[str, int]]:
+    """The former derivation, kept as a reference: walk every maximal NEXT
+    path from a root, pair the compliant versions adjacent on it, and keep
+    each pair once. Returns the pairs, each skipped version's reason and
+    each version's greatest index on a path."""
+    successors = {coord: sorted(set(dsts)) for coord, dsts in graph.next_out.items()}
+    has_predecessor = {dst for dsts in successors.values() for dst in dsts}
+    pending = [[coord] for coord in graph.artifacts if coord not in has_predecessor]
+    pairs: set[tuple[str, str]] = set()
+    skipped: dict[str, str] = {}
+    positions: dict[str, int] = {}
+    while pending:
+        chain = pending.pop()
+        if chain[-1] in successors:
+            pending += [chain + [dst] for dst in successors[chain[-1]]]
+            continue
+        compliant = []
+        for index, coord in enumerate(chain):
+            positions[coord] = max(positions.get(coord, 0), index)
+            try:
+                reason = parse_version(graph.artifacts[coord].version).noncompliance_reason
+            except Unparseable:
+                reason = "unparseable"
+            if reason is None:
+                compliant.append(coord)
+            else:
+                skipped[coord] = reason
+        pairs.update(zip(compliant, compliant[1:]))
+    return pairs, skipped, positions
+
+
+@st.composite
+def next_dags(draw) -> DependencyGraph:
+    """A library of at most 14 versions whose NEXT edges form a DAG, some
+    edges listed twice. Version i's name comes from a permutation, so the
+    coordinate order is not the NEXT order."""
+    count = draw(st.integers(1, 14))
+    minors = draw(st.permutations(range(count)))
+    # Compliant, listed twice so that it comes up more often, qualified,
+    # date-like and unparseable.
+    forms = draw(st.lists(st.sampled_from(["1.{}.0", "1.{}.0", "1.{}.0-rc1", "1.{}.20110712", "v{}"]),
+                          min_size=count, max_size=count))
+    graph = DependencyGraph()
+    names = [form.format(minor) for form, minor in zip(forms, minors)]
+    for name in names:
+        record = corpus.ArtifactRecord("g", "lib", name, datetime(2011, 1, 1), "jar", None)
+        graph.artifacts[record.coord] = record
+    ends = st.tuples(st.integers(0, count - 1), st.integers(0, count - 1))
+    for a, b in map(sorted, draw(st.lists(ends, max_size=2 * count))):
+        if a < b:
+            graph.next_out.setdefault(f"g:lib:{names[a]}", []).append(f"g:lib:{names[b]}")
+    return graph
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=next_dags())
+def test_the_walk_derives_what_the_chain_walk_derived(graph):
+    pairs, skipped, positions = _chain_walk(graph)
+    index = index_graph(graph)
+    walk = index.versions[("g", "lib")]
+    assert sorted(walk) == sorted(graph.artifacts)
+    assert all(walk.index(src) < walk.index(dst) for src, dsts in graph.next_out.items() for dst in dsts)
+    assert index.positions == positions
+    upgrades, exclusions = derive_upgrades(index)
+    assert upgrades == []
+    assert {(subject, v2) for stage, subject, v2, _ in exclusions if stage == "pair"} == pairs
+    assert len(pair_reasons(exclusions)) == len(pairs)
+    assert [row for row in exclusions if row[0] == "version"] == [
+        ["version", coord, "", reason] for coord, reason in sorted(skipped.items())
     ]
 
 
