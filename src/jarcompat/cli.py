@@ -22,7 +22,6 @@ from .corpus import (
     PipelineOptions,
     SchemaError,
     derive_upgrades,
-    index_graph,
     load_graph,
     run_pipeline,
     usable_cpus,
@@ -168,7 +167,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         log.warning("%s", diagnostic)
 
     if args.corpus_command == "derive":
-        upgrades, exclusion_rows = derive_upgrades(index_graph(graph), args.jars)
+        upgrades, exclusion_rows = derive_upgrades(graph, args.jars)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_csv(

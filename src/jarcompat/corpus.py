@@ -56,25 +56,27 @@ class SchemaError(ValueError):
 
 @dataclass(frozen=True)
 class ArtifactRecord:
+    """One artifact, which holds its ``group:artifact:version`` coordinate
+    and its (group, artifact) library, built once when it is made."""
+
     group_id: str
     artifact_id: str
     version: str
     release_date: datetime
     packaging: str
     jar_path: str | None
+    coord: str = field(init=False, repr=False, compare=False)
+    library: tuple[str, str] = field(init=False, repr=False, compare=False)
 
-    @property
-    def coord(self) -> str:
-        return f"{self.group_id}:{self.artifact_id}:{self.version}"
-
-    @property
-    def library(self) -> tuple[str, str]:
-        return (self.group_id, self.artifact_id)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coord", f"{self.group_id}:{self.artifact_id}:{self.version}")
+        object.__setattr__(self, "library", (self.group_id, self.artifact_id))
 
 
 @dataclass(frozen=True)
 class GraphEdge:
-    """A DEPENDS edge; its target is the key it is filed under in ``dependents``."""
+    """A compile or test DEPENDS edge; its target is the key it is filed
+    under in ``dependents``."""
 
     scope: str
     src: str
@@ -82,10 +84,58 @@ class GraphEdge:
 
 @dataclass
 class DependencyGraph:
-    artifacts: dict[str, ArtifactRecord] = field(default_factory=dict)
-    next_out: dict[str, list[str]] = field(default_factory=dict)
+    """A dependency graph, indexed for derivation as it is made.
+
+    ``artifacts`` maps each coordinate to its record, ``next_out`` each
+    coordinate that has NEXT successors to them, each listed once and in
+    coordinate order, and ``dependents`` each coordinate to the DEPENDS
+    edges of its clients. Making a graph walks its NEXT edges once (see
+    ``__post_init__``), which fills ``versions``, the coordinates of each
+    library's versions in walk order, every version after its NEXT
+    predecessors, and ``positions``, the length of the longest NEXT path
+    that ends at each coordinate.
+    """
+
+    artifacts: dict[str, ArtifactRecord]
+    next_out: dict[str, list[str]]
     dependents: dict[str, list[GraphEdge]] = field(default_factory=dict)
     diagnostics: list[str] = field(default_factory=list)
+    versions: dict[tuple[str, str], list[str]] = field(init=False)
+    positions: dict[str, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        """Walk the NEXT DAG once, by Kahn's algorithm with a stack: the roots
+        go in by (group, artifact), then by coordinate, and a version goes in
+        once its last predecessor is out, its successors taken by coordinate.
+        So each library's versions come out together, and each NEXT chain runs
+        from its root to its end before the next root's. A cycle, a self-loop
+        included, is a ``SchemaError`` naming a version on it: no root reaches
+        its versions, so they would drop out of every output."""
+        # A NEXT edge listed twice is one successor.
+        self.next_out = {coord: sorted(set(dsts)) for coord, dsts in self.next_out.items()}
+        waiting = Counter(dst for dsts in self.next_out.values() for dst in dsts)
+        roots = (coord for coord in self.artifacts if not waiting[coord])
+        stack = sorted(roots, key=lambda coord: (self.artifacts[coord].library, coord), reverse=True)
+        self.versions, self.positions = {}, {}
+        while stack:
+            coord = stack.pop()
+            self.versions.setdefault(self.artifacts[coord].library, []).append(coord)
+            position = self.positions.setdefault(coord, 0) + 1
+            for dst in reversed(self.next_out.get(coord, ())):
+                self.positions[dst] = max(self.positions.get(dst, 0), position)
+                waiting[dst] -= 1
+                if not waiting[dst]:
+                    stack.append(dst)
+        if +waiting:
+            # Each version left still waits on a predecessor that is left too,
+            # so stepping back from one to such a predecessor, again and
+            # again, comes round to a version on a cycle.
+            back = {dst: src for src, dsts in self.next_out.items() if waiting[src] for dst in dsts}
+            coord, passed = next(iter(+waiting)), set()
+            while coord not in passed:
+                passed.add(coord)
+                coord = back[coord]
+            raise SchemaError(f"NEXT edges form a cycle through {coord}")
 
 
 @dataclass(frozen=True)
@@ -128,8 +178,13 @@ def _graph_rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list
 
 def load_graph(artifacts_path: str | Path, edges_path: str | Path) -> DependencyGraph:
     """Load the two-file graph; duplicate coordinates, bad rows and a NEXT
-    cycle are fatal, dangling edges become diagnostics."""
-    graph = DependencyGraph()
+    cycle are fatal, dangling edges become diagnostics. Every DEPENDS scope
+    is checked, but only compile and test edges are kept: no other scope
+    makes a client."""
+    artifacts: dict[str, ArtifactRecord] = {}
+    next_out: dict[str, list[str]] = {}
+    dependents: dict[str, list[GraphEdge]] = {}
+    diagnostics: list[str] = []
 
     artifacts_header = ["group", "artifact", "version", "release_date", "packaging", "jar_path"]
     for lineno, row in _graph_rows(artifacts_path, artifacts_header):
@@ -144,9 +199,9 @@ def load_graph(artifacts_path: str | Path, edges_path: str | Path) -> Dependency
             packaging=packaging or "jar",
             jar_path=jar_path or None,
         )
-        if record.coord in graph.artifacts:
+        if record.coord in artifacts:
             raise SchemaError(f"{artifacts_path}:{lineno}: duplicate coordinates {record.coord}")
-        graph.artifacts[record.coord] = record
+        artifacts[record.coord] = record
 
     for lineno, row in _graph_rows(edges_path, ["kind", "scope", "from", "to"]):
         if len(row) != 4:
@@ -156,44 +211,20 @@ def load_graph(artifacts_path: str | Path, edges_path: str | Path) -> Dependency
             raise SchemaError(f"{edges_path}:{lineno}: unknown edge kind {kind!r}")
         if kind == "DEPENDS" and scope not in DEPENDS_SCOPES:
             raise SchemaError(f"{edges_path}:{lineno}: unknown scope {scope!r}")
-        if src not in graph.artifacts or dst not in graph.artifacts:
-            graph.diagnostics.append(f"{edges_path}:{lineno}: dangling edge {src} -> {dst}")
+        if src not in artifacts or dst not in artifacts:
+            diagnostics.append(f"{edges_path}:{lineno}: dangling edge {src} -> {dst}")
             continue
         if kind == "NEXT":
-            if graph.artifacts[src].library != graph.artifacts[dst].library:
+            if artifacts[src].library != artifacts[dst].library:
                 raise SchemaError(f"{edges_path}:{lineno}: NEXT edge across different libraries")
-            graph.next_out.setdefault(src, []).append(dst)
-        else:
-            graph.dependents.setdefault(dst, []).append(GraphEdge(scope, src))
+            next_out.setdefault(src, []).append(dst)
+        elif scope in CLIENT_SCOPES:
+            dependents.setdefault(dst, []).append(GraphEdge(scope, src))
 
-    cycle = _next_cycle(graph.next_out)
-    if cycle is not None:
-        raise SchemaError(f"{edges_path}: NEXT edges form a cycle through {cycle}")
-    return graph
-
-
-def _next_cycle(next_out: dict[str, list[str]]) -> str | None:
-    """A coordinate on a cycle of NEXT edges, a self-loop included, or None.
-    ``index_graph`` walks each history from its roots, which need not reach
-    a cycle, so a cycle's versions would drop out of every output."""
-    done: set[str] = set()
-    for start in next_out:
-        if start in done:
-            continue
-        path, on_path = [(start, iter(next_out[start]))], {start}
-        while path:
-            coord, successors = path[-1]
-            successor = next(successors, None)
-            if successor is None:
-                path.pop()
-                on_path.remove(coord)
-                done.add(coord)
-            elif successor in on_path:
-                return successor
-            elif successor not in done:
-                path.append((successor, iter(next_out.get(successor, ()))))
-                on_path.add(successor)
-    return None
+    try:
+        return DependencyGraph(artifacts, next_out, dependents, diagnostics)
+    except SchemaError as exc:
+        raise SchemaError(f"{edges_path}: {exc}") from exc
 
 
 class _JarProbe:
@@ -254,62 +285,15 @@ class _JarProbe:
         return model
 
 
-@dataclass(frozen=True)
-class GraphIndex:
-    """What derivation reads from a graph, computed once per run.
-
-    ``versions`` holds the coordinates of each library's versions in walk
-    order, every version after its NEXT predecessors; ``successors`` the
-    distinct NEXT successors of each coordinate that has any, by coordinate;
-    and ``positions`` the length of the longest NEXT path that ends at each
-    coordinate.
-    """
-
-    graph: DependencyGraph
-    versions: dict[tuple[str, str], list[str]]
-    successors: dict[str, list[str]]
-    positions: dict[str, int]
-
-
-def index_graph(graph: DependencyGraph) -> GraphIndex:
-    """Walk the NEXT DAG once, by Kahn's algorithm with a stack: the roots go
-    in by (group, artifact), then by coordinate, and a version goes in once
-    its last predecessor is out, its successors taken by coordinate. So each
-    library's versions come out together, and each NEXT chain runs from its
-    root to its end before the next root's. ``load_graph`` rejects NEXT
-    cycles, so the walk reaches every version."""
-    # A NEXT edge listed twice is one successor.
-    successors = {coord: sorted(set(dsts)) for coord, dsts in graph.next_out.items()}
-    waiting = Counter(dst for dsts in successors.values() for dst in dsts)
-    roots = (coord for coord in graph.artifacts if not waiting[coord])
-    stack = sorted(roots, key=lambda coord: (graph.artifacts[coord].library, coord), reverse=True)
-    versions: dict[tuple[str, str], list[str]] = {}
-    positions: dict[str, int] = {}
-    while stack:
-        coord = stack.pop()
-        versions.setdefault(graph.artifacts[coord].library, []).append(coord)
-        position = positions.setdefault(coord, 0) + 1
-        for dst in reversed(successors.get(coord, ())):
-            positions[dst] = max(positions.get(dst, 0), position)
-            waiting[dst] -= 1
-            if not waiting[dst]:
-                stack.append(dst)
-    return GraphIndex(graph, versions, successors, positions)
-
-
 def _external_clients(graph: DependencyGraph, record: ArtifactRecord) -> list[GraphEdge]:
-    clients = []
-    for edge in graph.dependents.get(record.coord, []):
-        if edge.scope not in CLIENT_SCOPES:
-            continue
-        client = graph.artifacts[edge.src]
-        if client.group_id != record.group_id:
-            clients.append(edge)
-    return clients
+    return [
+        edge for edge in graph.dependents.get(record.coord, [])
+        if graph.artifacts[edge.src].group_id != record.group_id
+    ]
 
 
 def derive_upgrades(
-    index: GraphIndex,
+    graph: DependencyGraph,
     jar_root: str | Path | None = None,
     probe: _JarProbe | None = None,
 ) -> tuple[list[Upgrade], list[list]]:
@@ -321,20 +305,22 @@ def derive_upgrades(
     it reaches through skipped ones, found back to front along the walk, in
     walk order of v1 and then by coordinate. Each candidate pair is emitted
     or gets one ``pair`` row. Version rows come first, by coordinate, then
-    pair rows by (group, artifact, v1, v2). Every library is derived, each
-    reading its JARs through a fresh probe, unless the caller passes a
-    ``probe``: then only the probe's library is derived, its JARs are read
-    from the probe's JAR root, and the probe keeps the JARs the filters read.
+    pair rows by (group, artifact, v1, v2). The walk is the graph's
+    ``versions``, and each version's successors its ``next_out``. Every
+    library is derived, each reading its JARs through a fresh probe, unless
+    the caller passes a ``probe``: then only the probe's library is derived,
+    its JARs are read from the probe's JAR root, and the probe keeps the
+    JARs the filters read.
     """
     root = Path(jar_root) if jar_root is not None else None
-    artifacts = index.graph.artifacts
+    artifacts = graph.artifacts
     upgrades: list[Upgrade] = []
     skipped: list[list] = []
     excluded: list[tuple[tuple[str, ...], list]] = []
 
-    for library in [probe.library] if probe is not None else index.versions:
+    for library in [probe.library] if probe is not None else graph.versions:
         library_probe = probe or _JarProbe(library, root, StabilityConfig())
-        walk = index.versions[library]
+        walk = graph.versions[library]
         compliant: dict[str, Version] = {}  # in walk order
         for coord in walk:
             try:
@@ -350,12 +336,12 @@ def derive_upgrades(
         reaches: dict[str, set[str]] = {}
         for coord in reversed(walk):
             reaches[coord] = set().union(
-                *({dst} if dst in compliant else reaches[dst] for dst in index.successors.get(coord, ()))
+                *({dst} if dst in compliant else reaches[dst] for dst in graph.next_out.get(coord, ()))
             )
         for coord1, v1 in compliant.items():
             for coord2 in sorted(reaches[coord1]):
                 v2 = compliant[coord2]
-                selected = _select(index.graph, library_probe, artifacts[coord1], artifacts[coord2], v1, v2)
+                selected = _select(graph, library_probe, artifacts[coord1], artifacts[coord2], v1, v2)
                 if isinstance(selected, Upgrade):
                     upgrades.append(selected)
                 else:
@@ -399,13 +385,12 @@ def _select(
     return Upgrade(rec1, rec2, v1, v2, level, tuple(clients))
 
 
-def derive_clients(upgrade: Upgrade, index: GraphIndex) -> list[GraphEdge]:
+def derive_clients(upgrade: Upgrade, graph: DependencyGraph) -> list[GraphEdge]:
     """The edge of each external client of v1, from its latest version, by client coordinate."""
-    artifacts = index.graph.artifacts
     best: dict[tuple[str, str], tuple[tuple, GraphEdge]] = {}
     for edge in upgrade.clients:
-        client = artifacts[edge.src]
-        rank = (index.positions[edge.src], client.release_date, client.version)
+        client = graph.artifacts[edge.src]
+        rank = (graph.positions[edge.src], client.release_date, client.version)
         if client.library not in best or rank > best[client.library][0]:
             best[client.library] = (rank, edge)
     return [edge for _, edge in sorted(best.values(), key=lambda item: item[1].src)]
@@ -469,7 +454,7 @@ def _delta_filename(upgrade: Upgrade) -> str:
 @dataclass
 class _LibraryTask:
     library: tuple[str, str]
-    index: GraphIndex  # the run's, read by every task
+    graph: DependencyGraph  # the run's, read by every task
     jar_root: Path | None
     deltas: Path
     config: StabilityConfig
@@ -508,8 +493,7 @@ def run_pipeline(
     deltas.mkdir(parents=True, exist_ok=True)
     root = Path(jar_root) if jar_root is not None else None
     config = options.stability_config or StabilityConfig()
-    index = index_graph(graph)
-    tasks = [_LibraryTask(library, index, root, deltas, config) for library in index.versions]
+    tasks = [_LibraryTask(library, graph, root, deltas, config) for library in graph.versions]
     workers = max(1, min(options.jobs, len(tasks))) if hasattr(os, "sched_getaffinity") else 1
     # Put back in task order, (group, artifact), the order of upgrades.csv
     # and of the excluded pairs.
@@ -527,7 +511,8 @@ def run_pipeline(
 
     write_csv(out / "upgrades.csv", UPGRADE_COLUMNS, upgrade_rows)
     write_exclusions(out / "exclusions.csv", exclusion_rows)
-    write_csv(out / "clients.csv", CLIENT_COLUMNS, sorted(client_rows, key=_CLIENT_ORDER))
+    client_rows.sort(key=_CLIENT_ORDER)
+    write_csv(out / "clients.csv", CLIENT_COLUMNS, client_rows)
     write_csv(
         out / "detections.csv", DETECTION_COLUMNS, sorted(detection_rows, key=_DETECTION_ORDER)
     )
@@ -589,7 +574,7 @@ def _run_library(task: _LibraryTask) -> _LibraryResult:
     which the upgrades were derived.
     """
     probe = _JarProbe(task.library, task.jar_root, task.config)
-    upgrades, exclusion_rows = derive_upgrades(task.index, probe=probe)
+    upgrades, exclusion_rows = derive_upgrades(task.graph, probe=probe)
     # Selection has opened every JAR an upgrade reads, so the memo is spent.
     # A JAR's content and model, with the parsed classes the model keeps for
     # the delta's short cut, are dropped after the last upgrade that reads it.
@@ -633,9 +618,8 @@ def _upgrade_rows(
         stability.setdefault((change.element, change.kind.value), change.stability.status)
     client_rows: list[list] = []
     detection_rows: list[list] = []
-    artifacts = task.index.graph.artifacts
-    for edge in derive_clients(upgrade, task.index):
-        client = _open_client(probe.resolve(artifacts[edge.src]))
+    for edge in derive_clients(upgrade, task.graph):
+        client = _open_client(probe.resolve(task.graph.artifacts[edge.src]))
         broken = ""
         detection_count = 0
         if client is not None:
@@ -789,7 +773,7 @@ def write_exclusions(path: Path, rows: list[list]) -> None:
 
 
 def _write_samples(out: Path, client_rows: list[list], options: PipelineOptions) -> None:
-    """Draw each sample from the client rows in the order the tasks returned them."""
+    """Draw each sample from the client rows in ``clients.csv`` order."""
     level_of = _columns(CLIENT_COLUMNS, "level")
     sampled = _columns(CLIENT_COLUMNS, "client", "library", "v1", "v2")
     size_rows = []

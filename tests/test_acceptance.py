@@ -17,7 +17,7 @@ from catalog_cases import CATALOG_CASES
 from conftest import model_of
 from corpus_fixture import build_fixture, write_graph_csvs
 from jarcompat.bench import run_benchmark, score
-from jarcompat.corpus import PipelineOptions, derive_upgrades, index_graph, load_graph, run_pipeline
+from jarcompat.corpus import PipelineOptions, derive_upgrades, load_graph, run_pipeline
 from jarcompat.delta import BcKind, compute_delta
 from jarcompat.semver import SemverLevel
 from jarcompat.stats import (
@@ -188,7 +188,7 @@ def test_criterion_08_detection_oracle_suite(tmp_path):
 def test_criterion_09_semver_pipeline(tmp_path):
     artifacts, edges, jar_root = build_fixture(tmp_path / "fixture")
     graph = load_graph(artifacts, edges)
-    upgrades, exclusions = derive_upgrades(index_graph(graph), jar_root)
+    upgrades, exclusions = derive_upgrades(graph, jar_root)
     emitted = {
         (u.v1.raw, u.v2.raw, u.level)
         for u in upgrades
@@ -214,7 +214,7 @@ def test_criterion_09_semver_pipeline(tmp_path):
         ("DEPENDS", "compile", "x:c:1.0.0", "g:lib:2.5.20110712"),
     ]
     a2, e2 = write_graph_csvs(tmp_path / "datelike", artifact_rows=rows, edge_rows=edge_rows)
-    _, date_exclusions = derive_upgrades(index_graph(load_graph(a2, e2)))
+    _, date_exclusions = derive_upgrades(load_graph(a2, e2))
     assert date_exclusions == [["version", "g:lib:2.5.20110712", "", "date_like"]]
     _verdict(
         9,

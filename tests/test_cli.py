@@ -237,6 +237,26 @@ def test_corpus_derive_and_run(tmp_path, capsys):
     assert (out_run / "sample_sizes.csv").exists()
 
 
+def test_corpus_run_draws_each_sample_from_the_rows_of_clients_csv(tmp_path):
+    # Tasks run org.lib1 before org.lib10, but clients.csv puts org.lib10
+    # first; a seed's sample is its draw over the rows as clients.csv lists them.
+    artifacts, edges, jar_root = build_two_library_fixture(tmp_path / "fixture")
+    for seed in range(6):
+        out = tmp_path / f"seed-{seed}"
+        code = main(["corpus", "run", "--artifacts", str(artifacts), "--edges", str(edges),
+                     "--jars", str(jar_root), "--out", str(out), "--jobs", "1",
+                     "--seed", str(seed), "--sample", "all:0.5:0.4"])
+        assert code == 0
+        with open(out / "clients.csv", newline="", encoding="utf-8") as handle:
+            clients = list(csv.DictReader(handle))
+        with open(out / "sample_sizes.csv", newline="", encoding="utf-8") as handle:
+            (sizes,) = csv.DictReader(handle)
+        drawn = random.Random(seed).sample(range(len(clients)), int(sizes["sample_size"]))
+        expected = [["all", *itemgetter("client", "library", "v1", "v2")(clients[i])] for i in sorted(drawn)]
+        with open(out / "samples.csv", newline="", encoding="utf-8") as handle:
+            assert list(csv.reader(handle))[1:] == expected, seed
+
+
 def test_corpus_derive_exclusions_match_run(tmp_path):
     artifacts, edges, jar_root = build_fixture(tmp_path / "fixture")
     common = ["--artifacts", str(artifacts), "--edges", str(edges), "--jars", str(jar_root)]

@@ -28,7 +28,6 @@ from jarcompat.corpus import (
     SchemaError,
     derive_clients,
     derive_upgrades,
-    index_graph,
     load_graph,
     run_pipeline,
 )
@@ -54,8 +53,10 @@ def test_load_graph_counts(fig_graph):
     assert len(graph.artifacts) == 14
     next_edges = sum(len(v) for v in graph.next_out.values())
     assert next_edges == 8
+    # The fixture's runtime edge is checked, then dropped: only compile and
+    # test edges make clients, so only they are kept.
     depends = sum(len(v) for v in graph.dependents.values())
-    assert depends == 7
+    assert depends == 6
     assert graph.diagnostics == []
 
 
@@ -63,7 +64,7 @@ def test_load_graph_empty(tmp_path):
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=[], edge_rows=[])
     graph = load_graph(artifacts, edges)
     assert graph.artifacts == {}
-    assert derive_upgrades(index_graph(graph)) == ([], [])
+    assert derive_upgrades(graph) == ([], [])
 
 
 def test_load_graph_duplicate_coordinates(tmp_path):
@@ -113,6 +114,9 @@ def test_load_graph_dangling_edge_is_diagnostic(tmp_path):
 @pytest.mark.parametrize("cycle", [
     [("2.0.0-rc1", "2.0.0"), ("2.0.0", "2.1.0"), ("2.1.0", "2.0.0-rc1")],
     [("2.0.0", "2.0.0")],
+    # No root reaches 10.0.0 either, and it sorts and is listed first, but
+    # it follows the cycle without lying on it.
+    [("2.1.0", "10.0.0"), ("2.0.0", "2.1.0"), ("2.1.0", "2.0.0")],
 ])
 def test_load_graph_rejects_a_next_cycle(tmp_path, cycle):
     # No root reaches the versions of a cycle, so derivation would leave
@@ -125,7 +129,22 @@ def test_load_graph_rejects_a_next_cycle(tmp_path, cycle):
         load_graph(artifacts, edges)
     message = str(raised.value)
     assert message.startswith(f"{edges}: NEXT edges form a cycle through g:lib:")
-    assert message.rsplit(":", 1)[1] in {v for edge in cycle for v in edge}
+    named = message.rsplit(":", 1)[1]
+    reached, frontier = set(), {named}
+    while frontier:
+        frontier = {b for a, b in cycle if a in frontier} - reached
+        reached |= frontier
+    assert named in reached  # the edges lead from it back to it
+
+
+def test_a_graph_built_by_hand_rejects_a_next_cycle():
+    # Making a graph is the one walk that indexes it, so no graph that
+    # derivation reads can leave a cycle's versions out of every row.
+    versions = ["1.0.0", "1.1.0", "2.0.0", "2.1.0"]
+    records = [corpus.ArtifactRecord("g", "lib", v, datetime(2011, 1, 1), "jar", None) for v in versions]
+    next_out = {"g:lib:1.0.0": ["g:lib:1.1.0"], "g:lib:2.0.0": ["g:lib:2.1.0"], "g:lib:2.1.0": ["g:lib:2.0.0"]}
+    with pytest.raises(SchemaError, match=r"^NEXT edges form a cycle through g:lib:2\.[01]\.0$"):
+        DependencyGraph({record.coord: record for record in records}, next_out)
 
 
 def test_a_next_edge_listed_twice_is_walked_once(tmp_path):
@@ -134,10 +153,10 @@ def test_a_next_edge_listed_twice_is_walked_once(tmp_path):
     rows = [("g", "lib", v, "2011-01-01", "jar", "") for v in versions]
     edge_rows = [("NEXT", "", f"g:lib:{a}", f"g:lib:{b}") for a, b in zip(versions, versions[1:])]
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows * 2)
-    index = index_graph(load_graph(artifacts, edges))
-    assert index.versions[("g", "lib")] == [f"g:lib:{v}" for v in versions]
-    assert index.successors["g:lib:1.0.0"] == ["g:lib:1.1.0"]
-    _, exclusions = derive_upgrades(index)
+    graph = load_graph(artifacts, edges)
+    assert graph.versions[("g", "lib")] == [f"g:lib:{v}" for v in versions]
+    assert graph.next_out["g:lib:1.0.0"] == ["g:lib:1.1.0"]
+    _, exclusions = derive_upgrades(graph)
     assert pair_reasons(exclusions) == ["no_external_client"] * 11
 
 
@@ -192,8 +211,7 @@ def _branched_graph(root: Path) -> tuple:
 
 def test_derive_upgrades_walks_every_branch_of_a_next_history(tmp_path):
     graph, jar_root = _branched_graph(tmp_path)
-    index = index_graph(graph)
-    upgrades, exclusions = derive_upgrades(index, jar_root)
+    upgrades, exclusions = derive_upgrades(graph, jar_root)
     # 1.0.0 -> 1.1.0 lies on all four of lib's maximal NEXT paths and is
     # emitted once; the qualified 1.2.0-rc1 is skipped, so 1.1.0 pairs with
     # 1.2.0 and 1.3.0.
@@ -211,7 +229,7 @@ def test_derive_upgrades_walks_every_branch_of_a_next_history(tmp_path):
     ]
     # c:app's 2.0.0 and 1.0.1 stand at the same place on their branches,
     # so the later release date picks 1.0.1.
-    chosen = {(u.v1.raw, u.v2.raw): [e.src for e in derive_clients(u, index)] for u in upgrades}
+    chosen = {(u.v1.raw, u.v2.raw): [e.src for e in derive_clients(u, graph)] for u in upgrades}
     assert chosen == {
         ("1.0.0", "1.1.0"): ["c:app:1.0.0"],
         ("1.1.0", "1.2.0"): ["c:app:1.0.1"],
@@ -268,37 +286,36 @@ def test_a_merged_client_history_ranks_versions_by_longest_next_path(tmp_path):
         ("DEPENDS", "compile", "c:app:1.0.2", "g:lib:1.0.0"),
     ]
     graph = load_graph(*write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows))
-    index = index_graph(graph)
-    assert {coord: index.positions[coord] for coord in graph.artifacts if coord.startswith("c:")} == {
+    assert {coord: graph.positions[coord] for coord in graph.artifacts if coord.startswith("c:")} == {
         "c:app:1.0.0": 0, "c:app:1.0.1": 1, "c:app:1.1.0": 1, "c:app:2.0.0": 3, "c:app:1.0.2": 2,
     }
-    assert index.versions[("c", "app")] == [
+    assert graph.versions[("c", "app")] == [
         "c:app:1.0.0", "c:app:1.0.1", "c:app:1.0.2", "c:app:1.1.0", "c:app:2.0.0",
     ]
-    (upgrade,), _ = derive_upgrades(index, jar_root)
-    assert [edge.src for edge in derive_clients(upgrade, index)] == ["c:app:2.0.0"]
+    (upgrade,), _ = derive_upgrades(graph, jar_root)
+    assert [edge.src for edge in derive_clients(upgrade, graph)] == ["c:app:2.0.0"]
 
 
 def _diamonds(count: int) -> DependencyGraph:
     """One library whose NEXT history is ``count`` diamonds in a row: 1.i.0
     branches into 1.i.1 and 1.i.2, which both lead to 1.(i+1).0. It has
     2**count maximal NEXT paths and 4 * count candidate pairs."""
-    graph = DependencyGraph()
+    artifacts, next_out = {}, {}
     for i in range(count + 1):
         for patch in (0, 1, 2) if i < count else (0,):
             record = corpus.ArtifactRecord("g", "lib", f"1.{i}.{patch}", datetime(2011, 1, 1), "jar", None)
-            graph.artifacts[record.coord] = record
+            artifacts[record.coord] = record
     for i in range(count):
-        graph.next_out[f"g:lib:1.{i}.0"] = [f"g:lib:1.{i}.1", f"g:lib:1.{i}.2"]
+        next_out[f"g:lib:1.{i}.0"] = [f"g:lib:1.{i}.1", f"g:lib:1.{i}.2"]
         for patch in (1, 2):
-            graph.next_out[f"g:lib:1.{i}.{patch}"] = [f"g:lib:1.{i + 1}.0"]
-    return graph
+            next_out[f"g:lib:1.{i}.{patch}"] = [f"g:lib:1.{i + 1}.0"]
+    return DependencyGraph(artifacts, next_out)
 
 
 def test_twenty_diamonds_derive_in_under_a_second():
     graph = _diamonds(20)
     started = time.perf_counter()
-    upgrades, exclusions = derive_upgrades(index_graph(graph))
+    upgrades, exclusions = derive_upgrades(graph)
     elapsed = time.perf_counter() - started
     assert upgrades == []
     assert pair_reasons(exclusions) == ["no_external_client"] * 80
@@ -315,7 +332,7 @@ def test_derivation_parses_each_version_once(monkeypatch):
         return parse_version(text)
 
     monkeypatch.setattr(corpus, "parse_version", counting)
-    derive_upgrades(index_graph(graph))
+    derive_upgrades(graph)
     assert calls == Counter(record.version for record in graph.artifacts.values())
 
 
@@ -361,28 +378,27 @@ def next_dags(draw) -> DependencyGraph:
     # date-like and unparseable.
     forms = draw(st.lists(st.sampled_from(["1.{}.0", "1.{}.0", "1.{}.0-rc1", "1.{}.20110712", "v{}"]),
                           min_size=count, max_size=count))
-    graph = DependencyGraph()
+    artifacts, next_out = {}, {}
     names = [form.format(minor) for form, minor in zip(forms, minors)]
     for name in names:
         record = corpus.ArtifactRecord("g", "lib", name, datetime(2011, 1, 1), "jar", None)
-        graph.artifacts[record.coord] = record
+        artifacts[record.coord] = record
     ends = st.tuples(st.integers(0, count - 1), st.integers(0, count - 1))
     for a, b in map(sorted, draw(st.lists(ends, max_size=2 * count))):
         if a < b:
-            graph.next_out.setdefault(f"g:lib:{names[a]}", []).append(f"g:lib:{names[b]}")
-    return graph
+            next_out.setdefault(f"g:lib:{names[a]}", []).append(f"g:lib:{names[b]}")
+    return DependencyGraph(artifacts, next_out)
 
 
 @settings(max_examples=150, deadline=None)
 @given(graph=next_dags())
 def test_the_walk_derives_what_the_chain_walk_derived(graph):
     pairs, skipped, positions = _chain_walk(graph)
-    index = index_graph(graph)
-    walk = index.versions[("g", "lib")]
+    walk = graph.versions[("g", "lib")]
     assert sorted(walk) == sorted(graph.artifacts)
     assert all(walk.index(src) < walk.index(dst) for src, dsts in graph.next_out.items() for dst in dsts)
-    assert index.positions == positions
-    upgrades, exclusions = derive_upgrades(index)
+    assert graph.positions == positions
+    upgrades, exclusions = derive_upgrades(graph)
     assert upgrades == []
     assert {(subject, v2) for stage, subject, v2, _ in exclusions if stage == "pair"} == pairs
     assert len(pair_reasons(exclusions)) == len(pairs)
@@ -393,7 +409,7 @@ def test_the_walk_derives_what_the_chain_walk_derived(graph):
 
 def test_derive_upgrades_fig_fixture(fig_graph):
     graph, jar_root = fig_graph
-    upgrades, exclusions = derive_upgrades(index_graph(graph), jar_root)
+    upgrades, exclusions = derive_upgrades(graph, jar_root)
     emitted = {
         (u.v1.raw, u.v2.raw, u.level)
         for u in upgrades
@@ -431,7 +447,7 @@ def test_derive_upgrades_no_external_client(tmp_path):
         ("DEPENDS", "compile", "g:consumer:1.0.0", "g:lib:1.0.0"),  # same groupId
     ]
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows)
-    upgrades, exclusions = derive_upgrades(index_graph(load_graph(artifacts, edges)))
+    upgrades, exclusions = derive_upgrades(load_graph(artifacts, edges))
     assert upgrades == []
     assert pair_reasons(exclusions) == ["no_external_client"]
 
@@ -447,7 +463,7 @@ def test_derive_upgrades_date_like_versions_skipped(tmp_path):
         ("DEPENDS", "compile", "x:client:1.0.0", "g:lib:2.5.20110712"),
     ]
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows)
-    upgrades, exclusions = derive_upgrades(index_graph(load_graph(artifacts, edges)))
+    upgrades, exclusions = derive_upgrades(load_graph(artifacts, edges))
     assert upgrades == []
     assert skipped_versions(exclusions) == {"g:lib:2.5.20110712": "date_like"}
 
@@ -466,7 +482,7 @@ def test_derive_upgrades_release_date_inversion(tmp_path, make_jar):
         ("DEPENDS", "compile", "x:client:1.0.0", "g:lib:3.0.0"),
     ]
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows)
-    _, exclusions = derive_upgrades(index_graph(load_graph(artifacts, edges)))
+    _, exclusions = derive_upgrades(load_graph(artifacts, edges))
     assert pair_reasons(exclusions) == ["release_date_inversion"]
 
 
@@ -485,7 +501,7 @@ def test_derive_upgrades_non_java_jar(tmp_path, make_jar):
         ("DEPENDS", "compile", "x:client:1.0.0", "g:lib:1.0.0"),
     ]
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows)
-    _, exclusions = derive_upgrades(index_graph(load_graph(artifacts, edges)))
+    _, exclusions = derive_upgrades(load_graph(artifacts, edges))
     assert pair_reasons(exclusions) == ["non_java_language"]
 
 
@@ -504,7 +520,7 @@ def test_derive_upgrades_java_version_filter(tmp_path, make_jar):
         ("DEPENDS", "compile", "x:client:1.0.0", "g:lib:1.0.0"),
     ]
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows)
-    _, exclusions = derive_upgrades(index_graph(load_graph(artifacts, edges)))
+    _, exclusions = derive_upgrades(load_graph(artifacts, edges))
     assert pair_reasons(exclusions) == ["invalid_java_version"]
 
 
@@ -519,7 +535,7 @@ def test_derive_upgrades_jar_unavailable(tmp_path):
         ("DEPENDS", "compile", "x:client:1.0.0", "g:lib:1.0.0"),
     ]
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows)
-    _, exclusions = derive_upgrades(index_graph(load_graph(artifacts, edges)), tmp_path)
+    _, exclusions = derive_upgrades(load_graph(artifacts, edges), tmp_path)
     assert pair_reasons(exclusions) == ["jar_unavailable"]
 
 
@@ -604,7 +620,7 @@ def test_a_library_class_that_does_not_parse_excludes_its_pairs(tmp_path):
     ]
     graph = load_graph(*write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows))
     expected = ["pair", "g:lib:1.0.0", "g:lib:1.1.0", "unreadable_jar"]
-    _, exclusions = derive_upgrades(index_graph(graph), jar_root)
+    _, exclusions = derive_upgrades(graph, jar_root)
     assert exclusions == [expected]
 
     out = tmp_path / "out"
@@ -630,16 +646,15 @@ def test_derive_upgrades_packaging_filter(tmp_path):
         ("DEPENDS", "compile", "x:client:1.0.0", "g:lib:1.0.0"),
     ]
     artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows)
-    _, exclusions = derive_upgrades(index_graph(load_graph(artifacts, edges)))
+    _, exclusions = derive_upgrades(load_graph(artifacts, edges))
     assert pair_reasons(exclusions) == ["packaging_not_jar"]
 
 
 def test_derive_clients_dedup_and_scope(fig_graph):
     graph, jar_root = fig_graph
-    index = index_graph(graph)
-    upgrades, _ = derive_upgrades(index, jar_root)
+    upgrades, _ = derive_upgrades(graph, jar_root)
     minor = next(u for u in upgrades if u.level is SemverLevel.MINOR)
-    clients = derive_clients(minor, index)
+    clients = derive_clients(minor, graph)
     by_artifact = {graph.artifacts[edge.src].library: graph.artifacts[edge.src] for edge in clients}
     assert set(by_artifact) == {("org.fw", "mock"), ("org.fw", "multi")}
     assert by_artifact[("org.fw", "multi")].version == "1.2.0"  # latest along NEXT
@@ -648,10 +663,9 @@ def test_derive_clients_dedup_and_scope(fig_graph):
 
 def test_derive_clients_none(fig_graph):
     graph, jar_root = fig_graph
-    index = index_graph(graph)
-    upgrades, _ = derive_upgrades(index, jar_root)
+    upgrades, _ = derive_upgrades(graph, jar_root)
     patch = next(u for u in upgrades if u.level is SemverLevel.PATCH)
-    clients = derive_clients(patch, index)
+    clients = derive_clients(patch, graph)
     assert [edge.src for edge in clients] == ["org.fw:mock:2.0.0"]
 
 
@@ -1007,7 +1021,7 @@ def test_derive_upgrades_shares_parses_within_a_library_only(tmp_path, monkeypat
 
     monkeypatch.setattr(parser, "parse_class", counting_parse)
     monkeypatch.setattr(corpus, "_JarProbe", RecordingProbe)
-    upgrades, _ = derive_upgrades(index_graph(graph), jar_root)
+    upgrades, _ = derive_upgrades(graph, jar_root)
     assert len(upgrades) == 3
     assert parses[write_class(jars["two-1.0.0.jar"][1])] == 2  # shared.Util, once per library
     assert sorted(map(sorted, libraries.values())) == [[("g.lib", "lib")], [("g.two", "two")]]

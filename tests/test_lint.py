@@ -58,3 +58,34 @@ def test_no_module_in_the_package_reads_the_environment():
                 continue
             reads += [f"{path.relative_to(ROOT)}:{node.lineno}: os.{n}" for n in names if n in reading]
     assert reads == []
+
+
+def imported_names(path: Path, node: ast.ImportFrom) -> set[tuple[str, str]]:
+    """(module, name) for each name a ``from ... import`` takes, with a
+    relative module resolved against the package of ``path`` under src/."""
+    module = node.module or ""
+    if node.level:
+        package = path.relative_to(ROOT / "src").parts[:-1]
+        base = package[: len(package) - node.level + 1]
+        module = ".".join((*base, *filter(None, module.split("."))))
+    return {(module, alias.name) for alias in node.names}
+
+
+def test_every_name_a_package_exports_is_imported_through_it():
+    # A name in a package's __all__ that no module imports through the
+    # package is an export no caller takes: whoever needs it imports it from
+    # the module that defines it.
+    imported: set[tuple[str, str]] = set()
+    for directory in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom):
+                    imported |= imported_names(path, node)
+    unused = []
+    for init in sorted((ROOT / "src").rglob("__init__.py")):
+        package = ".".join(init.parent.relative_to(ROOT / "src").parts)
+        for node in ast.parse(init.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                exported = ast.literal_eval(node.value)
+                unused += [f"{package}.{name}" for name in exported if (package, name) not in imported]
+    assert unused == []
