@@ -272,14 +272,12 @@ class RawClass:
 
 @dataclass
 class JarContent:
-    """All successfully parsed classes of one JAR plus archive-level facts."""
+    """One JAR's class entries: each that parsed, by entry name, and each
+    that failed, with the reason: in ``damaged_entries`` when the archive
+    could not deliver it, in ``parse_failures`` when its class did not parse."""
 
     entries: list[tuple[str, RawClass]] = field(default_factory=list)
-    non_class_entries: int = 0
-    detected_languages: set[str] = field(default_factory=set)
     parse_failures: list[tuple[str, str]] = field(default_factory=list)
-    # The failures among ``parse_failures`` of entries the archive could not
-    # deliver, as opposed to class files that did not parse.
     damaged_entries: list[tuple[str, str]] = field(default_factory=list)
     source: str = ""
     sha256: str = ""  # hex digest of the archive's bytes
@@ -310,9 +308,3 @@ class JarContent:
             name, reason = self.parse_failures[0]
             raise ClassFormatError(f"{self.source}: class entry {name} does not parse: {reason}")
         return self
-
-    def max_java_release(self) -> int | None:
-        majors = [cls.major_version for cls in self.classes()]
-        if not majors:
-            return None
-        return java_release_of(max(majors))

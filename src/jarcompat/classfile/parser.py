@@ -45,7 +45,6 @@ from .model import (
     RawClass,
     RawMember,
     TruncatedClass,
-    language_of_source,
     member_ref,
 )
 
@@ -701,19 +700,18 @@ EntryKey = tuple[int, int, int, int, bytes]
 def open_jar(
     source: str | Path | BinaryIO, parsed: dict[EntryKey, RawClass] | None = None
 ) -> JarContent:
-    """Read a JAR, parsing every ``*.class`` entry.
+    """Read a JAR, parsing every ``*.class`` entry but ``module-info.class``.
 
     The archive is read once; its bytes are held only while it is opened.
-    Entry-level failures, a damaged ZIP entry or a malformed class, are
-    recorded in ``parse_failures``, not fatal; a damaged entry also in
-    ``damaged_entries`` (see ``JarContent.require_intact``).
-    ``module-info.class`` entries are skipped (counted as non-class
-    content). ``parsed`` maps the ``EntryKey`` of every entry that passed
-    all checks and parsed, and the key of its class as a STORED entry, to
-    its parse. An entry whose key it holds is checked up to its local header
-    and is then neither inflated nor parsed again; an entry whose class it
-    holds under the STORED key is inflated and checked but not parsed again.
-    Every new parse is added to it, so JARs opened with one dict share the
+    Entry-level failures are recorded, not fatal: a damaged ZIP entry in
+    ``damaged_entries`` (see ``JarContent.require_intact``), a malformed
+    class in ``parse_failures``. Other entries are skipped. ``parsed``
+    maps the ``EntryKey`` of every entry that passed all checks and parsed,
+    and the key of its class as a STORED entry, to its parse. An entry
+    whose key it holds is checked up to its local header and is then
+    neither inflated nor parsed again; an entry whose class it holds under
+    the STORED key is inflated and checked but not parsed again. Every new
+    parse is added to it, so JARs opened with one dict share the
     ``RawClass`` of identical class files, however each JAR stores them.
     """
     try:
@@ -729,10 +727,7 @@ def open_jar(
     )
     for member in members:
         name, _, _, method, crc, packed_size, size, _ = member
-        if name.endswith("/"):  # a directory
-            continue
         if not name.endswith(".class") or name.endswith("module-info.class"):
-            content.non_class_entries += 1
             continue
         try:
             packed = _entry_data(raw, member)
@@ -743,9 +738,7 @@ def open_jar(
             if cls is None:
                 data = _inflate(packed, member)
         except _DAMAGED_ENTRY as exc:
-            failure = (name, f"{type(exc).__name__}: {exc}")
-            content.parse_failures.append(failure)
-            content.damaged_entries.append(failure)
+            content.damaged_entries.append((name, f"{type(exc).__name__}: {exc}"))
             continue
         if cls is None:
             plain = (zipfile.ZIP_STORED, len(data), len(data), crc, data)
@@ -759,5 +752,4 @@ def open_jar(
                 parsed[plain] = cls
             parsed[key] = cls
         content.entries.append((name, cls))
-        content.detected_languages.add(language_of_source(cls.source_file))
     return content

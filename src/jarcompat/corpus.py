@@ -30,14 +30,16 @@ import sys
 import traceback
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timezone
 from multiprocessing.connection import Pipe
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .apimodel import ApiModel, StabilityConfig, build_model
-from .classfile import ClassFormatError, EntryKey, JarContent, NotAZip, RawClass, open_jar
+from .classfile import (
+    ClassFormatError, EntryKey, JarContent, NotAZip, RawClass, java_release_of, language_of_source, open_jar,
+)
 from .delta import Delta, compute_delta, is_breaking
 from .detect import classify_impact, compute_detections
 from .semver import NotAnUpgrade, SemverLevel, Unparseable, Version, classify_upgrade, parse_version
@@ -151,15 +153,19 @@ class Upgrade:
 
 
 def _parse_date(text: str, where: str) -> datetime:
+    """An ISO-8601 date as an instant: one without a UTC offset is read as
+    UTC, so that dates with and without one compare."""
     try:
-        return datetime.fromisoformat(text)
+        date = datetime.fromisoformat(text)
     except ValueError as exc:
         raise SchemaError(f"{where}: bad release_date {text!r}") from exc
+    return date if date.tzinfo is not None else date.replace(tzinfo=timezone.utc)
 
 
 def _graph_rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """The rows of a graph file after its header that hold a non-blank cell,
-    each with the physical line it ends on. A wrong header, text that is not
+    each with the physical line it ends on and its cells stripped. A wrong
+    header, a row whose width differs from the header's, text that is not
     UTF-8 and a row that ``csv.reader`` rejects are schema errors naming the
     file."""
     with open(path, newline="", encoding="utf-8") as handle:
@@ -168,8 +174,14 @@ def _graph_rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list
             if next(reader, None) != header:
                 raise SchemaError(f"{path}:1: header must be {','.join(header)}")
             for row in reader:
-                if any(cell.strip() for cell in row):
-                    yield reader.line_num, row
+                cells = [cell.strip() for cell in row]
+                if not any(cells):
+                    continue
+                if len(cells) != len(header):
+                    raise SchemaError(
+                        f"{path}:{reader.line_num}: expected {len(header)} columns, got {len(cells)}"
+                    )
+                yield reader.line_num, cells
         except UnicodeDecodeError as exc:
             raise SchemaError(f"{path}: not UTF-8 ({exc.reason})") from exc
         except csv.Error as exc:
@@ -186,11 +198,8 @@ def load_graph(artifacts_path: str | Path, edges_path: str | Path) -> Dependency
     dependents: dict[str, list[GraphEdge]] = {}
     diagnostics: list[str] = []
 
-    artifacts_header = ["group", "artifact", "version", "release_date", "packaging", "jar_path"]
-    for lineno, row in _graph_rows(artifacts_path, artifacts_header):
-        if len(row) != 6:
-            raise SchemaError(f"{artifacts_path}:{lineno}: expected 6 columns, got {len(row)}")
-        group, artifact, version, date, packaging, jar_path = (cell.strip() for cell in row)
+    header = ["group", "artifact", "version", "release_date", "packaging", "jar_path"]
+    for lineno, (group, artifact, version, date, packaging, jar_path) in _graph_rows(artifacts_path, header):
         record = ArtifactRecord(
             group_id=group,
             artifact_id=artifact,
@@ -203,10 +212,7 @@ def load_graph(artifacts_path: str | Path, edges_path: str | Path) -> Dependency
             raise SchemaError(f"{artifacts_path}:{lineno}: duplicate coordinates {record.coord}")
         artifacts[record.coord] = record
 
-    for lineno, row in _graph_rows(edges_path, ["kind", "scope", "from", "to"]):
-        if len(row) != 4:
-            raise SchemaError(f"{edges_path}:{lineno}: expected 4 columns, got {len(row)}")
-        kind, scope, src, dst = (cell.strip() for cell in row)
+    for lineno, (kind, scope, src, dst) in _graph_rows(edges_path, ["kind", "scope", "from", "to"]):
         if kind not in ("DEPENDS", "NEXT"):
             raise SchemaError(f"{edges_path}:{lineno}: unknown edge kind {kind!r}")
         if kind == "DEPENDS" and scope not in DEPENDS_SCOPES:
@@ -227,15 +233,19 @@ def load_graph(artifacts_path: str | Path, edges_path: str | Path) -> Dependency
         raise SchemaError(f"{edges_path}: {exc}") from exc
 
 
-class _JarProbe:
-    """Opens each artifact's JAR at most once and keeps what it yielded.
+# The JAR filters' reasons by stage: available and readable, then language, then Java version.
+_JAR_STAGES = {"jar_unavailable": 0, "unreadable_jar": 0, "non_java_language": 1, "invalid_java_version": 2}
 
-    ``jars`` maps a coordinate to the JAR's parsed content, or to the reason
-    its pairs are excluded (``jar_unavailable``, ``unreadable_jar``). The
-    selection filters read the content, and each model is built from it.
-    A probe's JARs share one parse memo, so a class whose bytes recur
-    across versions is parsed once and the models of two versions hold the
-    same ``RawClass`` for it. Each model is built from the
+
+class _JarProbe:
+    """Opens each artifact's JAR at most once and judges it then.
+
+    ``jars`` maps a coordinate to the verdict of ``open``: the JAR's parsed
+    content when it can be an upgrade endpoint, else the reason its pairs
+    are excluded, so a JAR that fails a filter is not held. Each model is
+    built from the content. A probe's JARs share one parse memo, so a class
+    whose bytes recur across versions is parsed once and the models of two
+    versions hold the same ``RawClass`` for it. Each model is built from the
     last one still held, so it reuses that model's work on the classes they
     share (see ``build_model``). A probe serves the one library it names.
     """
@@ -259,18 +269,27 @@ class _JarProbe:
         return path
 
     def open(self, record: ArtifactRecord) -> JarContent | str:
-        """The artifact's parsed JAR, or the reason it cannot be read."""
-        jar = self.jars.get(record.coord)
-        if jar is None:
-            path = self.resolve(record)
-            if path is None or not path.exists():
-                jar = "jar_unavailable"
-            else:
-                try:
-                    jar = open_jar(path, self.parsed).require_complete()
-                except (NotAZip, ClassFormatError):
-                    jar = "unreadable_jar"
-            self.jars[record.coord] = jar
+        """The artifact's JAR, judged once: its parsed content, or the first
+        reason that holds of ``jar_unavailable``, ``unreadable_jar``,
+        ``non_java_language`` (a class whose ``SourceFile`` names another
+        language) and ``invalid_java_version`` (a class newer than Java 8)."""
+        if record.coord not in self.jars:
+            self.jars[record.coord] = self._judge(record)
+        return self.jars[record.coord]
+
+    def _judge(self, record: ArtifactRecord) -> JarContent | str:
+        path = self.resolve(record)
+        if path is None or not path.exists():
+            return "jar_unavailable"
+        try:
+            jar = open_jar(path, self.parsed).require_complete()
+        except (NotAZip, ClassFormatError):
+            return "unreadable_jar"
+        classes = jar.classes()
+        if any(language_of_source(cls.source_file) not in ("java", "unknown") for cls in classes):
+            return "non_java_language"
+        if classes and java_release_of(max(cls.major_version for cls in classes)) > 8:
+            return "invalid_java_version"
         return jar
 
     def model(self, record: ArtifactRecord) -> ApiModel:
@@ -309,8 +328,8 @@ def derive_upgrades(
     ``versions``, and each version's successors its ``next_out``. Every
     library is derived, each reading its JARs through a fresh probe, unless
     the caller passes a ``probe``: then only the probe's library is derived,
-    its JARs are read from the probe's JAR root, and the probe keeps the
-    JARs the filters read.
+    its JARs are read from the probe's JAR root, and the probe keeps its
+    verdict on each JAR the filters read.
     """
     root = Path(jar_root) if jar_root is not None else None
     artifacts = graph.artifacts
@@ -359,7 +378,8 @@ def _select(
     v1: Version,
     v2: Version,
 ) -> Upgrade | str:
-    """The pair as an upgrade, or the reason of the first filter that excludes it."""
+    """The pair as an upgrade, or the reason of the first filter that excludes
+    it: of the JAR filters, the earliest stage either JAR fails, v1's on a tie."""
     try:
         level = classify_upgrade(v1, v2)
     except NotAnUpgrade:
@@ -369,17 +389,9 @@ def _select(
         return "no_external_client"
     if rec1.packaging != "jar" or rec2.packaging != "jar":
         return "packaging_not_jar"
-    jars = (probe.open(rec1), probe.open(rec2))
-    for jar in jars:
-        if isinstance(jar, str):
-            return jar
-    for jar in jars:
-        if any(tag not in ("java", "unknown") for tag in jar.detected_languages):
-            return "non_java_language"
-    for jar in jars:
-        release = jar.max_java_release()
-        if release is not None and release > 8:
-            return "invalid_java_version"
+    reasons = [jar for jar in (probe.open(rec1), probe.open(rec2)) if isinstance(jar, str)]
+    if reasons:
+        return min(reasons, key=_JAR_STAGES.get)
     if rec1.release_date > rec2.release_date:
         return "release_date_inversion"
     return Upgrade(rec1, rec2, v1, v2, level, tuple(clients))

@@ -240,3 +240,47 @@ def build_two_library_fixture(root: Path) -> tuple[Path, Path, Path]:
     jar_root = root / "jars"
     write_two_library_jars(jar_root)
     return artifacts, edges, jar_root
+
+
+# One candidate pair for each pair exclusion reason, in a library named after
+# it, and one skipped version (non_java_language's 1.1.0-rc1). Each library's
+# rows are in NEXT order. x:app uses every pair's v1 but no_external_client's,
+# whose only client, r:user, shares its group.
+EVERY_REASON_ROWS = [
+    ("r", "not_an_upgrade", "2.0.0", "2011-01-01", "jar", "java.jar"),
+    ("r", "not_an_upgrade", "1.0.0", "2011-06-01", "jar", "java.jar"),
+    ("r", "no_external_client", "1.0.0", "2011-01-01", "jar", "java.jar"),
+    ("r", "no_external_client", "1.1.0", "2011-06-01", "jar", "java.jar"),
+    ("r", "packaging_not_jar", "1.0.0", "2011-01-01", "war", "java.jar"),
+    ("r", "packaging_not_jar", "1.1.0", "2011-06-01", "war", "java.jar"),
+    ("r", "jar_unavailable", "1.0.0", "2011-01-01", "jar", "java.jar"),
+    ("r", "jar_unavailable", "1.1.0", "2011-06-01", "jar", "missing.jar"),
+    ("r", "unreadable_jar", "1.0.0", "2011-01-01", "jar", "not-a-zip.jar"),
+    ("r", "unreadable_jar", "1.1.0", "2011-06-01", "jar", "java.jar"),
+    ("r", "non_java_language", "1.0.0", "2011-01-01", "jar", "java.jar"),
+    ("r", "non_java_language", "1.1.0-rc1", "2011-03-01", "jar", ""),
+    ("r", "non_java_language", "1.1.0", "2011-06-01", "jar", "scala.jar"),
+    ("r", "invalid_java_version", "1.0.0", "2011-01-01", "jar", "java-9.jar"),
+    ("r", "invalid_java_version", "1.1.0", "2011-06-01", "jar", "java.jar"),
+    ("r", "release_date_inversion", "1.0.0", "2011-06-01", "jar", "java.jar"),
+    ("r", "release_date_inversion", "1.1.0", "2011-01-01", "jar", "java.jar"),
+    ("r", "user", "1.0.0", "2011-02-01", "jar", ""),
+    ("x", "app", "1.0.0", "2011-02-01", "jar", ""),
+]
+
+
+def build_every_reason_fixture(root: Path) -> tuple[Path, Path, Path]:
+    """(artifacts.csv, edges.csv, jar_root) for the graph of every exclusion reason."""
+    edge_rows = []
+    for library in dict.fromkeys(row[1] for row in EVERY_REASON_ROWS[:-2]):
+        coords = [f"r:{library}:{row[2]}" for row in EVERY_REASON_ROWS if row[1] == library]
+        edge_rows += [("NEXT", "", v1, v2) for v1, v2 in zip(coords, coords[1:])]
+        client = "r:user:1.0.0" if library == "no_external_client" else "x:app:1.0.0"
+        edge_rows.append(("DEPENDS", "compile", client, coords[0]))
+    artifacts, edges = write_graph_csvs(root, EVERY_REASON_ROWS, edge_rows)
+    jar_root = root / "jars"
+    write_jar(jar_root / "java.jar", [ClassSpec("p.A")])
+    write_jar(jar_root / "scala.jar", [ClassSpec("p.A", source_file="A.scala")])
+    write_jar(jar_root / "java-9.jar", [ClassSpec("p.A", major_version=53)])
+    (jar_root / "not-a-zip.jar").write_bytes(b"not a zip archive\n")
+    return artifacts, edges, jar_root

@@ -39,6 +39,7 @@ from jarcompat.classfile import (
     UnknownVersion,
     UnsupportedConstruct,
     java_release_of,
+    language_of_source,
     open_jar,
     parse_class,
     validate_descriptor,
@@ -231,8 +232,7 @@ def test_java_release_strictly_monotone():
 
 def test_open_jar_empty():
     content = jar_content([])
-    assert content.entries == []
-    assert content.detected_languages == set()
+    assert content.entries == content.parse_failures == content.damaged_entries == []
 
 
 def test_open_jar_counts_and_languages():
@@ -240,19 +240,28 @@ def test_open_jar_counts_and_languages():
         [ClassSpec("p.A"), ClassSpec("p.B")],
         extra={"META-INF/MANIFEST.MF": b"Manifest-Version: 1.0\n"},
     )
-    assert len(content.entries) == 2
-    assert content.non_class_entries == 1
-    assert content.detected_languages == {"java"}
+    assert [name for name, _ in content.entries] == ["p/A.class", "p/B.class"]
+    assert [language_of_source(cls.source_file) for cls in content.classes()] == ["java", "java"]
 
 
 def test_open_jar_scala_tag():
     content = jar_content([ClassSpec("p.A", source_file="Foo.scala")])
-    assert "scala" in content.detected_languages
+    assert [language_of_source(cls.source_file) for cls in content.classes()] == ["scala"]
 
 
 def test_open_jar_missing_source_is_unknown():
     content = jar_content([ClassSpec("p.A", source_file=None)])
-    assert content.detected_languages == {"unknown"}
+    assert [cls.source_file for cls in content.classes()] == [None]
+    assert language_of_source(None) == "unknown"
+
+
+@pytest.mark.parametrize("source_file, language", [
+    ("Foo.java", "java"), ("Foo.JAVA", "java"), ("Foo.scala", "scala"), ("Foo.kt", "kotlin"),
+    ("build.kts", "kotlin"), ("Foo.groovy", "groovy"), ("core.clj", "clojure"),
+    ("Foo.txt", "unknown"), ("Foo", "unknown"), (None, "unknown"),
+])
+def test_language_of_source(source_file, language):
+    assert language_of_source(source_file) == language
 
 
 def test_open_jar_not_a_zip(tmp_path):
@@ -269,7 +278,7 @@ def test_open_jar_records_parse_failures():
         archive.writestr("p/Good.class", write_class(ClassSpec("p.Good")))
     content = open_jar(io.BytesIO(buffer.getvalue()))
     assert len(content.entries) == 1
-    assert len(content.parse_failures) == 1
+    assert len(content.parse_failures) == 1 and not content.damaged_entries
     assert "BadMagic" in content.parse_failures[0][1]
 
 
@@ -279,15 +288,16 @@ def test_open_jar_skips_module_info():
         archive.writestr("module-info.class", b"\xca\xfe\xba\xbe junk")
         archive.writestr("p/Good.class", write_class(ClassSpec("p.Good")))
     content = open_jar(io.BytesIO(buffer.getvalue()))
-    assert len(content.entries) == 1
-    assert content.non_class_entries == 1
+    # The junk module-info.class would be a parse failure had it been read.
+    assert [name for name, _ in content.entries] == ["p/Good.class"]
+    assert content.parse_failures == content.damaged_entries == []
 
 
 def test_max_java_release():
     content = jar_content([ClassSpec("p.A", major_version=52), ClassSpec("p.B", major_version=50)])
-    assert content.max_java_release() == 8
+    assert java_release_of(max(cls.major_version for cls in content.classes())) == 8
     newer = jar_content([ClassSpec("p.A", major_version=53)])
-    assert newer.max_java_release() == 9
+    assert java_release_of(max(cls.major_version for cls in newer.classes())) == 9
 
 
 @settings(max_examples=300, deadline=None)
@@ -500,7 +510,8 @@ def _cut_short(jar: bytes) -> bytes:
 def test_open_jar_records_damaged_entry(damage, reasons):
     content = open_jar(io.BytesIO(damage()))
     assert [name for name, _ in content.entries] == ["p/B.class"]
-    assert content.parse_failures == content.damaged_entries
+    # A damaged entry is not also a class that did not parse.
+    assert content.parse_failures == []
     [(name, failure)] = content.damaged_entries
     assert name == "p/A.class" and failure.startswith(reasons)
     with pytest.raises(NotAZip, match="damaged entry p/A.class"):
@@ -734,7 +745,7 @@ def test_open_jar_counts_an_entry_without_a_name_as_other_content():
     assert [info.filename for info in zipfile.ZipFile(io.BytesIO(jar)).infolist()] == ["p/A.class", ""]
     content = open_jar(io.BytesIO(jar))
     assert [name for name, _ in content.entries] == ["p/A.class"]
-    assert content.non_class_entries == 1
+    assert content.parse_failures == content.damaged_entries == []
 
 
 def test_require_intact_passes_a_class_that_does_not_parse():

@@ -25,7 +25,12 @@ from hypothesis import strategies as st
 
 from bench_cases import write_benchmark
 from conftest import damage_entry, refuse_directory, write_jar
-from corpus_fixture import build_fixture, build_two_library_fixture, write_graph_csvs
+from corpus_fixture import (
+    build_every_reason_fixture,
+    build_fixture,
+    build_two_library_fixture,
+    write_graph_csvs,
+)
 from jarcompat import analyze
 from jarcompat.analyze import analyze_results
 from jarcompat.classfile import ClassSpec, MethodSpec
@@ -257,13 +262,59 @@ def test_corpus_run_draws_each_sample_from_the_rows_of_clients_csv(tmp_path):
             assert list(csv.reader(handle))[1:] == expected, seed
 
 
-def test_corpus_derive_exclusions_match_run(tmp_path):
-    artifacts, edges, jar_root = build_fixture(tmp_path / "fixture")
+def test_corpus_compares_release_dates_with_and_without_a_utc_offset(tmp_path):
+    # A date without an offset is read as UTC. g:lib 1.0.0 is out at 08:00Z,
+    # after 1.1.0 at 06:00Z, so the pair is inverted. Neither version of x:app
+    # follows the other along NEXT, so the later one, 1.0.0 at 23:00Z against
+    # 2.0.0 at 20:00Z, is g:other's client.
+    jar_root = tmp_path / "jars"
+    write_jar(jar_root / "lib.jar", [ClassSpec("p.A")])
+    write_jar(jar_root / "other-1.0.0.jar", [ClassSpec("o.X", methods=(MethodSpec("x"),))])
+    write_jar(jar_root / "other-1.1.0.jar", [ClassSpec("o.X")])
+    rows = [
+        ("g", "lib", "1.0.0", "2010-01-01T03:00:00-05:00", "jar", "lib.jar"),
+        ("g", "lib", "1.1.0", "2010-01-01T06:00:00", "jar", "lib.jar"),
+        ("g", "other", "1.0.0", "2010-01-01", "jar", "other-1.0.0.jar"),
+        ("g", "other", "1.1.0", "2010-06-01T12:00:00+02:00", "jar", "other-1.1.0.jar"),
+        ("x", "app", "1.0.0", "2010-02-01T00:00:00+01:00", "jar", ""),
+        ("x", "app", "2.0.0", "2010-01-31T20:00:00", "jar", ""),
+    ]
+    edge_rows = [
+        ("NEXT", "", "g:lib:1.0.0", "g:lib:1.1.0"),
+        ("NEXT", "", "g:other:1.0.0", "g:other:1.1.0"),
+        ("DEPENDS", "compile", "x:app:1.0.0", "g:lib:1.0.0"),
+        ("DEPENDS", "compile", "x:app:1.0.0", "g:other:1.0.0"),
+        ("DEPENDS", "compile", "x:app:2.0.0", "g:other:1.0.0"),
+    ]
+    artifacts, edges = write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows)
+    common = ["--artifacts", str(artifacts), "--edges", str(edges), "--jars", str(jar_root)]
+    assert main(["corpus", "derive", *common, "--out", str(tmp_path / "derived")]) == 0
+    assert main(["corpus", "run", *common, "--out", str(tmp_path / "ran"), "--jobs", "1"]) == 0
+    for out in ("derived", "ran"):
+        exclusions = (tmp_path / out / "exclusions.csv").read_text(encoding="utf-8").splitlines()
+        assert exclusions[1:] == ["pair,g:lib:1.0.0,g:lib:1.1.0,release_date_inversion"]
+    ran = tmp_path / "ran"
+    assert (ran / "clients.csv").read_text(encoding="utf-8").splitlines()[1:] == [
+        "x:app:1.0.0,compile,g:other,1.0.0,1.1.0,minor,,0"
+    ]
+    with open(ran / "upgrades.csv", newline="", encoding="utf-8") as handle:
+        assert [row["year"] for row in csv.DictReader(handle)] == ["2010"]
+
+
+@pytest.mark.parametrize("build, reasons", [
+    (build_fixture, {"qualified", "no_external_client"}),
+    (build_every_reason_fixture, {
+        "qualified", "not_an_upgrade", "no_external_client", "packaging_not_jar", "jar_unavailable",
+        "unreadable_jar", "non_java_language", "invalid_java_version", "release_date_inversion",
+    }),
+], ids=["fixture", "every_reason"])
+def test_corpus_derive_exclusions_match_run(tmp_path, build, reasons):
+    artifacts, edges, jar_root = build(tmp_path / "fixture")
     common = ["--artifacts", str(artifacts), "--edges", str(edges), "--jars", str(jar_root)]
     assert main(["corpus", "derive", *common, "--out", str(tmp_path / "derived")]) == 0
     assert main(["corpus", "run", *common, "--out", str(tmp_path / "ran"), "--jobs", "1"]) == 0
     derived = (tmp_path / "derived" / "exclusions.csv").read_bytes()
-    assert derived.count(b"\n") > 1
+    assert {line.rpartition(b",")[2] for line in derived.splitlines()[1:]} == {r.encode() for r in reasons}
     assert derived == (tmp_path / "ran" / "exclusions.csv").read_bytes()
 
 

@@ -539,6 +539,52 @@ def test_derive_upgrades_jar_unavailable(tmp_path):
     assert pair_reasons(exclusions) == ["jar_unavailable"]
 
 
+@pytest.mark.parametrize("specs, extra, verdict", [
+    ([ClassSpec("p.A", major_version=52), ClassSpec("p.B", major_version=50, source_file=None)], {}, None),
+    ([], {"META-INF/MANIFEST.MF": b"Manifest-Version: 1.0\n"}, None),
+    ([ClassSpec("p.A"), ClassSpec("p.B", source_file="B.scala")], {}, "non_java_language"),
+    ([ClassSpec("p.A", source_file="A.kt")], {}, "non_java_language"),
+    ([ClassSpec("p.A", major_version=52), ClassSpec("p.B", major_version=53)], {}, "invalid_java_version"),
+    ([ClassSpec("p.A", major_version=53, source_file="A.scala")], {}, "non_java_language"),
+    ([ClassSpec("p.A", source_file="A.scala")], {"p/Bad.class": b"\x00"}, "unreadable_jar"),
+    (None, {}, "jar_unavailable"),
+], ids=["java-8", "no-classes", "scala", "kotlin", "java-9", "scala-on-java-9", "bad-class", "missing"])
+def test_the_probe_judges_each_jar_once_when_it_opens_it(tmp_path, monkeypatch, specs, extra, verdict):
+    opened = []
+    monkeypatch.setattr(corpus, "open_jar", lambda *args: opened.append(args) or parser.open_jar(*args))
+    if specs is not None:
+        write_jar(tmp_path / "lib.jar", specs, extra)
+    record = corpus.ArtifactRecord("g", "lib", "1.0.0", datetime(2011, 1, 1), "jar", "lib.jar")
+    probe = corpus._JarProbe(record.library, tmp_path, corpus.StabilityConfig())
+    jar = probe.open(record)
+    assert probe.open(record) is jar and probe.jars == {record.coord: jar}
+    assert len(opened) == (specs is not None)
+    if verdict is None:
+        assert [cls.this_name for cls in jar.classes()] == [spec.name for spec in specs]
+    else:
+        assert jar == verdict
+
+
+def test_a_pair_takes_the_reason_of_the_earliest_jar_stage_either_version_fails(tmp_path):
+    # The stages are: available and readable, then language, then Java
+    # version; on a tie, v1's reason.
+    jar_root = tmp_path / "jars"
+    write_jar(jar_root / "a-1.0.0.jar", [ClassSpec("p.A", major_version=53)])
+    write_jar(jar_root / "a-1.1.0.jar", [ClassSpec("p.A", source_file="A.scala")])
+    (jar_root / "b-1.0.0.jar").write_bytes(b"not a zip archive")
+    (jar_root / "c-1.1.0.jar").write_bytes(b"not a zip archive")
+    rows = [("x", "app", "1.0.0", "2011-02-01", "jar", "")]
+    edge_rows = []
+    for lib in "abc":
+        rows += [("g", lib, "1.0.0", "2011-01-01", "jar", f"{lib}-1.0.0.jar"),
+                 ("g", lib, "1.1.0", "2011-06-01", "jar", f"{lib}-1.1.0.jar")]
+        edge_rows += [("NEXT", "", f"g:{lib}:1.0.0", f"g:{lib}:1.1.0"),
+                      ("DEPENDS", "compile", "x:app:1.0.0", f"g:{lib}:1.0.0")]
+    graph = load_graph(*write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows))
+    _, exclusions = derive_upgrades(graph, jar_root)
+    assert pair_reasons(exclusions) == ["non_java_language", "unreadable_jar", "jar_unavailable"]
+
+
 def test_run_pipeline_excludes_a_library_jar_with_a_damaged_entry(tmp_path):
     # Read past, the damaged p/A.class would look removed in 1.1.0.
     jar_root = tmp_path / "jars"
