@@ -22,7 +22,6 @@ contain; instructions are never interpreted. Malformed input raises
 
 from __future__ import annotations
 
-import hashlib
 import io
 import struct
 import sys
@@ -47,6 +46,16 @@ from .model import (
     TruncatedClass,
     member_ref,
 )
+
+# CPython's own SHA-256. It takes about 6 times OpenSSL's time per byte, but
+# hashlib would load OpenSSL's libcrypto, about 3.5 MB more in every process.
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 # Constant pool tags.
 _UTF8 = 1
@@ -723,7 +732,7 @@ def open_jar(
     parsed = {} if parsed is None else parsed
     content = JarContent(
         source=str(source) if isinstance(source, (str, Path)) else "",
-        sha256=hashlib.sha256(raw).hexdigest(),
+        sha256=sha256(raw).hexdigest(),
     )
     for member in members:
         name, _, _, method, crc, packed_size, size, _ = member

@@ -18,20 +18,18 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import hashlib
+import fcntl
 import json
 import logging
-import mmap
-import multiprocessing
 import os
+import pickle
 import random
-import struct
+import tempfile
 import sys
 import traceback
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from multiprocessing.connection import Pipe
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -39,6 +37,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 from .apimodel import ApiModel, StabilityConfig, build_model
 from .classfile import (
     ClassFormatError, EntryKey, JarContent, NotAZip, RawClass, java_release_of, language_of_source, open_jar,
+    sha256,
 )
 from .delta import Delta, compute_delta, is_breaking
 from .detect import classify_impact, compute_detections
@@ -398,14 +397,28 @@ def _select(
 
 
 def derive_clients(upgrade: Upgrade, graph: DependencyGraph) -> list[GraphEdge]:
-    """The edge of each external client of v1, from its latest version, by client coordinate."""
+    """The edge of each external client of v1, from its latest version, by client coordinate.
+
+    The latest version is the one furthest along NEXT, then the one released
+    last, then the highest ``parse_version(...).key()``, where an
+    unparseable version ranks below every parseable one, then the greatest
+    version string."""
     best: dict[tuple[str, str], tuple[tuple, GraphEdge]] = {}
     for edge in upgrade.clients:
         client = graph.artifacts[edge.src]
-        rank = (graph.positions[edge.src], client.release_date, client.version)
+        rank = (graph.positions[edge.src], client.release_date, _version_rank(client.version))
         if client.library not in best or rank > best[client.library][0]:
             best[client.library] = (rank, edge)
     return [edge for _, edge in sorted(best.values(), key=lambda item: item[1].src)]
+
+
+def _version_rank(text: str) -> tuple:
+    """Orders version strings by their semver key, unparseable ones below
+    every parseable one, then as strings."""
+    try:
+        return (True, parse_version(text).key(), text)
+    except Unparseable:
+        return (False, (), text)
 
 
 # --- pipeline ---------------------------------------------------------------
@@ -453,7 +466,7 @@ class PipelineOptions:
 def _input_hash(v1: JarContent, v2: JarContent, config: StabilityConfig) -> str:
     """What a delta depends on: the bytes of both JARs and the stability config."""
     key = json.dumps([v1.sha256, v2.sha256, config.keywords, config.annotations])
-    return hashlib.sha256(key.encode("utf-8")).hexdigest()
+    return sha256(key.encode("utf-8")).hexdigest()
 
 
 def _delta_filename(upgrade: Upgrade) -> str:
@@ -548,28 +561,26 @@ def run_pipeline(
     return summary
 
 
-# The count of tasks taken, shared by the processes of ``_run_shared``.
-_TAKEN = struct.Struct("=Q")
-
-
 def _run_shared(tasks: list[_LibraryTask], workers: int) -> list[tuple[int, _LibraryResult]]:
     """The index and result of each task, run by ``workers`` processes
     (``run_forked``: this one and ``workers`` - 1 forked ones, which get the
     tasks through the fork) that each take the next task not yet taken, in
-    list order, until none is left. The count of tasks taken sits in 8
-    bytes of anonymous shared memory, read and moved on under one lock;
-    ``multiprocessing.Value`` would import ctypes, which raised the peak RSS
-    of ``corpus run`` by about 0.28 MB. The lock is a fork-context one, made
-    only where a process is forked, so one worker needs no ``fork``."""
-    lock = multiprocessing.get_context("fork").Lock() if workers > 1 else contextlib.nullcontext()
-    with mmap.mmap(-1, _TAKEN.size) as taken:
+    list order, until none is left. The count of tasks taken is the first
+    8 bytes of a file that every process shares through the fork (none,
+    read as 0, at first), read and moved on under an ``fcntl.lockf`` lock.
+    The kernel drops that lock with a process that dies holding it, so no
+    other process waits for it then."""
+    with tempfile.TemporaryFile() as taken:
 
         def work(k: int) -> list[tuple[int, _LibraryResult]]:
             done = []
             while True:
-                with lock:
-                    (i,) = _TAKEN.unpack_from(taken)
-                    _TAKEN.pack_into(taken, 0, i + 1)
+                fcntl.lockf(taken, fcntl.LOCK_EX)
+                try:
+                    i = int.from_bytes(os.pread(taken.fileno(), 8, 0), "little")
+                    os.pwrite(taken.fileno(), (i + 1).to_bytes(8, "little"), 0)
+                finally:
+                    fcntl.lockf(taken, fcntl.LOCK_UN)
                 if i >= len(tasks):
                     return done
                 done.append((i, _run_library(tasks[i])))
@@ -702,39 +713,52 @@ _T = TypeVar("_T")
 
 def run_forked(n: int, work: Callable[[int], _T]) -> list[_T]:
     """``work(k)`` for each k in 0..n-1, in order. ``work(0)`` runs in this
-    process and each other k in a bare process forked for it, which gets
-    ``work`` through the fork and sends back over a pipe only what it
-    returns or raises, with the traceback of the latter as text. Every
-    forked process has ended before this returns or raises the first
-    exception, in k order; the two threads of a ``ProcessPoolExecutor``
-    raised the peak RSS of ``analyze`` by about 0.12 MB. Where n > 1, each
-    process first moves onto the k-th CPU it may run on and then allows
-    every one again, so nothing stays pinned: without the move, forked
-    processes were seen to share their parent's CPU while another CPU
-    idled. Callers fork only where ``os.sched_getaffinity`` exists."""
+    process and each other k in a process forked for it, which gets
+    ``work`` through the fork and sends back, pickled over a pipe of its
+    own, only what it returns or raises, with the traceback of the latter
+    as text. Every forked process has ended and been reaped before this
+    returns or raises the first exception, in k order. A forked process
+    that ends without sending anything, such as one killed by a signal,
+    raises a ``RuntimeError`` that names k and how it ended. Where n > 1,
+    each process first moves onto the k-th CPU it may run on and then
+    allows every one again, so nothing stays pinned: without the move,
+    forked processes were seen to share their parent's CPU while another
+    CPU idled. Callers fork only where ``os.sched_getaffinity`` exists."""
     if n == 1:
         return [work(0)]
-    context = multiprocessing.get_context("fork")
-    workers, outcomes = [], []
+    pids: list[int] = []
+    receives: list[int] = []  # the read end of each forked process's pipe
     try:
         for k in range(1, n):
-            receive, send = Pipe(duplex=False)
-            worker = context.Process(target=_run_placed, args=(work, k, send))
-            worker.start()
-            workers.append((worker, receive))
-            send.close()
-        outcomes.append(_run_placed(work, 0))
-        outcomes += [receive.recv() for _, receive in workers]
+            receive, send = os.pipe()
+            receives.append(receive)
+            _flush_std_streams()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _report(work, k, send, receives)
+                pids.append(pid)
+            finally:
+                os.close(send)
+        values = [_run_placed(work, 0)]
+        reports = []
+        for receive in receives:
+            with open(receive, "rb", closefd=False) as stream:
+                reports.append(stream.read())
     finally:
-        for worker, receive in workers:
-            receive.close()  # so that a worker still sending fails instead of blocking
-            worker.join()
-    for raised, value, forked_traceback in outcomes:
-        if raised and forked_traceback is None:
-            raise value
+        for receive in receives:
+            os.close(receive)  # so that a process still sending fails instead of blocking
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for k, (report, status) in enumerate(zip(reports, statuses), 1):
+        if not report:
+            code = os.waitstatus_to_exitcode(status)
+            ending = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise RuntimeError(f"forked process {k} ended without a result: {ending}")
+        raised, value, forked_traceback = pickle.loads(report)
         if raised:
             raise value from _ForkedTraceback(forked_traceback)
-    return [value for _, value, _ in outcomes]
+        values.append(value)
+    return values
 
 
 class _ForkedTraceback(Exception):
@@ -742,23 +766,48 @@ class _ForkedTraceback(Exception):
     which pickling drops; ``run_forked`` raises the exception from it."""
 
 
-def _run_placed(work: Callable[[int], _T], k: int, send=None) -> tuple[bool, object, str | None]:
-    """``(False, work(k), None)``, or ``(True, the exception it raised, its
-    traceback in a forked process)``, after moving this process onto the
-    k-th CPU it may run on and back, where the platform can; a move the
-    system refuses is skipped. A forked process also sends it to ``send``."""
+def _report(work: Callable[[int], _T], k: int, send: int, receives: list[int]) -> None:
+    """In the process forked for k: close ``receives``, the read ends of the
+    pipes made so far, write to ``send`` the pickled ``(False, work(k),
+    None)``, or ``(True, the exception, its traceback)`` where ``work`` or
+    the pickling raises, then end this process. It ends through
+    ``os._exit`` whatever happens, so it never returns into the caller's
+    stack or runs its ``atexit`` handlers, and with status 1 where it sent
+    nothing."""
+    status = 1
     try:
-        if hasattr(os, "sched_getaffinity"):
-            cpus = sorted(os.sched_getaffinity(0))
-            with contextlib.suppress(OSError):
-                os.sched_setaffinity(0, cpus[k:k + 1])
-                os.sched_setaffinity(0, cpus)
-        outcome = (False, work(k), None)
-    except Exception as exc:  # raised again by run_forked
-        outcome = (True, exc, None if send is None else traceback.format_exc())
-    if send is not None:
-        send.send(outcome)
-    return outcome
+        for receive in receives:
+            os.close(receive)
+        try:
+            report = pickle.dumps((False, _run_placed(work, k), None))
+        except Exception as exc:  # raised again by run_forked
+            report = pickle.dumps((True, exc, traceback.format_exc()))
+        with open(send, "wb") as stream:
+            stream.write(report)
+        status = 0
+    finally:
+        _flush_std_streams()
+        os._exit(status)
+
+
+def _run_placed(work: Callable[[int], _T], k: int) -> _T:
+    """``work(k)``, after moving this process onto the k-th CPU it may run
+    on and back, where the platform can; a move the system refuses is
+    skipped."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, cpus[k:k + 1])
+            os.sched_setaffinity(0, cpus)
+    return work(k)
+
+
+def _flush_std_streams() -> None:
+    """Flush standard output and error, so that a fork copies nothing
+    they hold and a forked process loses nothing it wrote to them."""
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(AttributeError, ValueError):  # None, or closed
+            stream.flush()
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

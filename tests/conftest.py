@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import os
 import struct
 import zipfile
 from pathlib import Path
@@ -12,6 +13,12 @@ import pytest
 from jarcompat.apimodel import ApiModel, StabilityConfig, build_model
 from jarcompat.classfile import ClassSpec, JarContent, open_jar, write_class
 from jarcompat.usage import UsageModel, UseKind
+
+
+def assert_no_child_left() -> None:
+    """Every process this one forked has been reaped: none is left to wait for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def jar_bytes(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 import struct
@@ -10,7 +11,7 @@ import zlib
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import damage_entry, jar_bytes, jar_content, misfile_entry
@@ -42,6 +43,7 @@ from jarcompat.classfile import (
     language_of_source,
     open_jar,
     parse_class,
+    sha256,
     validate_descriptor,
     write_class,
 )
@@ -233,6 +235,23 @@ def test_java_release_strictly_monotone():
 def test_open_jar_empty():
     content = jar_content([])
     assert content.entries == content.parse_failures == content.damaged_entries == []
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=300),
+        # Past 64 KiB: a drawn block repeated, then a drawn tail.
+        st.builds(
+            lambda block, tail: block * ((1 << 16) // len(block) + 1) + tail,
+            st.binary(min_size=1, max_size=200),
+            st.binary(max_size=200),
+        ),
+    )
+)
+@example(b"")
+@settings(max_examples=60, deadline=None)
+def test_sha256_matches_hashlib(data):
+    assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 def test_open_jar_counts_and_languages():

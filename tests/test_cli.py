@@ -7,7 +7,6 @@ import csv
 import io
 import itertools
 import json
-import multiprocessing
 import os
 import random
 import re
@@ -24,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bench_cases import write_benchmark
-from conftest import damage_entry, refuse_directory, write_jar
+from conftest import assert_no_child_left, damage_entry, refuse_directory, write_jar
 from corpus_fixture import (
     build_every_reason_fixture,
     build_fixture,
@@ -1106,7 +1105,7 @@ def test_analyze_golden_files_with_tables_counted_in_ranges(tmp_path, monkeypatc
     assert main(["analyze", *analyze_input(tmp_path / "in", name), "--out", str(out)]) == 0
     assert jobs == ([n] if name == "results" else [])
     assert report_files(out) == report_files(ANALYZE_GOLDEN / name)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("name", ["results", "summary"])
@@ -1144,6 +1143,18 @@ def test_analyze_of_tables_over_the_range_size_warns_of_nothing_in_dev_mode(tmp_
         env=dict(os.environ, PYTHONPATH=str(Path(analyze.__file__).parents[1])),
     )
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_the_cli_loads_neither_openssl_nor_multiprocessing():
+    # -S keeps site's own imports out of the count.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, jarcompat.cli; "
+         "print([name for name in ('_hashlib', 'hashlib', 'multiprocessing') if name in sys.modules])"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(Path(analyze.__file__).parents[1])),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_jobs_default_to_the_cpus_this_process_may_run_on(tmp_path, monkeypatch):

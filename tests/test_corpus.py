@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import hashlib
 import json
-import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -17,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import damage_entry, jar_bytes, misfile_entry, write_jar
+from conftest import assert_no_child_left, damage_entry, jar_bytes, misfile_entry, write_jar
 from corpus_fixture import build_fixture, build_two_library_fixture, write_graph_csvs
 from jarcompat import corpus, delta
 from jarcompat.classfile import ClassSpec, MethodSpec, parser, write_class
@@ -294,6 +297,36 @@ def test_a_merged_client_history_ranks_versions_by_longest_next_path(tmp_path):
     ]
     (upgrade,), _ = derive_upgrades(graph, jar_root)
     assert [edge.src for edge in derive_clients(upgrade, graph)] == ["c:app:2.0.0"]
+
+
+@pytest.mark.parametrize(
+    "versions, latest",
+    [
+        (["1.9.0", "1.10.0"], "1.10.0"),
+        (["1.10.0", "final"], "1.10.0"),  # unparseable ranks below parseable
+        (["1.10", "1.10.0"], "1.10.0"),  # equal keys: the string decides
+        (["final", "ga"], "ga"),
+    ],
+)
+def test_derive_clients_breaks_a_tie_of_place_and_date_by_version(tmp_path, versions, latest):
+    # No NEXT edge orders x:app's versions and they share a release date,
+    # so only the versions themselves can tell which is the latest.
+    lib = [ClassSpec("p.Api", methods=(MethodSpec("a"),))]
+    jar_root = tmp_path / "jars"
+    for name in ("lib-1.0.0.jar", "lib-1.1.0.jar"):
+        write_jar(jar_root / name, lib)
+    rows = [
+        ("g", "lib", "1.0.0", "2011-01-01", "jar", "lib-1.0.0.jar"),
+        ("g", "lib", "1.1.0", "2012-01-01", "jar", "lib-1.1.0.jar"),
+        *(("x", "app", v, "2011-02-01", "jar", "") for v in versions),
+    ]
+    edge_rows = [
+        ("NEXT", "", "g:lib:1.0.0", "g:lib:1.1.0"),
+        *(("DEPENDS", "compile", f"x:app:{v}", "g:lib:1.0.0") for v in versions),
+    ]
+    graph = load_graph(*write_graph_csvs(tmp_path, artifact_rows=rows, edge_rows=edge_rows))
+    (upgrade,), _ = derive_upgrades(graph, jar_root)
+    assert [edge.src for edge in derive_clients(upgrade, graph)] == [f"x:app:{latest}"]
 
 
 def _diamonds(count: int) -> DependencyGraph:
@@ -959,7 +992,7 @@ def test_forked_process_k_moves_onto_the_kth_cpu_and_back(tmp_path, monkeypatch)
     assert logged == {
         str(pid): [str([cpu]), "[1, 4, 6]"] for cpu, (_, pid) in zip((1, 4, 6), processes)
     }
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_shared_tasks_are_each_taken_once(monkeypatch):
@@ -970,7 +1003,51 @@ def test_shared_tasks_are_each_taken_once(monkeypatch):
     done = corpus._run_shared(list(range(3000)), 4)
     assert sorted(i for i, _ in done) == list(range(3000))
     assert all(i == task for i, task in done)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+@contextlib.contextmanager
+def _failing_after(seconds: int):
+    """Fails the test instead of letting it wait past ``seconds``."""
+    def fail(signum, frame):
+        pytest.fail(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, fail)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_forked_process_that_dies_raises_here_once_every_process_is_reaped():
+    def work(k):
+        if k == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return k
+
+    with _failing_after(60), pytest.raises(RuntimeError) as raised:
+        corpus.run_forked(3, work)
+    assert str(raised.value) == "forked process 1 ended without a result: killed by signal 9"
+    assert_no_child_left()
+
+
+def test_a_forked_process_killed_holding_the_task_lock_stops_no_other(monkeypatch):
+    # The forked process dies between reading and writing the count of
+    # tasks taken, so while it holds the lock that guards the count.
+    parent, pwrite = os.getpid(), os.pwrite
+
+    def pwrite_or_die(fd, data, offset):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return pwrite(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", pwrite_or_die)
+    monkeypatch.setattr(corpus, "_run_library", lambda task: task)
+    with _failing_after(60), pytest.raises(RuntimeError, match="^forked process 1 .*: killed by signal 9$"):
+        corpus._run_shared(list(range(50)), 2)
+    assert_no_child_left()
 
 
 def test_corpus_run_forks_nothing_where_processes_cannot_be_placed_on_cpus(tmp_path, monkeypatch):
@@ -1010,7 +1087,7 @@ def test_a_task_that_raises_in_a_forked_process_raises_here(tmp_path, monkeypatc
     assert str(parent) not in str(raised.value)
     # The forked process's traceback comes along, down to the raise.
     assert 'raise RuntimeError(f"library task failed' in str(raised.value.__cause__)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_corpus_run_on_forked_processes_warns_of_nothing_in_dev_mode(tmp_path):
@@ -1141,3 +1218,22 @@ def test_run_pipeline_outputs_match_golden_files(tmp_path, name, build, jobs):
     options = PipelineOptions(jobs=jobs, samples=PINNED_SAMPLES)
     run_pipeline(load_graph(artifacts, edges), jar_root, out, options)
     assert pinned_text(out) == pinned_text(GOLDEN / name)
+
+
+def test_a_delta_input_hash_is_the_sha256_of_both_jar_digests_and_the_config(tmp_path):
+    # The goldens leave inputHash out, and a re-run reuses a delta file only
+    # while its inputHash reads as it did when the file was written.
+    artifacts, edges, jar_root = build_two_library_fixture(tmp_path / "fixture")
+    graph = load_graph(artifacts, edges)
+    out = tmp_path / "out"
+    run_pipeline(graph, jar_root, out, PipelineOptions())
+    config = corpus.StabilityConfig()
+    with (out / "upgrades.csv").open(encoding="utf-8", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert rows
+    for row in rows:
+        coords = (f"{row['group']}:{row['artifact']}:{row[v]}" for v in ("v1", "v2"))
+        digests = [hashlib.sha256((jar_root / graph.artifacts[c].jar_path).read_bytes()).hexdigest() for c in coords]
+        key = json.dumps([*digests, config.keywords, config.annotations]).encode("utf-8")
+        payload = json.loads((out / row["delta_file"]).read_text(encoding="utf-8"))
+        assert payload["inputHash"] == hashlib.sha256(key).hexdigest()
