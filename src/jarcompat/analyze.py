@@ -230,6 +230,13 @@ _BREAKING = {"true": True, "false": False}
 _BROKEN = {**_BREAKING, "": None}
 
 
+def _whole_number(text: str) -> int:
+    """A whole number of zero or more written in ASCII digits, as ``corpus run`` writes a count."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 # A battery's pairwise test takes two levels' data and gives the p-value, the
 # effect-size cells of the CSV row and the report's note on the effect.
 
@@ -241,7 +248,7 @@ def _fisher(a: tuple[int, int], b: tuple[int, int]) -> tuple[float, list[str], s
     return p, [ratio], f"odds ratio {ratio}"
 
 
-def _mann_whitney(xs: list[float], ys: list[float]) -> tuple[float, list[str], str]:
+def _mann_whitney(xs: Counter[int], ys: Counter[int]) -> tuple[float, list[str], str]:
     p = mann_whitney(xs, ys).p_value
     delta, label = cliffs_delta(xs, ys)
     return p, [f"{delta:.3f}", label], f"Cliff's delta {delta:.2f} ({label})"
@@ -291,10 +298,10 @@ PROPORTIONS = Battery(
     lambda levels: chi_squared([(b, n - b) for _, (b, n) in levels]),
     _fisher, "q3_pairwise_fisher.csv", ("odds_ratio",),
 )
-# Data per level: the detection counts of the broken clients.
+# Data per level: how many broken clients have each detection count.
 DETECTIONS = Battery(
     "## Detections per broken client", "Kruskal-Wallis across levels", "H",
-    lambda levels: kruskal_wallis([values for _, values in levels]),
+    lambda levels: kruskal_wallis([counts for _, counts in levels]),
     _mann_whitney, "q3_pairwise_mannwhitney.csv", ("cliffs_delta", "interpretation"),
 )
 
@@ -386,11 +393,12 @@ def _read_tables(results: Path) -> tuple[Counter, Counter]:
             _cell(_BREAKING.__getitem__, breaking, upgrades_csv, "breaking"),
             _cell(int, year, upgrades_csv, "year"),
         ] += n
-    verdicts: Counter[tuple[str, bool | None, float | None]] = Counter()
+    verdicts: Counter[tuple[str, bool | None, int | None]] = Counter()
     for (level, broken, detections), n in clients.items():
         level = _cell(_LEVELS.__getitem__, level, clients_csv, "level")
         broken = _cell(_BROKEN.__getitem__, broken, clients_csv, "broken")
-        verdicts[level, broken, _cell(float, detections, clients_csv, "detections") if broken else None] += n
+        count = _cell(_whole_number, detections, clients_csv, "detections") if broken else None
+        verdicts[level, broken, count] += n
     return cells, verdicts
 
 
@@ -409,13 +417,12 @@ def _write_tables(cells: Counter, clients: Counter, out: Path, narrative: list[s
     if clients:
         sampled: Counter[str] = Counter()
         broken: Counter[str] = Counter()
-        values: dict[str, list[float]] = {}
-        for (level, verdict, value), n in clients.items():
+        detections: dict[str, Counter[int]] = {}
+        for (level, verdict, count), n in clients.items():
             if verdict is not None:
                 sampled[level] += n
             if verdict:
                 broken[level] += n
-                # The rank tests depend only on the multiset of values.
-                values.setdefault(level, []).extend([value] * n)
+                detections.setdefault(level, Counter())[count] += n
         PROPORTIONS.run({level: (broken[level], n) for level, n in sampled.items()}, out, narrative)
-        DETECTIONS.run(values, out, narrative)
+        DETECTIONS.run(detections, out, narrative)

@@ -569,21 +569,32 @@ def _run_shared(tasks: list[_LibraryTask], workers: int) -> list[tuple[int, _Lib
     8 bytes of a file that every process shares through the fork (none,
     read as 0, at first), read and moved on under an ``fcntl.lockf`` lock.
     The kernel drops that lock with a process that dies holding it, so no
-    other process waits for it then."""
+    other process waits for it then. A task that raises moves the count to
+    the end before the exception goes on, so that no process takes another
+    task of a run that has failed."""
     with tempfile.TemporaryFile() as taken:
+
+        def take(to_end: bool = False) -> int:
+            """The count of tasks taken, which is then moved on by one, or to the end."""
+            fcntl.lockf(taken, fcntl.LOCK_EX)
+            try:
+                i = int.from_bytes(os.pread(taken.fileno(), 8, 0), "little")
+                os.pwrite(taken.fileno(), (len(tasks) if to_end else i + 1).to_bytes(8, "little"), 0)
+            finally:
+                fcntl.lockf(taken, fcntl.LOCK_UN)
+            return i
 
         def work(k: int) -> list[tuple[int, _LibraryResult]]:
             done = []
             while True:
-                fcntl.lockf(taken, fcntl.LOCK_EX)
-                try:
-                    i = int.from_bytes(os.pread(taken.fileno(), 8, 0), "little")
-                    os.pwrite(taken.fileno(), (i + 1).to_bytes(8, "little"), 0)
-                finally:
-                    fcntl.lockf(taken, fcntl.LOCK_UN)
+                i = take()
                 if i >= len(tasks):
                     return done
-                done.append((i, _run_library(tasks[i])))
+                try:
+                    done.append((i, _run_library(tasks[i])))
+                except BaseException:
+                    take(to_end=True)
+                    raise
 
         return [pair for done in run_forked(workers, work) for pair in done]
 

@@ -5,6 +5,12 @@ numbers are reproducible without an external statistics dependency. The
 normal tails use ``math.erfc``, which keeps their precision far out;
 chi-square tail probabilities go through the regularized incomplete gamma
 function with the usual series / continued-fraction split.
+
+Fisher's exact test in log space adds only the terms that can change its
+sum (see ``fisher_exact``). The rank tests take each sample as its value
+counts, so their cost grows with the distinct values, not the values. Both
+give the same floats as adding every term, and ranking every value, one at
+a time.
 """
 
 from __future__ import annotations
@@ -13,9 +19,9 @@ import bisect
 import math
 from dataclasses import dataclass
 from collections import Counter
-from itertools import chain, combinations
+from itertools import combinations
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 
 class DegenerateTable(ValueError):
@@ -171,8 +177,28 @@ def fisher_exact(table: Sequence[Sequence[int]]) -> TestResult:
     """Two-sided Fisher's exact test on a 2x2 table.
 
     Sums hypergeometric probabilities no larger than the observed table's.
-    Small tables are evaluated in exact integer arithmetic; large ones in
-    log space with a relative tie tolerance.
+    Small tables (n <= 1000) are evaluated in exact integer arithmetic.
+    Large ones are evaluated in log space with a relative tie tolerance:
+    the p-value is ``acc += exp(log_w)`` in increasing k over every k whose
+    log weight is at most the observed one's plus log1p(1e-7), each log
+    weight evaluated for its own k.
+
+    That sum evaluates only the terms that can change it. It skips three
+    kinds of term, and each skip leaves the sum bit-identical:
+
+    - The terms left out. The weights are log-concave in k, so those above
+      the threshold form one interval around the mode, (c1+1)(r1+1)//(n+2)
+      clamped to the support, whose ends are found by bisection. Where the
+      mode is not above the threshold, no term is.
+    - The leading terms of the block left of that interval whose ``exp`` is
+      exactly 0.0, found by bisection because the block rises. Adding 0.0
+      to a sum that is still 0.0 changes nothing.
+    - The trailing terms of the block right of it, from the first term t
+      that is 0.0 or below acc * 2**-54. Such a term is less than half an
+      ulp of acc, so acc + t rounds back to acc, and the block falls, so
+      every later term is smaller still.
+
+    Every term that is added is the same float, added in the same order.
     """
     if len(table) != 2 or any(len(row) != 2 for row in table):
         raise DegenerateTable("fisher_exact needs a 2x2 table")
@@ -197,20 +223,40 @@ def fisher_exact(table: Sequence[Sequence[int]]) -> TestResult:
         # terms that do not depend on k computed once and the sum order kept.
         lg_r1, lg_r2 = math.lgamma(r1 + 1), math.lgamma(r2 + 1)
         log_total = _log_comb(n, c1)
-        log_weights = [
-            (lg_r1 - math.lgamma(k + 1) - math.lgamma(r1 - k + 1))
-            + (lg_r2 - math.lgamma(c1 - k + 1) - math.lgamma(r2 - c1 + k + 1))
-            - log_total
-            for k in range(lo, hi + 1)
-        ]
-        threshold = log_weights[a - lo] + math.log1p(_FISHER_REL_EPS)
+
+        def log_weight(k: int) -> float:
+            return (
+                (lg_r1 - math.lgamma(k + 1) - math.lgamma(r1 - k + 1))
+                + (lg_r2 - math.lgamma(c1 - k + 1) - math.lgamma(r2 - c1 + k + 1))
+                - log_total
+            )
+
+        threshold = log_weight(a) + math.log1p(_FISHER_REL_EPS)
+        # The weights rise to the mode and fall after it, so the terms left
+        # out form one interval [first, last] around the mode.
+        mode = min(max((c1 + 1) * (r1 + 1) // (n + 2), lo), hi)
+        if log_weight(mode) > threshold:
+            first = _first(lo, mode, lambda k: log_weight(k) > threshold)
+            last = _first(mode, hi + 1, lambda k: log_weight(k) <= threshold) - 1
+        else:
+            first, last = mode + 1, mode
         acc = 0.0
-        for log_w in log_weights:
-            if log_w <= threshold:
-                acc += math.exp(log_w)
+        for k in range(_first(lo, first, lambda k: math.exp(log_weight(k)) != 0.0), first):
+            acc += math.exp(log_weight(k))
+        for k in range(last + 1, hi + 1):
+            term = math.exp(log_weight(k))
+            if term == 0.0 or term < acc * 2**-54:
+                break  # below half an ulp of acc, as is every later term
+            acc += term
         p = min(1.0, acc)
     odds = float("inf") if b * c == 0 else (a * d) / (b * c)
     return TestResult(statistic=odds, p_value=min(1.0, p))
+
+
+def _first(start: int, stop: int, holds: Callable[[int], bool]) -> int:
+    """The least k in [start, stop) for which ``holds(k)``, or ``stop``,
+    found by bisection: ``holds`` is false and then true over the range."""
+    return start + bisect.bisect_left(range(start, stop), True, key=holds)
 
 
 def _log_comb(n: int, k: int) -> float:
@@ -250,33 +296,40 @@ def holm_bonferroni(p_values: Sequence[float]) -> list[float]:
 
 # --- rank tests -------------------------------------------------------------
 
+# Each sample is given as its value counts: a mapping from each distinct
+# value to how often it occurs, such as a ``Counter`` of the values. The
+# tests depend on a sample only through these counts, so a sample costs
+# time and memory in its distinct values, apart from Mann-Whitney's exact
+# enumeration.
+
 # Total sample size up to which the exact Mann-Whitney distribution is
 # enumerated; beyond it a tie-corrected normal approximation is used.
 _MW_EXACT_LIMIT = 16
 
 
-def mann_whitney(xs: Sequence[float], ys: Sequence[float]) -> TestResult:
-    """Two-tailed Mann-Whitney U test.
+def mann_whitney(xs: Mapping[float, int], ys: Mapping[float, int]) -> TestResult:
+    """Two-tailed Mann-Whitney U test on two samples of value counts.
 
     U is the rank sum of ``xs`` in the pooled sample minus n(n+1)/2. Small
     samples (n + m <= 16) use exact enumeration over all group assignments,
     which handles ties correctly. Larger samples use the tie-corrected
     normal approximation with continuity correction.
     """
-    n, m = len(xs), len(ys)
+    n, m = sum(xs.values()), sum(ys.values())
     if n == 0 or m == 0:
         raise EmptyInput("both samples must be non-empty")
-    # Midranks are multiples of 0.5, so these float sums are exact.
-    rank_of, tie_counts = _rank_table(chain(xs, ys))
+    pooled = Counter(xs)
+    pooled.update(ys)
+    rank_of, tie_counts = _rank_table(pooled)
     offset = n * (n + 1) / 2.0
-    u = sum(rank_of[x] for x in xs) - offset
+    u = _rank_sum(rank_of, xs) - offset
     center = n * m / 2.0
 
     if n + m <= _MW_EXACT_LIMIT:
         total = 0
         extreme = 0
         observed_dev = abs(u - center)
-        ranks = [rank_of[v] for v in chain(xs, ys)]
+        ranks = [rank_of[v] for sample in (xs, ys) for v, count in sample.items() for _ in range(count)]
         for chosen in combinations(ranks, n):
             u_perm = sum(chosen) - offset
             total += 1
@@ -294,13 +347,13 @@ def mann_whitney(xs: Sequence[float], ys: Sequence[float]) -> TestResult:
     return TestResult(statistic=u, p_value=min(1.0, 2.0 * normal_sf(z)))
 
 
-def _rank_table(values: Iterable[float]) -> tuple[dict[float, float], list[int]]:
-    """The midrank of each distinct value among ``values``, and the size of each tie of two or more.
+def _rank_table(counts: Mapping[float, int]) -> tuple[dict[float, float], list[int]]:
+    """The midrank of each distinct value of the pooled sample ``counts``,
+    and the size of each tie of two or more.
 
     Ranks are 1-based positions in sorted order; tied values share the mean
-    of their positions. Memory depends on the distinct values only.
+    of their positions.
     """
-    counts = Counter(values)
     rank_of: dict[float, float] = {}
     below = 0
     for value in sorted(counts):
@@ -310,16 +363,27 @@ def _rank_table(values: Iterable[float]) -> tuple[dict[float, float], list[int]]
     return rank_of, [c for c in counts.values() if c > 1]
 
 
-def kruskal_wallis(groups: Sequence[Sequence[float]]) -> TestResult:
-    """Kruskal-Wallis rank-sum test with tie correction."""
-    if len(groups) < 2 or any(len(g) == 0 for g in groups):
+def _rank_sum(rank_of: dict[float, float], sample: Mapping[float, int]) -> float:
+    """The sum of the ranks of ``sample``'s values. Midranks are multiples
+    of 0.5, so each product and partial sum is exact, and this is the same
+    float as the sum of the ranks one value at a time."""
+    return sum(rank_of[value] * count for value, count in sample.items())
+
+
+def kruskal_wallis(groups: Sequence[Mapping[float, int]]) -> TestResult:
+    """Kruskal-Wallis rank-sum test with tie correction, on groups of value counts."""
+    sizes = [sum(group.values()) for group in groups]
+    if len(groups) < 2 or 0 in sizes:
         raise EmptyInput("need at least two non-empty groups")
-    size = sum(len(g) for g in groups)
-    rank_of, tie_counts = _rank_table(chain.from_iterable(groups))
-    h = 0.0
+    size = sum(sizes)
+    pooled: Counter[float] = Counter()
     for group in groups:
-        r = sum(rank_of[v] for v in group)
-        h += r * r / len(group)
+        pooled.update(group)
+    rank_of, tie_counts = _rank_table(pooled)
+    h = 0.0
+    for group, group_size in zip(groups, sizes):
+        r = _rank_sum(rank_of, group)
+        h += r * r / group_size
     h = 12.0 / (size * (size + 1)) * h - 3.0 * (size + 1)
     tie_term = sum(t**3 - t for t in tie_counts)
     correction = 1.0 - tie_term / (size**3 - size) if size > 1 else 0.0
@@ -342,22 +406,27 @@ def interpret_cliffs_delta(delta: float) -> str:
     return "large"
 
 
-def cliffs_delta(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, str]:
-    """Cliff's delta in [-1, 1] with its Cohen's-scale interpretation.
+def cliffs_delta(xs: Mapping[float, int], ys: Mapping[float, int]) -> tuple[float, str]:
+    """Cliff's delta in [-1, 1] with its Cohen's-scale interpretation, on
+    two samples of value counts.
 
-    Computed by sorted binary search over ys, equivalent to counting all
-    (x, y) pairs.
+    One walk over the sorted distinct values of both samples keeps the
+    cumulative count of ys below the current value, so each x value adds
+    its count times the ys below it and times the ys above it: the integer
+    counts of all (x, y) pairs with x > y and with x < y.
     """
-    if not xs or not ys:
+    n, m = sum(xs.values()), sum(ys.values())
+    if n == 0 or m == 0:
         raise EmptyInput("both samples must be non-empty")
-    sorted_ys = sorted(ys)
-    m = len(sorted_ys)
     greater = 0
     less = 0
-    for x in xs:
-        greater += bisect.bisect_left(sorted_ys, x)
-        less += m - bisect.bisect_right(sorted_ys, x)
-    delta = (greater - less) / (len(xs) * m)
+    below = 0
+    for value in sorted(xs.keys() | ys.keys()):
+        x_count, y_count = xs.get(value, 0), ys.get(value, 0)
+        greater += x_count * below
+        less += x_count * (m - below - y_count)
+        below += y_count
+    delta = (greater - less) / (n * m)
     return delta, interpret_cliffs_delta(delta)
 
 

@@ -869,6 +869,12 @@ def test_analyze_malformed_clients_is_a_data_error(tmp_path, capsys, defect):
 @pytest.mark.parametrize("table, header, column, bad", [
     ("upgrades.csv", UPGRADE_HEADER, "year", "20x1"),
     ("clients.csv", CLIENT_HEADER, "detections", "x7"),
+    # corpus run writes a count in ASCII digits; read as a float, each of
+    # these would enter the rank tests.
+    *[
+        ("clients.csv", CLIENT_HEADER, "detections", bad)
+        for bad in ("nan", "inf", "-4", "2.5", "1e3", "+3", " 3", "\u0663")
+    ],
 ])
 def test_analyze_bad_number_names_file_column_and_value(tmp_path, capsys, table, header, column, bad):
     upgrades, clients = results_tables()

@@ -1050,6 +1050,27 @@ def test_a_forked_process_killed_holding_the_task_lock_stops_no_other(monkeypatc
     assert_no_child_left()
 
 
+def test_a_task_that_raises_stops_every_process_taking_tasks(tmp_path, monkeypatch):
+    # This process's first task raises; the forked process's take 10 ms
+    # each, so one that kept taking tasks would run the other 199.
+    parent = os.getpid()
+    ran = tmp_path / "ran"
+
+    def run_library(task):
+        with open(ran, "a", encoding="utf-8") as handle:
+            handle.write(f"{task}\n")
+        if os.getpid() == parent:
+            raise RuntimeError(f"task {task} failed")
+        time.sleep(0.01)
+        return task
+
+    monkeypatch.setattr(corpus, "_run_library", run_library)
+    with _failing_after(60), pytest.raises(RuntimeError, match="^task [0-9]+ failed$"):
+        corpus._run_shared(list(range(200)), 2)
+    assert len(ran.read_text(encoding="utf-8").splitlines()) < 10
+    assert_no_child_left()
+
+
 def test_corpus_run_forks_nothing_where_processes_cannot_be_placed_on_cpus(tmp_path, monkeypatch):
     # Both libraries read a JAR, so with os.sched_getaffinity, as on Linux,
     # --jobs 4 would fork one process.

@@ -2,21 +2,23 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from jarcompat.stats import (
     DegenerateTable,
     EmptyInput,
     LEVEL_ORDER,
+    _MW_EXACT_LIMIT,
     breaking_ratio,
     chi2_sf,
     chi_squared,
@@ -28,6 +30,7 @@ from jarcompat.stats import (
     kruskal_wallis,
     mann_whitney,
     normal_quantile,
+    normal_sf,
     odds_ratio,
 )
 
@@ -209,6 +212,29 @@ def per_k_log_space_fisher_p(a: int, b: int, c: int, d: int) -> float:
     return min(1.0, acc)
 
 
+# The observed cell at the lower end, the upper end and the mode of its
+# support; tables with equal rows, whose weights are symmetric, so that the
+# mirrored cell ties the observed weight (with c1 = 601 the two modes, 300
+# and 301, tie too); c1 = 1 and c1 = n - 1; and broken clients among the
+# MDG client populations of the major (29,847), minor (111,830) and patch
+# (123,286) levels.
+@example([0, 1500, 900, 300])
+@example([900, 600, 0, 1200])
+@example([500, 1000, 400, 800])
+@example([350, 650, 350, 650])
+@example([300, 700, 400, 600])
+@example([301, 299, 300, 300])
+@example([300, 300, 301, 299])
+@example([1, 599, 600, 0])
+@example([1, 1200, 0, 1300])
+@example([0, 1200, 1, 1300])
+@example([1200, 0, 1299, 1])
+@example([1199, 1, 1300, 0])
+@example([1250, 28597, 4700, 107130])
+@example([4700, 107130, 3100, 120186])
+@example([1250, 28597, 3100, 120186])
+@example([3500, 108330, 3860, 119426])
+@example([2400, 27447, 2400, 109430])
 @given(st.lists(st.integers(0, 4000), min_size=4, max_size=4))
 def test_fisher_log_space_matches_per_k_reference_exactly(cells):
     a, b, c, d = cells
@@ -298,11 +324,11 @@ def mann_whitney_permutation_oracle(xs, ys) -> float:
 
 
 def test_mann_whitney_identical_singletons():
-    assert mann_whitney([1.0], [1.0]).p_value == pytest.approx(1.0)
+    assert mann_whitney(Counter([1.0]), Counter([1.0])).p_value == pytest.approx(1.0)
 
 
 def test_mann_whitney_separated_triples():
-    result = mann_whitney([1, 2, 3], [4, 5, 6])
+    result = mann_whitney(Counter([1, 2, 3]), Counter([4, 5, 6]))
     assert result.statistic == 0.0
     assert result.p_value == pytest.approx(0.1)
 
@@ -315,7 +341,7 @@ def test_mann_whitney_exact_matches_permutation_oracle():
         xs = [rng.randrange(0, 6) for _ in range(n)]
         ys = [rng.randrange(0, 6) for _ in range(m)]
         expected = mann_whitney_permutation_oracle(xs, ys)
-        result = mann_whitney(xs, ys)
+        result = mann_whitney(Counter(xs), Counter(ys))
         assert result.statistic == u_of(xs, ys), (xs, ys)
         assert result.p_value == pytest.approx(expected, abs=1e-12), (xs, ys)
 
@@ -324,7 +350,7 @@ def test_mann_whitney_large_shifted_samples_significant():
     rng = random.Random(3)
     xs = [rng.gauss(0, 1) for _ in range(120)]
     ys = [rng.gauss(1.0, 1) for _ in range(120)]
-    assert mann_whitney(xs, ys).p_value < 0.01
+    assert mann_whitney(Counter(xs), Counter(ys)).p_value < 0.01
 
 
 def test_mann_whitney_normal_approximation_close_to_permutation():
@@ -333,7 +359,7 @@ def test_mann_whitney_normal_approximation_close_to_permutation():
     rng = random.Random(5)
     xs = [rng.randrange(0, 30) for _ in range(10)]
     ys = [rng.randrange(4, 34) for _ in range(10)]
-    result = mann_whitney(xs, ys)
+    result = mann_whitney(Counter(xs), Counter(ys))
     assert result.statistic == u_of(xs, ys)
     approx = result.p_value
     resamples = 20000
@@ -354,7 +380,7 @@ def test_mann_whitney_tied_large_samples_match_scipy():
     rng = random.Random(17)
     xs = [float(rng.randrange(0, 5)) for _ in range(300)]
     ys = [float(rng.randrange(0, 6)) for _ in range(300)]
-    result = mann_whitney(xs, ys)
+    result = mann_whitney(Counter(xs), Counter(ys))
     reference = scipy_stats.mannwhitneyu(
         xs, ys, alternative="two-sided", method="asymptotic", use_continuity=True
     )
@@ -364,27 +390,27 @@ def test_mann_whitney_tied_large_samples_match_scipy():
 
 def test_mann_whitney_empty_raises():
     with pytest.raises(EmptyInput):
-        mann_whitney([], [1.0])
+        mann_whitney(Counter(), Counter([1.0]))
 
 
 # --- Kruskal-Wallis -------------------------------------------------------------------
 
 
 def test_kruskal_identical_groups():
-    result = kruskal_wallis([[1, 2, 3], [1, 2, 3]])
+    result = kruskal_wallis([Counter([1, 2, 3]), Counter([1, 2, 3])])
     assert result.statistic == pytest.approx(0.0, abs=1e-9)
     assert result.p_value == pytest.approx(1.0, abs=1e-9)
-    tied = kruskal_wallis([[5, 5], [5, 5, 5]])
+    tied = kruskal_wallis([Counter([5, 5]), Counter([5, 5, 5])])
     assert tied.p_value == pytest.approx(1.0)
 
 
 def test_kruskal_matches_permutation_oracle():
     rng = random.Random(23)
     groups = [[1, 5, 7], [2, 2, 9], [8, 3]]
-    observed = kruskal_wallis(groups).statistic
+    observed = kruskal_wallis([Counter(g) for g in groups]).statistic
 
     def h_of(sample_groups):
-        return kruskal_wallis(sample_groups).statistic
+        return kruskal_wallis([Counter(g) for g in sample_groups]).statistic
 
     pooled = [v for g in groups for v in g]
     sizes = [len(g) for g in groups]
@@ -400,7 +426,7 @@ def test_kruskal_matches_permutation_oracle():
         if h_of(split) >= observed - 1e-12:
             hits += 1
     p_perm = hits / resamples
-    p_chi2 = kruskal_wallis(groups).p_value
+    p_chi2 = kruskal_wallis([Counter(g) for g in groups]).p_value
     # The chi-square approximation should sit near the permutation truth.
     assert p_chi2 == pytest.approx(p_perm, abs=0.05)
 
@@ -413,12 +439,12 @@ def test_kruskal_detects_shifted_groups():
         [rng.gauss(0.9, 1) for _ in range(60)],
         [rng.gauss(1.4, 1) for _ in range(60)],
     ]
-    assert kruskal_wallis(groups).p_value < 0.01
+    assert kruskal_wallis([Counter(g) for g in groups]).p_value < 0.01
 
 
 def test_kruskal_needs_two_groups():
     with pytest.raises(EmptyInput):
-        kruskal_wallis([[1, 2]])
+        kruskal_wallis([Counter([1, 2])])
 
 
 # --- Cliff's delta -------------------------------------------------------------------
@@ -431,7 +457,7 @@ def cliffs_oracle(xs, ys) -> float:
 
 
 def test_cliffs_identical():
-    value, label = cliffs_delta([1, 2, 3], [1, 2, 3])
+    value, label = cliffs_delta(Counter([1, 2, 3]), Counter([1, 2, 3]))
     assert value == 0.0
     assert label == "negligible"
 
@@ -451,13 +477,105 @@ def test_cliffs_matches_pair_counting_oracle():
     for _ in range(50):
         xs = [rng.randrange(0, 10) for _ in range(rng.randrange(1, 15))]
         ys = [rng.randrange(0, 10) for _ in range(rng.randrange(1, 15))]
-        value, _ = cliffs_delta(xs, ys)
+        value, _ = cliffs_delta(Counter(xs), Counter(ys))
         assert value == pytest.approx(cliffs_oracle(xs, ys), abs=1e-12)
 
 
 def test_cliffs_bounds():
-    assert cliffs_delta([10], [1])[0] == 1.0
-    assert cliffs_delta([1], [10])[0] == -1.0
+    assert cliffs_delta(Counter([10]), Counter([1]))[0] == 1.0
+    assert cliffs_delta(Counter([1]), Counter([10]))[0] == -1.0
+
+
+# --- rank tests on value counts -------------------------------------------------------
+
+# The rank tests as they were written over lists of values, one value at a
+# time: the reference that the value-count versions must equal exactly.
+
+
+def per_element_rank_table(values) -> tuple[dict, list[int]]:
+    counts = Counter(values)
+    rank_of = {}
+    below = 0
+    for value in sorted(counts):
+        tied = counts[value]
+        rank_of[value] = (2 * below + tied + 1) / 2.0
+        below += tied
+    return rank_of, [c for c in counts.values() if c > 1]
+
+
+def per_element_mann_whitney(xs, ys) -> tuple[float, float]:
+    n, m = len(xs), len(ys)
+    rank_of, tie_counts = per_element_rank_table(chain(xs, ys))
+    offset = n * (n + 1) / 2.0
+    u = sum(rank_of[x] for x in xs) - offset
+    center = n * m / 2.0
+    if n + m <= _MW_EXACT_LIMIT:
+        total = 0
+        extreme = 0
+        observed_dev = abs(u - center)
+        ranks = [rank_of[v] for v in chain(xs, ys)]
+        for chosen in combinations(ranks, n):
+            total += 1
+            if abs(sum(chosen) - offset - center) >= observed_dev - 1e-12:
+                extreme += 1
+        return u, min(1.0, extreme / total)
+    size = n + m
+    tie_term = sum(t**3 - t for t in tie_counts)
+    sigma_sq = n * m / 12.0 * ((size + 1) - tie_term / (size * (size - 1)))
+    if sigma_sq <= 0:
+        return u, 1.0
+    z = max(0.0, abs(u - center) - 0.5) / math.sqrt(sigma_sq)
+    return u, min(1.0, 2.0 * normal_sf(z))
+
+
+def per_element_kruskal_wallis(groups) -> tuple[float, float]:
+    size = sum(len(g) for g in groups)
+    rank_of, tie_counts = per_element_rank_table(chain.from_iterable(groups))
+    h = 0.0
+    for group in groups:
+        r = sum(rank_of[v] for v in group)
+        h += r * r / len(group)
+    h = 12.0 / (size * (size + 1)) * h - 3.0 * (size + 1)
+    tie_term = sum(t**3 - t for t in tie_counts)
+    correction = 1.0 - tie_term / (size**3 - size) if size > 1 else 0.0
+    if correction <= 0.0:
+        return 0.0, 1.0
+    h = max(0.0, h / correction)
+    return h, chi2_sf(h, len(groups) - 1)
+
+
+def per_element_cliffs_delta(xs, ys) -> tuple[float, str]:
+    sorted_ys = sorted(ys)
+    m = len(sorted_ys)
+    greater = 0
+    less = 0
+    for x in xs:
+        greater += bisect.bisect_left(sorted_ys, x)
+        less += m - bisect.bisect_right(sorted_ys, x)
+    delta = (greater - less) / (len(xs) * m)
+    return delta, interpret_cliffs_delta(delta)
+
+
+# Values with many ties, negative ones, halves and an int equal to a float
+# (2 and 2.0 count as one value, as they did in a list).
+_tied_values = st.lists(
+    st.one_of(st.integers(-4, 4), st.sampled_from([-2.5, -0.5, 0.5, 2.0, 3.75])), min_size=1, max_size=14
+)
+
+
+# Sizes on both sides of _MW_EXACT_LIMIT = 16 (8 + 8 exact, 9 + 8 normal),
+# and far above it.
+@example([[1, 1, 2, -3, 0.5, 2.0, 2, 4], [0, 0, 1, -3, -3, 2, 4, 4]])
+@example([[1, 1, 2, -3, 0.5, 2.0, 2, 4, -1], [0, 0, 1, -3, -3, 2, 4, 4], [3, 3]])
+@example([[i % 7 - 3 for i in range(300)], [i % 5 - 1 for i in range(250)], [-1.5] * 40 + [9] * 3])
+@given(st.lists(_tied_values, min_size=2, max_size=4))
+def test_rank_tests_on_value_counts_equal_the_per_element_reference(samples):
+    xs, ys = samples[0], samples[1]
+    u = mann_whitney(Counter(xs), Counter(ys))
+    assert (u.statistic, u.p_value) == per_element_mann_whitney(xs, ys)
+    assert cliffs_delta(Counter(xs), Counter(ys)) == per_element_cliffs_delta(xs, ys)
+    h = kruskal_wallis([Counter(s) for s in samples])
+    assert (h.statistic, h.p_value) == per_element_kruskal_wallis(samples)
 
 
 # --- ratios --------------------------------------------------------------------------
