@@ -72,13 +72,9 @@ def _count_cells(tables: list[tuple[Path, tuple[str, ...]]]) -> list[Counter[tup
     cells are held at once.
 
     The rows of each table are cut into n line-aligned ranges (``_ranges``):
-    one per CPU this process may run on, but none under ``_RANGE_BYTES`` of
-    both files, and one where the platform cannot move a process onto a
-    CPU. Range k of every table is job k, which ``run_forked`` runs in
-    process k: job 0 in this process and each other job in a process forked
-    for it and placed on a CPU of its own. Without that placement, forked
-    counters were seen to share their parent's CPU for up to a second while
-    another CPU idled.
+    one per CPU ``usable_cpus`` counts, but none under ``_RANGE_BYTES`` of
+    both files. Range k of every table is job k, which ``run_forked`` runs
+    in process k or in this process, as its process policy says.
 
     ``_count_range`` reads a range ``_CHUNK`` bytes at a time and carries
     the partial last line into the next chunk; the last chunk takes the
@@ -98,7 +94,7 @@ def _count_cells(tables: list[tuple[Path, tuple[str, ...]]]) -> list[Counter[tup
     upgrades, 50k clients, 13 MiB) count in-process in about 70 ms in two
     ranges, against 100-140 ms in one (medians of 30 counts, 5 runs each).
     """
-    n = usable_cpus() if hasattr(os, "sched_getaffinity") else 1
+    n = usable_cpus()
     size = sum(path.stat().st_size for path, _ in tables if path.exists())
     while n > 1 and n * _RANGE_BYTES > size:
         n -= 1

@@ -31,6 +31,7 @@ from .corpus import (
 from .delta import compute_delta, is_breaking
 from .detect import classify_impact, compute_detections
 from .semver import NotAnUpgrade, Unparseable, classify_upgrade, complies_with_semver, parse_version
+from .stats import LEVEL_ORDER
 from .usage import extract_usage
 from .analyze import analyze_results
 
@@ -133,7 +134,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         v2 = parse_version(args.v2)
         level = classify_upgrade(v1, v2)
     except (Unparseable, NotAnUpgrade) as exc:
-        sys.stdout.write(f"error: {exc}\n")
+        sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     hint = "may introduce breaking changes" if complies_with_semver(level, True) else (
         "must stay backwards compatible"
@@ -147,7 +148,7 @@ def _parse_sample_spec(text: str) -> tuple[str, float, float]:
     if len(parts) != 3:
         raise DataError(f"sample spec must be level:confidence:margin, got {text!r}")
     level, confidence, margin = parts
-    if level not in ("all", "major", "minor", "patch", "dev"):
+    if level not in ("all", *LEVEL_ORDER):
         raise DataError(f"unknown sample level {level!r}")
     try:
         confidence, margin = float(confidence), float(margin)
@@ -183,7 +184,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 
     options = PipelineOptions(
         jobs=args.jobs if args.jobs is not None else usable_cpus(),
-        seed=args.seed,
+        seed=args.seed or 0,
         samples=tuple(_parse_sample_spec(spec) for spec in args.sample or ()),
         stability_config=_load_config(args.stability_config),
     )
@@ -270,10 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--jobs", type=_jobs, default=None, metavar="N",
         help="processes, this one included, that share one queue of library tasks, never more "
-        "than there are libraries; only one process runs off Linux (default: the CPUs this "
-        "process may run on); outputs are byte-identical for every N",
+        "than there are libraries, forked where the process policy of corpus.run_forked says "
+        "(default: corpus.usable_cpus()); outputs are byte-identical for every N",
     )
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=int, default=None, help="seed of the --sample draws (default 0)")
     p_run.add_argument("--sample", action="append", metavar="LEVEL:CONF:MARGIN")
     p_run.add_argument("--stability-config", default=None)
 
@@ -294,7 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "seed", None) is not None and not args.sample:
+        parser.error("--seed seeds only the draws of --sample, and none was given")
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.INFO if args.verbose else logging.WARNING,
@@ -303,7 +307,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except DataError as exc:
-        log.error("%s", exc)
         sys.stderr.write(f"jarcompat: {exc}\n")
         return EXIT_DATA
 

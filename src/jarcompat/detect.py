@@ -194,6 +194,15 @@ _TYPE_LEVEL_KINDS = frozenset(
     }
 )
 
+_ADDITIVE_KINDS = frozenset(
+    {
+        BcKind.METHOD_ADDED_TO_INTERFACE,
+        BcKind.METHOD_ABSTRACT_ADDED_TO_CLASS,
+        BcKind.METHOD_ADDED_TO_PUBLIC_CLASS,
+        BcKind.METHOD_NEW_DEFAULT,
+    }
+)
+
 
 @dataclass(frozen=True)
 class Detection:
@@ -246,10 +255,8 @@ def _is_subtype(client_type: str, owner: str, usage: UsageModel) -> bool:
     )
 
 
-def _visibility_breaks(
-    change: BreakingChange, client_element: str, usage: UsageModel
-) -> tuple[bool, str] | None:
-    """(breaks, confidence) under the narrowed visibility, or None for no impact."""
+def _visibility_breaks(change: BreakingChange, client_element: str, usage: UsageModel) -> str | None:
+    """The confidence that the narrowed visibility breaks this use, or None for no impact."""
     detail = change.detail_map()
     new_vis = detail.get("new", "private")
     owner = element_owner(change)
@@ -263,16 +270,16 @@ def _visibility_breaks(
         if change.kind == BcKind.CONSTRUCTOR_LESS_ACCESSIBLE:
             # A subtype's super() call would still be legal, but binaries
             # cannot tell super() apart from ordinary instantiation.
-            return True, PESSIMISTIC
+            return PESSIMISTIC
         if _is_subtype(client_type, owner, usage):
             return None
         # An intermediate client-side superclass could still grant access.
-        return True, PESSIMISTIC
+        return PESSIMISTIC
     # package or private: only same-package clients survive, and private
     # excludes even those.
     if new_vis == "package" and same_package:
         return None
-    return True, CERTAIN
+    return CERTAIN
 
 
 def _lacks_declaration(change: BreakingChange, client_type: str, usage: UsageModel) -> bool:
@@ -308,10 +315,9 @@ def compute_detections(delta: Delta, usage: UsageModel) -> list[Detection]:
             for client_element in index[matcher.use_kind].get(target, ()):
                 confidence = matcher.confidence
                 if matcher.predicate == "visibility":
-                    verdict = _visibility_breaks(change, client_element, usage)
-                    if verdict is None:
+                    confidence = _visibility_breaks(change, client_element, usage)
+                    if confidence is None:
                         continue
-                    _, confidence = verdict
                 elif matcher.predicate == "lacks_decl":
                     client_type = _client_type_of(client_element, usage)
                     if not _lacks_declaration(change, client_type, usage):
@@ -343,32 +349,21 @@ def classify_impact(
         detected.add((detection.library_element, detection.bc_kind.value))
         count += 1
 
-    additive = {
-        BcKind.METHOD_ADDED_TO_INTERFACE,
-        BcKind.METHOD_ABSTRACT_ADDED_TO_CLASS,
-        BcKind.METHOD_ADDED_TO_PUBLIC_CLASS,
-        BcKind.METHOD_NEW_DEFAULT,
-    }
     summary = ImpactSummary(detection_count=count)
     for change in delta.changes:
         key = (change.element, change.kind.value)
-        owner = element_owner(change)
-        if key in detected:
-            used = True
-        elif change.kind in _TYPE_LEVEL_KINDS:
-            # A type-level change is "used" when the type or any member is.
-            used = usage.is_touched(change.element)
-        elif change.kind in additive:
-            # Old clients cannot reference the new declaration; using the
-            # affected type is what puts them in scope.
-            used = usage.is_touched(owner)
-        else:
-            used = usage.is_used(change.element)
         if key in detected:
             summary.per_change[key] = BREAKING_USE
-        elif used:
-            summary.per_change[key] = NON_BREAKING_USE
+            continue
+        if change.kind in _TYPE_LEVEL_KINDS:
+            # A type-level change is "used" when the type or any member is.
+            used = usage.is_touched(change.element)
+        elif change.kind in _ADDITIVE_KINDS:
+            # Old clients cannot reference the new declaration; using the
+            # affected type is what puts them in scope.
+            used = usage.is_touched(element_owner(change))
         else:
-            summary.per_change[key] = UNUSED
+            used = usage.is_used(change.element)
+        summary.per_change[key] = NON_BREAKING_USE if used else UNUSED
     summary.broken = any(v == BREAKING_USE for v in summary.per_change.values())
     return summary

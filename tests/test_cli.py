@@ -192,7 +192,8 @@ def test_classify_examples(capsys):
     assert main(["classify", "0.1.0", "0.2.0"]) == 0
     assert capsys.readouterr().out.startswith("dev")
     assert main(["classify", "1.0.0", "1.0.0"]) == 2
-    assert "error" in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 def test_corpus_derive_and_run(tmp_path, capsys):
@@ -333,6 +334,46 @@ def test_corpus_derive_upgrades_match_run_in_run_order(tmp_path, build):
         ran = [row[:5] for row in csv.reader(handle)]
     assert len(derived) > 3
     assert derived == ran
+
+
+def test_a_data_error_prints_one_line_on_stderr(tmp_path):
+    # In a process of its own, so that the line a logging handler would
+    # print reaches stderr instead of pytest's log capture.
+    proc = subprocess.run(
+        [sys.executable, "-m", "jarcompat.cli", "delta", str(tmp_path / "missing.jar"), str(tmp_path / "x.jar")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(Path(analyze.__file__).parents[1])),
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(f"jarcompat: {tmp_path / 'missing.jar'}: ")
+
+
+def test_corpus_run_seed_without_sample_is_a_usage_error(tmp_path, capsys):
+    # Only the --sample draws read the seed, so alone it would change nothing.
+    artifacts, edges, jar_root = build_fixture(tmp_path / "fixture")
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", "run", "--artifacts", str(artifacts), "--edges", str(edges),
+              "--jars", str(jar_root), "--out", str(tmp_path / "o"), "--jobs", "1", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "--sample" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("level", ["all", *LEVEL_ORDER, "beta", "Major"])
+def test_corpus_run_samples_all_clients_or_one_level(tmp_path, capsys, level):
+    artifacts, edges, jar_root = build_fixture(tmp_path / "fixture")
+    out = tmp_path / "o"
+    code = main(["corpus", "run", "--artifacts", str(artifacts), "--edges", str(edges),
+                 "--jars", str(jar_root), "--out", str(out), "--jobs", "1", "--sample", f"{level}:0.95:0.05"])
+    if level in ("all", *LEVEL_ORDER):
+        assert code == 0
+        with open(out / "sample_sizes.csv", newline="", encoding="utf-8") as handle:
+            assert [row["level"] for row in csv.DictReader(handle)] == [level]
+    else:
+        assert code == 3
+        assert f"unknown sample level {level!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("spec", ["all:1.5:0.05", "all:0.95:0", "major:0.95:nan", "minor:nan:0.05",
@@ -1173,9 +1214,9 @@ def test_jobs_default_to_the_cpus_this_process_may_run_on(tmp_path, monkeypatch)
     assert main(["corpus", "run", "--artifacts", str(artifacts), "--edges", str(edges),
                  "--out", str(tmp_path / "o")]) == 0
     assert jobs == [3]
+    # Without os.sched_getaffinity, as off Linux, run_forked forks nothing,
+    # so one process is all there is to use, whatever the machine's CPUs.
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert usable_cpus() == 64
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert usable_cpus() == 1
 
 

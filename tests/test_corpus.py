@@ -998,12 +998,23 @@ def test_forked_process_k_moves_onto_the_kth_cpu_and_back(tmp_path, monkeypatch)
 def test_shared_tasks_are_each_taken_once(monkeypatch):
     # More processes than this host's CPUs take tasks that end at once, so
     # an update of the shared count that got lost would run a task twice or
-    # drop it.
+    # drop it. The results come back in task order.
     monkeypatch.setattr(corpus, "_run_library", lambda task: task)
-    done = corpus._run_shared(list(range(3000)), 4)
-    assert sorted(i for i, _ in done) == list(range(3000))
-    assert all(i == task for i, task in done)
+    assert corpus._run_shared(list(range(3000)), 4) == list(range(3000))
     assert_no_child_left()
+
+
+def test_run_forked_runs_every_k_here_in_order_where_processes_cannot_be_placed(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    ran = []
+
+    def work(k):
+        ran.append(k)
+        return k, os.getpid()
+
+    assert corpus.run_forked(3, work) == [(0, os.getpid()), (1, os.getpid()), (2, os.getpid())]
+    assert ran == [0, 1, 2]
 
 
 @contextlib.contextmanager

@@ -89,3 +89,39 @@ def test_every_name_a_package_exports_is_imported_through_it():
                 exported = ast.literal_eval(node.value)
                 unused += [f"{package}.{name}" for name in exported if (package, name) not in imported]
     assert unused == []
+
+
+def os_names_by_function(node: ast.AST, function: str | None = None) -> list[tuple[str | None, int, str]]:
+    """(innermost enclosing function, line, name) for each name under ``node``
+    that is an attribute of ``os``, imported from ``os`` or a string, as
+    ``hasattr(os, ...)`` takes it."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+        names = [node.attr]
+    elif isinstance(node, ast.ImportFrom) and node.module == "os":
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        names = [node.value]
+    else:
+        names = []
+    found = [(function, node.lineno, name) for name in names]
+    for child in ast.iter_child_nodes(node):
+        found += os_names_by_function(child, function)
+    return found
+
+
+def test_only_the_process_layer_forks_or_places_processes():
+    # corpus.run_forked alone decides whether to fork, usable_cpus how many
+    # CPUs there are to use and _run_placed where each process runs, so no
+    # caller asks the platform whether it can fork or place a process.
+    process_calls = {"fork", "sched_getaffinity", "sched_setaffinity"}
+    owners = {"run_forked", "_run_placed", "usable_cpus"}
+    named = []
+    for path in sorted((ROOT / "src" / "jarcompat").rglob("*.py")):
+        named += [
+            f"{path.relative_to(ROOT)}:{line}: {name} in {function or 'the module'}"
+            for function, line, name in os_names_by_function(ast.parse(path.read_text(encoding="utf-8")))
+            if name in process_calls and function not in owners
+        ]
+    assert named == []
